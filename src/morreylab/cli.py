@@ -49,7 +49,6 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument(
         "--refine", action="count", default=0,
         help="increment the global refinement level (repeatable)",
@@ -87,8 +86,6 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     if args.workers is not None:
         doc["workers"] = args.workers
-    if args.seed is not None:
-        doc["seed"] = args.seed
     if args.refine:
         q = dict(doc.get("quadrature", {}))
         q["refinement_level"] = int(q.get("refinement_level", 0)) + args.refine

@@ -547,8 +547,7 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
             spec.shell_ratio, spec.inner_cutoff,
         )
     est = morrey.morrey_sup_from_samples(
-        g, p_fac, float(cfg.lam), grids.centers, grids.radii,
-        nodes, vals, cell, nodes_key=(R_eff, spec.effective_h),
+        g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell
     )
     return est.value
 
@@ -571,14 +570,6 @@ def inequality_sides(g, cfg: ExponentConfig, u: TestFunction, grids: MorreyGrids
             "right-hand side vanished with nonzero left side"
         )
     return float(lhs), float(rhs)
-
-
-def default_grids(g, spec: QuadratureSpec, decay_radius: float, ratio: float = 2.0 ** 0.25,
-                  n_per_axis: int | None = None) -> MorreyGrids:
-    return MorreyGrids(
-        centers=morrey.default_centers(g, spec, n_per_axis=n_per_axis),
-        radii=radius_grid(spec, decay_radius, ratio=ratio),
-    )
 
 
 def adapted_spec_factory(
@@ -730,7 +721,7 @@ class HedbergPointwiseReport:
 
 
 def hedberg_pointwise_check(
-    g, cfg: ExponentConfig, u: TestFunction, sample_points, grids, spec
+    g, cfg: ExponentConfig, u: TestFunction, sample_points, spec
 ) -> HedbergPointwiseReport:
     """Pointwise potential-vs-maximal ratio and its refinement stability.
 

@@ -3,20 +3,22 @@
 The double supremum over centres and radii is discretised: the estimate is
 the max over a finite centre lattice and a geometric radius grid of
 ``(r^(-lam) * integral_{B(x,r)} |f|^p)^(1/p)``, a certified lower bound of
-the true norm.  Ball integrals reuse one lattice evaluation of |f|^p via
-per-centre sorted distances, so adding radii costs nothing.
+the true norm.  Ball integrals reuse one lattice evaluation of |f|^p and
+one binning of the centre-node pairs by radius, so adding radii costs
+nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import groups
 from .errors import DomainError
-from .quadrature import QuadratureSpec, lattice_nodes, radius_grid
+from .quadrature import QuadratureSpec, ball_bins, ball_sums, lattice_nodes, radius_grid
 
 
 @dataclass(frozen=True)
@@ -60,24 +62,17 @@ def default_centers(
     return np.vstack([np.zeros((1, g.dimension)), pts])
 
 
-# per-centre sorted distances are expensive on large lattices; keep a few
-_sorted_cache: dict = {}
-
-
-def _center_orders(g, nodes_key, nodes, centers):
-    key = (g, nodes_key, centers.tobytes())
-    hit = _sorted_cache.get(key)
-    if hit is not None:
-        return hit
-    orders = []
-    for c in centers:
-        d = groups.gauge(g, groups.mul(g, -c, nodes))
-        order = np.argsort(d)
-        orders.append((order, d[order]))
-    if len(_sorted_cache) >= 8:
-        _sorted_cache.pop(next(iter(_sorted_cache)))
-    _sorted_cache[key] = orders
-    return orders
+@lru_cache(maxsize=8)
+def _ball_bins_cached(g, nodes: bytes, centers: bytes, radii: bytes) -> np.ndarray:
+    """``ball_bins`` keyed on array contents, so a key can never go stale."""
+    bins = ball_bins(
+        g,
+        np.frombuffer(nodes).reshape(-1, g.dimension),
+        np.frombuffer(centers).reshape(-1, g.dimension),
+        np.frombuffer(radii),
+    )
+    bins.setflags(write=False)
+    return bins
 
 
 def morrey_sup_from_samples(
@@ -89,7 +84,6 @@ def morrey_sup_from_samples(
     nodes: np.ndarray,
     values: np.ndarray,
     cellvol,
-    nodes_key=None,
 ) -> MorreyEstimate:
     """Grid supremum from precomputed |f| samples on lattice nodes.
 
@@ -101,26 +95,18 @@ def morrey_sup_from_samples(
         raise DomainError(f"lambda must lie in [0, Q], got {lam}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) < 0):
+        raise DomainError("radius grid must be non-decreasing")
+    nodes = np.asarray(nodes, dtype=float)
     powered = np.abs(np.asarray(values, dtype=float)) ** p * cellvol
-    if nodes_key is None:
-        nodes_key = id(nodes)
-    orders = _center_orders(g, nodes_key, nodes, centers)
-    best = -1.0
-    best_c = centers[0]
-    best_r = radii[0]
-    rw = radii ** (-lam)
-    for c, (order, ds) in zip(centers, orders):
-        pref = np.concatenate([[0.0], np.cumsum(powered[order])])
-        idx = np.searchsorted(ds, radii, side="left")
-        vals = rw * pref[idx]
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            best_c = c
-            best_r = float(radii[k])
+    bins = _ball_bins_cached(g, nodes.tobytes(), centers.tobytes(), radii.tobytes())
+    vals = radii ** (-lam) * ball_sums(bins, len(radii), powered)
+    # first centre, then first radius, attaining the maximum
+    i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best_r = float(radii[k])
     return MorreyEstimate(
-        value=max(best, 0.0) ** (1.0 / p),
-        argmax_center=np.asarray(best_c),
+        value=max(float(vals[i, k]), 0.0) ** (1.0 / p),
+        argmax_center=np.asarray(centers[i]),
         argmax_radius=best_r,
         truncation_note=bool(best_r == float(radii[-1])),
     )
@@ -143,10 +129,8 @@ def morrey_norm(
     R_eff = min(spec.R_max, decay) if math.isfinite(decay) else spec.R_max
     nodes, _, cell = lattice_nodes(g, spec, R_eff)
     values = np.asarray(u(nodes), dtype=float)
-    key = (round(float(R_eff), 12), spec.effective_h)
     est = morrey_sup_from_samples(
-        g, params.p, params.lam, params.centers, params.radii, nodes, values, cell,
-        nodes_key=key,
+        g, params.p, params.lam, params.centers, params.radii, nodes, values, cell
     )
     # a supremum sitting at the domain scale of an input that has not yet
     # decayed is radius-capped: flag it rather than report it silently

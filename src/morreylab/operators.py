@@ -18,6 +18,8 @@ from . import groups
 from .errors import DomainError, UnsupportedGroupError
 from .quadrature import (
     QuadratureSpec,
+    ball_bins,
+    ball_sums,
     kernel_band_values,
     lattice_nodes,
     shell_integrate_singular,
@@ -27,11 +29,12 @@ _EPS3 = np.finfo(float).eps ** (1.0 / 3.0)
 _EPS4 = np.finfo(float).eps ** 0.25
 
 
-def _pairwise_offsets(g, points, src):
-    """src^{-1} * x for every (point, source) pair -> (m, K, N)."""
-    if g.law == groups.EUCLIDEAN:
-        return points[:, None, :] - src[None, :, :]
-    return groups.mul(g, -src[None, :, :], points[:, None, :])
+# centre-node pairs per block of the maximal operator's ball sums: a fixed
+# pair budget bounds its temporaries (about 1 MB each) whatever the
+# lattice size
+_MAXIMAL_PAIRS = 1 << 17
+# points per block of the fractional Laplacian's symmetric differences
+_FRACLAP_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,6 @@ def frac_maximal_values(
     points,
     radii,
     spec: QuadratureSpec,
-    chunk: int = 512,
 ) -> np.ndarray:
     """sup over the radius grid of |B(x,r)|^(alpha-1) * integral_B |u|.
 
@@ -105,37 +107,29 @@ def frac_maximal_values(
 
     src, _, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
-    gauge_pts = groups.gauge(g, pts)
-    h_eff = spec.effective_h
+    n = len(radii)
+    # balls that leave the domain scale their volume from the last ball
+    # inside it (or from one cell at r_dom) by r^Q
+    r_dom = np.maximum(spec.R_max - groups.gauge(g, pts), 4.0 * spec.effective_h)
+    j = np.searchsorted(radii, r_dom, side="right") - 1
+    beyond = radii > r_dom[:, None]
     out = np.zeros(pts.shape[0])
 
-    for start in range(0, pts.shape[0], chunk):
-        sl = slice(start, min(start + chunk, pts.shape[0]))
-        x = pts[sl]
-        d = groups.gauge(g, _pairwise_offsets(g, x, src))
-        order = np.argsort(d, axis=1)
-        ds = np.take_along_axis(d, order, axis=1)
-        mass = np.concatenate(
-            [np.zeros((x.shape[0], 1)), np.cumsum(uv[order], axis=1)], axis=1
-        )
-        for i in range(x.shape[0]):
-            idx = np.searchsorted(ds[i], radii, side="left")
-            cnt = idx.astype(float)
-            m_r = mass[i, idx] * cell
-            r_dom = max(spec.R_max - gauge_pts[sl][i], 4.0 * h_eff)
-            vol = cnt * cell
-            beyond = radii > r_dom
-            if np.any(beyond):
-                j = int(np.searchsorted(radii, r_dom, side="right")) - 1
-                if j >= 0 and cnt[j] > 0:
-                    base_v, base_r = cnt[j] * cell, radii[j]
-                else:
-                    base_v, base_r = cell, r_dom
-                vol = np.where(beyond, base_v * (radii / base_r) ** g.Q, vol)
-            ok = vol > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(ok, vol ** (alpha - 1.0) * m_r, 0.0)
-            out[sl][i] = np.max(vals) if vals.size else 0.0
+    step = max(1, _MAXIMAL_PAIRS // len(src))
+    for start in range(0, pts.shape[0], step):
+        sl = slice(start, start + step)
+        bins = ball_bins(g, src, pts[sl], radii)
+        cnt = ball_sums(bins, n).astype(float)
+        m_r = ball_sums(bins, n, uv) * cell
+        rows = np.arange(cnt.shape[0])
+        jc = np.maximum(j[sl], 0)
+        has_base = (j[sl] >= 0) & (cnt[rows, jc] > 0)
+        base_v = np.where(has_base, cnt[rows, jc] * cell, cell)[:, None]
+        base_r = np.where(has_base, radii[jc], r_dom[sl])[:, None]
+        vol = np.where(beyond[sl], base_v * (radii / base_r) ** g.Q, cnt * cell)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(vol > 0, vol ** (alpha - 1.0) * m_r, 0.0)
+        out[sl] = np.max(vals, axis=1)
     return out[0] if single else out
 
 
@@ -148,8 +142,8 @@ def hl_maximal(g, u, x, radii, spec) -> float:
     return frac_maximal(g, 0.0, u, x, radii, spec)
 
 
-def hl_maximal_values(g, u, points, radii, spec, chunk: int = 512) -> np.ndarray:
-    return frac_maximal_values(g, 0.0, u, points, radii, spec, chunk=chunk)
+def hl_maximal_values(g, u, points, radii, spec) -> np.ndarray:
+    return frac_maximal_values(g, 0.0, u, points, radii, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +183,6 @@ def frac_laplacian_values(
     u,
     points,
     spec: QuadratureSpec,
-    chunk: int = 128,
 ) -> np.ndarray:
     """(-Delta)^s u by the symmetric-difference singular integral.
 
@@ -229,8 +222,8 @@ def frac_laplacian_values(
     out = np.zeros(pts.shape[0])
     tail = np.zeros(pts.shape[0])
     porder = np.argsort(gauge_pts, kind="stable")
-    for start in range(0, pts.shape[0], chunk):
-        rows = porder[start : start + chunk]
+    for start in range(0, pts.shape[0], _FRACLAP_CHUNK):
+        rows = porder[start : start + _FRACLAP_CHUNK]
         x = pts[rows]
         if math.isfinite(decay) and decay <= spec.R_max:
             # beyond the cap u(x +/- y) < 1e-12, so the difference is 2u(x)
@@ -410,7 +403,7 @@ def three_zone_split(g, gamma, u, x, spec):
 
     src, sdist, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
-    d = groups.gauge(g, _pairwise_offsets(g, x[None, :], src))[0]
+    d = groups.gauge(g, groups.mul(g, -src, x))
     with np.errstate(divide="ignore"):
         kern = np.where(d > 0, d ** a, 0.0) * cell
 

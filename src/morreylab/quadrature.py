@@ -229,6 +229,37 @@ def gauge_power_weights(g, a, R, h, shell_ratio, inner_cutoff):
     return w
 
 
+def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
+    """Bin of every (centre, node) pair in an (n_centers, len(radii) + 1) table.
+
+    Row i of the result holds, for each node z, ``i * (len(radii) + 1) + j``
+    with j the index of the first radius r_j such that z lies in the
+    left-translated ball {z : gauge(c_i^{-1} z) < r_j}; j = len(radii)
+    marks nodes outside every ball.  ``radii`` must be non-decreasing.
+    """
+    d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
+    j = np.searchsorted(radii, d, side="right")
+    return j + (len(radii) + 1) * np.arange(len(centers))[:, None]
+
+
+def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
+    """Per-ball totals from ``ball_bins``: shape (n_centers, n_radii).
+
+    Node counts when ``weights`` is None, otherwise sums of the per-node
+    ``weights`` over each ball.  Each pair is binned once into the first
+    ball that holds it, and the cumulative sum over radii fills the
+    larger balls, so no per-centre sort is needed.
+    """
+    m = bins.shape[0]
+    w = None if weights is None else np.tile(weights, m)
+    per_bin = np.bincount(bins.ravel(), weights=w, minlength=m * (n_radii + 1))
+    return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
+
+
+# points per block of the batch singular-kernel sum
+_BAND_CHUNK = 192
+
+
 def kernel_band_values(
     g: groups.GroupDescriptor,
     a: float,
@@ -238,7 +269,6 @@ def kernel_band_values(
     r_lo: float = 0.0,
     r_hi: float | None = None,
     level_shift: int = 0,
-    chunk: int = 192,
 ) -> np.ndarray:
     """integral of u(y) d(y,x)^a over {r_lo < d(y,x) <= r_hi} at points x.
 
@@ -272,8 +302,8 @@ def kernel_band_values(
 
     # process points in increasing gauge order so source caps stay tight
     porder = np.argsort(gauge_pts, kind="stable")
-    for start in range(0, pts.shape[0], chunk):
-        rows = porder[start : start + chunk]
+    for start in range(0, pts.shape[0], _BAND_CHUNK):
+        rows = porder[start : start + _BAND_CHUNK]
         x = pts[rows]
         cap = float(np.max(gauge_pts[rows])) + decay + 2.0 * h
         jmax = int(np.searchsorted(dist, cap, side="right")) if math.isfinite(cap) else len(dist)

@@ -4,8 +4,8 @@ A structured JSON config describes a group, a quadrature spec, a test
 function battery, and a list of exponent tuples per theorem.  The runner
 executes every (theorem, function) sweep, grades each record against the
 declared tolerances, and writes a self-describing JSON report plus an
-optional flat CSV export for plotting.  With a fixed seed and one worker
-the report is byte-identical across runs (telemetry aside).
+optional flat CSV export for plotting.  Nothing in a run is random: with
+one worker the report is byte-identical across runs (telemetry aside).
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def parse_config(doc: dict):
         t_values=[float(t) for t in t_values],
         theorems=theorems,
         checks=checks,
-        seed=int(doc.get("seed", 0)),
         workers=int(doc.get("workers", 1)),
         adapt_specs=bool(doc.get("adapt_specs", False)),
         centers_per_axis=doc.get("centers_per_axis"),
@@ -149,34 +148,38 @@ def _ops_needed(cfg):
     return {lhs["op"]} | {f["op"] for f in rhs}
 
 
-def _record_dict(rec: harness.RatioSweepRecord, band, slope_tol):
-    spread = max(rec.ratios) / min(rec.ratios) if rec.ratios else math.nan
+def _grade(rec: harness.RatioSweepRecord, band, slope_tol):
+    """(check description, passed) of one sweep record."""
     if rec.config.admissible_flag:
-        ok = bool(spread <= band)
-        check = f"max/min ratio <= {band}"
-    else:
-        pm = rec.predicted_mismatch
-        if abs(pm) >= 0.2:
-            ok = bool(abs(rec.fitted_slope - pm) <= slope_tol * abs(pm))
-            check = f"|slope - predicted| <= {slope_tol}*|predicted|"
-        else:
-            ok = True
-            check = "perturbation below slope-test threshold: recorded only"
+        spread = max(rec.ratios) / min(rec.ratios)
+        return f"max/min ratio <= {band}", bool(spread <= band)
+    pm = rec.predicted_mismatch
+    if abs(pm) < 0.2:
+        return "perturbation below slope-test threshold: recorded only", True
+    return (
+        f"|slope - predicted| <= {slope_tol}*|predicted|",
+        bool(abs(rec.fitted_slope - pm) <= slope_tol * abs(pm)),
+    )
+
+
+def _record_dict(cfg, u, t_values, check, passed, note=None, rec=None):
+    """One report record; the sweep fields stay empty when ``rec`` is None."""
+    ratios = list(rec.ratios) if rec is not None else []
     return dict(
-        theorem=rec.config.theorem,
-        function=rec.function_label,
-        config=rec.config.as_floats(),
-        t_values=list(rec.t_values),
-        ratios=list(rec.ratios),
-        fitted_slope=rec.fitted_slope,
-        predicted_mismatch=rec.predicted_mismatch,
-        estimated_constant=rec.estimated_constant,
-        spread=spread,
-        degenerate=rec.degenerate,
-        grid=rec.grid_meta,
+        theorem=cfg.theorem,
+        function=u.label,
+        config=cfg.as_floats(),
+        t_values=list(t_values),
+        ratios=ratios,
+        fitted_slope=rec.fitted_slope if rec else math.nan,
+        predicted_mismatch=float(harness.predicted_mismatch(cfg)),
+        estimated_constant=rec.estimated_constant if rec else math.nan,
+        spread=max(ratios) / min(ratios) if ratios else math.nan,
+        degenerate=rec.degenerate if rec else False,
+        grid=rec.grid_meta if rec else {},
         check=check,
-        passed=ok,
-        note=None,
+        passed=passed,
+        note=note,
     )
 
 
@@ -188,19 +191,11 @@ def _run_task(args):
     u = parsed["battery"][fi]
     spec = parsed["spec"]
     t_values = parsed["t_values"]
-    band = parsed["checks"]["ratio_band"]
-    slope_tol = parsed["checks"]["slope_rel_tol"]
 
     needs = _ops_needed(cfg)
     if needs & {"grad", "sublap", "fraclap"} and not u.smooth:
-        return dict(
-            theorem=cfg.theorem, function=u.label, config=cfg.as_floats(),
-            t_values=list(t_values), ratios=[], fitted_slope=math.nan,
-            predicted_mismatch=float(harness.predicted_mismatch(cfg)),
-            estimated_constant=math.nan, spread=math.nan, degenerate=False,
-            grid={}, check="skipped", passed=True,
-            note="skipped: theorem needs a smooth test function",
-        )
+        return _record_dict(cfg, u, t_values, "skipped", True,
+                            note="skipped: theorem needs a smooth test function")
     t_min, t_max = min(t_values), max(t_values)
     if parsed["adapt_specs"]:
         sweep_spec = harness.adapted_spec_factory(g, spec, u, t_min, t_max)
@@ -212,15 +207,11 @@ def _run_task(args):
     try:
         rec = harness.dilation_sweep(g, cfg, u, t_values, grids, sweep_spec)
     except Exception as e:
-        return dict(
-            theorem=cfg.theorem, function=u.label, config=cfg.as_floats(),
-            t_values=list(t_values), ratios=[], fitted_slope=math.nan,
-            predicted_mismatch=float(harness.predicted_mismatch(cfg)),
-            estimated_constant=math.nan, spread=math.nan, degenerate=False,
-            grid={}, check="error", passed=False,
-            note=f"{type(e).__name__}: {e}",
-        )
-    return _record_dict(rec, band, slope_tol)
+        return _record_dict(cfg, u, t_values, "error", False,
+                            note=f"{type(e).__name__}: {e}")
+    checks = parsed["checks"]
+    check, ok = _grade(rec, checks["ratio_band"], checks["slope_rel_tol"])
+    return _record_dict(cfg, u, rec.t_values, check, ok, rec=rec)
 
 
 def run_experiment(doc: dict) -> dict:

@@ -238,7 +238,7 @@ def test_criterion_08_hedberg_pointwise(g1):
     u = gaussian(g1, 0.5)
     cfg = admissible("adams_hls", Q=1, p=2.0, gamma=0.3, lam=0.2)
     pts = np.linspace(-2.5, 2.5, 100)[:, None]
-    rep = hedberg_pointwise_check(g1, cfg, u, pts, None, spec)
+    rep = hedberg_pointwise_check(g1, cfg, u, pts, spec)
     ok = (
         rep.n_used == 100
         and math.isfinite(rep.max_ratio)

@@ -1,0 +1,62 @@
+"""One cache policy: every memo in the package is a ``functools.lru_cache``.
+
+A run must leave no state behind in plain module-level containers, and
+``cache_clear`` on every memo must return the package to a cold start.
+"""
+
+import importlib
+import pkgutil
+
+import morreylab
+from morreylab.report import run_experiment
+
+CONFIG = {
+    "group": {"law": "euclidean", "dimension": 1},
+    "quadrature": {"R_max": 6.0, "lattice_h": 0.1},
+    "battery": [{"kind": "gauss_tensor", "width": 0.5}],
+    "t_values": [0.5, 5.0],
+    "theorems": [
+        {"theorem": "stein_weiss_adams", "p": 1.6, "gamma": 0.45, "alpha": 0.15,
+         "beta": 0.1, "lambda": 0.3},
+        {"theorem": "maximal_bound", "p": 2.0, "lambda": 0.5},
+    ],
+}
+
+
+def _module_globals():
+    for info in pkgutil.iter_modules(morreylab.__path__):
+        mod = importlib.import_module(f"morreylab.{info.name}")
+        for name, obj in vars(mod).items():
+            if not name.startswith("__"):
+                yield f"{info.name}.{name}", obj
+
+
+def _containers():
+    return {
+        name: repr(obj)
+        for name, obj in _module_globals()
+        if isinstance(obj, (dict, list, set))
+    }
+
+
+def test_run_leaves_module_containers_untouched():
+    # a memo kept in a plain dict (or list, or set) would grow here
+    before = _containers()
+    run_experiment(CONFIG)
+    assert _containers() == before
+
+
+def test_every_memo_is_an_lru_cache_and_clears():
+    run_experiment(CONFIG)
+    memos = {n: obj for n, obj in _module_globals() if hasattr(obj, "cache_clear")}
+    used = {
+        "quadrature._nodes_cached",
+        "quadrature._shell_weights_cached",
+        "quadrature.gauge_power_weights",
+        "morrey._ball_bins_cached",
+    }
+    assert used <= set(memos)
+    assert all(memos[n].cache_info().currsize > 0 for n in used)
+    for obj in memos.values():
+        obj.cache_clear()
+        assert obj.cache_info().currsize == 0

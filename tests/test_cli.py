@@ -24,7 +24,6 @@ SMALL_CONFIG = {
         {"theorem": "adams_hls", "p": 1.5, "gamma": 0.4, "lambda": 0.2,
          "perturb_inv_q": 0.3},
     ],
-    "seed": 7,
     "workers": 1,
 }
 

@@ -277,15 +277,14 @@ class TestChecks:
         z = custom(lambda p: np.zeros(p.shape[:-1]), decay_radius=1.0)
         cfg = admissible("adams_hls", Q=1, p=2.0, gamma=0.3, lam=0.2)
         pts = np.linspace(-1, 1, 10)[:, None]
-        rep = hedberg_pointwise_check(g1, cfg, z, pts, None, spec)
+        rep = hedberg_pointwise_check(g1, cfg, z, pts, spec)
         assert rep.n_used == 0 and rep.n_skipped == 10 and rep.max_ratio == 0.0
 
     def test_hedberg_requires_accepted_hls(self, g1):
         spec = QuadratureSpec(R_max=12.0, lattice_h=0.04)
         cfg = admissible("hardy", Q=4, p=2, alpha=0, beta=1, lam=1)
         with pytest.raises(DomainError):
-            hedberg_pointwise_check(g1, cfg, gaussian(g1, 1.0), np.zeros((2, 1)),
-                                    None, spec)
+            hedberg_pointwise_check(g1, cfg, gaussian(g1, 1.0), np.zeros((2, 1)), spec)
 
 
 class TestHeisenbergConsistency:

@@ -13,6 +13,7 @@ from morreylab.morrey import (
     embedding_check,
     local_morrey_norm,
     morrey_norm,
+    morrey_sup_from_samples,
 )
 from morreylab.quadrature import QuadratureSpec
 
@@ -33,6 +34,8 @@ def test_params_invariants(g1):
     u = gaussian(g1, 1.0)
     with pytest.raises(DomainError):
         norm_of(g1, u, p=2.0, lam=1.5)  # lambda > Q
+    with pytest.raises(DomainError):
+        norm_of(g1, u, p=2.0, lam=0.5, radii=np.array([1.0, 0.5]))
 
 
 def test_zero_function(g1):
@@ -147,3 +150,42 @@ def test_estimate_fields(g1):
     assert isinstance(est, MorreyEstimate)
     assert est.value > 0 and est.argmax_radius > 0
     assert np.allclose(est.argmax_center, 0.0, atol=0.6)
+
+
+def _sup_on_new_nodes(g, h, centers, radii):
+    # the node array lives only inside this call, so successive calls may
+    # receive arrays at the same address
+    nodes = np.empty((200, 1))
+    nodes[:, 0] = (np.arange(200) - 99.5) * h
+    values = np.exp(-nodes[:, 0] ** 2)
+    return morrey_sup_from_samples(g, 2.0, 0.5, centers, radii, nodes, values, h).value
+
+
+def _direct_sup(h, centers, radii):
+    nodes = ((np.arange(200) - 99.5) * h)[:, None]
+    powered = np.exp(-nodes[:, 0] ** 2) ** 2 * h
+    best = 0.0
+    for c in centers:
+        d = np.abs(nodes[:, 0] - c[0])
+        for r in radii:
+            best = max(best, r ** -0.5 * np.sum(powered[d < r]))
+    return best ** 0.5
+
+
+def test_sup_follows_node_contents(g1):
+    # node arrays of one shape but different contents must never share
+    # cached ball geometry
+    centers = np.array([[0.0], [0.5]])
+    radii = np.geomspace(0.02, 4.0, 25)
+    spacings = (0.1, 0.01, 0.1)
+    got = [_sup_on_new_nodes(g1, h, centers, radii) for h in spacings]
+    for h, val in zip(spacings, got):
+        assert val == pytest.approx(_direct_sup(h, centers, radii), rel=1e-12)
+    # the same array object refilled in place
+    nodes = ((np.arange(200) - 99.5) * 0.1)[:, None]
+    for h in spacings:
+        nodes[:, 0] = (np.arange(200) - 99.5) * h
+        val = morrey_sup_from_samples(
+            g1, 2.0, 0.5, centers, radii, nodes, np.exp(-nodes[:, 0] ** 2), h
+        ).value
+        assert val == pytest.approx(_direct_sup(h, centers, radii), rel=1e-12)

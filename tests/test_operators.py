@@ -8,6 +8,7 @@ from morreylab import (
     custom,
     dilate,
     dilated,
+    gauge,
     gaussian,
     hedberg_optimal_rho,
     hedberg_split,
@@ -20,6 +21,7 @@ from morreylab import (
     sub_laplacian,
     three_zone_split,
 )
+from morreylab import operators
 from morreylab.errors import DomainError, UnsupportedGroupError
 from morreylab.operators import (
     frac_laplacian_values,
@@ -29,7 +31,7 @@ from morreylab.operators import (
     riesz_values,
     sub_laplacian_values,
 )
-from morreylab.quadrature import QuadratureSpec
+from morreylab.quadrature import QuadratureSpec, lattice_nodes
 from morreylab.testfunctions import power_truncated
 
 
@@ -135,6 +137,68 @@ class TestMaximal:
         m1 = hl_maximal(g1, u, np.array([0.3]), radii, spec)
         m2 = hl_maximal(g1, cu, np.array([0.3]), radii, spec)
         assert m2 == pytest.approx(2.5 * m1, rel=1e-12)
+
+
+def maximal_sort_loop(g, alpha, u, points, radii, spec):
+    """Per-point sort-and-loop maximal operator: the small-K oracle."""
+    src, _, cell = lattice_nodes(g, spec)
+    uv = np.abs(u(src))
+    out = []
+    for x in points:
+        d = gauge(g, mul(g, -src, x))
+        order = np.argsort(d)
+        mass = np.concatenate([[0.0], np.cumsum(uv[order])])
+        idx = np.searchsorted(d[order], radii, side="left")
+        cnt = idx.astype(float)
+        m_r = mass[idx] * cell
+        vol = cnt * cell
+        r_dom = max(spec.R_max - float(gauge(g, x)), 4.0 * spec.effective_h)
+        j = int(np.searchsorted(radii, r_dom, side="right")) - 1
+        if j >= 0 and cnt[j] > 0:
+            base_v, base_r = cnt[j] * cell, radii[j]
+        else:
+            base_v, base_r = cell, r_dom
+        vol = np.where(radii > r_dom, base_v * (radii / base_r) ** g.Q, vol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(np.max(np.where(vol > 0, vol ** (alpha - 1.0) * m_r, 0.0)))
+    return np.array(out)
+
+
+class TestMaximalOracle:
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("group,spec", [
+        ("g1", QuadratureSpec(R_max=3.0, lattice_h=0.05)),
+        ("h1", QuadratureSpec(R_max=2.0, lattice_h=0.4)),
+    ])
+    def test_matches_sort_loop(self, group, spec, alpha, request, rng, monkeypatch):
+        g = request.getfixturevalue(group)
+        u = gaussian(g, 0.7)
+        radii = np.geomspace(0.1, 6.0, 25)
+        pts = rng.uniform(-1.0, 1.0, (23, g.dimension)) * spec.R_max
+        # a few centre-node pairs per block, so the blocks split the points
+        K = lattice_nodes(g, spec)[0].shape[0]
+        monkeypatch.setattr(operators, "_MAXIMAL_PAIRS", 5 * K + 1)
+        got = frac_maximal_values(g, alpha, u, pts, radii, spec)
+        want = maximal_sort_loop(g, alpha, u, pts, radii, spec)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_beyond_domain_lower_bound(self, g1, alpha):
+        # balls leaving {|y| <= R_max} take their volume from the r^Q law;
+        # near the edge the lattice value must stay a lower bound of the
+        # true maximal function of e^{-y^2}, up to quadrature error
+        spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
+        u = gaussian(g1, 1.0)
+        radii = np.geomspace(0.05, 16.0, 80)
+        xs = np.array([4.0, 5.0, 5.5, 5.9])
+        got = frac_maximal_values(g1, alpha, u, xs[:, None], radii, spec)
+        fine = np.geomspace(1e-3, 1e3, 20001)
+        for x, val in zip(xs, got):
+            mass = 0.5 * math.sqrt(math.pi) * np.array(
+                [math.erf(x + r) - math.erf(x - r) for r in fine]
+            )
+            true = np.max((2.0 * fine) ** (alpha - 1.0) * mass)
+            assert val <= 1.01 * true
 
 
 class TestFracLaplacian:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import custom, gaussian, lattice_integrate, mul, shell_integrate_singular
+from morreylab import custom, gauge, gaussian, lattice_integrate, mul, shell_integrate_singular
 from morreylab.errors import ContractError, DomainError, IntegrandError
-from morreylab.quadrature import QuadratureSpec, radius_grid
+from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, radius_grid
 
 
 def const(c):
@@ -140,3 +140,28 @@ def test_radius_grid_endpoints():
     assert grid[-1] >= 2.0 * (spec.R_max + 2.0)
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, 2.0 ** 0.25)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2", "h1"])
+def test_ball_sums_match_direct_masks(group, request, rng):
+    # per-centre mask loop over {z : gauge(c^-1 z) < r}; some radii are
+    # exact node distances, which pins the strict inequality
+    g = request.getfixturevalue(group)
+    nodes = rng.uniform(-2.0, 2.0, (60, g.dimension))
+    centers = np.vstack([np.zeros(g.dimension), rng.uniform(-1.0, 1.0, (4, g.dimension))])
+    w = rng.uniform(0.0, 1.0, 60)
+    on_ball = gauge(g, mul(g, -centers[0], nodes[:3]))
+    radii = np.unique(np.concatenate([np.geomspace(0.05, 6.0, 9), on_ball]))
+    bins = ball_bins(g, nodes, centers, radii)
+    counts = ball_sums(bins, len(radii))
+    sums = ball_sums(bins, len(radii), w)
+    for i, c in enumerate(centers):
+        d = gauge(g, mul(g, -c, nodes))
+        for j, r in enumerate(radii):
+            inside = d < r
+            assert counts[i, j] == np.sum(inside)
+            assert sums[i, j] == pytest.approx(np.sum(w[inside]), rel=1e-13, abs=1e-15)
+    # a node at exactly distance r lies outside B(c, r)
+    d0 = gauge(g, mul(g, -centers[0], nodes))
+    for r in on_ball:
+        assert counts[0, np.searchsorted(radii, r)] == np.sum(d0 <= r) - 1
