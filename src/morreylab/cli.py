@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 from . import harness, report
+from .errors import DomainError
 
 THEOREM_ALIASES = {
     "sw": "stein_weiss_adams",
@@ -112,10 +113,14 @@ def _cmd_admissibility(args) -> int:
     if name not in harness.THEOREMS:
         print(f"unknown theorem {args.theorem!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out = harness.admissible(
-        name, Q=args.Q, p=args.p, gamma=args.gamma,
-        alpha=args.alpha, beta=args.beta, lam=args.lam, a=args.a, r_exp=args.r,
-    )
+    try:
+        out = harness.admissible(
+            name, Q=args.Q, p=args.p, gamma=args.gamma,
+            alpha=args.alpha, beta=args.beta, lam=args.lam, a=args.a, r_exp=args.r,
+        )
+    except DomainError as e:
+        print(f"check-admissibility: {e}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     if isinstance(out, harness.Rejection):
         print(f"rejected: {out.condition}")
     else:

@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,22 +27,6 @@ from . import groups, morrey, operators
 from .errors import DegenerateInputError, DomainError
 from .quadrature import QuadratureSpec, lattice_nodes, radius_grid
 from .testfunctions import TestFunction, dilated
-
-THEOREMS = (
-    "adams_hls",
-    "stein_weiss_adams",
-    "maximal_bound",
-    "hardy",
-    "hardy_sobolev",
-    "rellich",
-    "gagliardo_nirenberg",
-    "uncertainty",
-    "frac_hardy",
-    "frac_hardy_sobolev",
-    "frac_rellich",
-    "frac_gn",
-)
-
 
 @dataclass(frozen=True)
 class ExponentConfig:
@@ -128,218 +113,142 @@ def _check_finite(kwargs):
             raise DomainError(f"{name} must be a real number")
 
 
-def _theorem_items(theorem):
-    """Ordered hypothesis list; 'q' marks the point where q is derived."""
-    T = theorem
-    if T == "adams_hls":
-        return [
-            ("α=β=0", lambda c: _eq(c["alpha"], 0) and _eq(c["beta"], 0)),
-            ("0<γ<Q", lambda c: 0 < c["gamma"] < c["Q"]),
-            ("1<p<Q/γ", lambda c: 1 < c["p"] < c["Q"] / c["gamma"]),
-            ("q", ("gamma", 1)),
-            ("1<p<q<∞", lambda c: c["q"] is not None and 1 < c["p"] < c["q"]),
-            ("0<λ<Q−γp", lambda c: 0 < c["lam"] < c["Q"] - c["gamma"] * c["p"]),
-        ]
-    if T == "stein_weiss_adams":
-        return [
-            (
-                "0≤α+β≤γ<Q",
-                lambda c: _le(0, c["alpha"] + c["beta"])
-                and _le(c["alpha"] + c["beta"], c["gamma"])
-                and c["gamma"] < c["Q"],
-            ),
-            (
-                "1<p<Q/(γ−α−β)",
-                lambda c: 1 < c["p"]
-                and (
-                    _eq(c["gamma"] - c["alpha"] - c["beta"], 0)
-                    or c["p"] < c["Q"] / (c["gamma"] - c["alpha"] - c["beta"])
-                ),
-            ),
-            ("q", ("gamma_eff", 1)),
-            ("α<Q/p′", lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"]),
-            (
-                # vacuous when the relation failed: the lambda condition
-                # below is then necessarily the violated one
-                "β<(Q−λ)/q",
-                lambda c: c["q"] is None or c["beta"] < (c["Q"] - c["lam"]) / c["q"],
-            ),
-            (
-                "0<λ<Q−(γ−α−β)p",
-                lambda c: 0 < c["lam"]
-                and c["lam"] < c["Q"] - (c["gamma"] - c["alpha"] - c["beta"]) * c["p"],
-            ),
-        ]
-    if T == "maximal_bound":
-        return [
-            ("p>1", lambda c: c["p"] > 1),
-            ("0<λ<Q", lambda c: 0 < c["lam"] < c["Q"]),
-        ]
-    if T == "hardy":
-        return [
-            ("1<p<∞", lambda c: 1 < c["p"]),
-            ("α<Q/p′", lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"]),
-            ("β<(Q−λ)/p", lambda c: c["beta"] < (c["Q"] - c["lam"]) / c["p"]),
-            ("α+β=1", lambda c: _eq(c["alpha"] + c["beta"], 1)),
-            (
-                "0<λ<min{Q,Q−βp}",
-                lambda c: 0 < c["lam"]
-                and c["lam"] < min(c["Q"], c["Q"] - c["beta"] * c["p"]),
-            ),
-        ]
-    if T == "hardy_sobolev":
-        return [
-            (
-                "0≤α+β≤1<Q",
-                lambda c: _le(0, c["alpha"] + c["beta"])
-                and _le(c["alpha"] + c["beta"], 1)
-                and 1 < c["Q"],
-            ),
-            (
-                "1<p<Q/(1−α−β)",
-                lambda c: 1 < c["p"]
-                and (
-                    _eq(1 - c["alpha"] - c["beta"], 0)
-                    or c["p"] < c["Q"] / (1 - c["alpha"] - c["beta"])
-                ),
-            ),
-            ("q", ("gamma_eff", 1)),
-            ("α<Q/p′", lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"]),
-            (
-                # vacuous when the relation failed: the lambda condition
-                # below is then necessarily the violated one
-                "β<(Q−λ)/q",
-                lambda c: c["q"] is None or c["beta"] < (c["Q"] - c["lam"]) / c["q"],
-            ),
-            (
-                "0<λ<min{Q−βp,Q−(1−α−β)p}",
-                lambda c: 0 < c["lam"]
-                and c["lam"]
-                < min(
-                    c["Q"] - c["beta"] * c["p"],
-                    c["Q"] - (1 - c["alpha"] - c["beta"]) * c["p"],
-                ),
-            ),
-        ]
-    if T == "rellich":
-        return [
-            ("α+β=2", lambda c: _eq(c["alpha"] + c["beta"], 2)),
-            ("1<p<∞", lambda c: 1 < c["p"]),
-            ("α<Q/p′", lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"]),
-            ("β<(Q−λ)/p", lambda c: c["beta"] < (c["Q"] - c["lam"]) / c["p"]),
-            (
-                "0<λ<min{Q,Q−βp}",
-                lambda c: 0 < c["lam"]
-                and c["lam"] < min(c["Q"], c["Q"] - c["beta"] * c["p"]),
-            ),
-        ]
-    if T == "gagliardo_nirenberg":
-        return [
-            ("1<p<Q", lambda c: 1 < c["p"] < c["Q"]),
-            ("0<λ<Q−p", lambda c: 0 < c["lam"] < c["Q"] - c["p"]),
-            ("a∈[0,1]", lambda c: c["a"] is not None and _le(0, c["a"]) and _le(c["a"], 1)),
-            ("r≥1", lambda c: c["r_exp"] is not None and _le(1, c["r_exp"])),
-            ("q", ("gn", 1)),
-            ("q>1", lambda c: c["q"] is not None and c["q"] > 1),
-        ]
-    if T == "uncertainty":
-        return [
-            ("p=2", lambda c: _eq(c["p"], 2)),
-            ("0<λ<Q−2", lambda c: 0 < c["lam"] < c["Q"] - 2),
-        ]
-    if T == "frac_hardy":
-        return [
-            ("1<p<∞", lambda c: 1 < c["p"]),
-            ("α<Q/p′", lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"]),
-            ("β<(Q−λ)/p", lambda c: c["beta"] < (c["Q"] - c["lam"]) / c["p"]),
-            (
-                "α+β=γ∈(0,1)",
-                lambda c: _eq(c["alpha"] + c["beta"], c["gamma"]) and 0 < c["gamma"] < 1,
-            ),
-            (
-                "0<λ<min{Q,Q−βp}",
-                lambda c: 0 < c["lam"]
-                and c["lam"] < min(c["Q"], c["Q"] - c["beta"] * c["p"]),
-            ),
-        ]
-    if T == "frac_hardy_sobolev":
-        return [
-            ("γ∈(0,1)", lambda c: 0 < c["gamma"] < 1),
-            (
-                "0≤α+β≤γ<Q",
-                lambda c: _le(0, c["alpha"] + c["beta"])
-                and _le(c["alpha"] + c["beta"], c["gamma"])
-                and c["gamma"] < c["Q"],
-            ),
-            (
-                "1<p<Q/(γ−α−β)",
-                lambda c: 1 < c["p"]
-                and (
-                    _eq(c["gamma"] - c["alpha"] - c["beta"], 0)
-                    or c["p"] < c["Q"] / (c["gamma"] - c["alpha"] - c["beta"])
-                ),
-            ),
-            (
-                "0<λ<min{Q−βp,Q−(γ−α−β)p}",
-                lambda c: 0 < c["lam"]
-                and c["lam"]
-                < min(
-                    c["Q"] - c["beta"] * c["p"],
-                    c["Q"] - (c["gamma"] - c["alpha"] - c["beta"]) * c["p"],
-                ),
-            ),
-            ("q", ("gamma_eff", 1)),
-        ]
-    if T == "frac_rellich":
-        return [
-            ("p>1", lambda c: c["p"] > 1),
-            ("α<Q/p′", lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"]),
-            ("β<(Q−λ)/p", lambda c: c["beta"] < (c["Q"] - c["lam"]) / c["p"]),
-            (
-                "α+β=γ∈(1,2)",
-                lambda c: _eq(c["alpha"] + c["beta"], c["gamma"]) and 1 < c["gamma"] < 2,
-            ),
-            ("Q>γp", lambda c: c["Q"] > c["gamma"] * c["p"]),
-            (
-                "0<λ<min{Q,Q−γp}",
-                lambda c: 0 < c["lam"]
-                and c["lam"] < min(c["Q"], c["Q"] - c["gamma"] * c["p"]),
-            ),
-        ]
-    if T == "frac_gn":
-        return [
-            ("γ∈(0,1)", lambda c: 0 < c["gamma"] < 1),
-            ("1<p<Q/γ", lambda c: 1 < c["p"] < c["Q"] / c["gamma"]),
-            ("0<λ<Q−γp", lambda c: 0 < c["lam"] < c["Q"] - c["gamma"] * c["p"]),
-            ("a∈[0,1]", lambda c: c["a"] is not None and _le(0, c["a"]) and _le(c["a"], 1)),
-            ("r≥1", lambda c: c["r_exp"] is not None and _le(1, c["r_exp"])),
-            ("q", ("gn_gamma", 1)),
-            ("q>1", lambda c: c["q"] is not None and c["q"] > 1),
-        ]
-    raise DomainError(f"unknown theorem {theorem!r}")
+# Each hypothesis once, keyed by the label a rejection names.  ``c`` holds
+# the exponents; q is None until the theorem's relation derives it.
+_HYPOTHESES = {
+    "α=β=0": lambda c: _eq(c["alpha"], 0) and _eq(c["beta"], 0),
+    "α+β=1": lambda c: _eq(c["alpha"] + c["beta"], 1),
+    "α+β=2": lambda c: _eq(c["alpha"] + c["beta"], 2),
+    "α+β=γ∈(0,1)": lambda c: _eq(c["alpha"] + c["beta"], c["gamma"]) and 0 < c["gamma"] < 1,
+    "α+β=γ∈(1,2)": lambda c: _eq(c["alpha"] + c["beta"], c["gamma"]) and 1 < c["gamma"] < 2,
+    "0≤α+β≤γ<Q": lambda c: _le(0, c["alpha"] + c["beta"])
+    and _le(c["alpha"] + c["beta"], c["gamma"])
+    and c["gamma"] < c["Q"],
+    "0<γ<Q": lambda c: 0 < c["gamma"] < c["Q"],
+    "γ∈(0,1)": lambda c: 0 < c["gamma"] < 1,
+    "1<p<∞": lambda c: 1 < c["p"],
+    "p=2": lambda c: _eq(c["p"], 2),
+    "1<p<Q": lambda c: 1 < c["p"] < c["Q"],
+    "1<p<Q/γ": lambda c: 1 < c["p"] < c["Q"] / c["gamma"],
+    "1<p<Q/(γ−α−β)": lambda c: 1 < c["p"]
+    and (
+        _eq(c["gamma"] - c["alpha"] - c["beta"], 0)
+        or c["p"] < c["Q"] / (c["gamma"] - c["alpha"] - c["beta"])
+    ),
+    "1<p<q<∞": lambda c: c["q"] is not None and 1 < c["p"] < c["q"],
+    "Q>γp": lambda c: c["Q"] > c["gamma"] * c["p"],
+    "α<Q/p′": lambda c: c["alpha"] < c["Q"] * (c["p"] - 1) / c["p"],
+    "β<(Q−λ)/p": lambda c: c["beta"] < (c["Q"] - c["lam"]) / c["p"],
+    # vacuous when the relation failed: the λ condition listed after it
+    # is then necessarily the violated one
+    "β<(Q−λ)/q": lambda c: c["q"] is None or c["beta"] < (c["Q"] - c["lam"]) / c["q"],
+    "0<λ<Q": lambda c: 0 < c["lam"] < c["Q"],
+    "0<λ<Q−2": lambda c: 0 < c["lam"] < c["Q"] - 2,
+    "0<λ<Q−p": lambda c: 0 < c["lam"] < c["Q"] - c["p"],
+    "0<λ<Q−γp": lambda c: 0 < c["lam"] < c["Q"] - c["gamma"] * c["p"],
+    "0<λ<Q−(γ−α−β)p": lambda c: 0 < c["lam"]
+    and c["lam"] < c["Q"] - (c["gamma"] - c["alpha"] - c["beta"]) * c["p"],
+    "0<λ<min{Q,Q−βp}": lambda c: 0 < c["lam"]
+    and c["lam"] < min(c["Q"], c["Q"] - c["beta"] * c["p"]),
+    "0<λ<min{Q,Q−γp}": lambda c: 0 < c["lam"]
+    and c["lam"] < min(c["Q"], c["Q"] - c["gamma"] * c["p"]),
+    "0<λ<min{Q−βp,Q−(γ−α−β)p}": lambda c: 0 < c["lam"]
+    and c["lam"]
+    < min(
+        c["Q"] - c["beta"] * c["p"],
+        c["Q"] - (c["gamma"] - c["alpha"] - c["beta"]) * c["p"],
+    ),
+    "a∈[0,1]": lambda c: c["a"] is not None and _le(0, c["a"]) and _le(c["a"], 1),
+    "r≥1": lambda c: c["r_exp"] is not None and _le(1, c["r_exp"]),
+    "q>1": lambda c: c["q"] is not None and c["q"] > 1,
+}
+# the same predicates under the labels that state them with γ = 1
+# (Hardy–Sobolev) or as a one-sided bound
+_HYPOTHESES.update({
+    "p>1": _HYPOTHESES["1<p<∞"],
+    "0≤α+β≤1<Q": _HYPOTHESES["0≤α+β≤γ<Q"],
+    "1<p<Q/(1−α−β)": _HYPOTHESES["1<p<Q/(γ−α−β)"],
+    "0<λ<min{Q−βp,Q−(1−α−β)p}": _HYPOTHESES["0<λ<min{Q−βp,Q−(γ−α−β)p}"],
+})
+
+# 1/q as a function of the exponents and d = Q − λ > 0
+_RELATIONS = {
+    "gamma": lambda c, d: 1 / c["p"] - c["gamma"] / d,
+    "gamma_eff": lambda c, d: 1 / c["p"] - (c["gamma"] - c["alpha"] - c["beta"]) / d,
+    "gn": lambda c, d: c["a"] * (1 / c["p"] - 1 / d) + (1 - c["a"]) / c["r_exp"],
+    "gn_gamma": lambda c, d: c["a"] * (1 / c["p"] - c["gamma"] / d)
+    + (1 - c["a"]) / c["r_exp"],
+}
+
+# Operator homogeneity degrees are exact change-of-variable facts:
+# gradient 1, sub-Laplacian 2, (-Delta)^s with s = gamma/2 degree gamma,
+# Riesz potential -gamma, maximal operator 0.
+_DEGREES = {"id": 0, "maximal": 0, "grad": 1, "sublap": 2,
+            "fraclap": "gamma", "riesz": "-gamma"}
 
 
-_FIXED_GAMMA = {"hardy": 1, "hardy_sobolev": 1, "rellich": 2,
-                "gagliardo_nirenberg": 1, "uncertainty": 1, "maximal_bound": None}
+class _Theorem(NamedTuple):
+    """One inequality.  A factor is (norm exponent, weight power, operator,
+    power); each of its numbers is a constant, a config field name, or
+    "-name" / "1-name" of one."""
+
+    gamma: object  # the fixed γ, or None when the caller supplies it
+    relation: str | None  # key of _RELATIONS that derives q; None: q = p
+    hypotheses: tuple  # labels in the order stated; "q" marks where q is derived
+    lhs: tuple
+    rhs: tuple
 
 
-def _derive_q(kind, c):
-    Q, lam, p = c["Q"], c["lam"], c["p"]
-    if kind in ("gamma", "gamma_eff"):
-        s = c["gamma"] if kind == "gamma" else c["gamma"] - c["alpha"] - c["beta"]
-        if Q - lam <= 0:
-            return None
-        inv = 1 / p - s / (Q - lam)
-    elif kind == "gn":
-        if Q - lam <= 0:
-            return None
-        inv = c["a"] * (1 / p - 1 / (Q - lam)) + (1 - c["a"]) / c["r_exp"]
-    elif kind == "gn_gamma":
-        if Q - lam <= 0:
-            return None
-        inv = c["a"] * (1 / p - c["gamma"] / (Q - lam)) + (1 - c["a"]) / c["r_exp"]
-    else:
-        raise DomainError(f"unknown relation {kind!r}")
+_THEOREMS = {
+    "adams_hls": _Theorem(
+        None, "gamma", ("α=β=0", "0<γ<Q", "1<p<Q/γ", "q", "1<p<q<∞", "0<λ<Q−γp"),
+        ("q", "-beta", "riesz", 1), (("p", "alpha", "id", 1),)),
+    "stein_weiss_adams": _Theorem(
+        None, "gamma_eff", ("0≤α+β≤γ<Q", "1<p<Q/(γ−α−β)", "q", "α<Q/p′",
+                            "β<(Q−λ)/q", "0<λ<Q−(γ−α−β)p"),
+        ("q", "-beta", "riesz", 1), (("p", "alpha", "id", 1),)),
+    "maximal_bound": _Theorem(
+        None, None, ("p>1", "0<λ<Q"),
+        ("p", 0, "maximal", 1), (("p", 0, "id", 1),)),
+    "hardy": _Theorem(
+        1, None, ("1<p<∞", "α<Q/p′", "β<(Q−λ)/p", "α+β=1", "0<λ<min{Q,Q−βp}"),
+        ("p", "-beta", "id", 1), (("p", "alpha", "grad", 1),)),
+    "hardy_sobolev": _Theorem(
+        1, "gamma_eff", ("0≤α+β≤1<Q", "1<p<Q/(1−α−β)", "q", "α<Q/p′",
+                         "β<(Q−λ)/q", "0<λ<min{Q−βp,Q−(1−α−β)p}"),
+        ("q", "-beta", "id", 1), (("p", "alpha", "grad", 1),)),
+    "rellich": _Theorem(
+        2, None, ("α+β=2", "1<p<∞", "α<Q/p′", "β<(Q−λ)/p", "0<λ<min{Q,Q−βp}"),
+        ("p", "-beta", "id", 1), (("p", "alpha", "sublap", 1),)),
+    "gagliardo_nirenberg": _Theorem(
+        1, "gn", ("1<p<Q", "0<λ<Q−p", "a∈[0,1]", "r≥1", "q", "q>1"),
+        ("q", 0, "id", 1), (("p", 0, "grad", "a"), ("r_exp", 0, "id", "1-a"))),
+    "uncertainty": _Theorem(
+        1, None, ("p=2", "0<λ<Q−2"),
+        (2, 0, "id", 2), ((2, 1, "id", 1), (2, 0, "grad", 1))),
+    "frac_hardy": _Theorem(
+        None, None, ("1<p<∞", "α<Q/p′", "β<(Q−λ)/p", "α+β=γ∈(0,1)", "0<λ<min{Q,Q−βp}"),
+        ("p", "-beta", "id", 1), (("p", "alpha", "fraclap", 1),)),
+    "frac_hardy_sobolev": _Theorem(
+        None, "gamma_eff", ("γ∈(0,1)", "0≤α+β≤γ<Q", "1<p<Q/(γ−α−β)",
+                            "0<λ<min{Q−βp,Q−(γ−α−β)p}", "q"),
+        ("q", "-beta", "id", 1), (("p", "alpha", "fraclap", 1),)),
+    "frac_rellich": _Theorem(
+        None, None, ("p>1", "α<Q/p′", "β<(Q−λ)/p", "α+β=γ∈(1,2)", "Q>γp",
+                     "0<λ<min{Q,Q−γp}"),
+        ("p", "-beta", "id", 1), (("p", "alpha", "fraclap", 1),)),
+    "frac_gn": _Theorem(
+        None, "gn_gamma", ("γ∈(0,1)", "1<p<Q/γ", "0<λ<Q−γp", "a∈[0,1]", "r≥1", "q", "q>1"),
+        ("q", 0, "id", 1), (("p", 0, "fraclap", "a"), ("r_exp", 0, "id", "1-a"))),
+}
+THEOREMS = tuple(_THEOREMS)
+
+
+def _derive_q(relation, c):
+    d = c["Q"] - c["lam"]
+    if d <= 0:
+        return None
+    inv = _RELATIONS[relation](c, d)
     if inv <= 0:
         return None
     return 1 / inv
@@ -363,8 +272,9 @@ def admissible(
     is a returned value, never an exception.  Exact (int / Fraction)
     inputs are processed exactly.
     """
-    if theorem not in THEOREMS:
+    if theorem not in _THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}")
+    entry = _THEOREMS[theorem]
     _check_finite(dict(Q=Q, p=p, gamma=gamma, alpha=alpha, beta=beta,
                        lam=lam, a=a, r_exp=r_exp))
     if lam is None:
@@ -378,17 +288,18 @@ def admissible(
         a = None if a is None else Fraction(a)
         r_exp = None if r_exp is None else Fraction(r_exp)
     if gamma is None:
-        gamma = _FIXED_GAMMA.get(theorem)
-        if gamma is None and theorem not in ("maximal_bound",):
+        gamma = entry.gamma
+        if gamma is None and theorem != "maximal_bound":
             raise DomainError(f"{theorem} requires gamma")
+    elif entry.gamma is not None and not _eq(gamma, entry.gamma):
+        raise DomainError(f"{theorem} fixes gamma = {entry.gamma}, got {gamma}")
     c = dict(theorem=theorem, Q=Q, p=p, gamma=gamma, alpha=alpha, beta=beta,
              lam=lam, a=a, r_exp=r_exp, q=None)
-    for name, item in _theorem_items(theorem):
-        if name == "q":
-            c["q"] = _derive_q(item[0], c)
-            continue
-        if not item(c):
-            return Rejection(theorem=theorem, condition=name)
+    for label in entry.hypotheses:
+        if label == "q":
+            c["q"] = _derive_q(entry.relation, c)
+        elif not _HYPOTHESES[label](c):
+            return Rejection(theorem=theorem, condition=label)
     if c["q"] is None:
         c["q"] = c["p"] if theorem != "uncertainty" else 2
     if theorem == "uncertainty":
@@ -416,75 +327,27 @@ def perturb_q(cfg: ExponentConfig, delta_inv_q):
 # scale algebra
 # ---------------------------------------------------------------------------
 
-def _factors(cfg: ExponentConfig):
-    """(lhs_factor, rhs_factors): norm exponent, weight power, operator, power.
+def _term(cfg: ExponentConfig, x):
+    """A factor entry of the theorem table evaluated on ``cfg``."""
+    if not isinstance(x, str):
+        return x
+    if x.startswith("1-"):
+        return 1 - getattr(cfg, x[2:])
+    if x.startswith("-"):
+        return -getattr(cfg, x[1:])
+    return getattr(cfg, x)
 
-    Operator homogeneity degrees are exact change-of-variable facts:
-    gradient 1, sub-Laplacian 2, (-Delta)^s with s = gamma/2 degree gamma,
-    Riesz potential -gamma, maximal operator 0.
-    """
-    T = cfg.theorem
-    al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
-    if T in ("adams_hls", "stein_weiss_adams"):
-        return (
-            dict(exp=cfg.q, theta=-be, op="riesz", degree=-ga, power=1),
-            [dict(exp=cfg.p, theta=al, op="id", degree=0, power=1)],
-        )
-    if T == "maximal_bound":
-        return (
-            dict(exp=cfg.p, theta=0, op="maximal", degree=0, power=1),
-            [dict(exp=cfg.p, theta=0, op="id", degree=0, power=1)],
-        )
-    if T == "hardy":
-        return (
-            dict(exp=cfg.p, theta=-be, op="id", degree=0, power=1),
-            [dict(exp=cfg.p, theta=al, op="grad", degree=1, power=1)],
-        )
-    if T == "hardy_sobolev":
-        return (
-            dict(exp=cfg.q, theta=-be, op="id", degree=0, power=1),
-            [dict(exp=cfg.p, theta=al, op="grad", degree=1, power=1)],
-        )
-    if T == "rellich":
-        return (
-            dict(exp=cfg.p, theta=-be, op="id", degree=0, power=1),
-            [dict(exp=cfg.p, theta=al, op="sublap", degree=2, power=1)],
-        )
-    if T == "gagliardo_nirenberg":
-        return (
-            dict(exp=cfg.q, theta=0, op="id", degree=0, power=1),
-            [
-                dict(exp=cfg.p, theta=0, op="grad", degree=1, power=cfg.a),
-                dict(exp=cfg.r_exp, theta=0, op="id", degree=0, power=1 - cfg.a),
-            ],
-        )
-    if T == "uncertainty":
-        return (
-            dict(exp=2, theta=0, op="id", degree=0, power=2),
-            [
-                dict(exp=2, theta=1, op="id", degree=0, power=1),
-                dict(exp=2, theta=0, op="grad", degree=1, power=1),
-            ],
-        )
-    if T in ("frac_hardy", "frac_rellich"):
-        return (
-            dict(exp=cfg.p, theta=-be, op="id", degree=0, power=1),
-            [dict(exp=cfg.p, theta=al, op="fraclap", degree=ga, power=1)],
-        )
-    if T == "frac_hardy_sobolev":
-        return (
-            dict(exp=cfg.q, theta=-be, op="id", degree=0, power=1),
-            [dict(exp=cfg.p, theta=al, op="fraclap", degree=ga, power=1)],
-        )
-    if T == "frac_gn":
-        return (
-            dict(exp=cfg.q, theta=0, op="id", degree=0, power=1),
-            [
-                dict(exp=cfg.p, theta=0, op="fraclap", degree=ga, power=cfg.a),
-                dict(exp=cfg.r_exp, theta=0, op="id", degree=0, power=1 - cfg.a),
-            ],
-        )
-    raise DomainError(f"unknown theorem {T!r}")
+
+def _factors(cfg: ExponentConfig):
+    """(lhs_factor, rhs_factors): norm exponent, weight power, operator, power,
+    and the operator's homogeneity degree."""
+    entry = _THEOREMS[cfg.theorem]
+
+    def factor(exp, theta, op, power):
+        return dict(exp=_term(cfg, exp), theta=_term(cfg, theta), op=op,
+                    degree=_term(cfg, _DEGREES[op]), power=_term(cfg, power))
+
+    return factor(*entry.lhs), [factor(*f) for f in entry.rhs]
 
 
 def predicted_mismatch(cfg: ExponentConfig):
@@ -619,6 +482,19 @@ def sweep_grids(g, base: QuadratureSpec, u: TestFunction, t_min: float, t_max: f
     )
 
 
+def check_t_values(t_values) -> tuple:
+    """The dilations of a sweep as floats: one value, or positive values
+    spanning at least a decade, so the fitted slope is meaningful."""
+    t_values = tuple(float(t) for t in t_values)
+    if not t_values:
+        raise DomainError("t values must not be empty")
+    if any(t <= 0 for t in t_values):
+        raise DomainError("t values must be positive")
+    if len(t_values) > 1 and max(t_values) / min(t_values) < 10.0 - 1e-9:
+        raise DomainError("t values must span at least one decade")
+    return t_values
+
+
 def dilation_sweep(
     g,
     cfg: ExponentConfig,
@@ -634,12 +510,8 @@ def dilation_sweep(
     the sweep, so both sides are matched lower-bound estimates at every
     scale.
     """
-    t_values = tuple(float(t) for t in t_values)
-    if any(t <= 0 for t in t_values):
-        raise DomainError("t values must be positive")
+    t_values = check_t_values(t_values)
     degenerate = len(t_values) == 1
-    if not degenerate and max(t_values) / min(t_values) < 10.0 - 1e-9:
-        raise DomainError("t values must span at least one decade")
     spec_of = spec if callable(spec) else (lambda t: spec)
     base = getattr(spec, "base", None) or spec_of(1.0)
     ratios = []

@@ -14,10 +14,12 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, groups, harness, testfunctions
+from .errors import DomainError
 from .quadrature import QuadratureSpec
 
 
@@ -32,6 +34,19 @@ _GROUPS = {
 
 _CHECK_DEFAULTS = {"ratio_band": 1.10, "slope_rel_tol": 0.10}
 
+# the keys each level of a config may hold; "output" is read by the CLI only
+_TOP_KEYS = ("group", "quadrature", "battery", "t_values", "theorems", "checks",
+             "workers", "adapt_specs", "centers_per_axis", "output")
+_GROUP_KEYS = ("law", "dimension", "gauge")
+_QUADRATURE_KEYS = ("R_max", "lattice_h", "shell_ratio", "inner_cutoff", "refinement_level")
+_BATTERY_KEYS = {
+    "gauss_tensor": ("kind", "width"),
+    "bump_compact": ("kind", "radius"),
+    "power_truncated": ("kind", "exponent", "radius"),
+}
+_THEOREM_KEYS = ("theorem", "p", "gamma", "alpha", "beta", "lambda", "a", "r",
+                 "perturb_inv_q")
+
 
 def _need(doc, field, types, path):
     if field not in doc:
@@ -42,27 +57,60 @@ def _need(doc, field, types, path):
     return v
 
 
+def _object(doc, path, keys):
+    """``doc`` itself, after checking it is an object holding only ``keys``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    return doc
+
+
+def _list(doc, field, default):
+    v = doc.get(field, default)
+    if not isinstance(v, list):
+        raise ConfigError(f"config.{field}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def parse_config(doc: dict):
     """Validate a config document into runnable objects.
 
     Raises :class:`ConfigError` with a field-addressed message on any
-    invalid entry, including exponent tuples rejected by the theorem's
-    hypothesis set.
+    invalid entry, including unknown keys and exponent tuples rejected by
+    the theorem's hypothesis set.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be an object")
-    gdoc = _need(doc, "group", dict, "config")
+    if isinstance(doc, dict) and "seed" in doc:
+        raise ConfigError("config.seed: key was removed; nothing in a run is random")
+    _object(doc, "config", _TOP_KEYS)
+    gdoc = _object(_need(doc, "group", dict, "config"), "config.group", _GROUP_KEYS)
     law = _need(gdoc, "law", str, "config.group")
     if law not in _GROUPS:
         raise ConfigError(f"config.group.law: unknown law {law!r}")
     dim = gdoc.get("dimension", 3 if law == "heisenberg1" else 1)
+    if not _is_count(dim):
+        raise ConfigError(f"config.group.dimension: expected an integer >= 1, got {dim!r}")
     gauge = gdoc.get("gauge", "koranyi" if law == "heisenberg1" else "euclidean")
     try:
-        g = _GROUPS[law](int(dim), gauge)
+        g = _GROUPS[law](dim, gauge)
     except Exception as e:
         raise ConfigError(f"config.group: {e}") from e
 
-    qdoc = doc.get("quadrature", {})
+    qdoc = _object(doc.get("quadrature", {}), "config.quadrature", _QUADRATURE_KEYS)
+    for key, v in qdoc.items():
+        if not _is_number(v):
+            raise ConfigError(f"config.quadrature.{key}: expected a finite number, got {v!r}")
+    if not isinstance(qdoc.get("refinement_level", 0), int):
+        raise ConfigError("config.quadrature.refinement_level: expected an integer")
     try:
         spec = QuadratureSpec(
             R_max=float(qdoc.get("R_max", 12.0)),
@@ -75,71 +123,100 @@ def parse_config(doc: dict):
         raise ConfigError(f"config.quadrature: {e}") from e
 
     battery = []
-    for i, b in enumerate(doc.get("battery", [{"kind": "gauss_tensor", "width": 1.0}])):
-        kind = _need(b, "kind", str, f"config.battery[{i}]")
+    for i, b in enumerate(_list(doc, "battery", [{"kind": "gauss_tensor", "width": 1.0}])):
+        path = f"config.battery[{i}]"
+        if not isinstance(b, dict):
+            raise ConfigError(f"{path}: expected an object, got {type(b).__name__}")
+        kind = _need(b, "kind", str, path)
+        if kind not in _BATTERY_KEYS:
+            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+        _object(b, path, _BATTERY_KEYS[kind])
         try:
             if kind == "gauss_tensor":
                 battery.append(testfunctions.gaussian(g, float(b.get("width", 1.0))))
             elif kind == "bump_compact":
                 battery.append(testfunctions.bump(g, float(b.get("radius", 2.0))))
-            elif kind == "power_truncated":
+            else:
                 battery.append(
                     testfunctions.power_truncated(
                         g, float(b["exponent"]), float(b.get("radius", 1.0))
                     )
                 )
-            else:
-                raise ConfigError(f"config.battery[{i}].kind: unknown kind {kind!r}")
-        except ConfigError:
-            raise
         except Exception as e:
-            raise ConfigError(f"config.battery[{i}]: {e}") from e
+            raise ConfigError(f"{path}: {e}") from e
 
-    t_values = doc.get("t_values", [0.25, 0.5, 1.0, 2.0, 4.0])
-    if not isinstance(t_values, list) or any(
-        not isinstance(t, (int, float)) or t <= 0 for t in t_values
-    ):
+    t_values = _list(doc, "t_values", [0.25, 0.5, 1.0, 2.0, 4.0])
+    if not all(_is_number(t) for t in t_values):
         raise ConfigError("config.t_values: must be a list of positive numbers")
+    try:
+        t_values = harness.check_t_values(t_values)
+    except DomainError as e:
+        raise ConfigError(f"config.t_values: {e}") from e
 
     theorems = []
-    for i, tdoc in enumerate(doc.get("theorems", [])):
+    for i, tdoc in enumerate(_list(doc, "theorems", [])):
         path = f"config.theorems[{i}]"
-        name = _need(tdoc, "theorem", str, path)
+        name = _need(_object(tdoc, path, _THEOREM_KEYS), "theorem", str, path)
         if name not in harness.THEOREMS:
             raise ConfigError(f"{path}.theorem: unknown theorem {name!r}")
+        for key, v in tdoc.items():
+            if key != "theorem" and not _is_number(v):
+                raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
         lam = _need(tdoc, "lambda", (int, float), path)
         if not (0 <= lam <= g.Q):
             raise ConfigError(f"{path}.lambda: must satisfy 0 <= lambda <= Q = {g.Q}")
-        cfg = harness.admissible(
-            name,
-            Q=g.Q,
-            p=_need(tdoc, "p", (int, float), path),
-            gamma=tdoc.get("gamma"),
-            alpha=tdoc.get("alpha", 0),
-            beta=tdoc.get("beta", 0),
-            lam=lam,
-            a=tdoc.get("a"),
-            r_exp=tdoc.get("r"),
-        )
+        try:
+            cfg = harness.admissible(
+                name,
+                Q=g.Q,
+                p=_need(tdoc, "p", (int, float), path),
+                gamma=tdoc.get("gamma"),
+                alpha=tdoc.get("alpha", 0),
+                beta=tdoc.get("beta", 0),
+                lam=lam,
+                a=tdoc.get("a"),
+                r_exp=tdoc.get("r"),
+            )
+        except DomainError as e:
+            # every number is checked above: gamma is all admissible can refuse
+            raise ConfigError(f"{path}.gamma: {e}") from e
         if isinstance(cfg, harness.Rejection):
             raise ConfigError(f"{path}: rejected, violated condition: {cfg.condition}")
         delta = tdoc.get("perturb_inv_q", 0)
         if delta:
-            cfg = harness.perturb_q(cfg, float(delta))
+            try:
+                cfg = harness.perturb_q(cfg, float(delta))
+            except DomainError as e:
+                raise ConfigError(f"{path}.perturb_inv_q: {e}") from e
         theorems.append(cfg)
 
     checks = dict(_CHECK_DEFAULTS)
-    checks.update(doc.get("checks", {}))
+    checks.update(_object(doc.get("checks", {}), "config.checks", _CHECK_DEFAULTS))
+    for key, v in checks.items():
+        if not (_is_number(v) and v > 0):
+            raise ConfigError(f"config.checks.{key}: expected a positive number, got {v!r}")
+    workers = doc.get("workers", 1)
+    if not _is_count(workers):
+        raise ConfigError(f"config.workers: expected an integer >= 1, got {workers!r}")
+    n_per_axis = doc.get("centers_per_axis")
+    if not (n_per_axis is None or _is_count(n_per_axis)):
+        raise ConfigError(f"config.centers_per_axis: expected an integer >= 1, "
+                          f"got {n_per_axis!r}")
+    adapt_specs = doc.get("adapt_specs", False)
+    if not isinstance(adapt_specs, bool):
+        raise ConfigError(f"config.adapt_specs: expected true or false, got {adapt_specs!r}")
+    if not isinstance(doc.get("output", ""), str):
+        raise ConfigError("config.output: expected a file name")
     return dict(
         group=g,
         spec=spec,
         battery=battery,
-        t_values=[float(t) for t in t_values],
+        t_values=list(t_values),
         theorems=theorems,
         checks=checks,
-        workers=int(doc.get("workers", 1)),
-        adapt_specs=bool(doc.get("adapt_specs", False)),
-        centers_per_axis=doc.get("centers_per_axis"),
+        workers=workers,
+        adapt_specs=adapt_specs,
+        centers_per_axis=n_per_axis,
     )
 
 
@@ -223,8 +300,9 @@ def run_experiment(doc: dict) -> dict:
         for ti in range(len(parsed["theorems"]))
         for fi in range(len(parsed["battery"]))
     ]
-    workers = parsed["workers"]
-    if workers > 1 and len(tasks) > 1:
+    # the pool forks all its workers at the first submit: start no idle ones
+    workers = min(parsed["workers"], len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_task, tasks))
     else:

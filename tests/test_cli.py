@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from morreylab import report
 from morreylab.cli import main
 from morreylab.report import (
     ConfigError,
@@ -106,6 +107,15 @@ def test_check_admissibility_reject(capsys):
     assert capsys.readouterr().out.strip() == "rejected: 0<λ<Q−(γ−α−β)p"
 
 
+def test_check_admissibility_fixed_gamma_is_config_error(capsys):
+    rc = main(["check-admissibility", "--theorem", "hardy_sobolev", "--Q", "4",
+               "--p", "2", "--gamma", "1/2", "--lambda", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "fixes gamma" in captured.err
+
+
 def test_check_admissibility_missing_flag():
     with pytest.raises(SystemExit) as exc:
         main(["check-admissibility", "--theorem", "sw", "--Q", "4", "--p", "2"])
@@ -155,6 +165,101 @@ def test_list_battery(tmp_path, capsys):
 def test_parse_config_rejects_bad_group():
     with pytest.raises(ConfigError, match="config.group.law"):
         parse_config({"group": {"law": "solvable"}})
+
+
+def test_parse_config_rejects_other_gamma_for_fixed_gamma_theorem():
+    doc = dict(SMALL_CONFIG, group={"law": "euclidean", "dimension": 3},
+               theorems=[{"theorem": "hardy_sobolev", "p": 1.5, "gamma": 0.5,
+                          "lambda": 0.3}])
+    with pytest.raises(ConfigError, match=r"config\.theorems\[0\]\.gamma"):
+        parse_config(doc)
+
+
+def _theorem(i, **changes):
+    entry = dict(SMALL_CONFIG["theorems"][i], **changes)
+    return [entry if j == i else t for j, t in enumerate(SMALL_CONFIG["theorems"])]
+
+
+CONFIG_FAULTS = [
+    (dict(t_values=[]), "config.t_values"),
+    (dict(t_values=[0.5, 1.0, 2.0]), "config.t_values"),
+    (dict(t_values=[1.0, "2"]), "config.t_values"),
+    (dict(checks={"ratio_band": "wide"}), "config.checks.ratio_band"),
+    (dict(checks={"ratio_bnd": 1.1}), "config.checks.ratio_bnd"),
+    (dict(theorems=_theorem(1, perturb_inv_q=-5)), "config.theorems[1].perturb_inv_q"),
+    (dict(theorems=[{"theorem": "adams_hls", "p": 1.5, "lambda": 0.2}]),
+     "config.theorems[0].gamma"),
+    (dict(theorems=[{"theorem": "hardy", "p": 1.5, "beta": 1, "gamma": 0.5,
+                     "lambda": 0.2}]), "config.theorems[0].gamma"),
+    (dict(theorems=_theorem(1, perturb_inv_qq=0.3)), "config.theorems[1].perturb_inv_qq"),
+    (dict(theorems=_theorem(0, p="1.5")), "config.theorems[0].p"),
+    (dict(workers="two"), "config.workers"),
+    (dict(workers=0), "config.workers"),
+    (dict(adapt_specs="yes"), "config.adapt_specs"),
+    (dict(centers_per_axis=0), "config.centers_per_axis"),
+    (dict(seed=7), "config.seed: key was removed"),
+    (dict(sede=7), "config.sede"),
+    (dict(quadrature={"R_max": 10.0, "lattice_hh": 0.05}), "config.quadrature.lattice_hh"),
+    (dict(quadrature={"R_max": "ten", "lattice_h": 0.05}), "config.quadrature.R_max"),
+    (dict(quadrature={"R_max": 10.0, "lattice_h": 0.05, "refinement_level": 1.5}),
+     "config.quadrature.refinement_level"),
+    (dict(group={"law": "euclidean", "dim": 2}), "config.group.dim"),
+    (dict(group={"law": "euclidean", "dimension": "two"}), "config.group.dimension"),
+    (dict(battery=[{"kind": "bump_compact", "width": 0.5}]), "config.battery[0].width"),
+    (dict(battery=["gauss_tensor"]), "config.battery[0]"),
+]
+
+
+@pytest.mark.parametrize("changes,field", CONFIG_FAULTS)
+def test_every_config_fault_exits_2_and_names_the_field(tmp_path, capsys, changes, field):
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, **changes))
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(field) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,cpus,pool", [
+    (64, 8, [2]),     # capped at the two tasks
+    (64, 1, []),      # one CPU: no pool
+    (64, None, []),   # unknown CPU count counts as one
+    (1, 8, []),
+])
+def test_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus, pool):
+    monkeypatch.setattr(report, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    rep = run_experiment(dict(SMALL_CONFIG, t_values=[1.0], workers=workers))
+    assert _RecordingPool.sizes == pool
+    assert len(rep["records"]) == 2
+
+
+def test_reports_identical_across_worker_counts(monkeypatch):
+    monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+    one = dump_report(run_experiment(dict(SMALL_CONFIG, workers=1)))
+    two = dump_report(run_experiment(dict(SMALL_CONFIG, workers=2)))
+    # the echoed config differs in its workers field only
+    two = two.replace('"workers": 2', '"workers": 1')
+    assert strip_telemetry(one) == strip_telemetry(two)
 
 
 def test_rough_function_skipped_for_gradient_theorem(tmp_path):

@@ -2,10 +2,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab import custom, gaussian
 from morreylab.errors import DegenerateInputError, DomainError
 from morreylab.harness import (
+    _DEGREES,
+    _HYPOTHESES,
+    _RELATIONS,
+    _THEOREMS,
+    THEOREMS,
     ExponentConfig,
     MorreyGrids,
     Rejection,
@@ -95,6 +102,49 @@ class TestAdmissible:
         ("frac_rellich", dict(Q=2, p=1.2, alpha=0.3, beta=1.5, gamma=1.8, lam=0.1),
          "Q>γp"),
         ("frac_gn", dict(Q=1, p=2, gamma=0.6, lam=0.1, a=0.5, r_exp=2), "1<p<Q/γ"),
+        # one golden for every remaining (theorem, condition) pair
+        ("adams_hls", dict(Q=4, p=2, gamma=1, lam=0), "0<λ<Q−γp"),
+        ("hardy", dict(Q=4, p=1, alpha=0, beta=1, lam=1), "1<p<∞"),
+        ("hardy", dict(Q=4, p=2, alpha=0, beta=1, lam=2.5), "β<(Q−λ)/p"),
+        ("hardy", dict(Q=4, p=2, alpha=0.7, beta=0.8, lam=1), "α+β=1"),
+        ("hardy_sobolev", dict(Q=4, p=1, lam=1), "1<p<Q/(1−α−β)"),
+        ("hardy_sobolev", dict(Q=4, p=2, alpha=2, beta=-1.5, lam=1), "α<Q/p′"),
+        ("hardy_sobolev", dict(Q=4, p=2, alpha=-1, beta=1.9, lam=1), "β<(Q−λ)/q"),
+        ("hardy_sobolev", dict(Q=4, p=2, alpha=0, beta=1, lam=0),
+         "0<λ<min{Q−βp,Q−(1−α−β)p}"),
+        ("rellich", dict(Q=4, p=1, alpha=1, beta=1, lam=1), "1<p<∞"),
+        ("rellich", dict(Q=4, p=2, alpha=2.5, beta=-0.5, lam=1), "α<Q/p′"),
+        ("rellich", dict(Q=4, p=2, alpha=0, beta=2, lam=1), "β<(Q−λ)/p"),
+        ("rellich", dict(Q=8, p=2, alpha=1, beta=1, lam=0), "0<λ<min{Q,Q−βp}"),
+        ("gagliardo_nirenberg", dict(Q=4, p=4, lam=1, a=0.5, r_exp=2), "1<p<Q"),
+        ("gagliardo_nirenberg", dict(Q=4, p=1.5, lam=3, a=0.5, r_exp=2), "0<λ<Q−p"),
+        ("frac_hardy", dict(Q=2, p=1, alpha=0.25, beta=0.25, gamma=0.5, lam=0.25),
+         "1<p<∞"),
+        ("frac_hardy", dict(Q=2, p=1.5, alpha=0.8, beta=-0.3, gamma=0.5, lam=0.25),
+         "α<Q/p′"),
+        ("frac_hardy", dict(Q=2, p=1.5, alpha=-1, beta=1.5, gamma=0.5, lam=0.25),
+         "β<(Q−λ)/p"),
+        ("frac_hardy", dict(Q=2, p=1.5, alpha=0.25, beta=0.25, gamma=0.5, lam=0),
+         "0<λ<min{Q,Q−βp}"),
+        ("frac_hardy_sobolev", dict(Q=2, p=1.5, alpha=0.4, beta=0.3, gamma=0.5,
+                                    lam=0.25), "0≤α+β≤γ<Q"),
+        ("frac_hardy_sobolev", dict(Q=2, p=1, gamma=0.5, lam=0.25), "1<p<Q/(γ−α−β)"),
+        ("frac_hardy_sobolev", dict(Q=2, p=1.5, gamma=0.5, lam=0),
+         "0<λ<min{Q−βp,Q−(γ−α−β)p}"),
+        ("frac_rellich", dict(Q=4, p=1, alpha=0.5, beta=1, gamma=1.5, lam=0.25), "p>1"),
+        ("frac_rellich", dict(Q=4, p=2, alpha=2.5, beta=-1, gamma=1.5, lam=0.25),
+         "α<Q/p′"),
+        ("frac_rellich", dict(Q=4, p=2, alpha=-0.5, beta=2, gamma=1.5, lam=0.25),
+         "β<(Q−λ)/p"),
+        ("frac_rellich", dict(Q=4, p=2, alpha=0.5, beta=0.5, gamma=1.5, lam=0.25),
+         "α+β=γ∈(1,2)"),
+        ("frac_rellich", dict(Q=4, p=2, alpha=0.5, beta=1, gamma=1.5, lam=0),
+         "0<λ<min{Q,Q−γp}"),
+        ("frac_gn", dict(Q=2, p=1.5, gamma=1.2, lam=0.25, a=0.5, r_exp=2), "γ∈(0,1)"),
+        ("frac_gn", dict(Q=2, p=1.5, gamma=0.5, lam=1.5, a=0.5, r_exp=2), "0<λ<Q−γp"),
+        ("frac_gn", dict(Q=2, p=1.5, gamma=0.5, lam=0.25, a=1.5, r_exp=2), "a∈[0,1]"),
+        ("frac_gn", dict(Q=2, p=1.5, gamma=0.5, lam=0.25, a=0.5, r_exp=0.5), "r≥1"),
+        ("frac_gn", dict(Q=2, p=1.5, gamma=0.5, lam=0.25, a=0, r_exp=1), "q>1"),
     ]
 
     @pytest.mark.parametrize("theorem,kw,condition", REJECTIONS)
@@ -102,6 +152,120 @@ class TestAdmissible:
         r = admissible(theorem, **kw)
         assert isinstance(r, Rejection), (theorem, kw)
         assert r.condition == condition
+
+    FIXED_GAMMA = [
+        ("hardy", dict(Q=F(4), p=F(2), alpha=F(1, 2), beta=F(1, 2), lam=F(1)), 1),
+        # q = 6 from gamma = 1; a supplied gamma = 1/2 would give q = 3
+        ("hardy_sobolev", dict(Q=F(4), p=F(2), lam=F(1)), 1),
+        ("rellich", dict(Q=F(8), p=F(2), alpha=F(1), beta=F(1), lam=F(1)), 2),
+        ("gagliardo_nirenberg", dict(Q=F(4), p=F(3, 2), lam=F(1), a=F(1, 2),
+                                     r_exp=F(2)), 1),
+        ("uncertainty", dict(Q=F(4), p=F(2), lam=F(1)), 1),
+    ]
+
+    @pytest.mark.parametrize("theorem,kw,fixed", FIXED_GAMMA)
+    def test_fixed_gamma_is_enforced(self, theorem, kw, fixed):
+        cfg = admissible(theorem, **kw)
+        assert cfg.gamma == fixed
+        assert admissible(theorem, gamma=F(fixed), **kw) == cfg
+        floats = {k: float(v) for k, v in kw.items()}
+        assert admissible(theorem, gamma=float(fixed), **floats) == \
+            admissible(theorem, **floats)
+        with pytest.raises(DomainError, match="fixes gamma"):
+            admissible(theorem, gamma=F(fixed) - F(1, 2), **kw)
+
+
+class TestTheoremTable:
+    def test_order(self):
+        assert THEOREMS == (
+            "adams_hls", "stein_weiss_adams", "maximal_bound", "hardy",
+            "hardy_sobolev", "rellich", "gagliardo_nirenberg", "uncertainty",
+            "frac_hardy", "frac_hardy_sobolev", "frac_rellich", "frac_gn",
+        )
+
+    def test_labels_and_predicates_match(self):
+        used = set()
+        for name, entry in _THEOREMS.items():
+            labels = [x for x in entry.hypotheses if x != "q"]
+            assert len(labels) == len(set(labels)), name
+            assert set(labels) <= set(_HYPOTHESES), name
+            used.update(labels)
+            assert (entry.relation is None) == ("q" not in entry.hypotheses), name
+            assert entry.relation is None or entry.relation in _RELATIONS, name
+            for f in (entry.lhs, *entry.rhs):
+                assert len(f) == 4 and f[2] in _DEGREES, name
+        assert used == set(_HYPOTHESES)
+
+    def test_every_condition_has_a_golden(self):
+        pinned = {(t, c) for t, _, c in TestAdmissible.REJECTIONS}
+        every = {(t, c) for t, e in _THEOREMS.items() for c in e.hypotheses if c != "q"}
+        assert pinned == every
+
+
+# Exponent tuples built from unit draws u[0..4] in (0, 23/20]: a draw
+# above 1 leaves the admissible region, so most tuples are accepted and
+# the rest exercise the rejections.
+def _swa_shape(Q, g, u):
+    # 0 <= α+β <= γ, p below Q/(γ−α−β), λ below both of its bounds
+    s = g * u[0]
+    alpha, beta = s * u[1], s - s * u[1]
+    p = 1 + (Q / (g - s) - 1) * u[2] if s < g else 1 + u[2]
+    lam = min(Q - beta * p, Q - (g - s) * p) * u[3]
+    return dict(alpha=alpha, beta=beta, p=p, lam=lam)
+
+
+def _hardy_shape(Q, total, u, p=None):
+    # α below Q/p′, α+β = total, λ below min{Q, Q−βp}
+    p = 1 + 3 * u[0] if p is None else p
+    alpha = Q * (p - 1) / p * u[1]
+    beta = total - alpha
+    return dict(p=p, alpha=alpha, beta=beta, lam=min(Q, Q - beta * p) * u[2])
+
+
+def _p_lam_shape(Q, g, u):
+    # p below Q/γ, λ below Q−γp
+    p = 1 + (Q / g - 1) * u[0]
+    return dict(p=p, lam=(Q - g * p) * u[1])
+
+
+def _gn_shape(Q, g, u):
+    # as above, with a mostly in [0, 1] and r mostly >= 1
+    return dict(a=u[2], r_exp=1 + 3 * (u[3] - F(1, 10)), **_p_lam_shape(Q, g, u))
+
+
+def _frac_rellich(Q, g, u):
+    # as Hardy with α+β = γ, and p below Q/γ
+    return dict(gamma=g, **_hardy_shape(Q, g, u, p=1 + (Q / g - 1) * u[0]))
+
+
+_BUILDERS = {
+    "adams_hls": lambda Q, u: dict(gamma=Q * u[4], **_p_lam_shape(Q, Q * u[4], u)),
+    "stein_weiss_adams": lambda Q, u: dict(gamma=Q * u[4], **_swa_shape(Q, Q * u[4], u)),
+    "maximal_bound": lambda Q, u: dict(p=1 + 3 * (u[0] - F(1, 10)), lam=Q * u[1]),
+    "hardy": lambda Q, u: _hardy_shape(Q, 1, u),
+    "hardy_sobolev": lambda Q, u: _swa_shape(Q, 1, u),
+    "rellich": lambda Q, u: _hardy_shape(Q, 2, u),
+    "gagliardo_nirenberg": lambda Q, u: _gn_shape(Q, 1, u),
+    "uncertainty": lambda Q, u: dict(p=2 if u[0] <= 1 else 3, lam=(Q - 2) * u[1]),
+    "frac_hardy": lambda Q, u: dict(gamma=u[4], **_hardy_shape(Q, u[4], u)),
+    "frac_hardy_sobolev": lambda Q, u: dict(gamma=u[4], **_swa_shape(Q, u[4], u)),
+    "frac_rellich": lambda Q, u: _frac_rellich(Q, 1 + u[4], u),
+    "frac_gn": lambda Q, u: dict(gamma=u[4], **_gn_shape(Q, u[4], u)),
+}
+_UNIT = st.integers(1, 23).map(lambda n: F(n, 20))
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+@settings(max_examples=150, deadline=None)
+@given(Q=st.sampled_from([F(2), F(3), F(4), F(8)]),
+       u=st.lists(_UNIT, min_size=5, max_size=5))
+def test_mismatch_vanishes_on_every_accepted_rational_tuple(theorem, Q, u):
+    out = admissible(theorem, Q=Q, **_BUILDERS[theorem](Q, u))
+    if isinstance(out, Rejection):
+        assert out.condition in _THEOREMS[theorem].hypotheses
+        assert out.condition != "q"
+    else:
+        assert predicted_mismatch(out) == 0
 
 
 class TestPerturb:
