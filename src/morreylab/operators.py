@@ -20,7 +20,9 @@ from .quadrature import (
     QuadratureSpec,
     ball_bins,
     ball_sums,
+    finite_samples,
     kernel_band_values,
+    lattice_correlation,
     lattice_nodes,
     shell_integrate_singular,
 )
@@ -190,7 +192,9 @@ def frac_laplacian_values(
     form of the difference, integrated in closed form.  For inputs that
     decay inside R_max the omitted far tail of the 2u(x) term is added in
     closed form; non-decaying inputs (e.g. oscillatory probes) instead
-    need R_max large enough that the tail is below tolerance.
+    need R_max large enough that the tail is below tolerance.  On-lattice
+    points sum u(x +/- y) with one ``lattice_correlation``; other points
+    run the direct loop.  A non-finite sample of u raises IntegrandError.
     """
     if g.law != groups.EUCLIDEAN or g.gauge_kind != groups.GAUGE_EUCLIDEAN:
         raise UnsupportedGroupError("fractional Laplacian requires Euclidean descriptors")
@@ -216,30 +220,38 @@ def frac_laplacian_values(
     u_x = np.asarray(u(pts), dtype=float)
     trH = _hessian_trace(u, pts)
     inner = -(trH / N) * area * r_in ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    # blocks of points in increasing gauge order share one source cap; for
+    # inputs that decay inside R_max, u(x +/- y) < 1e-12 beyond it, so the
+    # difference is 2u(x) and the kernel tail out to infinity closes in
+    # radial form
     decay = getattr(u, "decay_radius", math.inf)
     gauge_pts = groups.gauge(g, pts)
-
-    out = np.zeros(pts.shape[0])
-    tail = np.zeros(pts.shape[0])
     porder = np.argsort(gauge_pts, kind="stable")
-    for start in range(0, pts.shape[0], _FRACLAP_CHUNK):
-        rows = porder[start : start + _FRACLAP_CHUNK]
-        x = pts[rows]
-        if math.isfinite(decay) and decay <= spec.R_max:
-            # beyond the cap u(x +/- y) < 1e-12, so the difference is 2u(x)
-            # and the kernel tail out to infinity closes in radial form
+    blocks = [porder[i : i + _FRACLAP_CHUNK] for i in range(0, len(porder), _FRACLAP_CHUNK)]
+    jmax = np.full(pts.shape[0], len(dY))
+    tail = np.zeros(pts.shape[0])
+    if math.isfinite(decay) and decay <= spec.R_max:
+        for rows in blocks:
             cap = min(float(np.max(gauge_pts[rows])) + decay + 2.0 * spec.effective_h,
                       spec.R_max)
-            jmax = int(np.searchsorted(dY, cap, side="right"))
+            jmax[rows] = np.searchsorted(dY, cap, side="right")
             tail[rows] = 2.0 * u_x[rows] * area * cap ** (-2.0 * s) / (2.0 * s)
-        else:
-            jmax = len(dY)
-            tail[rows] = 0.0
-        Yc = Y[:jmax]
-        plus = np.asarray(u(x[:, None, :] + Yc[None, :, :]), dtype=float)
-        minus = np.asarray(u(x[:, None, :] - Yc[None, :, :]), dtype=float)
-        phi = 2.0 * u_x[rows, None] - plus - minus
-        out[rows] = phi @ kern[:jmax]
+
+    # the node set is symmetric, so sum k(y) u(x - y) = sum k(y) u(x + y)
+    corr = lattice_correlation(g, u, pts, Y, kern, spec.effective_h)
+    if corr is not None:
+        ksum = np.concatenate([[0.0], np.cumsum(kern)])
+        out = 2.0 * u_x * ksum[jmax] - 2.0 * corr
+    else:
+        out = np.zeros(pts.shape[0])
+        for rows in blocks:
+            j = jmax[rows[0]]
+            x, Yc = pts[rows], Y[:j]
+            plus, minus = x[:, None, :] + Yc[None, :, :], x[:, None, :] - Yc[None, :, :]
+            phi = (2.0 * u_x[rows, None]
+                   - finite_samples(np.asarray(u(plus), dtype=float), plus)
+                   - finite_samples(np.asarray(u(minus), dtype=float), minus))
+            out[rows] = phi @ kern[:j]
     vals = 0.5 * A * (out + inner + tail)
     return vals[0] if single else vals
 

@@ -8,6 +8,11 @@ radial kernel d^a (a in (-Q, 0)) by decomposing the ball into geometric
 shells around the singular point, matching the exact radial kernel mass on
 every shell and closing the innermost region in closed form.
 
+Batch sums over one shared node set run as a lattice correlation
+(``lattice_correlation``, one FFT) when the group law is Euclidean and the
+points lie on the node lattice, and as a direct point-by-node loop
+otherwise.
+
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
 """
@@ -256,6 +261,79 @@ def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
     return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
 
 
+def finite_samples(vals, pts, reached=True):
+    """``vals`` with unreached non-finite samples set to zero.
+
+    A non-finite sample where ``reached`` holds (a node that carries
+    quadrature weight) raises IntegrandError naming the node in ``pts``.
+    """
+    bad = ~np.isfinite(vals)
+    if not np.any(bad):
+        return vals
+    hit = bad & reached
+    if np.any(hit):
+        raise IntegrandError(f"non-finite integrand at node {pts[hit][0].tolist()}")
+    return np.where(bad, 0.0, vals)
+
+
+def _lattice_index(pts, h):
+    """Integer i with pts = (i + 1/2) h per coordinate, or None off the lattice."""
+    r = pts / h - 0.5
+    i = np.rint(r)
+    if not np.all(np.abs(r - i) <= 1e-9):
+        return None
+    return i.astype(np.int64)
+
+
+def lattice_correlation(g: groups.GroupDescriptor, u, points, nodes, weights, h):
+    """S(x) = sum_z w(z) u(x z) at every point x from one FFT, or None.
+
+    On a Euclidean law with every point and node on the midpoint lattice
+    of spacing h, x z = x + z lands on the integer grid k h, so u is
+    sampled once on the grid spanned by x + z and S is a discrete
+    correlation.  None means the caller's direct loop must run: the law
+    is not Euclidean, a point is off the lattice, or the dense grid would
+    hold at least as many samples as the direct loop has point-node
+    pairs (single points, far-apart points).  A non-finite sample that a
+    point reaches through a nonzero weight raises IntegrandError.
+    """
+    if g.law != groups.EUCLIDEAN or len(points) == 0:
+        return None
+    ix, iz = _lattice_index(points, h), _lattice_index(nodes, h)
+    if ix is None or iz is None:
+        return None
+    xlo, zlo = ix.min(axis=0), iz.min(axis=0)
+    xspan = ix.max(axis=0) - xlo + 1
+    zspan = iz.max(axis=0) - zlo + 1
+    shape = tuple(int(v) for v in xspan + zspan - 1)
+    if math.prod(shape) >= len(points) * len(nodes):
+        return None
+
+    # sample k of axis i sits at (xlo + zlo + 1 + k) h: point index a plus
+    # node index b lands on sample a + b
+    axes = [(lo + np.arange(n)) * h for lo, n in zip(xlo + zlo + 1, shape)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+    samples = np.asarray(u(grid), dtype=float)
+    dense = np.zeros(zspan)
+    dense[tuple((iz - zlo).T)] = weights
+    a = tuple((ix - xlo).T)
+    ax = tuple(range(len(shape)))
+
+    def fft(arr):
+        return np.fft.rfftn(arr, s=shape, axes=ax)
+
+    bad = ~np.isfinite(samples)
+    if np.any(bad):
+        # sample k is reached when some point a has a weighted node k - a
+        hit = np.zeros(xspan)
+        hit[a] = 1.0
+        reached = np.fft.irfftn(fft(hit) * fft(dense != 0), s=shape, axes=ax) > 0.5
+        samples = finite_samples(samples, grid, reached)
+    # no sample index exceeds the circular length, so nothing wraps
+    corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
+    return corr[a]
+
+
 # points per block of the batch singular-kernel sum
 _BAND_CHUNK = 192
 
@@ -275,8 +353,10 @@ def kernel_band_values(
     d(y, x) = gauge(y^{-1} x), and the integration ball is centred at each
     evaluation point (truncation at R_max).  One shared node/weight set
     serves every point through left translation, which preserves both the
-    Haar measure and cell midpoints.  Nodes beyond gauge(x) + decay_radius
-    of u are skipped: the integrand vanishes there.
+    Haar measure and cell midpoints.  On-lattice points of a Euclidean law
+    take ``lattice_correlation``; otherwise the direct loop skips nodes
+    beyond gauge(x) + decay_radius of u, where the integrand vanishes.  A
+    non-finite sample of u at a weighted node raises IntegrandError.
     """
     if a <= -g.Q:
         raise DomainError(f"kernel exponent {a} <= -Q diverges")
@@ -297,6 +377,10 @@ def kernel_band_values(
     zs, dist, weights, c0 = _shell_weights_cached(
         g, float(a), spec.R_max, h, spec.shell_ratio, spec.inner_cutoff, r_lo, r_hi
     )
+    corr = lattice_correlation(g, u, pts, zs, weights, h)
+    if corr is not None:
+        out = corr + u_at * c0
+        return out[0] if single else out
     decay = getattr(u, "decay_radius", math.inf)
     gauge_pts = groups.gauge(g, pts)
 
@@ -310,7 +394,7 @@ def kernel_band_values(
         if jmax > 0:
             ys = groups.mul(g, x[:, None, :], zs[None, :jmax, :])
             uv = np.asarray(u(ys), dtype=float)
-            out[rows] = uv @ weights[:jmax]
+            out[rows] = finite_samples(uv, ys, weights[:jmax] != 0) @ weights[:jmax]
         out[rows] += u_at[rows] * c0
     return out[0] if single else out
 
@@ -328,7 +412,8 @@ def shell_integrate_singular(
     around the centre carry their exact radial kernel mass; lattice samples
     of u supply the shell averages, and the innermost region uses
     u(center) with the kernel integrated in closed form.  The error
-    estimate is the difference against one refinement level finer.
+    estimate is the difference against one refinement level coarser, and
+    infinite when only the coarser lattice hits a non-finite sample of u.
     """
     a = float(kernel_exponent)
     if a <= -g.Q:
@@ -336,8 +421,13 @@ def shell_integrate_singular(
     if a >= 0:
         raise ContractError("non-singular kernel: use lattice_integrate")
     center = np.asarray(center, dtype=float)
-    coarse = float(kernel_band_values(g, a, u, center, spec, level_shift=0))
     fine = float(kernel_band_values(g, a, u, center, spec, level_shift=1))
+    try:
+        coarse = float(kernel_band_values(g, a, u, center, spec, level_shift=0))
+    except IntegrandError:
+        # the coarse lattice lands on a singularity of u that the finer one
+        # straddles: the value stands, its error bar is unknown
+        coarse = math.inf
     h1 = spec.effective_h / 2.0
     n = _nodes_cached(g, spec.R_max, spec.effective_h)[0].shape[0]
     n += _nodes_cached(g, spec.R_max, h1)[0].shape[0]

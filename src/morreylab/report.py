@@ -283,12 +283,37 @@ def _run_task(args):
     )
     try:
         rec = harness.dilation_sweep(g, cfg, u, t_values, grids, sweep_spec)
+        anchor = _anchor(g, cfg, u, grids, sweep_spec, rec) if parsed["adapt_specs"] else None
     except Exception as e:
         return _record_dict(cfg, u, t_values, "error", False,
                             note=f"{type(e).__name__}: {e}")
-    checks = parsed["checks"]
-    check, ok = _grade(rec, checks["ratio_band"], checks["slope_rel_tol"])
-    return _record_dict(cfg, u, rec.t_values, check, ok, rec=rec)
+    band = parsed["checks"]["ratio_band"]
+    check, ok = _grade(rec, band, parsed["checks"]["slope_rel_tol"])
+    if anchor is None:
+        return _record_dict(cfg, u, rec.t_values, check, ok, rec=rec)
+    check += f"; t=1 refinement anchor max/min <= {band}"
+    record = _record_dict(cfg, u, rec.t_values, check, ok and anchor["spread"] <= band,
+                          rec=rec)
+    record["anchor"] = anchor
+    return record
+
+
+def _anchor(g, cfg, u, grids, spec_of, rec):
+    """The t = 1 ratio of an adapted sweep on spec(1) and on spec(1).refined().
+
+    Adapted sweeps change the spacing with t, so a drift of the whole
+    curve with the spacing would not show in its spread; the refined
+    t = 1 ratio anchors it.
+    """
+    if 1.0 in rec.t_values:
+        ratio = rec.ratios[rec.t_values.index(1.0)]
+    else:
+        lhs, rhs = harness.inequality_sides(g, cfg, u, grids, spec_of(1.0))
+        ratio = lhs / rhs
+    lhs, rhs = harness.inequality_sides(g, cfg, u, grids, spec_of(1.0).refined())
+    refined = lhs / rhs
+    return dict(t=1.0, ratio=ratio, ratio_refined=refined,
+                spread=max(ratio, refined) / min(ratio, refined))
 
 
 def run_experiment(doc: dict) -> dict:

@@ -283,3 +283,34 @@ def test_refine_flag(tmp_path):
     assert main(["run", "--config", cfg, "--out", out, "--refine"]) == 0
     rep = json.loads(open(out).read())
     assert rep["config"]["quadrature"]["refinement_level"] == 1
+
+
+def test_adapted_sweeps_carry_the_t1_refinement_anchor():
+    doc = dict(SMALL_CONFIG, adapt_specs=True)
+    rep = run_experiment(doc)
+    for rec in rep["records"]:
+        anchor = rec["anchor"]
+        assert anchor["t"] == 1.0
+        assert anchor["ratio"] == rec["ratios"][rec["t_values"].index(1.0)]
+        assert anchor["ratio_refined"] > 0 and anchor["ratio_refined"] != anchor["ratio"]
+        lo, hi = sorted([anchor["ratio"], anchor["ratio_refined"]])
+        assert anchor["spread"] == hi / lo <= 1.10
+        assert rec["check"].endswith("; t=1 refinement anchor max/min <= 1.1")
+    assert rep["all_pass"]
+    # without t = 1 in the sweep the anchor computes its own unrefined ratio
+    rep = run_experiment(dict(doc, t_values=[0.3, 3.0], theorems=doc["theorems"][:1]))
+    (rec,) = rep["records"]
+    assert rec["anchor"]["ratio"] > 0 and rec["anchor"]["spread"] <= 1.10
+    # fixed-lattice records carry no anchor
+    rep = run_experiment(SMALL_CONFIG)
+    assert all("anchor" not in rec for rec in rep["records"])
+
+
+def test_drifting_anchor_fails_the_record(monkeypatch):
+    drift = dict(t=1.0, ratio=1.0, ratio_refined=1.2, spread=1.2)
+    monkeypatch.setattr(report, "_anchor", lambda *args: drift)
+    doc = dict(SMALL_CONFIG, adapt_specs=True, theorems=SMALL_CONFIG["theorems"][:1])
+    rep = run_experiment(doc)
+    (rec,) = rep["records"]
+    assert rec["anchor"] == drift and not rec["passed"] and not rep["all_pass"]
+    assert max(rec["ratios"]) / min(rec["ratios"]) <= 1.10
