@@ -84,6 +84,8 @@ class RatioSweepRecord:
     degenerate: bool = False
     function_label: str = ""
     grid_meta: dict = field(default_factory=dict)
+    # per t, per factor (lhs first): where the Morrey supremum sat
+    suprema: tuple = ()
 
 
 def _is_exact(x) -> bool:
@@ -409,28 +411,35 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
             g, theta * p_fac, R_eff, spec.effective_h,
             spec.shell_ratio, spec.inner_cutoff,
         )
-    est = morrey.morrey_sup_from_samples(
+    return morrey.morrey_sup_from_samples(
         g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell
     )
-    return est.value
 
 
-def inequality_sides(g, cfg: ExponentConfig, u: TestFunction, grids: MorreyGrids, spec):
+def inequality_sides(g, cfg: ExponentConfig, u: TestFunction, grids: MorreyGrids, spec,
+                     suprema=None):
     """(lhs, rhs) of the theorem's inequality for one test function.
 
     Weighted integrands are assembled pointwise on the lattice before
     Morrey estimation; products of norms (GN, uncertainty) multiply the
-    factor norms raised to their powers.
+    factor norms raised to their powers.  A ``suprema`` list receives, per
+    factor (lhs first), where its Morrey supremum sat.
     """
     lhs_f, rhs_f = _factors(cfg)
-    lhs_norm = _factor_norm(g, lhs_f, cfg, u, grids, spec)
-    lhs = lhs_norm ** float(lhs_f["power"])
+    ests = [_factor_norm(g, f, cfg, u, grids, spec) for f in (lhs_f, *rhs_f)]
+    lhs = ests[0].value ** float(lhs_f["power"])
     rhs = 1.0
-    for f in rhs_f:
-        rhs *= _factor_norm(g, f, cfg, u, grids, spec) ** float(f["power"])
+    for f, est in zip(rhs_f, ests[1:]):
+        rhs *= est.value ** float(f["power"])
     if rhs == 0.0 and lhs > 0.0:
         raise DegenerateInputError(
             "right-hand side vanished with nonzero left side"
+        )
+    if suprema is not None:
+        suprema.extend(
+            dict(op=f["op"], argmax_center=e.argmax_center.tolist(),
+                 argmax_radius=e.argmax_radius, truncation_note=e.truncation_note)
+            for f, e in zip((lhs_f, *rhs_f), ests)
         )
     return float(lhs), float(rhs)
 
@@ -514,13 +523,15 @@ def dilation_sweep(
     degenerate = len(t_values) == 1
     spec_of = spec if callable(spec) else (lambda t: spec)
     base = getattr(spec, "base", None) or spec_of(1.0)
-    ratios = []
+    ratios, suprema = [], []
     for t in t_values:
         ut = dilated(g, u, t)
-        lhs, rhs = inequality_sides(g, cfg, ut, grids, spec_of(t))
+        sups = []
+        lhs, rhs = inequality_sides(g, cfg, ut, grids, spec_of(t), sups)
         if rhs == 0.0:
             raise DegenerateInputError(f"degenerate sides at t={t}")
         ratios.append(lhs / rhs)
+        suprema.append(tuple(sups))
     if degenerate:
         slope = 0.0
     else:
@@ -547,6 +558,7 @@ def dilation_sweep(
             r_min=float(np.min(grids.radii)),
             r_max=float(np.max(grids.radii)),
         ),
+        suprema=tuple(suprema),
     )
 
 

@@ -18,12 +18,14 @@ from . import groups
 from .errors import DomainError, UnsupportedGroupError
 from .quadrature import (
     QuadratureSpec,
+    ball_bin_table,
     ball_bins,
     ball_sums,
     finite_samples,
     kernel_band_values,
     lattice_correlation,
     lattice_nodes,
+    product_lattice,
     shell_integrate_singular,
 )
 
@@ -107,12 +109,18 @@ def frac_maximal_values(
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
 
-    src, _, cell = lattice_nodes(g, spec)
+    src, sdist, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
     n = len(radii)
+    gauge_pts = groups.gauge(g, pts)
+    # on-lattice centres: -c is a node too, so every pair's gauge is read
+    # from one table over the product grid, near-ties aside
+    lat = product_lattice(g, -pts, src, spec.effective_h)
+    if lat is not None:
+        table = ball_bin_table(g, lat, radii, max(np.max(gauge_pts), np.max(sdist)))
     # balls that leave the domain scale their volume from the last ball
     # inside it (or from one cell at r_dom) by r^Q
-    r_dom = np.maximum(spec.R_max - groups.gauge(g, pts), 4.0 * spec.effective_h)
+    r_dom = np.maximum(spec.R_max - gauge_pts, 4.0 * spec.effective_h)
     j = np.searchsorted(radii, r_dom, side="right") - 1
     beyond = radii > r_dom[:, None]
     out = np.zeros(pts.shape[0])
@@ -120,7 +128,8 @@ def frac_maximal_values(
     step = max(1, _MAXIMAL_PAIRS // len(src))
     for start in range(0, pts.shape[0], step):
         sl = slice(start, start + step)
-        bins = ball_bins(g, src, pts[sl], radii)
+        known = None if lat is None else table[lat.index(sl)]
+        bins = ball_bins(g, src, pts[sl], radii, known)
         cnt = ball_sums(bins, n).astype(float)
         m_r = ball_sums(bins, n, uv) * cell
         rows = np.arange(cnt.shape[0])

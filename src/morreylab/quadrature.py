@@ -8,10 +8,12 @@ radial kernel d^a (a in (-Q, 0)) by decomposing the ball into geometric
 shells around the singular point, matching the exact radial kernel mass on
 every shell and closing the innermost region in closed form.
 
-Batch sums over one shared node set run as a lattice correlation
-(``lattice_correlation``, one FFT) when the group law is Euclidean and the
-points lie on the node lattice, and as a direct point-by-node loop
-otherwise.
+When the points lie on the node lattice, every product x z lands on one
+``product_lattice`` grid.  Batch sums over one shared node set then run
+as a lattice correlation (``lattice_correlation``, one FFT) on Euclidean
+laws and as an index gather from one sampling of u on H^1, and ball bins
+are read from one table over the grid.  Other points take the direct
+point-by-node loop.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -234,17 +236,47 @@ def gauge_power_weights(g, a, R, h, shell_ratio, inner_cutoff):
     return w
 
 
-def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
+def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None) -> np.ndarray:
     """Bin of every (centre, node) pair in an (n_centers, len(radii) + 1) table.
 
     Row i of the result holds, for each node z, ``i * (len(radii) + 1) + j``
     with j the index of the first radius r_j such that z lies in the
     left-translated ball {z : gauge(c_i^{-1} z) < r_j}; j = len(radii)
     marks nodes outside every ball.  ``radii`` must be non-decreasing.
+    ``known`` (n_centers, n_nodes), if given, already holds j for the pairs
+    ``ball_bin_table`` fixed and -1 for the rest; only the rest are computed,
+    pair by pair, with the same arithmetic.  It is overwritten.
     """
-    d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
-    j = np.searchsorted(radii, d, side="right")
+    if known is None:
+        d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
+        j = np.searchsorted(radii, d, side="right")
+    else:
+        j = known
+        r, c = np.nonzero(j < 0)
+        d = groups.gauge(g, groups.mul(g, -centers[r], nodes[c]))
+        j[r, c] = np.searchsorted(radii, d, side="right")
     return j + (len(radii) + 1) * np.arange(len(centers))[:, None]
+
+
+def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale) -> np.ndarray:
+    """``ball_bins``' j at every flat sample of ``lat.grid``, -1 near a radius.
+
+    ``lat`` is ``product_lattice(g, -centers, nodes, h)`` and ``scale``
+    bounds the gauge of every centre and node.  Against the exact sample,
+    ``mul`` rounds a pair's product by at most 3 eps scale on a horizontal
+    axis and 6 eps scale^2 on the H^1 centre.  Through the gauge
+    (|dd/dx| <= 1, |dd/dt| <= 2/d) and its own rounding, the pair's gauge
+    stays within 22 eps (1 + scale/d)^2 of d relative, which is below
+    ``tol`` wherever d >= r_0/2, so wherever a radius is near.  A sample
+    whose band d(1 +/- tol) holds a radius (every exact lattice distance
+    on the radius grid does) is marked -1, and ``ball_bins`` recomputes
+    its pairs one by one: the bins match the direct ones exactly.
+    """
+    tol = 128.0 * np.finfo(float).eps * (1.0 + scale / radii[0]) ** 2
+    d = groups.gauge(g, lat.grid).ravel()
+    lo = np.searchsorted(radii, d * (1.0 - tol), side="right")
+    hi = np.searchsorted(radii, d * (1.0 + tol), side="right")
+    return np.where(lo == hi, lo, -1)
 
 
 def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
@@ -276,62 +308,115 @@ def finite_samples(vals, pts, reached=True):
     return np.where(bad, 0.0, vals)
 
 
-def _lattice_index(pts, h):
-    """Integer i with pts = (i + 1/2) h per coordinate, or None off the lattice."""
-    r = pts / h - 0.5
-    i = np.rint(r)
-    if not np.all(np.abs(r - i) <= 1e-9):
+def _lattice_index(pts, spacing):
+    """Integer i with pts == (i + 1/2) * spacing exactly, or None off the lattice.
+
+    ``spacing`` holds h**w_i per coordinate.  Exact equality (the nodes of
+    ``lattice_nodes`` pass it) keeps every product x z within rounding of
+    the ``product_lattice`` sample it is mapped to.
+    """
+    i = np.rint(pts / spacing - 0.5).astype(np.int64)
+    return i if np.array_equal((i + 0.5) * spacing, pts) else None
+
+
+@dataclass(frozen=True, eq=False)
+class ProductLattice:
+    """The grid on which the products x z of points and nodes land.
+
+    ``grid`` holds the sample points, shape S + (N,); the product of point
+    p and node n sits at ``grid.reshape(-1, N)[P[p] + Z[n] + A[p] @ B[n]]``.
+    The bilinear twist ``A @ B`` is empty on R^N.
+    """
+
+    grid: np.ndarray
+    P: np.ndarray
+    Z: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+
+    def index(self, rows, cols=slice(None)):
+        """Flat grid indices of the products of points ``rows`` and nodes ``cols``."""
+        at = self.A[rows] @ self.B[cols].T
+        at += self.P[rows, None]
+        at += self.Z[cols]
+        return at
+
+
+def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
+    """The ``ProductLattice`` of on-lattice points and nodes, or None.
+
+    Coordinate i of a midpoint node is (j_i + 1/2) h**w_i.  A horizontal
+    (weight-1) coordinate of x z sits at (i + j + 1) h.  On H^1 the
+    central one sits at k h^2/4 with k = 4(i_2 + j_2 + 1) + 2 X x Z, where
+    X = (i_0 + 1/2, i_1 + 1/2), Z likewise, and
+    2 X x Z = 2(i_0 j_1 - i_1 j_0) + (i_0 - i_1) + (j_1 - j_0): everything
+    but the bilinear term splits into a point part and a node part.  None
+    when a point or node is off the lattice, or when the grid would hold
+    at least as many samples as there are point-node pairs (single
+    points, far-apart points): the caller's direct loop runs then.
+    """
+    spacing = np.array([h ** w for w in g.weights])
+    ix, iz = _lattice_index(points, spacing), _lattice_index(nodes, spacing)
+    if len(points) == 0 or ix is None or iz is None:
         return None
-    return i.astype(np.int64)
+    kx, kz = ix.copy(), iz + 1
+    A, B = ix[:, :0], iz[:, :0]
+    reach = np.zeros(g.dimension, dtype=np.int64)
+    if g.law == groups.HEISENBERG1:
+        spacing[2] /= 4.0
+        kx[:, 2] = 4 * ix[:, 2] + ix[:, 0] - ix[:, 1]
+        kz[:, 2] = 4 * (iz[:, 2] + 1) + iz[:, 1] - iz[:, 0]
+        A, B = 2 * ix[:, :2] * [1, -1], iz[:, [1, 0]]
+        # |2 X x Z| <= 2 |X| |Z| bounds the twist; the central axis is the
+        # last, so the twist adds to the flat index with stride 1
+        rx, rz = (float(np.max(np.hypot(*(k[:, :2] + 0.5).T))) for k in (ix, iz))
+        reach[2] = int(2.0 * rx * rz) + 1
+    xlo, zlo = kx.min(axis=0), kz.min(axis=0) - reach
+    shape = tuple(int(v) for v in kx.max(axis=0) - xlo + kz.max(axis=0) + reach - zlo + 1)
+    if math.prod(shape) >= len(points) * len(nodes):
+        return None
+    axes = [(lo + np.arange(n)) * s for lo, n, s in zip(xlo + zlo, shape, spacing)]
+    return ProductLattice(
+        grid=np.stack(np.meshgrid(*axes, indexing="ij"), -1),
+        P=np.ravel_multi_index(tuple((kx - xlo).T), shape),
+        Z=np.ravel_multi_index(tuple((kz - zlo).T), shape),
+        A=A,
+        B=B,
+    )
 
 
 def lattice_correlation(g: groups.GroupDescriptor, u, points, nodes, weights, h):
     """S(x) = sum_z w(z) u(x z) at every point x from one FFT, or None.
 
-    On a Euclidean law with every point and node on the midpoint lattice
-    of spacing h, x z = x + z lands on the integer grid k h, so u is
-    sampled once on the grid spanned by x + z and S is a discrete
-    correlation.  None means the caller's direct loop must run: the law
-    is not Euclidean, a point is off the lattice, or the dense grid would
-    hold at least as many samples as the direct loop has point-node
-    pairs (single points, far-apart points).  A non-finite sample that a
-    point reaches through a nonzero weight raises IntegrandError.
+    On a Euclidean law x z = x + z, so once u is sampled on the
+    ``product_lattice`` grid, S is a discrete correlation.  None means the
+    caller's direct loop must run: the law is not Euclidean, or
+    ``product_lattice`` declines.  A non-finite sample that a point
+    reaches through a nonzero weight raises IntegrandError.
     """
-    if g.law != groups.EUCLIDEAN or len(points) == 0:
+    if g.law != groups.EUCLIDEAN:
         return None
-    ix, iz = _lattice_index(points, h), _lattice_index(nodes, h)
-    if ix is None or iz is None:
+    lat = product_lattice(g, points, nodes, h)
+    if lat is None:
         return None
-    xlo, zlo = ix.min(axis=0), iz.min(axis=0)
-    xspan = ix.max(axis=0) - xlo + 1
-    zspan = iz.max(axis=0) - zlo + 1
-    shape = tuple(int(v) for v in xspan + zspan - 1)
-    if math.prod(shape) >= len(points) * len(nodes):
-        return None
-
-    # sample k of axis i sits at (xlo + zlo + 1 + k) h: point index a plus
-    # node index b lands on sample a + b
-    axes = [(lo + np.arange(n)) * h for lo, n in zip(xlo + zlo + 1, shape)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
-    samples = np.asarray(u(grid), dtype=float)
-    dense = np.zeros(zspan)
-    dense[tuple((iz - zlo).T)] = weights
-    a = tuple((ix - xlo).T)
+    shape = lat.grid.shape[:-1]
+    samples = np.asarray(u(lat.grid), dtype=float)
+    dense = np.zeros(shape)
+    dense.flat[lat.Z] = weights
     ax = tuple(range(len(shape)))
 
     def fft(arr):
-        return np.fft.rfftn(arr, s=shape, axes=ax)
+        return np.fft.rfftn(arr, axes=ax)
 
-    bad = ~np.isfinite(samples)
-    if np.any(bad):
+    if not np.all(np.isfinite(samples)):
         # sample k is reached when some point a has a weighted node k - a
-        hit = np.zeros(xspan)
-        hit[a] = 1.0
+        hit = np.zeros(shape)
+        hit.flat[lat.P] = 1.0
         reached = np.fft.irfftn(fft(hit) * fft(dense != 0), s=shape, axes=ax) > 0.5
-        samples = finite_samples(samples, grid, reached)
+        samples = finite_samples(samples, lat.grid, reached)
     # no sample index exceeds the circular length, so nothing wraps
     corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
-    return corr[a]
+    return corr.ravel()[lat.P]
 
 
 # points per block of the batch singular-kernel sum
@@ -354,9 +439,11 @@ def kernel_band_values(
     evaluation point (truncation at R_max).  One shared node/weight set
     serves every point through left translation, which preserves both the
     Haar measure and cell midpoints.  On-lattice points of a Euclidean law
-    take ``lattice_correlation``; otherwise the direct loop skips nodes
-    beyond gauge(x) + decay_radius of u, where the integrand vanishes.  A
-    non-finite sample of u at a weighted node raises IntegrandError.
+    take ``lattice_correlation``.  Otherwise blocks of points skip nodes
+    beyond gauge(x) + decay_radius of u, where the integrand vanishes, and
+    read u(x z) from the ``product_lattice`` samples on H^1 or evaluate it
+    directly.  A non-finite sample of u at a weighted node raises
+    IntegrandError.
     """
     if a <= -g.Q:
         raise DomainError(f"kernel exponent {a} <= -Q diverges")
@@ -381,6 +468,12 @@ def kernel_band_values(
     if corr is not None:
         out = corr + u_at * c0
         return out[0] if single else out
+    # on R^N, product_lattice has already declined inside lattice_correlation
+    lat = None if g.law == groups.EUCLIDEAN else product_lattice(g, pts, zs, h)
+    if lat is not None:
+        grid = lat.grid.reshape(-1, g.dimension)
+        samples = np.asarray(u(grid), dtype=float)
+        clean = bool(np.all(np.isfinite(samples)))
     decay = getattr(u, "decay_radius", math.inf)
     gauge_pts = groups.gauge(g, pts)
 
@@ -388,12 +481,16 @@ def kernel_band_values(
     porder = np.argsort(gauge_pts, kind="stable")
     for start in range(0, pts.shape[0], _BAND_CHUNK):
         rows = porder[start : start + _BAND_CHUNK]
-        x = pts[rows]
         cap = float(np.max(gauge_pts[rows])) + decay + 2.0 * h
         jmax = int(np.searchsorted(dist, cap, side="right")) if math.isfinite(cap) else len(dist)
         if jmax > 0:
-            ys = groups.mul(g, x[:, None, :], zs[None, :jmax, :])
-            uv = np.asarray(u(ys), dtype=float)
+            if lat is None:
+                ys = groups.mul(g, pts[rows][:, None, :], zs[None, :jmax, :])
+                uv = np.asarray(u(ys), dtype=float)
+            else:
+                # u(x z) by index; the sample points only to name a bad one
+                at = lat.index(rows, slice(jmax))
+                uv, ys = samples[at], (grid if clean else grid[at])
             out[rows] = finite_samples(uv, ys, weights[:jmax] != 0) @ weights[:jmax]
         out[rows] += u_at[rows] * c0
     return out[0] if single else out

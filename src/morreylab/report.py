@@ -254,6 +254,7 @@ def _record_dict(cfg, u, t_values, check, passed, note=None, rec=None):
         spread=max(ratios) / min(ratios) if ratios else math.nan,
         degenerate=rec.degenerate if rec else False,
         grid=rec.grid_meta if rec else {},
+        suprema=[list(sups) for sups in rec.suprema] if rec else [],
         check=check,
         passed=passed,
         note=note,

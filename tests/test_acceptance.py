@@ -9,6 +9,7 @@ sweeps with predicted mismatch exponents) over reference values.
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 
@@ -376,7 +377,7 @@ def test_criterion_10_admissibility_goldens():
 
 
 def test_criterion_11_determinism(tmp_path):
-    doc = json.load(open("configs/default.json"))
+    doc = json.loads(Path("configs/default.json").read_text())
     doc["workers"] = 1
     from morreylab.report import dump_report
 

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_empty_theorem_list(tmp_path):
     cfg = write_config(tmp_path, doc)
     out = str(tmp_path / "rep.json")
     assert main(["run", "--config", cfg, "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["records"] == [] and rep["all_pass"]
 
 
@@ -50,7 +51,7 @@ def test_run_small_config(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert printed.count("PASS") == 2
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert len(rep["records"]) == 2
     assert rep["tool_version"]
     # every record reproducible: grid metadata present
@@ -64,8 +65,8 @@ def test_run_determinism(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["run", "--config", cfg, "--out", a]) == 0
     assert main(["run", "--config", cfg, "--out", b]) == 0
-    assert strip_telemetry(open(a).read()) == strip_telemetry(open(b).read())
-    assert open(a).read() != ""
+    assert strip_telemetry(Path(a).read_text()) == strip_telemetry(Path(b).read_text())
+    assert Path(a).read_text() != ""
 
 
 def test_invalid_lambda_names_field(tmp_path, capsys):
@@ -281,7 +282,7 @@ def test_refine_flag(tmp_path):
     cfg = write_config(tmp_path, doc)
     out = str(tmp_path / "rep.json")
     assert main(["run", "--config", cfg, "--out", out, "--refine"]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["config"]["quadrature"]["refinement_level"] == 1
 
 
