@@ -85,13 +85,15 @@ def _cmd_run(args) -> int:
     except json.JSONDecodeError as e:
         print(f"config: invalid JSON at line {e.lineno}: {e.msg}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    if args.refine:
-        q = dict(doc.get("quadrature", {}))
-        q["refinement_level"] = int(q.get("refinement_level", 0)) + args.refine
-        doc["quadrature"] = q
     try:
+        # validate the file as written, then apply the command-line overrides
+        report.parse_config(doc)
+        if args.workers is not None:
+            doc["workers"] = args.workers
+        if args.refine:
+            q = dict(doc.get("quadrature", {}))
+            q["refinement_level"] = q.get("refinement_level", 0) + args.refine
+            doc["quadrature"] = q
         rep = report.run_experiment(doc)
     except report.ConfigError as e:
         print(str(e), file=sys.stderr)

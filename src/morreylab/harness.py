@@ -25,7 +25,7 @@ import numpy as np
 
 from . import groups, morrey, operators
 from .errors import DegenerateInputError, DomainError
-from .quadrature import QuadratureSpec, lattice_nodes, radius_grid
+from .quadrature import QuadratureSpec, geometric_radii, lattice_nodes, radius_grid
 from .testfunctions import TestFunction, dilated
 
 @dataclass(frozen=True)
@@ -480,14 +480,12 @@ def adapted_spec_factory(
 
 
 def sweep_grids(g, base: QuadratureSpec, u: TestFunction, t_min: float, t_max: float,
-                ratio: float = 2.0 ** 0.25, n_per_axis: int | None = None) -> MorreyGrids:
+                n_per_axis: int | None = None) -> MorreyGrids:
     """Centre/radius grids shared by every dilation in a sweep."""
-    r_min = 2.0 * base.effective_h * min(1.0, 1.0 / t_max)
-    r_max = 2.0 * (base.R_max + u.decay_radius / t_min)
-    n = int(math.ceil(math.log(r_max / r_min) / math.log(ratio)))
     return MorreyGrids(
         centers=morrey.default_centers(g, base, n_per_axis=n_per_axis),
-        radii=r_min * ratio ** np.arange(n + 1),
+        radii=geometric_radii(2.0 * base.effective_h * min(1.0, 1.0 / t_max),
+                              2.0 * (base.R_max + u.decay_radius / t_min)),
     )
 
 

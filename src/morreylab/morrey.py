@@ -157,8 +157,8 @@ def embedding_check(g, p, lam, u, radii, spec, centers=None, tol: float = 1e-12)
     return loc, glob, bool(loc <= glob + tol)
 
 
-def default_radii(g, u, spec: QuadratureSpec, ratio: float = 2.0 ** 0.25) -> np.ndarray:
+def default_radii(g, u, spec: QuadratureSpec) -> np.ndarray:
     decay = getattr(u, "decay_radius", spec.R_max)
     if not math.isfinite(decay):
         decay = spec.R_max
-    return radius_grid(spec, decay, ratio=ratio)
+    return radius_grid(spec, decay)

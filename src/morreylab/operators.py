@@ -21,12 +21,11 @@ from .quadrature import (
     ball_bin_table,
     ball_bins,
     ball_sums,
-    finite_samples,
     kernel_band_values,
-    lattice_correlation,
     lattice_nodes,
     product_lattice,
     shell_integrate_singular,
+    translate_sums,
 )
 
 _EPS3 = np.finfo(float).eps ** (1.0 / 3.0)
@@ -37,7 +36,7 @@ _EPS4 = np.finfo(float).eps ** 0.25
 # pair budget bounds its temporaries (about 1 MB each) whatever the
 # lattice size
 _MAXIMAL_PAIRS = 1 << 17
-# points per block of the fractional Laplacian's symmetric differences
+# points per block of the fractional Laplacian's translate sums
 _FRACLAP_CHUNK = 128
 
 
@@ -174,20 +173,6 @@ def _euclidean_sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def _hessian_trace(u, pts):
-    if getattr(u, "analytic_sub_laplacian", None) is not None:
-        return np.asarray(u.analytic_sub_laplacian(pts), dtype=float)
-    N = pts.shape[-1]
-    acc = np.zeros(pts.shape[:-1])
-    u0 = np.asarray(u(pts), dtype=float)
-    for i in range(N):
-        h = _EPS4 * (1.0 + np.abs(pts[..., i]))
-        e = np.zeros_like(pts)
-        e[..., i] = h
-        acc = acc + (np.asarray(u(pts + e)) - 2.0 * u0 + np.asarray(u(pts - e))) / (h * h)
-    return acc
-
-
 def frac_laplacian_values(
     g: groups.GroupDescriptor,
     s: float,
@@ -201,9 +186,10 @@ def frac_laplacian_values(
     form of the difference, integrated in closed form.  For inputs that
     decay inside R_max the omitted far tail of the 2u(x) term is added in
     closed form; non-decaying inputs (e.g. oscillatory probes) instead
-    need R_max large enough that the tail is below tolerance.  On-lattice
-    points sum u(x +/- y) with one ``lattice_correlation``; other points
-    run the direct loop.  A non-finite sample of u raises IntegrandError.
+    need R_max large enough that the tail is below tolerance.  The node set
+    is symmetric, so sum k(y) (2u(x) - u(x+y) - u(x-y)) is
+    2u(x) sum k(y) - 2 ``translate_sums``.  A non-finite sample of u
+    raises IntegrandError.
     """
     if g.law != groups.EUCLIDEAN or g.gauge_kind != groups.GAUGE_EUCLIDEAN:
         raise UnsupportedGroupError("fractional Laplacian requires Euclidean descriptors")
@@ -219,49 +205,33 @@ def frac_laplacian_values(
     src, dist, cell = lattice_nodes(g, spec)
     r_in = spec.inner_cutoff * spec.effective_h
     live = dist >= r_in
-    Y = src[live]
-    dY = dist[live]
-    order = np.argsort(dY, kind="stable")
-    Y = Y[order]
-    dY = dY[order]
+    order = np.argsort(dist[live], kind="stable")
+    Y, dY = src[live][order], dist[live][order]
     kern = dY ** (-N - 2.0 * s) * cell
 
     u_x = np.asarray(u(pts), dtype=float)
-    trH = _hessian_trace(u, pts)
+    trH = sub_laplacian_values(g, u, pts)
     inner = -(trH / N) * area * r_in ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    # blocks of points in increasing gauge order share one source cap; for
-    # inputs that decay inside R_max, u(x +/- y) < 1e-12 beyond it, so the
-    # difference is 2u(x) and the kernel tail out to infinity closes in
-    # radial form
+    # blocks of points in increasing gauge order share one source cap, as
+    # in translate_sums; for inputs that decay inside R_max, u(x +/- y) <
+    # 1e-12 beyond it, so the difference is 2u(x) and the kernel tail out
+    # to infinity closes in radial form
     decay = getattr(u, "decay_radius", math.inf)
-    gauge_pts = groups.gauge(g, pts)
-    porder = np.argsort(gauge_pts, kind="stable")
-    blocks = [porder[i : i + _FRACLAP_CHUNK] for i in range(0, len(porder), _FRACLAP_CHUNK)]
     jmax = np.full(pts.shape[0], len(dY))
     tail = np.zeros(pts.shape[0])
     if math.isfinite(decay) and decay <= spec.R_max:
-        for rows in blocks:
+        gauge_pts = groups.gauge(g, pts)
+        porder = np.argsort(gauge_pts, kind="stable")
+        for start in range(0, pts.shape[0], _FRACLAP_CHUNK):
+            rows = porder[start : start + _FRACLAP_CHUNK]
             cap = min(float(np.max(gauge_pts[rows])) + decay + 2.0 * spec.effective_h,
                       spec.R_max)
             jmax[rows] = np.searchsorted(dY, cap, side="right")
             tail[rows] = 2.0 * u_x[rows] * area * cap ** (-2.0 * s) / (2.0 * s)
 
-    # the node set is symmetric, so sum k(y) u(x - y) = sum k(y) u(x + y)
-    corr = lattice_correlation(g, u, pts, Y, kern, spec.effective_h)
-    if corr is not None:
-        ksum = np.concatenate([[0.0], np.cumsum(kern)])
-        out = 2.0 * u_x * ksum[jmax] - 2.0 * corr
-    else:
-        out = np.zeros(pts.shape[0])
-        for rows in blocks:
-            j = jmax[rows[0]]
-            x, Yc = pts[rows], Y[:j]
-            plus, minus = x[:, None, :] + Yc[None, :, :], x[:, None, :] - Yc[None, :, :]
-            phi = (2.0 * u_x[rows, None]
-                   - finite_samples(np.asarray(u(plus), dtype=float), plus)
-                   - finite_samples(np.asarray(u(minus), dtype=float), minus))
-            out[rows] = phi @ kern[:j]
-    vals = 0.5 * A * (out + inner + tail)
+    ksum = np.concatenate([[0.0], np.cumsum(kern)])
+    sums = translate_sums(g, u, pts, Y, dY, kern, spec.effective_h, _FRACLAP_CHUNK)
+    vals = 0.5 * A * (2.0 * u_x * ksum[jmax] - 2.0 * sums + inner + tail)
     return vals[0] if single else vals
 
 

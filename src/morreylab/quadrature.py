@@ -8,12 +8,12 @@ radial kernel d^a (a in (-Q, 0)) by decomposing the ball into geometric
 shells around the singular point, matching the exact radial kernel mass on
 every shell and closing the innermost region in closed form.
 
-When the points lie on the node lattice, every product x z lands on one
-``product_lattice`` grid.  Batch sums over one shared node set then run
-as a lattice correlation (``lattice_correlation``, one FFT) on Euclidean
-laws and as an index gather from one sampling of u on H^1, and ball bins
-are read from one table over the grid.  Other points take the direct
-point-by-node loop.
+Batch sums over one shared node set go through ``translate_sums``.  When
+the points lie on the node lattice, every product x z lands on one
+``product_lattice`` grid; the sums then run as a lattice correlation (one
+FFT) on Euclidean laws and as an index gather from one sampling of u on
+H^1, and ball bins are read from one table over the grid.  Other points
+take the direct point-by-node loop.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -385,38 +385,61 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     )
 
 
-def lattice_correlation(g: groups.GroupDescriptor, u, points, nodes, weights, h):
-    """S(x) = sum_z w(z) u(x z) at every point x from one FFT, or None.
+def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h, chunk):
+    """S(x) = sum_z w(z) u(x z) at every point x over one shared node set.
 
-    On a Euclidean law x z = x + z, so once u is sampled on the
-    ``product_lattice`` grid, S is a discrete correlation.  None means the
-    caller's direct loop must run: the law is not Euclidean, or
-    ``product_lattice`` declines.  A non-finite sample that a point
-    reaches through a nonzero weight raises IntegrandError.
+    ``nodes`` are sorted by their gauges ``dist``.  This is the one place
+    that picks a backend.  When ``product_lattice`` accepts the points and
+    nodes, u is sampled once on its grid: on a Euclidean law x z = x + z
+    and S is a discrete correlation (one FFT); on H^1 u(x z) is gathered
+    by index.  Otherwise the direct loop evaluates u(x z).  The gather and
+    the loop take ``chunk`` points at a time in increasing gauge order and
+    skip nodes beyond gauge(x) + decay_radius of u + 2h, where u vanishes.
+    A non-finite sample that a point reaches through a nonzero weight
+    raises IntegrandError; unreached ones are dropped.
     """
-    if g.law != groups.EUCLIDEAN:
-        return None
     lat = product_lattice(g, points, nodes, h)
-    if lat is None:
-        return None
-    shape = lat.grid.shape[:-1]
-    samples = np.asarray(u(lat.grid), dtype=float)
-    dense = np.zeros(shape)
-    dense.flat[lat.Z] = weights
-    ax = tuple(range(len(shape)))
+    if lat is not None:
+        shape = lat.grid.shape[:-1]
+        samples = np.asarray(u(lat.grid), dtype=float)
+        clean = bool(np.all(np.isfinite(samples)))
+        if g.law == groups.EUCLIDEAN:
+            dense = np.zeros(shape)
+            dense.flat[lat.Z] = weights
+            ax = tuple(range(len(shape)))
 
-    def fft(arr):
-        return np.fft.rfftn(arr, axes=ax)
+            def fft(arr):
+                return np.fft.rfftn(arr, axes=ax)
 
-    if not np.all(np.isfinite(samples)):
-        # sample k is reached when some point a has a weighted node k - a
-        hit = np.zeros(shape)
-        hit.flat[lat.P] = 1.0
-        reached = np.fft.irfftn(fft(hit) * fft(dense != 0), s=shape, axes=ax) > 0.5
-        samples = finite_samples(samples, lat.grid, reached)
-    # no sample index exceeds the circular length, so nothing wraps
-    corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
-    return corr.ravel()[lat.P]
+            if not clean:
+                # sample k is reached when some point a has a weighted node k - a
+                hit = np.zeros(shape)
+                hit.flat[lat.P] = 1.0
+                reached = np.fft.irfftn(fft(hit) * fft(dense != 0), s=shape, axes=ax) > 0.5
+                samples = finite_samples(samples, lat.grid, reached)
+            # no sample index exceeds the circular length, so nothing wraps
+            corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
+            return corr.ravel()[lat.P]
+        samples, grid = samples.ravel(), lat.grid.reshape(-1, g.dimension)
+    decay = getattr(u, "decay_radius", math.inf)
+    gauge_pts = groups.gauge(g, points)
+    out = np.zeros(points.shape[0])
+    porder = np.argsort(gauge_pts, kind="stable")
+    for start in range(0, points.shape[0], chunk):
+        rows = porder[start : start + chunk]
+        cap = float(np.max(gauge_pts[rows])) + decay + 2.0 * h
+        jmax = int(np.searchsorted(dist, cap, side="right")) if math.isfinite(cap) else len(dist)
+        if jmax == 0:
+            continue
+        if lat is None:
+            ys = groups.mul(g, points[rows][:, None, :], nodes[None, :jmax, :])
+            uv = np.asarray(u(ys), dtype=float)
+        else:
+            # u(x z) by index; the sample points only to name a bad one
+            at = lat.index(rows, slice(jmax))
+            uv, ys = samples[at], (grid if clean else grid[at])
+        out[rows] = finite_samples(uv, ys, weights[:jmax] != 0) @ weights[:jmax]
+    return out
 
 
 # points per block of the batch singular-kernel sum
@@ -438,12 +461,9 @@ def kernel_band_values(
     d(y, x) = gauge(y^{-1} x), and the integration ball is centred at each
     evaluation point (truncation at R_max).  One shared node/weight set
     serves every point through left translation, which preserves both the
-    Haar measure and cell midpoints.  On-lattice points of a Euclidean law
-    take ``lattice_correlation``.  Otherwise blocks of points skip nodes
-    beyond gauge(x) + decay_radius of u, where the integrand vanishes, and
-    read u(x z) from the ``product_lattice`` samples on H^1 or evaluate it
-    directly.  A non-finite sample of u at a weighted node raises
-    IntegrandError.
+    Haar measure and cell midpoints: the value is ``translate_sums`` plus
+    the closed-form innermost term c0 u(x).  A non-finite sample of u at
+    a weighted node raises IntegrandError.
     """
     if a <= -g.Q:
         raise DomainError(f"kernel exponent {a} <= -Q diverges")
@@ -457,42 +477,12 @@ def kernel_band_values(
     out = np.zeros(pts.shape[0])
     u_at = np.asarray(u(pts), dtype=float)
     u_at = np.where(np.isfinite(u_at), u_at, 0.0)
-    if r_lo >= r_hi:
-        return out[0] if single else out
-
-    h = spec.lattice_h / (2.0 ** (spec.refinement_level + level_shift))
-    zs, dist, weights, c0 = _shell_weights_cached(
-        g, float(a), spec.R_max, h, spec.shell_ratio, spec.inner_cutoff, r_lo, r_hi
-    )
-    corr = lattice_correlation(g, u, pts, zs, weights, h)
-    if corr is not None:
-        out = corr + u_at * c0
-        return out[0] if single else out
-    # on R^N, product_lattice has already declined inside lattice_correlation
-    lat = None if g.law == groups.EUCLIDEAN else product_lattice(g, pts, zs, h)
-    if lat is not None:
-        grid = lat.grid.reshape(-1, g.dimension)
-        samples = np.asarray(u(grid), dtype=float)
-        clean = bool(np.all(np.isfinite(samples)))
-    decay = getattr(u, "decay_radius", math.inf)
-    gauge_pts = groups.gauge(g, pts)
-
-    # process points in increasing gauge order so source caps stay tight
-    porder = np.argsort(gauge_pts, kind="stable")
-    for start in range(0, pts.shape[0], _BAND_CHUNK):
-        rows = porder[start : start + _BAND_CHUNK]
-        cap = float(np.max(gauge_pts[rows])) + decay + 2.0 * h
-        jmax = int(np.searchsorted(dist, cap, side="right")) if math.isfinite(cap) else len(dist)
-        if jmax > 0:
-            if lat is None:
-                ys = groups.mul(g, pts[rows][:, None, :], zs[None, :jmax, :])
-                uv = np.asarray(u(ys), dtype=float)
-            else:
-                # u(x z) by index; the sample points only to name a bad one
-                at = lat.index(rows, slice(jmax))
-                uv, ys = samples[at], (grid if clean else grid[at])
-            out[rows] = finite_samples(uv, ys, weights[:jmax] != 0) @ weights[:jmax]
-        out[rows] += u_at[rows] * c0
+    if r_lo < r_hi:
+        h = spec.lattice_h / (2.0 ** (spec.refinement_level + level_shift))
+        zs, dist, weights, c0 = _shell_weights_cached(
+            g, float(a), spec.R_max, h, spec.shell_ratio, spec.inner_cutoff, r_lo, r_hi
+        )
+        out = translate_sums(g, u, pts, zs, dist, weights, h, _BAND_CHUNK) + u_at * c0
     return out[0] if single else out
 
 
@@ -533,15 +523,15 @@ def shell_integrate_singular(
     )
 
 
-def radius_grid(
-    spec: QuadratureSpec,
-    decay_radius: float,
-    ratio: float = 2.0 ** 0.25,
-) -> np.ndarray:
-    """Geometric radius grid from 2h to 2(R_max + decay_radius)."""
-    r_min = 2.0 * spec.effective_h
-    r_max = 2.0 * (spec.R_max + decay_radius)
+def geometric_radii(r_min: float, r_max: float) -> np.ndarray:
+    """Radii r_min 2^(k/4), k = 0, 1, ..., up to the first that reaches r_max."""
     if r_max <= r_min:
         return np.array([r_min])
+    ratio = 2.0 ** 0.25
     n = int(math.ceil(math.log(r_max / r_min) / math.log(ratio)))
     return r_min * ratio ** np.arange(n + 1)
+
+
+def radius_grid(spec: QuadratureSpec, decay_radius: float) -> np.ndarray:
+    """Geometric radius grid from 2h to 2(R_max + decay_radius)."""
+    return geometric_radii(2.0 * spec.effective_h, 2.0 * (spec.R_max + decay_radius))

@@ -27,9 +27,11 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
+# per law: the gauges it admits (the default first) and the one dimension
+# it allows, if it fixes one
 _GROUPS = {
-    "euclidean": lambda dim, gauge: groups.euclidean_group(dim, gauge),
-    "heisenberg1": lambda dim, gauge: groups.heisenberg_group(),
+    groups.EUCLIDEAN: ((groups.GAUGE_EUCLIDEAN, groups.GAUGE_ANISOTROPIC), None),
+    groups.HEISENBERG1: ((groups.GAUGE_KORANYI,), 3),
 }
 
 _CHECK_DEFAULTS = {"ratio_band": 1.10, "slope_rel_tol": 0.10}
@@ -96,14 +98,18 @@ def parse_config(doc: dict):
     law = _need(gdoc, "law", str, "config.group")
     if law not in _GROUPS:
         raise ConfigError(f"config.group.law: unknown law {law!r}")
-    dim = gdoc.get("dimension", 3 if law == "heisenberg1" else 1)
+    gauges, fixed_dim = _GROUPS[law]
+    dim = gdoc.get("dimension", fixed_dim or 1)
     if not _is_count(dim):
         raise ConfigError(f"config.group.dimension: expected an integer >= 1, got {dim!r}")
-    gauge = gdoc.get("gauge", "koranyi" if law == "heisenberg1" else "euclidean")
-    try:
-        g = _GROUPS[law](dim, gauge)
-    except Exception as e:
-        raise ConfigError(f"config.group: {e}") from e
+    if fixed_dim is not None and dim != fixed_dim:
+        raise ConfigError(f"config.group.dimension: {law} has dimension {fixed_dim}, got {dim}")
+    gauge = gdoc.get("gauge", gauges[0])
+    if gauge not in gauges:
+        raise ConfigError(f"config.group.gauge: {law} admits {', '.join(gauges)}, "
+                          f"got {gauge!r}")
+    g = (groups.heisenberg_group() if law == groups.HEISENBERG1
+         else groups.euclidean_group(dim, gauge))
 
     qdoc = _object(doc.get("quadrature", {}), "config.quadrature", _QUADRATURE_KEYS)
     for key, v in qdoc.items():

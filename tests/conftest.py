@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from morreylab import euclidean_group, heisenberg_group
+from morreylab import euclidean_group, heisenberg_group, operators, quadrature
 from morreylab.quadrature import QuadratureSpec
+
+# fast backends against the direct loop: sums agree to this share of the
+# largest direct value
+BACKEND_RTOL = 1e-12
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +43,40 @@ def spec1():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+class Backends:
+    """Runs operators with the product lattice on (asserting it was used) or off."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def run(self, fast, fn, *args, **kwargs):
+        used = []
+        real = quadrature.product_lattice
+
+        def spy(*a):
+            out = real(*a) if fast else None
+            used.append(out is not None)
+            return out
+
+        with self.monkeypatch.context() as m:
+            m.setattr(quadrature, "product_lattice", spy)
+            m.setattr(operators, "product_lattice", spy)
+            out = fn(*args, **kwargs)
+        assert used and all(used) == fast
+        return out
+
+    def agree(self, fn, *args, **kwargs):
+        """fn with the product lattice on, checked against the direct loop."""
+        fast = self.run(True, fn, *args, **kwargs)
+        direct = self.run(False, fn, *args, **kwargs)
+        assert np.all(np.isfinite(direct))
+        err = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
+        assert err <= BACKEND_RTOL, err
+        return fast
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    return Backends(monkeypatch)

@@ -181,6 +181,11 @@ def _theorem(i, **changes):
     return [entry if j == i else t for j, t in enumerate(SMALL_CONFIG["theorems"])]
 
 
+def _cli(doc, *flags):
+    """A fault case whose document is written as is and run with ``flags``."""
+    return doc, flags
+
+
 CONFIG_FAULTS = [
     (dict(t_values=[]), "config.t_values"),
     (dict(t_values=[0.5, 1.0, 2.0]), "config.t_values"),
@@ -208,14 +213,26 @@ CONFIG_FAULTS = [
     (dict(group={"law": "euclidean", "dimension": "two"}), "config.group.dimension"),
     (dict(battery=[{"kind": "bump_compact", "width": 0.5}]), "config.battery[0].width"),
     (dict(battery=["gauss_tensor"]), "config.battery[0]"),
+    (dict(group={"law": "heisenberg1", "dimension": 5}), "config.group.dimension"),
+    (dict(group={"law": "heisenberg1", "gauge": "euclidean"}), "config.group.gauge"),
+    (dict(group={"law": "euclidean", "gauge": "koranyi"}), "config.group.gauge"),
+    # the command-line overrides apply only to a document that validates
+    (_cli(dict(SMALL_CONFIG, quadrature=[1]), "--refine"), "config.quadrature"),
+    (_cli(dict(SMALL_CONFIG, quadrature={"refinement_level": "x"}), "--refine"),
+     "config.quadrature.refinement_level"),
+    (_cli(dict(SMALL_CONFIG, quadrature={"refinement_level": 1.5}), "--refine"),
+     "config.quadrature.refinement_level"),
+    (_cli([], "--refine"), "config: expected an object"),
+    (_cli([], "--workers", "1"), "config: expected an object"),
 ]
 
 
 @pytest.mark.parametrize("changes,field", CONFIG_FAULTS)
 def test_every_config_fault_exits_2_and_names_the_field(tmp_path, capsys, changes, field):
-    cfg = write_config(tmp_path, dict(SMALL_CONFIG, **changes))
+    doc, flags = changes if isinstance(changes, tuple) else (dict(SMALL_CONFIG, **changes), ())
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "r.json"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["run", "--config", cfg, "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(field) and err.count("\n") == 1, err
     assert not out.exists()

@@ -1,6 +1,6 @@
 """The product-lattice backend against the direct loops it replaces.
 
-On H^1, ``kernel_band_values`` (so ``riesz_values``) samples u once on the
+On H^1, ``translate_sums`` (so ``riesz_values``) samples u once on the
 grid where the products x z of on-lattice points and nodes land and
 gathers the sums by index.  On every law, ``frac_maximal_values`` reads
 the ball bin of each centre-node pair from a table over that grid and
@@ -12,7 +12,7 @@ fallback; here they are the small-K oracle.  Riesz sums must agree to
 import numpy as np
 import pytest
 
-from morreylab import groups, harness, operators, quadrature
+from morreylab import groups, harness, operators
 from morreylab.errors import IntegrandError
 from morreylab.quadrature import (
     QuadratureSpec,
@@ -26,36 +26,8 @@ from morreylab.quadrature import (
 from morreylab.report import run_experiment
 from morreylab.testfunctions import dilated, gaussian, power_truncated
 
-RTOL = 1e-12
 # K = 768 nodes; the product grid holds 74k samples against 590k pairs
 H1_SPEC = QuadratureSpec(R_max=2.0, lattice_h=0.4)
-
-
-def _run(monkeypatch, fast, fn, *args, **kwargs):
-    """fn(*args) with the product lattice on (asserting it ran) or off."""
-    used = []
-    real = quadrature.product_lattice
-
-    def spy(*a):
-        out = real(*a) if fast else None
-        used.append(out is not None)
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(quadrature, "product_lattice", spy)
-        m.setattr(operators, "product_lattice", spy)
-        out = fn(*args, **kwargs)
-    assert used and all(used) == fast
-    return out
-
-
-def _agree(monkeypatch, fn, *args, **kwargs):
-    fast = _run(monkeypatch, True, fn, *args, **kwargs)
-    direct = _run(monkeypatch, False, fn, *args, **kwargs)
-    assert np.all(np.isfinite(direct))
-    err = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
-    assert err <= RTOL, err
-    return fast
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -71,27 +43,27 @@ def test_products_land_on_the_grid(h1, sign):
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-def test_h1_riesz_matches_direct(monkeypatch, h1, t):
+def test_h1_riesz_matches_direct(backends, h1, t):
     u = dilated(h1, gaussian(h1, 0.25), t)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
-    _agree(monkeypatch, operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
+    backends.agree(operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
 
 
 @pytest.mark.parametrize("r_lo,r_hi", [(0.0, 0.6), (0.6, None)])
-def test_h1_band_matches_direct(monkeypatch, h1, r_lo, r_hi):
+def test_h1_band_matches_direct(backends, h1, r_lo, r_hi):
     nodes = lattice_nodes(h1, H1_SPEC)[0]
-    _agree(monkeypatch, kernel_band_values, h1, 1.0 - h1.Q, gaussian(h1, 0.3), nodes,
-           H1_SPEC, r_lo=r_lo, r_hi=r_hi)
+    backends.agree(kernel_band_values, h1, 1.0 - h1.Q, gaussian(h1, 0.3), nodes,
+                   H1_SPEC, r_lo=r_lo, r_hi=r_hi)
 
 
-def test_h1_node_subset_matches_direct(monkeypatch, h1):
+def test_h1_node_subset_matches_direct(backends, h1):
     spec = QuadratureSpec(R_max=1.5, lattice_h=0.25)
     nodes = lattice_nodes(h1, spec, R_eff=0.8)[0]
     assert len(nodes) < len(lattice_nodes(h1, spec)[0])
-    _agree(monkeypatch, operators.riesz_values, h1, 2.0, gaussian(h1, 0.2), nodes, spec)
+    backends.agree(operators.riesz_values, h1, 2.0, gaussian(h1, 0.2), nodes, spec)
 
 
-def test_off_lattice_and_single_points_take_the_direct_path(monkeypatch, h1):
+def test_off_lattice_and_single_points_take_the_direct_path(backends, h1):
     u = gaussian(h1, 0.3)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     radii = radius_grid(H1_SPEC, u.decay_radius)
@@ -100,26 +72,26 @@ def test_off_lattice_and_single_points_take_the_direct_path(monkeypatch, h1):
         for fn, args in [(operators.riesz_values, (1.5, u, pts, H1_SPEC)),
                          (operators.hl_maximal_values, (u, pts, radii, H1_SPEC))]:
             shipped = fn(h1, *args)
-            assert np.array_equal(shipped, _run(monkeypatch, False, fn, h1, *args))
+            assert np.array_equal(shipped, backends.run(False, fn, h1, *args))
     assert product_lattice(h1, off, nodes, H1_SPEC.effective_h) is None
     assert product_lattice(h1, nodes[3:4], nodes, H1_SPEC.effective_h) is None
     assert product_lattice(h1, nodes[:0], nodes, H1_SPEC.effective_h) is None
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["gather", "direct"])
-def test_h1_non_finite_sample_raises(monkeypatch, h1, fast):
+def test_h1_non_finite_sample_raises(backends, h1, fast):
     # x z = 0 for z = x^{-1} = -x: the singularity of the truncated power
     u = power_truncated(h1, 1.0, 1.0)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0, 0\.0, 0\.0\]"):
-        _run(monkeypatch, fast, operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
+        backends.run(fast, operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
 
 
-def test_h1_unreached_non_finite_sample_is_dropped(monkeypatch, h1):
+def test_h1_unreached_non_finite_sample_is_dropped(backends, h1):
     # the band (1.0, R_max] never reaches y = 0 from points with |x| < 0.9
     u = power_truncated(h1, 1.0, 1.0)
     pts = lattice_nodes(h1, H1_SPEC, R_eff=0.9)[0]
-    _agree(monkeypatch, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
+    backends.agree(kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
 
 
 # (group, spec): radius_grid starts at 2h with ratio 2^(1/4), so every
@@ -145,14 +117,14 @@ def test_tabulated_bins_equal_direct_bins(name, g, spec):
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
-def test_maximal_values_bit_identical(monkeypatch, name, g, spec):
+def test_maximal_values_bit_identical(backends, name, g, spec):
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)
     for fn, args in [(operators.hl_maximal_values, (u, nodes, radii, spec)),
                      (operators.frac_maximal_values, (0.3, u, nodes, radii, spec))]:
-        fast = _run(monkeypatch, True, fn, g, *args)
-        assert np.array_equal(fast, _run(monkeypatch, False, fn, g, *args))
+        fast = backends.run(True, fn, g, *args)
+        assert np.array_equal(fast, backends.run(False, fn, g, *args))
 
 
 def test_sweep_records_where_each_supremum_sat(g1):
