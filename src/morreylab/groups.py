@@ -21,7 +21,6 @@ EUCLIDEAN = "euclidean"
 HEISENBERG1 = "heisenberg1"
 GAUGE_EUCLIDEAN = "euclidean"
 GAUGE_KORANYI = "koranyi"
-GAUGE_ANISOTROPIC = "anisotropic"
 
 # Hard cap on outer-lattice columns for ball volume quadrature.
 _MAX_VOLUME_COLUMNS = 4_000_000
@@ -32,15 +31,14 @@ class GroupDescriptor:
     """A homogeneous group: dimension, dilation weights, law and gauge.
 
     ``Q`` is the homogeneous dimension, always the exact sum of the
-    weights.  ``stratification`` is the size of the first layer for
-    stratified instances (it equals ``dimension`` on Euclidean groups).
+    weights.  Each law has one gauge: the Euclidean norm on R^N, the
+    Korányi gauge on H^1.
     """
 
     dimension: int
     weights: tuple
     law: str
     gauge_kind: str
-    stratification: int | None = None
 
     def __post_init__(self):
         if self.dimension < 1 or len(self.weights) != self.dimension:
@@ -50,15 +48,13 @@ class GroupDescriptor:
         if self.law == EUCLIDEAN:
             if any(w != 1 for w in self.weights):
                 raise DomainError("euclidean law requires all weights equal to 1")
-            if self.gauge_kind not in (GAUGE_EUCLIDEAN, GAUGE_ANISOTROPIC):
-                raise DomainError("euclidean law admits euclidean or anisotropic gauge")
+            if self.gauge_kind != GAUGE_EUCLIDEAN:
+                raise DomainError("euclidean law requires the euclidean gauge")
         elif self.law == HEISENBERG1:
             if self.dimension != 3 or self.weights != (1, 1, 2):
                 raise DomainError("heisenberg1 requires N=3 with weights (1,1,2)")
             if self.gauge_kind != GAUGE_KORANYI:
                 raise DomainError("heisenberg1 requires the koranyi gauge")
-            if self.stratification != 2:
-                raise DomainError("heisenberg1 has first layer of size 2")
         else:
             raise DomainError(f"unknown group law {self.law!r}")
 
@@ -68,16 +64,16 @@ class GroupDescriptor:
 
     @property
     def first_layer(self) -> int:
-        return self.stratification if self.stratification is not None else self.dimension
+        """Size of the first layer of the stratification."""
+        return 2 if self.law == HEISENBERG1 else self.dimension
 
 
-def euclidean_group(dimension: int, gauge_kind: str = GAUGE_EUCLIDEAN) -> GroupDescriptor:
+def euclidean_group(dimension: int) -> GroupDescriptor:
     return GroupDescriptor(
         dimension=dimension,
         weights=(1,) * dimension,
         law=EUCLIDEAN,
-        gauge_kind=gauge_kind,
-        stratification=dimension,
+        gauge_kind=GAUGE_EUCLIDEAN,
     )
 
 
@@ -87,7 +83,6 @@ def heisenberg_group() -> GroupDescriptor:
         weights=(1, 1, 2),
         law=HEISENBERG1,
         gauge_kind=GAUGE_KORANYI,
-        stratification=2,
     )
 
 
@@ -135,16 +130,8 @@ def gauge(g: GroupDescriptor, x) -> np.ndarray:
     pts = as_points(g, x)
     if g.gauge_kind == GAUGE_EUCLIDEAN:
         return np.sqrt(np.sum(pts * pts, axis=-1))
-    if g.gauge_kind == GAUGE_KORANYI:
-        s = pts[..., 0] ** 2 + pts[..., 1] ** 2
-        return (s * s + 16.0 * pts[..., 2] ** 2) ** 0.25
-    if g.gauge_kind == GAUGE_ANISOTROPIC:
-        two_m = 2.0 * max(g.weights)
-        acc = np.zeros(pts.shape[:-1])
-        for i, w in enumerate(g.weights):
-            acc = acc + np.abs(pts[..., i]) ** (two_m / w)
-        return acc ** (1.0 / two_m)
-    raise DomainError(f"unknown gauge {g.gauge_kind!r}")
+    s = pts[..., 0] ** 2 + pts[..., 1] ** 2
+    return (s * s + 16.0 * pts[..., 2] ** 2) ** 0.25
 
 
 def coord_bound(g: GroupDescriptor, i: int, R: float) -> float:
@@ -192,18 +179,9 @@ def _column_half_width(g: GroupDescriptor, outer: np.ndarray, R: float) -> np.nd
     if g.gauge_kind == GAUGE_EUCLIDEAN:
         rem = R * R - np.sum(outer * outer, axis=-1)
         return np.sqrt(np.maximum(rem, 0.0))
-    if g.gauge_kind == GAUGE_KORANYI:
-        s = outer[..., 0] ** 2 + outer[..., 1] ** 2
-        rem = R ** 4 - s * s
-        return np.sqrt(np.maximum(rem, 0.0)) / 4.0
-    if g.gauge_kind == GAUGE_ANISOTROPIC:
-        two_m = 2.0 * max(g.weights)
-        acc = np.zeros(outer.shape[:-1])
-        for i in range(g.dimension - 1):
-            acc = acc + np.abs(outer[..., i]) ** (two_m / g.weights[i])
-        rem = np.maximum(R ** two_m - acc, 0.0)
-        return rem ** (g.weights[-1] / two_m)
-    raise DomainError(f"unknown gauge {g.gauge_kind!r}")
+    s = outer[..., 0] ** 2 + outer[..., 1] ** 2
+    rem = R ** 4 - s * s
+    return np.sqrt(np.maximum(rem, 0.0)) / 4.0
 
 
 def _midpoint_axis(half_width: float, h: float) -> np.ndarray:

@@ -82,7 +82,6 @@ class RatioSweepRecord:
     predicted_mismatch: float
     estimated_constant: float
     degenerate: bool = False
-    function_label: str = ""
     grid_meta: dict = field(default_factory=dict)
     # per t, per factor (lhs first): where the Morrey supremum sat
     suprema: tuple = ()
@@ -407,10 +406,7 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
     if theta != 0.0:
         # fold the gauge power into exact-mass node weights so singular
         # weights near the origin are integrated at full order
-        cell = gauge_power_weights(
-            g, theta * p_fac, R_eff, spec.effective_h,
-            spec.shell_ratio, spec.inner_cutoff,
-        )
+        cell = gauge_power_weights(g, theta * p_fac, R_eff, spec.effective_h)
     return morrey.morrey_sup_from_samples(
         g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell
     )
@@ -467,13 +463,7 @@ def adapted_spec_factory(
         R_t = min(base.R_max, 1.35 * decay_t + pad)
         h_t = base.lattice_h * (min(1.0, 1.0 / t) if fix_wide else 1.0 / t)
         h_t = min(h_t, R_t / 8.0)
-        return QuadratureSpec(
-            R_max=R_t,
-            lattice_h=h_t,
-            shell_ratio=base.shell_ratio,
-            inner_cutoff=base.inner_cutoff,
-            refinement_level=base.refinement_level,
-        )
+        return QuadratureSpec(R_max=R_t, lattice_h=h_t, refinement_level=base.refinement_level)
 
     factory.base = base
     return factory
@@ -542,7 +532,6 @@ def dilation_sweep(
         predicted_mismatch=float(predicted_mismatch(cfg)),
         estimated_constant=float(max(ratios)),
         degenerate=degenerate,
-        function_label=u.label,
         grid_meta=dict(
             law=g.law,
             gauge=g.gauge_kind,
@@ -575,16 +564,9 @@ def maximal_bound_check(
     cfg = admissible("maximal_bound", Q=g.Q, p=p, lam=lam)
     if isinstance(cfg, Rejection):
         raise DomainError(f"maximal_bound rejected: {cfg.condition}")
-    ratios, spreads = {}, {}
-    for u in u_family:
-        per_t = []
-        for t in t_values:
-            lhs, rhs = inequality_sides(g, cfg, dilated(g, u, t), grids, spec)
-            if rhs == 0.0:
-                raise DegenerateInputError("u vanishes on the lattice")
-            per_t.append(lhs / rhs)
-        ratios[u.label] = tuple(per_t)
-        spreads[u.label] = max(per_t) / min(per_t)
+    ratios = {u.label: dilation_sweep(g, cfg, u, t_values, grids, spec).ratios
+              for u in u_family}
+    spreads = {label: max(r) / min(r) for label, r in ratios.items()}
     return MaximalBoundReport(
         ratios=ratios,
         spreads=spreads,

@@ -23,8 +23,11 @@ from .quadrature import (
     ball_sums,
     kernel_band_values,
     lattice_nodes,
+    nodes_by_gauge,
     product_lattice,
+    resolve_R,
     shell_integrate_singular,
+    source_blocks,
     translate_sums,
 )
 
@@ -182,16 +185,16 @@ def frac_laplacian_values(
 ) -> np.ndarray:
     """(-Delta)^s u by the symmetric-difference singular integral.
 
-    The inner region {|y| < inner_cutoff * h} uses the second-order Taylor
-    form of the difference, integrated in closed form.  For inputs that
-    decay inside R_max the omitted far tail of the 2u(x) term is added in
-    closed form; non-decaying inputs (e.g. oscillatory probes) instead
-    need R_max large enough that the tail is below tolerance.  The node set
-    is symmetric, so sum k(y) (2u(x) - u(x+y) - u(x-y)) is
-    2u(x) sum k(y) - 2 ``translate_sums``.  A non-finite sample of u
-    raises IntegrandError.
+    The inner region {|y| < h} uses the second-order Taylor form of the
+    difference, integrated in closed form.  For inputs that decay inside
+    R_max the omitted far tail of the 2u(x) term is added in closed form
+    beyond each block's ``source_blocks`` cap; non-decaying inputs (e.g.
+    oscillatory probes) instead need R_max large enough that the tail is
+    below tolerance.  The node set is symmetric, so
+    sum k(y) (2u(x) - u(x+y) - u(x-y)) is 2u(x) sum k(y) - 2
+    ``translate_sums``.  A non-finite sample of u raises IntegrandError.
     """
-    if g.law != groups.EUCLIDEAN or g.gauge_kind != groups.GAUGE_EUCLIDEAN:
+    if g.law != groups.EUCLIDEAN:
         raise UnsupportedGroupError("fractional Laplacian requires Euclidean descriptors")
     if not (0 < s < 1):
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -202,35 +205,29 @@ def frac_laplacian_values(
     N = g.dimension
     A = frac_normalization(N, s)
     area = _euclidean_sphere_area(N)
-    src, dist, cell = lattice_nodes(g, spec)
-    r_in = spec.inner_cutoff * spec.effective_h
-    live = dist >= r_in
-    order = np.argsort(dist[live], kind="stable")
-    Y, dY = src[live][order], dist[live][order]
+    h = spec.effective_h
+    src, dist, cell = nodes_by_gauge(g, resolve_R(spec), h)
+    live = dist >= h
+    Y, dY = src[live], dist[live]
     kern = dY ** (-N - 2.0 * s) * cell
 
     u_x = np.asarray(u(pts), dtype=float)
     trH = sub_laplacian_values(g, u, pts)
-    inner = -(trH / N) * area * r_in ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    # blocks of points in increasing gauge order share one source cap, as
-    # in translate_sums; for inputs that decay inside R_max, u(x +/- y) <
-    # 1e-12 beyond it, so the difference is 2u(x) and the kernel tail out
-    # to infinity closes in radial form
+    inner = -(trH / N) * area * h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    # for inputs that decay inside R_max, u(x +/- y) < 1e-12 beyond the
+    # source cap of the block of x (clipped at R_max), so the difference
+    # is 2u(x) and the kernel tail out to infinity closes in radial form
     decay = getattr(u, "decay_radius", math.inf)
     jmax = np.full(pts.shape[0], len(dY))
     tail = np.zeros(pts.shape[0])
-    if math.isfinite(decay) and decay <= spec.R_max:
-        gauge_pts = groups.gauge(g, pts)
-        porder = np.argsort(gauge_pts, kind="stable")
-        for start in range(0, pts.shape[0], _FRACLAP_CHUNK):
-            rows = porder[start : start + _FRACLAP_CHUNK]
-            cap = min(float(np.max(gauge_pts[rows])) + decay + 2.0 * spec.effective_h,
-                      spec.R_max)
+    if decay <= spec.R_max:
+        for rows, cap in source_blocks(groups.gauge(g, pts), decay, h, _FRACLAP_CHUNK):
+            cap = min(cap, spec.R_max)
             jmax[rows] = np.searchsorted(dY, cap, side="right")
             tail[rows] = 2.0 * u_x[rows] * area * cap ** (-2.0 * s) / (2.0 * s)
 
     ksum = np.concatenate([[0.0], np.cumsum(kern)])
-    sums = translate_sums(g, u, pts, Y, dY, kern, spec.effective_h, _FRACLAP_CHUNK)
+    sums = translate_sums(g, u, pts, Y, dY, kern, h, _FRACLAP_CHUNK)
     vals = 0.5 * A * (2.0 * u_x * ksum[jmax] - 2.0 * sums + inner + tail)
     return vals[0] if single else vals
 
@@ -243,44 +240,42 @@ def frac_laplacian(g, s, u, x, spec) -> float:
 # horizontal gradient and sub-Laplacian
 # ---------------------------------------------------------------------------
 
-def _coordinate_partials(u, pts, h_scale=_EPS3):
+def _coordinate_partials(u, pts):
     N = pts.shape[-1]
     parts = []
     for i in range(N):
-        h = h_scale * (1.0 + np.abs(pts[..., i]))
+        h = _EPS3 * (1.0 + np.abs(pts[..., i]))
         e = np.zeros_like(pts)
         e[..., i] = h
         parts.append((np.asarray(u(pts + e)) - np.asarray(u(pts - e))) / (2.0 * h))
     return parts
 
 
-def horizontal_gradient_values(g: groups.GroupDescriptor, u, points, h=None) -> np.ndarray:
+def horizontal_gradient_values(g: groups.GroupDescriptor, u, points) -> np.ndarray:
     """Horizontal gradient: full gradient on R^N, (X u, Y u) on H^1.
 
     Analytic gradients are used when the test function carries one;
-    otherwise central differences with step eps^(1/3) (1 + |coordinate|),
-    overridable via ``h``.
+    otherwise central differences with step eps^(1/3) (1 + |coordinate|).
     """
     pts = groups.as_points(g, points)
-    step = _EPS3 if h is None else float(h)
     if getattr(u, "analytic_gradient", None) is not None:
         return np.asarray(u.analytic_gradient(pts), dtype=float)
     if g.law == groups.EUCLIDEAN:
-        return np.stack(_coordinate_partials(u, pts, step), axis=-1)
+        return np.stack(_coordinate_partials(u, pts), axis=-1)
     if g.law == groups.HEISENBERG1:
-        px, py, pt = _coordinate_partials(u, pts, step)
+        px, py, pt = _coordinate_partials(u, pts)
         x, y = pts[..., 0], pts[..., 1]
         return np.stack([px - 0.5 * y * pt, py + 0.5 * x * pt], axis=-1)
     raise UnsupportedGroupError(f"no horizontal gradient for law {g.law!r}")
 
 
-def horizontal_gradient(g, u, x, h=None) -> np.ndarray:
-    return horizontal_gradient_values(g, u, np.asarray(x, dtype=float)[None, :], h=h)[0]
+def horizontal_gradient(g, u, x) -> np.ndarray:
+    return horizontal_gradient_values(g, u, np.asarray(x, dtype=float)[None, :])[0]
 
 
-def _second_partial(u, pts, i, j, step=_EPS4):
-    hi = step * (1.0 + np.abs(pts[..., i]))
-    hj = step * (1.0 + np.abs(pts[..., j]))
+def _second_partial(u, pts, i, j):
+    hi = _EPS4 * (1.0 + np.abs(pts[..., i]))
+    hj = _EPS4 * (1.0 + np.abs(pts[..., j]))
     ei = np.zeros_like(pts)
     ei[..., i] = hi
     ej = np.zeros_like(pts)
@@ -297,35 +292,34 @@ def _second_partial(u, pts, i, j, step=_EPS4):
     ) / (4.0 * hi * hj)
 
 
-def sub_laplacian_values(g: groups.GroupDescriptor, u, points, h=None) -> np.ndarray:
+def sub_laplacian_values(g: groups.GroupDescriptor, u, points) -> np.ndarray:
     """Sum of squared horizontal derivatives (ordinary Laplacian on R^N).
 
     Second and mixed partials use central differences at step
-    eps^(1/4) (1 + |coordinate|) unless ``h`` overrides it.
+    eps^(1/4) (1 + |coordinate|).
     """
     pts = groups.as_points(g, points)
-    step = _EPS4 if h is None else float(h)
     if getattr(u, "analytic_sub_laplacian", None) is not None:
         return np.asarray(u.analytic_sub_laplacian(pts), dtype=float)
     if g.law == groups.EUCLIDEAN:
         acc = np.zeros(pts.shape[:-1])
         for i in range(g.dimension):
-            acc = acc + _second_partial(u, pts, i, i, step)
+            acc = acc + _second_partial(u, pts, i, i)
         return acc
     if g.law == groups.HEISENBERG1:
         x, y = pts[..., 0], pts[..., 1]
         return (
-            _second_partial(u, pts, 0, 0, step)
-            + _second_partial(u, pts, 1, 1, step)
-            - y * _second_partial(u, pts, 0, 2, step)
-            + x * _second_partial(u, pts, 1, 2, step)
-            + 0.25 * (x * x + y * y) * _second_partial(u, pts, 2, 2, step)
+            _second_partial(u, pts, 0, 0)
+            + _second_partial(u, pts, 1, 1)
+            - y * _second_partial(u, pts, 0, 2)
+            + x * _second_partial(u, pts, 1, 2)
+            + 0.25 * (x * x + y * y) * _second_partial(u, pts, 2, 2)
         )
     raise UnsupportedGroupError(f"no sub-Laplacian for law {g.law!r}")
 
 
-def sub_laplacian(g, u, x, h=None) -> float:
-    return float(sub_laplacian_values(g, u, np.asarray(x, dtype=float)[None, :], h=h)[0])
+def sub_laplacian(g, u, x) -> float:
+    return float(sub_laplacian_values(g, u, np.asarray(x, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,10 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
-# per law: the gauges it admits (the default first) and the one dimension
-# it allows, if it fixes one
+# per law: its one gauge and the one dimension it allows, if it fixes one
 _GROUPS = {
-    groups.EUCLIDEAN: ((groups.GAUGE_EUCLIDEAN, groups.GAUGE_ANISOTROPIC), None),
-    groups.HEISENBERG1: ((groups.GAUGE_KORANYI,), 3),
+    groups.EUCLIDEAN: (groups.GAUGE_EUCLIDEAN, None),
+    groups.HEISENBERG1: (groups.GAUGE_KORANYI, 3),
 }
 
 _CHECK_DEFAULTS = {"ratio_band": 1.10, "slope_rel_tol": 0.10}
@@ -40,7 +39,7 @@ _CHECK_DEFAULTS = {"ratio_band": 1.10, "slope_rel_tol": 0.10}
 _TOP_KEYS = ("group", "quadrature", "battery", "t_values", "theorems", "checks",
              "workers", "adapt_specs", "centers_per_axis", "output")
 _GROUP_KEYS = ("law", "dimension", "gauge")
-_QUADRATURE_KEYS = ("R_max", "lattice_h", "shell_ratio", "inner_cutoff", "refinement_level")
+_QUADRATURE_KEYS = ("R_max", "lattice_h", "refinement_level")
 _BATTERY_KEYS = {
     "gauss_tensor": ("kind", "width"),
     "bump_compact": ("kind", "radius"),
@@ -98,18 +97,15 @@ def parse_config(doc: dict):
     law = _need(gdoc, "law", str, "config.group")
     if law not in _GROUPS:
         raise ConfigError(f"config.group.law: unknown law {law!r}")
-    gauges, fixed_dim = _GROUPS[law]
+    gauge, fixed_dim = _GROUPS[law]
     dim = gdoc.get("dimension", fixed_dim or 1)
     if not _is_count(dim):
         raise ConfigError(f"config.group.dimension: expected an integer >= 1, got {dim!r}")
     if fixed_dim is not None and dim != fixed_dim:
         raise ConfigError(f"config.group.dimension: {law} has dimension {fixed_dim}, got {dim}")
-    gauge = gdoc.get("gauge", gauges[0])
-    if gauge not in gauges:
-        raise ConfigError(f"config.group.gauge: {law} admits {', '.join(gauges)}, "
-                          f"got {gauge!r}")
-    g = (groups.heisenberg_group() if law == groups.HEISENBERG1
-         else groups.euclidean_group(dim, gauge))
+    if gdoc.get("gauge", gauge) != gauge:
+        raise ConfigError(f"config.group.gauge: {law} admits {gauge}, got {gdoc['gauge']!r}")
+    g = groups.heisenberg_group() if law == groups.HEISENBERG1 else groups.euclidean_group(dim)
 
     qdoc = _object(doc.get("quadrature", {}), "config.quadrature", _QUADRATURE_KEYS)
     for key, v in qdoc.items():
@@ -121,8 +117,6 @@ def parse_config(doc: dict):
         spec = QuadratureSpec(
             R_max=float(qdoc.get("R_max", 12.0)),
             lattice_h=float(qdoc.get("lattice_h", 0.05)),
-            shell_ratio=float(qdoc.get("shell_ratio", 0.5)),
-            inner_cutoff=float(qdoc.get("inner_cutoff", 1.0)),
             refinement_level=int(qdoc.get("refinement_level", 0)),
         )
     except Exception as e:

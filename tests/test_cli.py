@@ -224,6 +224,12 @@ CONFIG_FAULTS = [
      "config.quadrature.refinement_level"),
     (_cli([], "--refine"), "config: expected an object"),
     (_cli([], "--workers", "1"), "config: expected an object"),
+    # removed knobs: one gauge per law, fixed shell constants
+    (dict(group={"law": "euclidean", "gauge": "anisotropic"}), "config.group.gauge"),
+    (dict(quadrature={"R_max": 10.0, "lattice_h": 0.05, "shell_ratio": 0.5}),
+     "config.quadrature.shell_ratio"),
+    (dict(quadrature={"R_max": 10.0, "lattice_h": 0.05, "inner_cutoff": 1.0}),
+     "config.quadrature.inner_cutoff"),
 ]
 
 

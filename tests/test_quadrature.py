@@ -16,9 +16,7 @@ def test_spec_invariants():
     with pytest.raises(DomainError):
         QuadratureSpec(R_max=1.0, lattice_h=2.0)
     with pytest.raises(DomainError):
-        QuadratureSpec(R_max=1.0, lattice_h=0.1, shell_ratio=1.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(R_max=1.0, lattice_h=0.1, inner_cutoff=0.0)
+        QuadratureSpec(R_max=1.0, lattice_h=0.1, refinement_level=-1)
     spec = QuadratureSpec(R_max=1.0, lattice_h=0.1, refinement_level=2)
     assert spec.effective_h == pytest.approx(0.025)
     assert spec.refined().refinement_level == 3
