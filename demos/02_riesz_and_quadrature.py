@@ -28,12 +28,10 @@ spec = QuadratureSpec(R_max=12.0, lattice_h=0.04)
 gamma, t = 0.5, 2.0
 for x in (0.0, 0.7, 1.4):
     x = np.array([x])
-    lhs = ml.riesz_potential(g1, gamma, ml.dilated(g1, u, t), x, spec)
-    rhs = t ** -gamma * ml.riesz_potential(g1, gamma, u, ml.dilate(g1, t, x), spec)
+    lhs = ml.riesz_values(g1, gamma, ml.dilated(g1, u, t), x, spec.refined())
+    rhs = t ** -gamma * ml.riesz_values(g1, gamma, u, ml.dilate(g1, t, x), spec.refined())
     print(f"  x={x[0]:+.1f}: I(u_t)(x) = {lhs:.6f},  t^-g I(u)(tx) = {rhs:.6f}")
 
 # the same potential evaluated on a whole grid of points in one call
 pts = np.linspace(-3, 3, 7)[:, None]
-from morreylab.operators import riesz_values
-
-print("riesz on a grid:", np.round(riesz_values(g1, gamma, u, pts, spec), 4))
+print("riesz on a grid:", np.round(ml.riesz_values(g1, gamma, u, pts, spec), 4))

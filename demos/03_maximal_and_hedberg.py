@@ -15,10 +15,11 @@ radii = np.unique(np.concatenate([np.geomspace(0.05, 8.0, 80), [1.0, 3.0]]))
 
 # averages of the indicator peak at the ball just covering the support:
 # at x = 2 the best radius is 3 and the value is 1/3
-print("M_0 of the indicator at x=2:", ml.hl_maximal(g1, ind, np.array([2.0]), radii, spec))
+print("M_0 of the indicator at x=2:",
+      ml.frac_maximal_values(g1, 0.0, ind, np.array([2.0]), radii, spec))
 
 # fractional variant: |B|^(alpha-1) integral; alpha = 0 is the plain maximal
-print("M_{1/2} at x=0:", ml.frac_maximal(g1, 0.5, ind, np.array([0.0]), radii, spec),
+print("M_{1/2} at x=0:", ml.frac_maximal_values(g1, 0.5, ind, np.array([0.0]), radii, spec),
       " (sqrt(2) =", np.sqrt(2.0), ")")
 
 # split the potential at rho: for rho covering the support the far part dies
@@ -28,12 +29,12 @@ x = np.array([0.5])
 for rho in (0.2, 0.8, 20.0):
     hs = ml.hedberg_split(g1, 0.5, u, x, rho, spec_w)
     print(f"  rho={rho:5.1f}: near={hs.j1:.5f} far={hs.j2:.5f} sum={hs.j1 + hs.j2:.5f}")
-print("full potential:", ml.riesz_potential(g1, 0.5, u, x, spec_w))
+print("full potential:", ml.riesz_values(g1, 0.5, u, x, spec_w.refined()))
 
 # the balancing radius from the two maximal values
-m0 = ml.hl_maximal(g1, u, x, radius_grid(spec_w, u.decay_radius), spec_w)
-mf = ml.frac_maximal(g1, (1.0 - 0.2) / (1.0 * 2.0), u, x,
-                     radius_grid(spec_w, u.decay_radius), spec_w)
+m0 = ml.frac_maximal_values(g1, 0.0, u, x, radius_grid(spec_w, u.decay_radius), spec_w)
+mf = ml.frac_maximal_values(g1, (1.0 - 0.2) / (1.0 * 2.0), u, x,
+                            radius_grid(spec_w, u.decay_radius), spec_w)
 print("balancing rho:", ml.hedberg_optimal_rho(mf, m0, p=2.0, Q=1.0, lam=0.2))
 
 # three-zone decomposition: inner / comparable / outer gauge annuli

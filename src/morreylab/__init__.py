@@ -28,13 +28,11 @@ from .quadrature import (
 from .testfunctions import TestFunction, gaussian, bump, power_truncated, custom, dilated, default_battery
 from .operators import (
     HedbergSplit,
-    riesz_potential,
     riesz_values,
-    hl_maximal,
-    frac_maximal,
-    frac_laplacian,
-    horizontal_gradient,
-    sub_laplacian,
+    frac_maximal_values,
+    frac_laplacian_values,
+    horizontal_gradient_values,
+    sub_laplacian_values,
     hedberg_split,
     hedberg_optimal_rho,
     three_zone_split,

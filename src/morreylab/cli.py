@@ -146,19 +146,18 @@ def _cmd_plotdata(args) -> int:
 
 
 def _cmd_battery(args) -> int:
-    if args.config:
-        try:
+    # without --config: the battery of a config that names none
+    doc = {"group": {"law": "euclidean"}}
+    try:
+        if args.config:
             with open(args.config) as fh:
-                parsed = report.parse_config(json.load(fh))
-        except (OSError, json.JSONDecodeError, report.ConfigError) as e:
-            print(f"config: {e}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        for u in parsed["battery"]:
-            print(f"{u.label}: kind={u.kind} decay_radius={u.decay_radius:.4g} "
-                  f"smooth={u.smooth}")
-    else:
-        print("default battery: tensor Gaussians at widths 0.5/1/2, one compact "
-              "bump, one truncated gauge power with exponent (Q - lambda)/(2p)")
+                doc = json.load(fh)
+        parsed = report.parse_config(doc)
+    except (OSError, json.JSONDecodeError, report.ConfigError) as e:
+        print(f"config: {e}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    for u in parsed["battery"]:
+        print(f"{u.label}: kind={u.kind} decay_radius={u.decay_radius:.4g} smooth={u.smooth}")
     return EXIT_OK
 
 

@@ -388,7 +388,7 @@ def _op_values(g, op, cfg, u: TestFunction, nodes, spec):
         return np.abs(operators.frac_laplacian_values(g, s, u, nodes, spec))
     if op == "maximal":
         radii = radius_grid(spec, getattr(u, "decay_radius", spec.R_max))
-        return operators.hl_maximal_values(g, u, nodes, radii, spec)
+        return operators.frac_maximal_values(g, 0.0, u, nodes, radii, spec)
     raise DomainError(f"unknown operator tag {op!r}")
 
 
@@ -605,7 +605,7 @@ def hedberg_pointwise_check(
     def max_ratio(sp):
         radii = radius_grid(sp, u.decay_radius)
         pot = np.abs(operators.riesz_values(g, ga, u, pts, sp))
-        m0 = operators.hl_maximal_values(g, u, pts, radii, sp)
+        m0 = operators.frac_maximal_values(g, 0.0, u, pts, radii, sp)
         mf = operators.frac_maximal_values(g, alpha_frac, u, pts, radii, sp)
         ok = (m0 > 0) & (mf > 0)
         if not np.any(ok):

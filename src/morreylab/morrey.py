@@ -18,7 +18,8 @@ import numpy as np
 
 from . import groups
 from .errors import DomainError
-from .quadrature import QuadratureSpec, ball_bins, ball_sums, lattice_nodes, radius_grid
+from .quadrature import (QuadratureSpec, ball_bins, ball_sums, check_radii, lattice_nodes,
+                         radius_grid)
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,7 @@ def morrey_sup_from_samples(
     if not (0 <= lam <= g.Q):
         raise DomainError(f"lambda must lie in [0, Q], got {lam}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) < 0):
-        raise DomainError("radius grid must be non-decreasing")
+    radii = check_radii(radii)
     nodes = np.asarray(nodes, dtype=float)
     powered = np.abs(np.asarray(values, dtype=float)) ** p * cellvol
     bins = _ball_bins_cached(g, nodes.tobytes(), centers.tobytes(), radii.tobytes())

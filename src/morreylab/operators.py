@@ -1,10 +1,9 @@
 """Integral and differential operators on homogeneous groups.
 
-Pointwise operators come in scalar form (with error estimates where the
-engine provides them) and in batch form (``*_values``), which evaluates
-the same integral at many points from one shared source lattice.  Batch
-forms exist because norm estimation needs operator values on ~10^4
-lattice nodes.
+Each operator has one entry point, ``*_values``, which takes one point
+(shape ``(N,)``, scalar out) or a batch of points and evaluates the
+integral at all of them from one shared source lattice: norm estimation
+needs operator values on ~10^4 lattice nodes.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from .quadrature import (
     ball_bin_table,
     ball_bins,
     ball_sums,
+    check_radii,
     kernel_band_values,
     lattice_nodes,
     nodes_by_gauge,
     product_lattice,
     resolve_R,
-    shell_integrate_singular,
     source_blocks,
     translate_sums,
 )
@@ -47,24 +46,6 @@ _FRACLAP_CHUNK = 128
 # Riesz potential
 # ---------------------------------------------------------------------------
 
-def riesz_potential(
-    g: groups.GroupDescriptor,
-    gamma: float,
-    u,
-    x,
-    spec: QuadratureSpec,
-) -> float:
-    """Convolution of u with gauge^(gamma - Q) at the point x.
-
-    Exact change of variables gives the covariance
-    ``riesz(u o dilate_t)(x) = t^(-gamma) riesz(u)(dilate_t x)``, which the
-    test suite uses as its oracle.
-    """
-    if not (0 < gamma < g.Q):
-        raise DomainError(f"gamma must lie in (0, Q), got {gamma}")
-    return shell_integrate_singular(g, gamma - g.Q, u, x, spec).value
-
-
 def riesz_values(
     g: groups.GroupDescriptor,
     gamma: float,
@@ -72,6 +53,12 @@ def riesz_values(
     points,
     spec: QuadratureSpec,
 ) -> np.ndarray:
+    """Convolution of u with gauge^(gamma - Q) at the points.
+
+    Exact change of variables gives the covariance
+    ``riesz(u o dilate_t)(x) = t^(-gamma) riesz(u)(dilate_t x)``, which the
+    test suite uses as its oracle.
+    """
     if not (0 < gamma < g.Q):
         raise DomainError(f"gamma must lie in (0, Q), got {gamma}")
     return kernel_band_values(g, gamma - g.Q, u, points, spec)
@@ -80,13 +67,6 @@ def riesz_values(
 # ---------------------------------------------------------------------------
 # maximal operators
 # ---------------------------------------------------------------------------
-
-def _check_radii(radii):
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise DomainError("radius grid must be non-empty, positive, increasing")
-    return radii
-
 
 def frac_maximal_values(
     g: groups.GroupDescriptor,
@@ -98,15 +78,16 @@ def frac_maximal_values(
 ) -> np.ndarray:
     """sup over the radius grid of |B(x,r)|^(alpha-1) * integral_B |u|.
 
-    Ball masses and ball volumes use the same lattice nodes, so constants
-    are reproduced exactly at radii whose ball stays inside the truncated
+    alpha = 0 gives the Hardy-Littlewood maximal function.  Ball masses
+    and ball volumes use the same lattice nodes, so constants are
+    reproduced exactly at radii whose ball stays inside the truncated
     domain; larger balls extend the volume by the exact r^Q scaling law.
     The result is a lower bound of the true supremum up to quadrature
     error.
     """
     if not (0 <= alpha < 1):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    radii = _check_radii(radii)
+    radii = check_radii(radii)
     pts = groups.as_points(g, points)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -144,19 +125,6 @@ def frac_maximal_values(
             vals = np.where(vol > 0, vol ** (alpha - 1.0) * m_r, 0.0)
         out[sl] = np.max(vals, axis=1)
     return out[0] if single else out
-
-
-def frac_maximal(g, alpha, u, x, radii, spec) -> float:
-    return float(frac_maximal_values(g, alpha, u, np.asarray(x, dtype=float), radii, spec))
-
-
-def hl_maximal(g, u, x, radii, spec) -> float:
-    """Hardy-Littlewood maximal function: the alpha = 0 fractional case."""
-    return frac_maximal(g, 0.0, u, x, radii, spec)
-
-
-def hl_maximal_values(g, u, points, radii, spec) -> np.ndarray:
-    return frac_maximal_values(g, 0.0, u, points, radii, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +200,6 @@ def frac_laplacian_values(
     return vals[0] if single else vals
 
 
-def frac_laplacian(g, s, u, x, spec) -> float:
-    return float(frac_laplacian_values(g, s, u, np.asarray(x, dtype=float), spec))
-
-
 # ---------------------------------------------------------------------------
 # horizontal gradient and sub-Laplacian
 # ---------------------------------------------------------------------------
@@ -267,10 +231,6 @@ def horizontal_gradient_values(g: groups.GroupDescriptor, u, points) -> np.ndarr
         x, y = pts[..., 0], pts[..., 1]
         return np.stack([px - 0.5 * y * pt, py + 0.5 * x * pt], axis=-1)
     raise UnsupportedGroupError(f"no horizontal gradient for law {g.law!r}")
-
-
-def horizontal_gradient(g, u, x) -> np.ndarray:
-    return horizontal_gradient_values(g, u, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def _second_partial(u, pts, i, j):
@@ -316,10 +276,6 @@ def sub_laplacian_values(g: groups.GroupDescriptor, u, points) -> np.ndarray:
             + 0.25 * (x * x + y * y) * _second_partial(u, pts, 2, 2)
         )
     raise UnsupportedGroupError(f"no sub-Laplacian for law {g.law!r}")
-
-
-def sub_laplacian(g, u, x) -> float:
-    return float(sub_laplacian_values(g, u, np.asarray(x, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

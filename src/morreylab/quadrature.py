@@ -105,15 +105,14 @@ def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float 
     return _nodes_cached(g, resolve_R(spec, R_eff), spec.effective_h)
 
 
-def _midpoint_sum(g, f, spec, level_shift, singular_point):
-    h = spec.lattice_h / (2.0 ** (spec.refinement_level + level_shift))
-    pts, _, cell = _nodes_cached(g, spec.R_max, h)
+def _midpoint_sum(g, f, spec, singular_point):
+    pts, _, cell = lattice_nodes(g, spec)
     vals = np.asarray(f(pts), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         if singular_point is not None:
             sp = np.asarray(singular_point, dtype=float)
-            near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * h ** max(g.weights)
+            near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * spec.effective_h ** max(g.weights)
             vals = np.where(bad & near, 0.0, vals)
             bad = ~np.isfinite(vals)
         if np.any(bad):
@@ -135,8 +134,8 @@ def lattice_integrate(
     levels is the error estimate.  A single singular point may be flagged:
     non-finite samples in its cell are dropped.
     """
-    coarse, n_c = _midpoint_sum(g, f, spec, 0, singular_point)
-    fine, n_f = _midpoint_sum(g, f, spec, 1, singular_point)
+    coarse, n_c = _midpoint_sum(g, f, spec, singular_point)
+    fine, n_f = _midpoint_sum(g, f, spec.refined(), singular_point)
     return IntegrationResult(
         value=fine, error_estimate=abs(fine - coarse), nodes_used=n_c + n_f
     )
@@ -463,7 +462,6 @@ def kernel_band_values(
     spec: QuadratureSpec,
     r_lo: float = 0.0,
     r_hi: float | None = None,
-    level_shift: int = 0,
 ) -> np.ndarray:
     """integral of u(y) d(y,x)^a over {r_lo < d(y,x) <= r_hi} at points x.
 
@@ -487,9 +485,8 @@ def kernel_band_values(
     u_at = np.asarray(u(pts), dtype=float)
     u_at = np.where(np.isfinite(u_at), u_at, 0.0)
     if r_lo < r_hi:
-        h = spec.lattice_h / (2.0 ** (spec.refinement_level + level_shift))
-        zs, dist, weights, c0 = _shell_weights_cached(
-            g, float(a), spec.R_max, h, r_lo, r_hi)
+        h = spec.effective_h
+        zs, dist, weights, c0 = _shell_weights_cached(g, float(a), resolve_R(spec), h, r_lo, r_hi)
         out = translate_sums(g, u, pts, zs, dist, weights, h, _BAND_CHUNK) + u_at * c0
     return out[0] if single else out
 
@@ -516,19 +513,25 @@ def shell_integrate_singular(
     if a >= 0:
         raise ContractError("non-singular kernel: use lattice_integrate")
     center = np.asarray(center, dtype=float)
-    fine = float(kernel_band_values(g, a, u, center, spec, level_shift=1))
+    fine = float(kernel_band_values(g, a, u, center, spec.refined()))
     try:
-        coarse = float(kernel_band_values(g, a, u, center, spec, level_shift=0))
+        coarse = float(kernel_band_values(g, a, u, center, spec))
     except IntegrandError:
         # the coarse lattice lands on a singularity of u that the finer one
         # straddles: the value stands, its error bar is unknown
         coarse = math.inf
-    h1 = spec.effective_h / 2.0
-    n = _nodes_cached(g, spec.R_max, spec.effective_h)[0].shape[0]
-    n += _nodes_cached(g, spec.R_max, h1)[0].shape[0]
+    n = lattice_nodes(g, spec)[0].shape[0] + lattice_nodes(g, spec.refined())[0].shape[0]
     return IntegrationResult(
         value=fine, error_estimate=abs(fine - coarse), nodes_used=n
     )
+
+
+def check_radii(radii) -> np.ndarray:
+    """``radii`` as a float array; DomainError unless non-empty, positive, increasing."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
+        raise DomainError("radius grid must be non-empty, positive, increasing")
+    return radii
 
 
 def geometric_radii(r_min: float, r_max: float) -> np.ndarray:

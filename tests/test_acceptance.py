@@ -28,12 +28,7 @@ from morreylab.harness import (
     sweep_grids,
 )
 from morreylab.morrey import MorreyParams, default_centers, default_radii, morrey_norm
-from morreylab.operators import (
-    frac_laplacian,
-    frac_maximal_values,
-    hl_maximal,
-    hl_maximal_values,
-)
+from morreylab.operators import frac_laplacian_values, frac_maximal_values
 from morreylab.quadrature import QuadratureSpec
 from morreylab.report import run_experiment, strip_telemetry
 from morreylab.testfunctions import custom, default_battery, dilated, gaussian
@@ -154,14 +149,14 @@ def test_criterion_05_riesz_covariance(g1):
         for t in (0.5, 2.0):
             for x in ([0.6], [-1.1]):
                 x = np.array(x)
-                lhs = ml.riesz_potential(g1, gamma, dilated(g1, u, t), x, spec)
-                rhs = t ** -gamma * ml.riesz_potential(
-                    g1, gamma, u, ml.dilate(g1, t, x), spec
+                lhs = ml.riesz_values(g1, gamma, dilated(g1, u, t), x, spec.refined())
+                rhs = t ** -gamma * ml.riesz_values(
+                    g1, gamma, u, ml.dilate(g1, t, x), spec.refined()
                 )
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
     ui = custom(lambda p: (np.abs(p[..., 0]) <= 1.0).astype(float), decay_radius=1.0)
-    val = ml.riesz_potential(
-        g1, 0.5, ui, np.array([0.0]), QuadratureSpec(R_max=2.5, lattice_h=0.05)
+    val = ml.riesz_values(
+        g1, 0.5, ui, np.array([0.0]), QuadratureSpec(R_max=2.5, lattice_h=0.05).refined()
     )
     ind_err = abs(val - 4.0) / 4.0
     _verdict(
@@ -176,13 +171,13 @@ def test_criterion_06_maximal_operators(g1):
     spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
     ui = custom(lambda p: (np.abs(p[..., 0]) <= 1.0).astype(float), decay_radius=1.0)
     radii = np.unique(np.concatenate([np.geomspace(0.05, 8.0, 80), [1.0, 3.0]]))
-    third = hl_maximal(g1, ui, np.array([2.0]), radii, spec)
+    third = frac_maximal_values(g1, 0.0, ui, np.array([2.0]), radii, spec)
     third_err = abs(third - 1.0 / 3.0) * 3.0
 
     u = gaussian(g1, 0.5)
     pts = np.linspace(-2, 2, 7)[:, None]
     bit_same = np.array_equal(
-        hl_maximal_values(g1, u, pts, radii, spec),
+        np.array([frac_maximal_values(g1, 0.0, u, x, radii, spec) for x in pts]),
         frac_maximal_values(g1, 0.0, u, pts, radii, spec),
     )
 
@@ -333,7 +328,7 @@ def test_criterion_09_consequences(g1, g2, g3):
     for omega in (1.0, 2.0):
         uc = custom(lambda p, w=omega: np.cos(w * p[..., 0]), decay_radius=1e9,
                     smooth=True)
-        val = frac_laplacian(g1, 0.5, uc, np.array([0.0]), spec_sym)
+        val = frac_laplacian_values(g1, 0.5, uc, np.array([0.0]), spec_sym)
         sym_err = max(sym_err, abs(val - omega) / omega)
 
     worst = {k: max(v) for k, v in results.items()}

@@ -8,7 +8,10 @@ import importlib
 import pkgutil
 
 import morreylab
+from morreylab import heisenberg_group, quadrature
+from morreylab.operators import riesz_values
 from morreylab.report import run_experiment
+from morreylab.testfunctions import gaussian
 
 CONFIG = {
     "group": {"law": "euclidean", "dimension": 1},
@@ -60,3 +63,15 @@ def test_every_memo_is_an_lru_cache_and_clears():
     for obj in memos.values():
         obj.cache_clear()
         assert obj.cache_info().currsize == 0
+
+
+def test_one_lattice_per_key():
+    # an unrounded R_max (h1_adams' radius at t = 1): the shell weights and
+    # lattice_nodes must look up the same lattice
+    g = heisenberg_group()
+    spec = quadrature.QuadratureSpec(R_max=6.529141902923584, lattice_h=0.75)
+    quadrature._nodes_cached.cache_clear()
+    quadrature._shell_weights_cached.cache_clear()
+    nodes = quadrature.lattice_nodes(g, spec)[0]
+    riesz_values(g, 1.0, gaussian(g, 1.0), nodes, spec)
+    assert quadrature._nodes_cached.cache_info().currsize == 1

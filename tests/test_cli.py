@@ -161,6 +161,10 @@ def test_list_battery(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gauss(w=0.5)" in out
     assert main(["list-battery"]) == 0
+    # without --config: the battery a config with no "battery" key runs
+    out = capsys.readouterr().out
+    assert "gauss(w=1)" in out
+    assert "bump" not in out
 
 
 def test_parse_config_rejects_bad_group():

@@ -1,9 +1,9 @@
-"""The bench's correctness gate, replayed on its two fast workloads.
+"""The bench's correctness gate, replayed on its three workloads.
 
 Each workload runs at seed 0 and its outcomes must match the stored
 reference in ``bench/reference`` to the gate's 1e-6, so a change that
 moves a ratio, a slope or a verdict fails here before the bench runs.
-``h1_adams`` (about 6 s) stays out.  This test only reads ``bench/``.
+This test only reads ``bench/``.
 """
 
 import sys
@@ -19,7 +19,7 @@ import gate  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["default_r1", "euclid_consequences"])
+@pytest.mark.parametrize("name", ["default_r1", "euclid_consequences", "h1_adams"])
 def test_workload_matches_reference(name):
     reference = gate.load_reference(name)
     assert reference is not None

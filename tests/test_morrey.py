@@ -34,8 +34,10 @@ def test_params_invariants(g1):
     u = gaussian(g1, 1.0)
     with pytest.raises(DomainError):
         norm_of(g1, u, p=2.0, lam=1.5)  # lambda > Q
-    with pytest.raises(DomainError):
-        norm_of(g1, u, p=2.0, lam=0.5, radii=np.array([1.0, 0.5]))
+    # decreasing, empty, zero, negative and repeated radii
+    for radii in ([1.0, 0.5], [], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(DomainError):
+            norm_of(g1, u, p=2.0, lam=0.5, radii=np.array(radii))
 
 
 def test_zero_function(g1):

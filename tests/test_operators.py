@@ -12,13 +12,7 @@ from morreylab import (
     gaussian,
     hedberg_optimal_rho,
     hedberg_split,
-    hl_maximal,
-    frac_laplacian,
-    frac_maximal,
-    horizontal_gradient,
     mul,
-    riesz_potential,
-    sub_laplacian,
     three_zone_split,
 )
 from morreylab import operators
@@ -26,7 +20,6 @@ from morreylab.errors import DomainError, UnsupportedGroupError
 from morreylab.operators import (
     frac_laplacian_values,
     frac_maximal_values,
-    hl_maximal_values,
     horizontal_gradient_values,
     riesz_values,
     sub_laplacian_values,
@@ -50,18 +43,18 @@ SPEC12 = QuadratureSpec(R_max=12.0, lattice_h=0.04)
 
 class TestRiesz:
     def test_zero(self, g1):
-        assert riesz_potential(g1, 0.5, zero_fn(), np.array([0.0]), SPEC25) == 0.0
+        assert riesz_values(g1, 0.5, zero_fn(), np.array([0.0]), SPEC25.refined()) == 0.0
 
     def test_indicator_closed_form(self, g1):
         # integral_{-1}^{1} |y|^{-1/2} dy = 4
-        val = riesz_potential(g1, 0.5, indicator1d(), np.array([0.0]), SPEC25)
+        val = riesz_values(g1, 0.5, indicator1d(), np.array([0.0]), SPEC25.refined())
         assert abs(val - 4.0) / 4.0 <= 0.01
 
     def test_gamma_domain(self, g1):
         with pytest.raises(DomainError):
-            riesz_potential(g1, 1.5, indicator1d(), np.array([0.0]), SPEC25)
+            riesz_values(g1, 1.5, indicator1d(), np.array([0.0]), SPEC25.refined())
         with pytest.raises(DomainError):
-            riesz_potential(g1, 0.0, indicator1d(), np.array([0.0]), SPEC25)
+            riesz_values(g1, 0.0, indicator1d(), np.array([0.0]), SPEC25.refined())
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_dilation_covariance(self, g1, t):
@@ -69,8 +62,9 @@ class TestRiesz:
         gamma = 0.5
         for x in ([0.0], [0.7], [-1.3]):
             x = np.array(x)
-            lhs = riesz_potential(g1, gamma, dilated(g1, u, t), x, SPEC12)
-            rhs = t ** -gamma * riesz_potential(g1, gamma, u, dilate(g1, t, x), SPEC12)
+            lhs = riesz_values(g1, gamma, dilated(g1, u, t), x, SPEC12.refined())
+            rhs = t ** -gamma * riesz_values(g1, gamma, u, dilate(g1, t, x),
+                                             SPEC12.refined())
             assert abs(lhs - rhs) / abs(rhs) <= 0.01
 
     def test_batch_matches_scalar_refined(self, g1):
@@ -78,7 +72,7 @@ class TestRiesz:
         pts = np.array([[0.0], [0.4], [1.1]])
         batch = riesz_values(g1, 0.5, u, pts, SPEC12.refined())
         for x, b in zip(pts, batch):
-            assert riesz_potential(g1, 0.5, u, x, SPEC12) == pytest.approx(b, rel=5e-3)
+            assert riesz_values(g1, 0.5, u, x, SPEC12.refined()) == pytest.approx(b, rel=5e-3)
 
 
 class TestMaximal:
@@ -86,13 +80,13 @@ class TestMaximal:
         spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
         c = custom(lambda p: 3.0 * np.ones(p.shape[:-1]), decay_radius=1e9)
         radii = np.geomspace(0.05, 3.0, 60)
-        val = hl_maximal(g1, c, np.array([1.0]), radii, spec)
+        val = frac_maximal_values(g1, 0.0, c, np.array([1.0]), radii, spec)
         assert abs(val - 3.0) <= 1e-6
 
     def test_indicator_third(self, g1):
         spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
         radii = np.unique(np.concatenate([np.geomspace(0.05, 8.0, 80), [3.0]]))
-        val = hl_maximal(g1, indicator1d(), np.array([2.0]), radii, spec)
+        val = frac_maximal_values(g1, 0.0, indicator1d(), np.array([2.0]), radii, spec)
         assert abs(val - 1.0 / 3.0) * 3.0 <= 0.01
 
     def test_interior_lower_bound(self, g1):
@@ -100,7 +94,7 @@ class TestMaximal:
         u = gaussian(g1, 1.0)
         radii = np.geomspace(0.05, 8.0, 60)
         for x in (0.0, 0.5, 1.5):
-            val = hl_maximal(g1, u, np.array([x]), radii, spec)
+            val = frac_maximal_values(g1, 0.0, u, np.array([x]), radii, spec)
             assert val >= float(u(np.array([[x]]))[0]) - 0.01
 
     def test_frac_zero_alpha_bit_identical(self, g1):
@@ -108,34 +102,34 @@ class TestMaximal:
         u = gaussian(g1, 1.0)
         radii = np.geomspace(0.05, 8.0, 60)
         pts = np.linspace(-2, 2, 9)[:, None]
-        a = hl_maximal_values(g1, u, pts, radii, spec)
+        a = np.array([frac_maximal_values(g1, 0.0, u, x, radii, spec) for x in pts])
         b = frac_maximal_values(g1, 0.0, u, pts, radii, spec)
         assert np.array_equal(a, b)
 
     def test_frac_zero_function(self, g1):
         spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
         radii = np.geomspace(0.05, 3.0, 30)
-        assert frac_maximal(g1, 0.5, zero_fn(), np.array([0.0]), radii, spec) == 0.0
+        assert frac_maximal_values(g1, 0.5, zero_fn(), np.array([0.0]), radii, spec) == 0.0
 
     def test_frac_indicator_sqrt2(self, g1):
         # sup_r (2r)^{-1/2} min(2r, 2) = sqrt(2), attained at r = 1
         spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
         radii = np.unique(np.concatenate([np.geomspace(0.05, 8.0, 80), [1.0]]))
-        val = frac_maximal(g1, 0.5, indicator1d(), np.array([0.0]), radii, spec)
+        val = frac_maximal_values(g1, 0.5, indicator1d(), np.array([0.0]), radii, spec)
         assert abs(val - math.sqrt(2.0)) / math.sqrt(2.0) <= 0.01
 
     def test_alpha_domain(self, g1):
         radii = np.geomspace(0.05, 3.0, 10)
         with pytest.raises(DomainError):
-            frac_maximal(g1, 1.0, indicator1d(), np.array([0.0]), radii, SPEC25)
+            frac_maximal_values(g1, 1.0, indicator1d(), np.array([0.0]), radii, SPEC25)
 
     def test_scalar_homogeneity(self, g1):
         spec = QuadratureSpec(R_max=6.0, lattice_h=0.05)
         u = gaussian(g1, 1.0)
         cu = custom(lambda p: -2.5 * u(p), decay_radius=u.decay_radius)
         radii = np.geomspace(0.1, 8.0, 40)
-        m1 = hl_maximal(g1, u, np.array([0.3]), radii, spec)
-        m2 = hl_maximal(g1, cu, np.array([0.3]), radii, spec)
+        m1 = frac_maximal_values(g1, 0.0, u, np.array([0.3]), radii, spec)
+        m2 = frac_maximal_values(g1, 0.0, cu, np.array([0.3]), radii, spec)
         assert m2 == pytest.approx(2.5 * m1, rel=1e-12)
 
 
@@ -205,21 +199,21 @@ class TestFracLaplacian:
     def test_constant_annihilated(self, g1):
         spec = QuadratureSpec(R_max=10.0, lattice_h=0.05)
         c = custom(lambda p: np.ones(p.shape[:-1]), decay_radius=1e9, smooth=True)
-        assert abs(frac_laplacian(g1, 0.5, c, np.array([0.3]), spec)) <= 1e-10
+        assert abs(frac_laplacian_values(g1, 0.5, c, np.array([0.3]), spec)) <= 1e-10
 
     @pytest.mark.parametrize("omega", [1.0, 2.0])
     def test_cosine_symbol(self, g1, omega):
         spec = QuadratureSpec(R_max=64.0, lattice_h=0.025)
         u = custom(lambda p: np.cos(omega * p[..., 0]), decay_radius=1e9, smooth=True)
-        val = frac_laplacian(g1, 0.5, u, np.array([0.0]), spec)
+        val = frac_laplacian_values(g1, 0.5, u, np.array([0.0]), spec)
         assert abs(val - omega) / omega <= 0.02
 
     def test_dilation_homogeneity(self, g1):
         u = gaussian(g1, 1.0)
         spec = QuadratureSpec(R_max=14.0, lattice_h=0.03)
         x = np.array([0.4])
-        lhs = frac_laplacian(g1, 0.5, dilated(g1, u, 2.0), x, spec)
-        rhs = 2.0 * frac_laplacian(g1, 0.5, u, 2.0 * x, spec)
+        lhs = frac_laplacian_values(g1, 0.5, dilated(g1, u, 2.0), x, spec)
+        rhs = 2.0 * frac_laplacian_values(g1, 0.5, u, 2.0 * x, spec)
         assert abs(lhs - rhs) / abs(rhs) <= 0.02
 
     def test_linearity(self, g1):
@@ -238,27 +232,27 @@ class TestFracLaplacian:
     def test_errors(self, g1, h1):
         u = gaussian(g1, 1.0)
         with pytest.raises(DomainError):
-            frac_laplacian(g1, 1.2, u, np.array([0.0]), SPEC12)
+            frac_laplacian_values(g1, 1.2, u, np.array([0.0]), SPEC12)
         with pytest.raises(UnsupportedGroupError):
-            frac_laplacian(h1, 0.5, gaussian(h1, 1.0), np.zeros(3), SPEC12)
+            frac_laplacian_values(h1, 0.5, gaussian(h1, 1.0), np.zeros(3), SPEC12)
 
 
 class TestHorizontal:
     def test_constant(self, g2, h1):
         c = custom(lambda p: np.ones(p.shape[:-1]), decay_radius=1e9, smooth=True)
-        assert np.allclose(horizontal_gradient(g2, c, np.array([0.3, 0.4])), 0.0)
-        assert np.allclose(horizontal_gradient(h1, c, np.array([1.0, 2.0, 3.0])), 0.0,
-                           atol=1e-8)
+        assert np.allclose(horizontal_gradient_values(g2, c, np.array([0.3, 0.4])), 0.0)
+        assert np.allclose(horizontal_gradient_values(h1, c, np.array([1.0, 2.0, 3.0])),
+                           0.0, atol=1e-8)
 
     def test_euclidean_polynomial(self, g2):
         u = custom(lambda p: p[..., 0] ** 2 + p[..., 1] ** 2, decay_radius=1e9,
                    smooth=True)
-        got = horizontal_gradient(g2, u, np.array([1.0, 2.0]))
+        got = horizontal_gradient_values(g2, u, np.array([1.0, 2.0]))
         assert np.allclose(got, [2.0, 4.0], atol=1e-6)
 
     def test_heisenberg_vector_fields(self, h1):
         u = custom(lambda p: p[..., 2], decay_radius=1e9, smooth=True)
-        got = horizontal_gradient(h1, u, np.array([1.0, 2.0, 0.0]))
+        got = horizontal_gradient_values(h1, u, np.array([1.0, 2.0, 0.0]))
         assert np.allclose(got, [-1.0, 0.5], atol=1e-7)
 
     def test_left_invariance(self, h1, rng):
@@ -276,13 +270,14 @@ class TestHorizontal:
     def test_sub_laplacian_examples(self, g2, g3, h1):
         lin = custom(lambda p: 2.0 * p[..., 0] - p[..., 1], decay_radius=1e9,
                      smooth=True)
-        assert abs(sub_laplacian(g2, lin, np.array([0.4, -0.2]))) <= 1e-6
+        assert abs(sub_laplacian_values(g2, lin, np.array([0.4, -0.2]))) <= 1e-6
         quad = custom(lambda p: np.sum(p * p, axis=-1), decay_radius=1e9, smooth=True)
-        assert sub_laplacian(g3, quad, np.array([0.3, 0.5, 0.7])) == pytest.approx(6.0, abs=1e-6)
+        assert (sub_laplacian_values(g3, quad, np.array([0.3, 0.5, 0.7]))
+                == pytest.approx(6.0, abs=1e-6))
         uxy = custom(lambda p: p[..., 0] ** 2 + p[..., 1] ** 2, decay_radius=1e9,
                      smooth=True)
         for pt in ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]):
-            assert sub_laplacian(h1, uxy, np.array(pt)) == pytest.approx(4.0, abs=1e-5)
+            assert sub_laplacian_values(h1, uxy, np.array(pt)) == pytest.approx(4.0, abs=1e-5)
 
     def test_analytic_forms_match_fd(self, h1, rng):
         u = gaussian(h1, 1.0)
@@ -325,7 +320,7 @@ class TestHedbergAndZones:
         spec = QuadratureSpec(R_max=10.0, lattice_h=0.04)
         x = np.array([0.5])
         hs = hedberg_split(g1, 0.5, u, x, 0.8, spec)
-        ref = riesz_potential(g1, 0.5, u, x, spec)
+        ref = riesz_values(g1, 0.5, u, x, spec.refined())
         assert hs.j1 + hs.j2 == pytest.approx(ref, rel=5e-3)
         assert hs.j1 + hs.j2 >= abs(ref) * 0.98
 
@@ -374,6 +369,6 @@ def test_riesz_covariance_full_battery(g1):
         for t in (0.5, 2.0):
             for x in ([0.6], [-1.1]):
                 x = np.array(x)
-                lhs = riesz_potential(g1, gamma, dilated(g1, u, t), x, spec)
-                rhs = t ** -gamma * riesz_potential(g1, gamma, u, dilate(g1, t, x), spec)
+                lhs = riesz_values(g1, gamma, dilated(g1, u, t), x, spec.refined())
+                rhs = t ** -gamma * riesz_values(g1, gamma, u, dilate(g1, t, x), spec.refined())
                 assert abs(lhs - rhs) / abs(rhs) <= 0.01, (u.label, t, x)

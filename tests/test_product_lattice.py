@@ -70,7 +70,7 @@ def test_off_lattice_and_single_points_take_the_direct_path(backends, h1):
     off = nodes[::7] + np.array([0.0, 0.0, 0.3 * H1_SPEC.effective_h ** 2])
     for pts in (off, nodes[3]):
         for fn, args in [(operators.riesz_values, (1.5, u, pts, H1_SPEC)),
-                         (operators.hl_maximal_values, (u, pts, radii, H1_SPEC))]:
+                         (operators.frac_maximal_values, (0.0, u, pts, radii, H1_SPEC))]:
             shipped = fn(h1, *args)
             assert np.array_equal(shipped, backends.run(False, fn, h1, *args))
     assert product_lattice(h1, off, nodes, H1_SPEC.effective_h) is None
@@ -121,7 +121,7 @@ def test_maximal_values_bit_identical(backends, name, g, spec):
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)
-    for fn, args in [(operators.hl_maximal_values, (u, nodes, radii, spec)),
+    for fn, args in [(operators.frac_maximal_values, (0.0, u, nodes, radii, spec)),
                      (operators.frac_maximal_values, (0.3, u, nodes, radii, spec))]:
         fast = backends.run(True, fn, g, *args)
         assert np.array_equal(fast, backends.run(False, fn, g, *args))
