@@ -24,6 +24,7 @@ from .quadrature import (
     kernel_band_values,
     lattice_nodes,
     nodes_by_gauge,
+    pair_rows,
     product_lattice,
     resolve_R,
     source_blocks,
@@ -34,10 +35,6 @@ _EPS3 = np.finfo(float).eps ** (1.0 / 3.0)
 _EPS4 = np.finfo(float).eps ** 0.25
 
 
-# centre-node pairs per block of the maximal operator's ball sums: a fixed
-# pair budget bounds its temporaries (about 1 MB each) whatever the
-# lattice size
-_MAXIMAL_PAIRS = 1 << 17
 # points per block of the fractional Laplacian's translate sums
 _FRACLAP_CHUNK = 128
 
@@ -108,13 +105,15 @@ def frac_maximal_values(
     beyond = radii > r_dom[:, None]
     out = np.zeros(pts.shape[0])
 
-    step = max(1, _MAXIMAL_PAIRS // len(src))
+    step = pair_rows(len(src))
+    # |u| per pair for the largest block; the last block takes its first rows
+    uv_pairs = np.tile(uv, (min(step, pts.shape[0]), 1))
     for start in range(0, pts.shape[0], step):
         sl = slice(start, start + step)
         known = None if lat is None else table[lat.index(sl)]
         bins = ball_bins(g, src, pts[sl], radii, known)
         cnt = ball_sums(bins, n).astype(float)
-        m_r = ball_sums(bins, n, uv) * cell
+        m_r = ball_sums(bins, n, uv_pairs[: bins.shape[0]]) * cell
         rows = np.arange(cnt.shape[0])
         jc = np.maximum(j[sl], 0)
         has_base = (j[sl] >= 0) & (cnt[rows, jc] > 0)

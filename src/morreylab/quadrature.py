@@ -15,7 +15,8 @@ the points lie on the node lattice, every product x z lands on one
 FFT) on Euclidean laws and as an index gather from one sampling of u on
 H^1, and ball bins are read from one table over the grid.  Other points
 take the direct point-by-node loop.  Both the gather and the loop take
-their points in the blocks of ``source_blocks``.
+their points in the blocks of ``source_blocks``; the gather and the ball
+sums split them further into blocks of ``pair_rows`` points.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -233,6 +234,26 @@ def gauge_power_weights(g, a, R, h):
     return w
 
 
+# point-node pairs per block of the pair kernels (the H^1 gather, the
+# maximal operator's ball sums): a fixed budget keeps each block's index
+# and sample temporaries near 1 MB whatever the lattice size
+_PAIR_BUDGET = 1 << 17
+# BLAS matrix-vector kernels sum the rows in groups (of 4 in OpenBLAS) and
+# the rows past the last whole group in another kernel, so a row's bits
+# depend on its place in its block; sub-blocks of whole groups of this
+# many rows keep every row in the group it has in the whole block
+_ROW_GROUP = 16
+
+
+def pair_rows(n_cols: int) -> int:
+    """Rows per block of a pair kernel over ``n_cols`` columns.
+
+    The most whole ``_ROW_GROUP``s within ``_PAIR_BUDGET`` pairs, and at
+    least one.
+    """
+    return _ROW_GROUP * max(1, _PAIR_BUDGET // (_ROW_GROUP * n_cols))
+
+
 def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None) -> np.ndarray:
     """Bin of every (centre, node) pair in an (n_centers, len(radii) + 1) table.
 
@@ -241,18 +262,21 @@ def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None) -> n
     left-translated ball {z : gauge(c_i^{-1} z) < r_j}; j = len(radii)
     marks nodes outside every ball.  ``radii`` must be non-decreasing.
     ``known`` (n_centers, n_nodes), if given, already holds j for the pairs
-    ``ball_bin_table`` fixed and -1 for the rest; only the rest are computed,
-    pair by pair, with the same arithmetic.  It is overwritten.
+    ``ball_bin_table`` fixed and -1 for the rest, in the table's narrow
+    integer type; only the rest are computed, pair by pair, with the same
+    arithmetic.  It is left unchanged.
     """
     if known is None:
         d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
         j = np.searchsorted(radii, d, side="right")
     else:
-        j = known
-        r, c = np.nonzero(j < 0)
+        ties = np.flatnonzero(known < 0)
+        r, c = np.divmod(ties, known.shape[1])
         d = groups.gauge(g, groups.mul(g, -centers[r], nodes[c]))
-        j[r, c] = np.searchsorted(radii, d, side="right")
-    return j + (len(radii) + 1) * np.arange(len(centers))[:, None]
+        j = known.astype(np.intp)
+        j.ravel()[ties] = np.searchsorted(radii, d, side="right")
+    j += (len(radii) + 1) * np.arange(len(centers))[:, None]
+    return j
 
 
 def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale) -> np.ndarray:
@@ -267,25 +291,29 @@ def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale)
     ``tol`` wherever d >= r_0/2, so wherever a radius is near.  A sample
     whose band d(1 +/- tol) holds a radius (every exact lattice distance
     on the radius grid does) is marked -1, and ``ball_bins`` recomputes
-    its pairs one by one: the bins match the direct ones exactly.
+    its pairs one by one: the bins match the direct ones exactly.  The
+    table takes the narrowest signed integer type that holds
+    ``len(radii) + 1``, so gathering from it moves few bytes.
     """
     tol = 128.0 * np.finfo(float).eps * (1.0 + scale / radii[0]) ** 2
     d = groups.gauge(g, lat.grid).ravel()
     lo = np.searchsorted(radii, d * (1.0 - tol), side="right")
     hi = np.searchsorted(radii, d * (1.0 + tol), side="right")
-    return np.where(lo == hi, lo, -1)
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > len(radii))
+    return np.where(lo == hi, lo, -1).astype(dtype)
 
 
 def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
     """Per-ball totals from ``ball_bins``: shape (n_centers, n_radii).
 
-    Node counts when ``weights`` is None, otherwise sums of the per-node
-    ``weights`` over each ball.  Each pair is binned once into the first
-    ball that holds it, and the cumulative sum over radii fills the
-    larger balls, so no per-centre sort is needed.
+    Node counts when ``weights`` is None, otherwise sums of ``weights``
+    over each ball: one weight per node, or one per pair (the shape of
+    ``bins``).  Each pair is binned once into the first ball that holds
+    it, and the cumulative sum over radii fills the larger balls, so no
+    per-centre sort is needed.
     """
     m = bins.shape[0]
-    w = None if weights is None else np.tile(weights, m)
+    w = None if weights is None else np.broadcast_to(weights, bins.shape).ravel()
     per_bin = np.bincount(bins.ravel(), weights=w, minlength=m * (n_radii + 1))
     return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
 
@@ -322,7 +350,8 @@ class ProductLattice:
 
     ``grid`` holds the sample points, shape S + (N,); the product of point
     p and node n sits at ``grid.reshape(-1, N)[P[p] + Z[n] + A[p] @ B[n]]``.
-    The bilinear twist ``A @ B`` is empty on R^N.
+    The bilinear twist ``A @ B`` is empty on R^N, where ``P`` and ``Z``
+    are flat grid indices themselves.
     """
 
     grid: np.ndarray
@@ -332,11 +361,36 @@ class ProductLattice:
     B: np.ndarray
 
     def index(self, rows, cols=slice(None)):
-        """Flat grid indices of the products of points ``rows`` and nodes ``cols``."""
-        at = self.A[rows] @ self.B[cols].T
-        at += self.P[rows, None]
-        at += self.Z[cols]
+        """Flat grid indices of the products of points ``rows`` and nodes ``cols``.
+
+        One broadcast product per twist column, in intp: numpy runs an
+        integer matmul without BLAS, and gathers by intp indices faster
+        than by narrower ones.
+        """
+        at = np.add.outer(self.P[rows], self.Z[cols])
+        for k in range(self.A.shape[1]):
+            at += np.multiply.outer(self.A[rows, k], self.B[cols, k])
         return at
+
+
+def _twisted_range(kx, A, kz, B):
+    """Least and greatest ``kx[p] + kz[n] + A[p] @ B[n]`` over all pairs.
+
+    The points of one horizontal column share their row of ``A``, and the
+    nodes of one column their row of ``B``: only the extreme ``kx`` of
+    each point column meets the extreme ``kz`` of each node column.
+    """
+
+    def by_column(M, k):
+        M, inv = np.unique(M, axis=0, return_inverse=True)
+        lo, hi = np.full(len(M), k.max()), np.full(len(M), k.min())
+        np.minimum.at(lo, inv, k)
+        np.maximum.at(hi, inv, k)
+        return M, lo, hi
+
+    (Ma, alo, ahi), (Mb, blo, bhi) = by_column(A, kx), by_column(B, kz)
+    twist = Ma @ Mb.T
+    return int(np.min(alo[:, None] + blo + twist)), int(np.max(ahi[:, None] + bhi + twist))
 
 
 def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
@@ -347,7 +401,8 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     central one sits at k h^2/4 with k = 4(i_2 + j_2 + 1) + 2 X x Z, where
     X = (i_0 + 1/2, i_1 + 1/2), Z likewise, and
     2 X x Z = 2(i_0 j_1 - i_1 j_0) + (i_0 - i_1) + (j_1 - j_0): everything
-    but the bilinear term splits into a point part and a node part.  None
+    but the bilinear term splits into a point part and a node part.  The
+    grid spans exactly the least to the greatest k over all pairs.  None
     when a point or node is off the lattice, or when the grid would hold
     at least as many samples as there are point-node pairs (single
     points, far-apart points): the caller's direct loop runs then.
@@ -358,25 +413,26 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
         return None
     kx, kz = ix.copy(), iz + 1
     A, B = ix[:, :0], iz[:, :0]
-    reach = np.zeros(g.dimension, dtype=np.int64)
     if g.law == groups.HEISENBERG1:
         spacing[2] /= 4.0
         kx[:, 2] = 4 * ix[:, 2] + ix[:, 0] - ix[:, 1]
         kz[:, 2] = 4 * (iz[:, 2] + 1) + iz[:, 1] - iz[:, 0]
         A, B = 2 * ix[:, :2] * [1, -1], iz[:, [1, 0]]
-        # |2 X x Z| <= 2 |X| |Z| bounds the twist; the central axis is the
-        # last, so the twist adds to the flat index with stride 1
-        rx, rz = (float(np.max(np.hypot(*(k[:, :2] + 0.5).T))) for k in (ix, iz))
-        reach[2] = int(2.0 * rx * rz) + 1
-    xlo, zlo = kx.min(axis=0), kz.min(axis=0) - reach
-    shape = tuple(int(v) for v in kx.max(axis=0) - xlo + kz.max(axis=0) + reach - zlo + 1)
+    xlo = kx.min(axis=0)
+    lo, hi = xlo + kz.min(axis=0), kx.max(axis=0) + kz.max(axis=0)
+    if g.law == groups.HEISENBERG1:
+        lo[2], hi[2] = _twisted_range(kx[:, 2], A, kz[:, 2], B)
+    shape = tuple(int(v) for v in hi - lo + 1)
     if math.prod(shape) >= len(points) * len(nodes):
         return None
-    axes = [(lo + np.arange(n)) * s for lo, n, s in zip(xlo + zlo, shape, spacing)]
+    axes = [(k + np.arange(n)) * s for k, n, s in zip(lo, shape, spacing)]
+    # row-major strides; the central axis is the last, so the twist adds
+    # to the flat index with stride 1
+    stride = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
     return ProductLattice(
         grid=np.stack(np.meshgrid(*axes, indexing="ij"), -1),
-        P=np.ravel_multi_index(tuple((kx - xlo).T), shape),
-        Z=np.ravel_multi_index(tuple((kz - zlo).T), shape),
+        P=(kx - xlo) @ stride,
+        Z=(kz - lo + xlo) @ stride,
         A=A,
         B=B,
     )
@@ -439,14 +495,21 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
         jmax = int(np.searchsorted(dist, cap, side="right"))
         if jmax == 0:
             continue
+        w = weights[:jmax]
         if lat is None:
             ys = groups.mul(g, points[rows][:, None, :], nodes[None, :jmax, :])
-            uv = np.asarray(u(ys), dtype=float)
-        else:
-            # u(x z) by index; the sample points only to name a bad one
-            at = lat.index(rows, slice(jmax))
-            uv, ys = samples[at], (grid if clean else grid[at])
-        out[rows] = finite_samples(uv, ys, weights[:jmax] != 0) @ weights[:jmax]
+            out[rows] = finite_samples(np.asarray(u(ys), dtype=float), ys, w != 0) @ w
+            continue
+        # u(x z) by index, in blocks of ``pair_rows`` points
+        step = pair_rows(jmax)
+        for start in range(0, len(rows), step):
+            sub = rows[start : start + step]
+            at = lat.index(sub, slice(jmax))
+            uv = samples[at]
+            if not clean:
+                # the sample points only to name a bad one
+                uv = finite_samples(uv, grid[at], w != 0)
+            out[sub] = uv @ w
     return out
 
 

@@ -15,7 +15,7 @@ from morreylab import (
     mul,
     three_zone_split,
 )
-from morreylab import operators
+from morreylab import operators, quadrature
 from morreylab.errors import DomainError, UnsupportedGroupError
 from morreylab.operators import (
     frac_laplacian_values,
@@ -171,7 +171,7 @@ class TestMaximalOracle:
         pts = rng.uniform(-1.0, 1.0, (23, g.dimension)) * spec.R_max
         # a few centre-node pairs per block, so the blocks split the points
         K = lattice_nodes(g, spec)[0].shape[0]
-        monkeypatch.setattr(operators, "_MAXIMAL_PAIRS", 5 * K + 1)
+        monkeypatch.setattr(quadrature, "_PAIR_BUDGET", 5 * K + 1)
         got = frac_maximal_values(g, alpha, u, pts, radii, spec)
         want = maximal_sort_loop(g, alpha, u, pts, radii, spec)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -12,12 +12,13 @@ fallback; here they are the small-K oracle.  Riesz sums must agree to
 import numpy as np
 import pytest
 
-from morreylab import groups, harness, operators
+from morreylab import groups, harness, operators, quadrature
 from morreylab.errors import IntegrandError
 from morreylab.quadrature import (
     QuadratureSpec,
     ball_bin_table,
     ball_bins,
+    geometric_radii,
     kernel_band_values,
     lattice_nodes,
     product_lattice,
@@ -32,14 +33,17 @@ H1_SPEC = QuadratureSpec(R_max=2.0, lattice_h=0.4)
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_products_land_on_the_grid(h1, sign):
+    # the grid spans exactly the products' central range, so points from a
+    # smaller ball than the nodes' need their own extent
     nodes = lattice_nodes(h1, H1_SPEC)[0]
-    pts = sign * nodes
-    lat = product_lattice(h1, pts, nodes, H1_SPEC.effective_h)
-    grid = lat.grid.reshape(-1, 3)
-    at = lat.index(slice(None))
-    assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
-    prod = groups.mul(h1, pts[:, None, :], nodes[None, :, :])
-    assert np.max(np.abs(grid[at] - prod)) <= 1e-14
+    for R_eff in (None, 0.9):
+        pts = sign * lattice_nodes(h1, H1_SPEC, R_eff=R_eff)[0]
+        lat = product_lattice(h1, pts, nodes, H1_SPEC.effective_h)
+        grid = lat.grid.reshape(-1, 3)
+        at = lat.index(slice(None))
+        assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
+        prod = groups.mul(h1, pts[:, None, :], nodes[None, :, :])
+        assert np.max(np.abs(grid[at] - prod)) <= 1e-14
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -106,14 +110,21 @@ BIN_CASES = [
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
 def test_tabulated_bins_equal_direct_bins(name, g, spec):
     nodes = lattice_nodes(g, spec)[0]
-    radii = radius_grid(spec, 1.5)
     lat = product_lattice(g, -nodes, nodes, spec.effective_h)
     scale = float(np.max(groups.gauge(g, nodes)))
-    table = ball_bin_table(g, lat, radii, scale)
-    assert np.any(table < 0)  # near-ties exist and are recomputed
-    known = table[lat.index(slice(None))]
-    assert np.array_equal(ball_bins(g, nodes, nodes, radii, known),
-                          ball_bins(g, nodes, nodes, radii))
+    # the table is one byte wide up to 126 radii and widens past that
+    h = spec.effective_h
+    short, long = radius_grid(spec, 1.5), geometric_radii(2.0 * h, 2.0 ** 33 * h)
+    assert len(short) < 127 <= len(long)
+    for radii, dtype in [(short, np.int8), (long, np.int16)]:
+        table = ball_bin_table(g, lat, radii, scale)
+        assert table.dtype == dtype
+        assert np.any(table < 0)  # near-ties exist and are recomputed
+        known = table[lat.index(slice(None))]
+        kept = known.copy()
+        assert np.array_equal(ball_bins(g, nodes, nodes, radii, known),
+                              ball_bins(g, nodes, nodes, radii))
+        assert np.array_equal(known, kept)
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
@@ -125,6 +136,22 @@ def test_maximal_values_bit_identical(backends, name, g, spec):
                      (operators.frac_maximal_values, (0.3, u, nodes, radii, spec))]:
         fast = backends.run(True, fn, g, *args)
         assert np.array_equal(fast, backends.run(False, fn, g, *args))
+
+
+def test_pair_blocks_do_not_move_bits(h1, monkeypatch):
+    # shipped: the gather splits each block of 192 points, the maximal
+    # operator takes 160 centres a block; then one row group a block, then
+    # whole blocks
+    u = gaussian(h1, 0.3)
+    nodes = lattice_nodes(h1, H1_SPEC)[0]
+    radii = radius_grid(H1_SPEC, u.decay_radius)
+    calls = [(operators.riesz_values, (1.5, u, nodes, H1_SPEC)),
+             (operators.frac_maximal_values, (0.3, u, nodes, radii, H1_SPEC))]
+    shipped = [fn(h1, *args) for fn, args in calls]
+    for budget in (1, len(nodes) ** 2):
+        monkeypatch.setattr(quadrature, "_PAIR_BUDGET", budget)
+        for (fn, args), want in zip(calls, shipped):
+            assert np.array_equal(fn(h1, *args), want)
 
 
 def test_sweep_records_where_each_supremum_sat(g1):
