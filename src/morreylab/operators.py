@@ -97,7 +97,7 @@ def frac_maximal_values(
     # from one table over the product grid, near-ties aside
     lat = product_lattice(g, -pts, src, spec.effective_h)
     if lat is not None:
-        table = ball_bin_table(g, lat, radii, max(np.max(gauge_pts), np.max(sdist)))
+        table = lat.split(ball_bin_table(g, lat, radii, max(np.max(gauge_pts), np.max(sdist))))
     # balls that leave the domain scale their volume from the last ball
     # inside it (or from one cell at r_dom) by r^Q
     r_dom = np.maximum(spec.R_max - gauge_pts, 4.0 * spec.effective_h)
@@ -106,12 +106,14 @@ def frac_maximal_values(
     out = np.zeros(pts.shape[0])
 
     step = pair_rows(len(src))
-    # |u| per pair for the largest block; the last block takes its first rows
+    # |u| per pair and the bins, for the largest block; the last block
+    # takes their first rows
     uv_pairs = np.tile(uv, (min(step, pts.shape[0]), 1))
+    bins_buf = np.empty(uv_pairs.shape, np.intp)
     for start in range(0, pts.shape[0], step):
         sl = slice(start, start + step)
-        known = None if lat is None else table[lat.index(sl)]
-        bins = ball_bins(g, src, pts[sl], radii, known)
+        known = None if lat is None else lat.pairs(table, sl)
+        bins = ball_bins(g, src, pts[sl], radii, known, bins_buf[: len(pts[sl])])
         cnt = ball_sums(bins, n).astype(float)
         m_r = ball_sums(bins, n, uv_pairs[: bins.shape[0]]) * cell
         rows = np.arange(cnt.shape[0])

@@ -12,11 +12,12 @@ closing the region below h in closed form.
 Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
 ``product_lattice`` grid; the sums then run as a lattice correlation (one
-FFT) on Euclidean laws and as an index gather from one sampling of u on
-H^1, and ball bins are read from one table over the grid.  Other points
-take the direct point-by-node loop.  Both the gather and the loop take
-their points in the blocks of ``source_blocks``; the gather and the ball
-sums split them further into blocks of ``pair_rows`` points.
+FFT) on Euclidean laws and, on H^1, as one contiguous window of one
+sampling of u per point and node column, and ball bins are read from one
+table over the grid by the same windows.  Other points take the direct
+point-by-node loop.  Both the gather and the loop take their points in
+the blocks of ``source_blocks``; the gather and the ball sums split them
+further into blocks of ``pair_rows`` points.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -254,7 +255,7 @@ def pair_rows(n_cols: int) -> int:
     return _ROW_GROUP * max(1, _PAIR_BUDGET // (_ROW_GROUP * n_cols))
 
 
-def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None) -> np.ndarray:
+def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None, out=None) -> np.ndarray:
     """Bin of every (centre, node) pair in an (n_centers, len(radii) + 1) table.
 
     Row i of the result holds, for each node z, ``i * (len(radii) + 1) + j``
@@ -263,18 +264,25 @@ def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None) -> n
     marks nodes outside every ball.  ``radii`` must be non-decreasing.
     ``known`` (n_centers, n_nodes), if given, already holds j for the pairs
     ``ball_bin_table`` fixed and -1 for the rest, in the table's narrow
-    integer type; only the rest are computed, pair by pair, with the same
-    arithmetic.  It is left unchanged.
+    integer type and any memory order; only the rest are computed, pair
+    by pair, with the same arithmetic.  It is left unchanged.  ``out``, an
+    (n_centers, n_nodes) intp array, receives the result if given: a
+    caller that bins block after block reuses one buffer, where a fresh
+    array per block can cost a page fault per 4 KB.
     """
     if known is None:
         d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
         j = np.searchsorted(radii, d, side="right")
+        if out is not None:
+            out[...] = j
+            j = out
     else:
         ties = np.flatnonzero(known < 0)
         r, c = np.divmod(ties, known.shape[1])
         d = groups.gauge(g, groups.mul(g, -centers[r], nodes[c]))
-        j = known.astype(np.intp)
-        j.ravel()[ties] = np.searchsorted(radii, d, side="right")
+        j = np.empty(known.shape, np.intp) if out is None else out
+        j[...] = known
+        j[r, c] = np.searchsorted(radii, d, side="right")
     j += (len(radii) + 1) * np.arange(len(centers))[:, None]
     return j
 
@@ -313,8 +321,11 @@ def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
     per-centre sort is needed.
     """
     m = bins.shape[0]
-    w = None if weights is None else np.broadcast_to(weights, bins.shape).ravel()
-    per_bin = np.bincount(bins.ravel(), weights=w, minlength=m * (n_radii + 1))
+    if weights is not None:
+        # np.bincount copies weights that are not writeable, as views made
+        # by np.broadcast_to are
+        weights = np.ravel(weights) if np.shape(weights) == bins.shape else np.tile(weights, m)
+    per_bin = np.bincount(bins.ravel(), weights=weights, minlength=m * (n_radii + 1))
     return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
 
 
@@ -348,49 +359,79 @@ def _lattice_index(pts, spacing):
 class ProductLattice:
     """The grid on which the products x z of points and nodes land.
 
-    ``grid`` holds the sample points, shape S + (N,); the product of point
-    p and node n sits at ``grid.reshape(-1, N)[P[p] + Z[n] + A[p] @ B[n]]``.
-    The bilinear twist ``A @ B`` is empty on R^N, where ``P`` and ``Z``
-    are flat grid indices themselves.
+    ``grid`` holds the sample points, shape S + (N,).  The nodes fall into
+    columns: the nodes of one column share every lattice index but the
+    last, and node n sits at slot ``m[n]`` of column ``col[n]``.  The
+    product of point p and node n sits at flat grid index
+    ``P[p] + Zc[c] + A[p] @ Bc[c] + step * m[n]`` with c = ``col[n]``.
+    The bilinear twist ``A @ Bc`` (empty on R^N) is constant along a
+    column, so one column's products land ``step`` apart (4 on H^1, 1 on
+    R^N): after ``split`` they are one contiguous window.
     """
 
     grid: np.ndarray
     P: np.ndarray
-    Z: np.ndarray
     A: np.ndarray
-    B: np.ndarray
+    Zc: np.ndarray
+    Bc: np.ndarray
+    col: np.ndarray
+    m: np.ndarray
+    step: int
 
-    def index(self, rows, cols=slice(None)):
-        """Flat grid indices of the products of points ``rows`` and nodes ``cols``.
+    def starts(self, rows, cols, first=0):
+        """Flat grid index of slot ``first`` of columns ``cols`` times points ``rows``."""
+        return self.P[rows][:, None] + self.Zc[cols] + self.step * first + self.A[rows] @ self.Bc[cols].T
 
-        One broadcast product per twist column, in intp: numpy runs an
-        integer matmul without BLAS, and gathers by intp indices faster
-        than by narrower ones.
+    def split(self, values):
+        """Every column window of flat grid ``values``: a view of rows ``step`` apart.
+
+        Flat index f moves to ``(f % step) * n + f // step``, n the grid
+        size over ``step`` rounded up, so the slots of a column follow one
+        another.  Row i of the view holds the longest column's worth of
+        values from position i on; zeros pad the end.
         """
-        at = np.add.outer(self.P[rows], self.Z[cols])
-        for k in range(self.A.shape[1]):
-            at += np.multiply.outer(self.A[rows, k], self.B[cols, k])
-        return at
+        n = -(-values.size // self.step)
+        flat = np.zeros(self.step * n, values.dtype)
+        flat[: values.size] = values.ravel()
+        width = int(self.m.max()) + 1
+        out = np.concatenate([flat.reshape(n, self.step).T.ravel(), np.zeros(width - 1, flat.dtype)])
+        return np.lib.stride_tricks.sliding_window_view(out, width)
+
+    def windows(self, split, at, width):
+        """The first ``width`` values of the window of ``split`` at each flat grid index ``at``."""
+        q, r = np.divmod(at, self.step)
+        return split[r * (len(split) // self.step) + q, :width]
+
+    def pairs(self, split, rows):
+        """The value of every (point in ``rows``, node) pair, in node order.
+
+        Every column is read as one window, then compressed through the
+        slots.
+        """
+        width = split.shape[1]
+        win = self.windows(split, self.starts(rows, slice(None)), width)
+        return np.take(win.reshape(len(win), -1), self.col * width + self.m, axis=1)
 
 
-def _twisted_range(kx, A, kz, B):
-    """Least and greatest ``kx[p] + kz[n] + A[p] @ B[n]`` over all pairs.
+def _columns(idx, k, M):
+    """Columns of the lattice index rows ``idx``: rows sharing all but the last index.
 
-    The points of one horizontal column share their row of ``A``, and the
-    nodes of one column their row of ``B``: only the extreme ``kx`` of
-    each point column meets the extreme ``kz`` of each node column.
+    Returns the column of each row, the least and greatest ``k`` in each
+    column, and each column's row of ``M`` (constant along a column).
     """
-
-    def by_column(M, k):
-        M, inv = np.unique(M, axis=0, return_inverse=True)
-        lo, hi = np.full(len(M), k.max()), np.full(len(M), k.min())
-        np.minimum.at(lo, inv, k)
-        np.maximum.at(hi, inv, k)
-        return M, lo, hi
-
-    (Ma, alo, ahi), (Mb, blo, bhi) = by_column(A, kx), by_column(B, kz)
-    twist = Ma @ Mb.T
-    return int(np.min(alo[:, None] + blo + twist)), int(np.max(ahi[:, None] + bhi + twist))
+    key = np.zeros(len(idx), np.intp)
+    for c in (idx[:, :-1] - idx[:, :-1].min(axis=0)).T:
+        key = key * (c.max() + 1) + c
+    # columns numbered in key order without a sort: the keys span a small range
+    present = np.zeros(key.max() + 1, bool)
+    present[key] = True
+    col = (np.cumsum(present) - 1)[key]
+    n = int(col.max()) + 1
+    lo, hi, Mc = np.full(n, k.max()), np.full(n, k.min()), np.empty((n, M.shape[1]), np.intp)
+    np.minimum.at(lo, col, k)
+    np.maximum.at(hi, col, k)
+    Mc[col] = M
+    return col, lo, hi, Mc
 
 
 def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
@@ -402,26 +443,32 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     X = (i_0 + 1/2, i_1 + 1/2), Z likewise, and
     2 X x Z = 2(i_0 j_1 - i_1 j_0) + (i_0 - i_1) + (j_1 - j_0): everything
     but the bilinear term splits into a point part and a node part.  The
-    grid spans exactly the least to the greatest k over all pairs.  None
-    when a point or node is off the lattice, or when the grid would hold
-    at least as many samples as there are point-node pairs (single
-    points, far-apart points): the caller's direct loop runs then.
+    grid spans exactly the least to the greatest k over all pairs: only
+    the extreme k of each point column meets the extreme k of each node
+    column.  A node's slot is its last index less the least one in its
+    column.  None when a point or node is off the lattice, or when the
+    grid would hold at least as many samples as there are point-node
+    pairs (single points, far-apart points): the caller's direct loop
+    runs then.
     """
     spacing = np.array([h ** w for w in g.weights])
     ix, iz = _lattice_index(points, spacing), _lattice_index(nodes, spacing)
     if len(points) == 0 or ix is None or iz is None:
         return None
     kx, kz = ix.copy(), iz + 1
-    A, B = ix[:, :0], iz[:, :0]
+    A, B, step = ix[:, :0], iz[:, :0], 1
     if g.law == groups.HEISENBERG1:
         spacing[2] /= 4.0
         kx[:, 2] = 4 * ix[:, 2] + ix[:, 0] - ix[:, 1]
         kz[:, 2] = 4 * (iz[:, 2] + 1) + iz[:, 1] - iz[:, 0]
-        A, B = 2 * ix[:, :2] * [1, -1], iz[:, [1, 0]]
+        A, B, step = 2 * ix[:, :2] * [1, -1], iz[:, [1, 0]], 4
+    col, blo, bhi, Bc = _columns(iz, kz[:, -1], B)
     xlo = kx.min(axis=0)
     lo, hi = xlo + kz.min(axis=0), kx.max(axis=0) + kz.max(axis=0)
     if g.law == groups.HEISENBERG1:
-        lo[2], hi[2] = _twisted_range(kx[:, 2], A, kz[:, 2], B)
+        _, alo, ahi, Ac = _columns(ix, kx[:, -1], A)
+        twist = Ac @ Bc.T
+        lo[2], hi[2] = np.min(alo[:, None] + blo + twist), np.max(ahi[:, None] + bhi + twist)
     shape = tuple(int(v) for v in hi - lo + 1)
     if math.prod(shape) >= len(points) * len(nodes):
         return None
@@ -429,12 +476,18 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     # row-major strides; the central axis is the last, so the twist adds
     # to the flat index with stride 1
     stride = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    m = (kz[:, -1] - blo[col]) // step
+    Zc = np.empty(len(Bc), np.intp)
+    Zc[col] = (kz - lo + xlo) @ stride - step * m
     return ProductLattice(
-        grid=np.stack(np.meshgrid(*axes, indexing="ij"), -1),
+        grid=np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1),
         P=(kx - xlo) @ stride,
-        Z=(kz - lo + xlo) @ stride,
         A=A,
-        B=B,
+        Zc=Zc,
+        Bc=Bc,
+        col=col,
+        m=m,
+        step=step,
     )
 
 
@@ -458,10 +511,12 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
     ``nodes`` are sorted by their gauges ``dist``.  This is the one place
     that picks a backend.  When ``product_lattice`` accepts the points and
     nodes, u is sampled once on its grid: on a Euclidean law x z = x + z
-    and S is a discrete correlation (one FFT); on H^1 u(x z) is gathered
-    by index.  Otherwise the direct loop evaluates u(x z).  The gather and
-    the loop take the ``source_blocks`` of ``chunk`` points and skip the
-    nodes beyond each block's cap, where u vanishes.
+    and S is a discrete correlation (one FFT); on H^1 the products of a
+    point with one column of nodes are one window of the samples, read
+    whole and summed against the column's weights.  Otherwise the direct
+    loop evaluates u(x z).  The gather and the loop take the
+    ``source_blocks`` of ``chunk`` points and skip the nodes beyond each
+    block's cap, where u vanishes.
     A non-finite sample that a point reaches through a nonzero weight
     raises IntegrandError; unreached ones are dropped.
     """
@@ -472,7 +527,7 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
         clean = bool(np.all(np.isfinite(samples)))
         if g.law == groups.EUCLIDEAN:
             dense = np.zeros(shape)
-            dense.flat[lat.Z] = weights
+            dense.flat[lat.Zc[lat.col] + lat.m] = weights
             ax = tuple(range(len(shape)))
 
             def fft(arr):
@@ -487,7 +542,10 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
             # no sample index exceeds the circular length, so nothing wraps
             corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
             return corr.ravel()[lat.P]
-        samples, grid = samples.ravel(), lat.grid.reshape(-1, g.dimension)
+        # a subnormal sample moves no sum by more than sum |w| * 2.2e-308,
+        # and each product with one costs the mat-vec a microcode assist
+        samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
+        samples, grid = lat.split(samples), lat.grid.reshape(-1, g.dimension)
     decay = getattr(u, "decay_radius", math.inf)
     gauge_pts = groups.gauge(g, points)
     out = np.zeros(points.shape[0])
@@ -500,16 +558,29 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
             ys = groups.mul(g, points[rows][:, None, :], nodes[None, :jmax, :])
             out[rows] = finite_samples(np.asarray(u(ys), dtype=float), ys, w != 0) @ w
             continue
-        # u(x z) by index, in blocks of ``pair_rows`` points
-        step = pair_rows(jmax)
+        # the columns with a node inside the cap, each read from the first
+        # such slot on, against its weights padded with zeros
+        col, m, end = lat.col[:jmax], lat.m[:jmax], samples.shape[1]
+        first = np.full(len(lat.Zc), end)
+        np.minimum.at(first, col, m)
+        live = np.flatnonzero(first < end)
+        slot = np.searchsorted(live, col), m - first[col]
+        W = np.zeros((len(live), int(np.max(slot[1])) + 1))
+        W[slot] = w
+        at = lat.starts(rows, live, first[live])
+        step = pair_rows(W.size)
         for start in range(0, len(rows), step):
-            sub = rows[start : start + step]
-            at = lat.index(sub, slice(jmax))
-            uv = samples[at]
+            sub = slice(start, start + step)
+            uv = lat.windows(samples, at[sub], W.shape[1])
             if not clean:
-                # the sample points only to name a bad one
-                uv = finite_samples(uv, grid[at], w != 0)
-            out[sub] = uv @ w
+                bad = ~np.isfinite(uv)
+                hit = np.argwhere(bad & (W != 0))
+                if len(hit):
+                    x, c, k = hit[0]
+                    node = grid[at[sub][x, c] + lat.step * k]
+                    raise IntegrandError(f"non-finite integrand at node {node.tolist()}")
+                uv[bad] = 0.0
+            out[rows[sub]] = uv.reshape(len(uv), -1) @ W.ravel()
     return out
 
 

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -350,6 +351,9 @@ def run_experiment(doc: dict) -> dict:
         telemetry=dict(
             wall_clock_s=time.time() - t_start,
             tasks=len(tasks),
+            workers=workers,
+            # of this process; ru_maxrss is in KiB on Linux
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         ),
     )
     return report

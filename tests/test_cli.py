@@ -283,8 +283,11 @@ def test_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus, pool):
 
 def test_reports_identical_across_worker_counts(monkeypatch):
     monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
-    one = dump_report(run_experiment(dict(SMALL_CONFIG, workers=1)))
-    two = dump_report(run_experiment(dict(SMALL_CONFIG, workers=2)))
+    reports = [run_experiment(dict(SMALL_CONFIG, workers=w)) for w in (1, 2)]
+    for rep, workers in zip(reports, (1, 2)):
+        assert rep["telemetry"]["workers"] == workers
+        assert rep["telemetry"]["peak_rss_mb"] > 0
+    one, two = (dump_report(rep) for rep in reports)
     # the echoed config differs in its workers field only
     two = two.replace('"workers": 2', '"workers": 1')
     assert strip_telemetry(one) == strip_telemetry(two)

@@ -2,8 +2,9 @@
 
 On H^1, ``translate_sums`` (so ``riesz_values``) samples u once on the
 grid where the products x z of on-lattice points and nodes land and
-gathers the sums by index.  On every law, ``frac_maximal_values`` reads
-the ball bin of each centre-node pair from a table over that grid and
+reads the products with each column of nodes as one window of that
+grid.  On every law, ``frac_maximal_values`` reads the ball bin of each
+centre-node pair from a table over that grid, by the same windows, and
 recomputes the pairs near a radius.  The direct loops stay as the
 fallback; here they are the small-K oracle.  Riesz sums must agree to
 1e-12 of the largest value; ball bins and maximal values bit for bit.
@@ -15,20 +16,47 @@ import pytest
 from morreylab import groups, harness, operators, quadrature
 from morreylab.errors import IntegrandError
 from morreylab.quadrature import (
+    _BAND_CHUNK,
     QuadratureSpec,
     ball_bin_table,
     ball_bins,
     geometric_radii,
     kernel_band_values,
     lattice_nodes,
+    nodes_by_gauge,
     product_lattice,
     radius_grid,
+    source_blocks,
 )
 from morreylab.report import run_experiment
-from morreylab.testfunctions import dilated, gaussian, power_truncated
+from morreylab.testfunctions import custom, dilated, gaussian, power_truncated
 
 # K = 768 nodes; the product grid holds 74k samples against 590k pairs
 H1_SPEC = QuadratureSpec(R_max=2.0, lattice_h=0.4)
+
+
+def flat_index(lat):
+    """Flat grid index of every (point, node) product, from the column map."""
+    return lat.starts(slice(None), lat.col) + lat.step * lat.m
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Counts the window reads and the per-pair finiteness scans."""
+    calls = dict(windows=0, finite_samples=0)
+    windows, finite_samples = quadrature.ProductLattice.windows, quadrature.finite_samples
+
+    def count_windows(*args):
+        calls["windows"] += 1
+        return windows(*args)
+
+    def count_finite_samples(*args):
+        calls["finite_samples"] += 1
+        return finite_samples(*args)
+
+    monkeypatch.setattr(quadrature.ProductLattice, "windows", count_windows)
+    monkeypatch.setattr(quadrature, "finite_samples", count_finite_samples)
+    return calls
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -40,7 +68,7 @@ def test_products_land_on_the_grid(h1, sign):
         pts = sign * lattice_nodes(h1, H1_SPEC, R_eff=R_eff)[0]
         lat = product_lattice(h1, pts, nodes, H1_SPEC.effective_h)
         grid = lat.grid.reshape(-1, 3)
-        at = lat.index(slice(None))
+        at = flat_index(lat)
         assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
         prod = groups.mul(h1, pts[:, None, :], nodes[None, :, :])
         assert np.max(np.abs(grid[at] - prod)) <= 1e-14
@@ -58,6 +86,32 @@ def test_h1_band_matches_direct(backends, h1, r_lo, r_hi):
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     backends.agree(kernel_band_values, h1, 1.0 - h1.Q, gaussian(h1, 0.3), nodes,
                    H1_SPEC, r_lo=r_lo, r_hi=r_hi)
+
+
+def test_h1_riesz_matches_direct_where_caps_drop_nodes(backends, h1):
+    # u vanishes beyond gauge 0.3, so the inner block's source cap falls
+    # inside R_max: its windows start and end inside the node columns
+    spec = QuadratureSpec(R_max=2.0, lattice_h=0.3)
+    u = custom(lambda p: np.maximum(1.0 - groups.gauge(h1, p) ** 2 / 0.09, 0.0) ** 2, 0.3)
+    pts = lattice_nodes(h1, spec, R_eff=1.2)[0]
+    caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.3, 0.3, _BAND_CHUNK)]
+    assert min(caps) < spec.R_max < max(caps)
+    backends.agree(operators.riesz_values, h1, 1.5, u, pts, spec)
+
+
+def test_h1_gather_matches_direct_under_caps_shorter_than_a_column(backends, h1):
+    # nodes on the four central columns, one point a block and a decay
+    # radius near 0: the least cap holds fewer nodes than the longest
+    # column has slots (both backends skip the terms beyond each cap)
+    zs, dist, _ = nodes_by_gauge(h1, 4.0, 0.3)
+    thin = np.max(np.abs(zs[:, :2]), axis=1) < 0.3
+    zs, dist = zs[thin], dist[thin]
+    pts = lattice_nodes(h1, QuadratureSpec(R_max=3.0, lattice_h=0.3), R_eff=1.2)[0]
+    u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), 1e-3)
+    longest = product_lattice(h1, pts, zs, 0.3).m.max() + 1
+    caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 1e-3, 0.3, 1)]
+    assert np.searchsorted(dist, min(caps), side="right") < longest
+    backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, dist ** -2.5, 0.3, 1)
 
 
 def test_h1_node_subset_matches_direct(backends, h1):
@@ -83,18 +137,25 @@ def test_off_lattice_and_single_points_take_the_direct_path(backends, h1):
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["gather", "direct"])
-def test_h1_non_finite_sample_raises(backends, h1, fast):
+def test_h1_non_finite_sample_raises(backends, gathers, h1, fast):
     # x z = 0 for z = x^{-1} = -x: the singularity of the truncated power
     u = power_truncated(h1, 1.0, 1.0)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0, 0\.0, 0\.0\]"):
         backends.run(fast, operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
+    # the gather reads the same windows as for finite samples, and nothing else
+    assert (gathers["windows"] > 0, gathers["finite_samples"] > 0) == (fast, not fast)
 
 
-def test_h1_unreached_non_finite_sample_is_dropped(backends, h1):
-    # the band (1.0, R_max] never reaches y = 0 from points with |x| < 0.9
+def test_h1_unreached_non_finite_sample_is_dropped(backends, gathers, h1):
+    # the band (1.0, R_max] never reaches y = 0 from points with |x| < 0.9,
+    # though the grid holds it
     u = power_truncated(h1, 1.0, 1.0)
     pts = lattice_nodes(h1, H1_SPEC, R_eff=0.9)[0]
+    grid = product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h).grid
+    assert not np.all(np.isfinite(u(grid)))
+    backends.run(True, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
+    assert gathers["windows"] > 0 and gathers["finite_samples"] == 0
     backends.agree(kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
 
 
@@ -120,10 +181,13 @@ def test_tabulated_bins_equal_direct_bins(name, g, spec):
         table = ball_bin_table(g, lat, radii, scale)
         assert table.dtype == dtype
         assert np.any(table < 0)  # near-ties exist and are recomputed
-        known = table[lat.index(slice(None))]
+        known = table[flat_index(lat)]
+        assert np.array_equal(lat.pairs(lat.split(table), slice(None)), known)
         kept = known.copy()
-        assert np.array_equal(ball_bins(g, nodes, nodes, radii, known),
-                              ball_bins(g, nodes, nodes, radii))
+        direct = ball_bins(g, nodes, nodes, radii)
+        # the ties are filled in whatever the memory order of ``known``
+        for order in (known, np.asfortranarray(known)):
+            assert np.array_equal(ball_bins(g, nodes, nodes, radii, order), direct)
         assert np.array_equal(known, kept)
 
 
@@ -136,6 +200,26 @@ def test_maximal_values_bit_identical(backends, name, g, spec):
                      (operators.frac_maximal_values, (0.3, u, nodes, radii, spec))]:
         fast = backends.run(True, fn, g, *args)
         assert np.array_equal(fast, backends.run(False, fn, g, *args))
+
+
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
+def test_shuffled_nodes_keep_bins_and_maximal_values(backends, monkeypatch, name, g, spec):
+    # windows read whole columns and compress them through the slots, so
+    # node order is free: bins and bincounts follow it pair for pair
+    nodes = lattice_nodes(g, spec)
+    order = np.random.default_rng(7).permutation(len(nodes[0]))
+    shuffled = (nodes[0][order], nodes[1][order], nodes[2])
+    centers = shuffled[0][::5]
+    radii = radius_grid(spec, 1.5)
+    lat = product_lattice(g, -centers, shuffled[0], spec.effective_h)
+    table = ball_bin_table(g, lat, radii, float(np.max(shuffled[1])))
+    assert np.array_equal(ball_bins(g, shuffled[0], centers, radii, lat.pairs(lat.split(table), slice(None))),
+                          ball_bins(g, shuffled[0], centers, radii))
+    monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: shuffled)
+    u = gaussian(g, 0.3)
+    args = (0.3, u, centers, radius_grid(spec, u.decay_radius), spec)
+    assert np.array_equal(backends.run(True, operators.frac_maximal_values, g, *args),
+                          backends.run(False, operators.frac_maximal_values, g, *args))
 
 
 def test_pair_blocks_do_not_move_bits(h1, monkeypatch):
