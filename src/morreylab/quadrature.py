@@ -12,12 +12,12 @@ closing the region below h in closed form.
 Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
 ``product_lattice`` grid; the sums then run as a lattice correlation (one
-FFT) on Euclidean laws and, on H^1, as one contiguous window of one
-sampling of u per point and node column, and ball bins are read from one
-table over the grid by the same windows.  Other points take the direct
-point-by-node loop.  Both the gather and the loop take their points in
-the blocks of ``source_blocks``; the gather and the ball sums split them
-further into blocks of ``pair_rows`` points.
+FFT) on Euclidean laws and, on H^1, as one short correlation (an FFT
+along the central axis) per pair of point and node columns, and ball bins
+are read from one table over the grid by column windows.  Other points
+take the direct point-by-node loop.  H^1 and the loop take their points
+in the blocks of ``source_blocks``; the ball sums go in blocks of
+``pair_rows`` points.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -235,24 +235,15 @@ def gauge_power_weights(g, a, R, h):
     return w
 
 
-# point-node pairs per block of the pair kernels (the H^1 gather, the
-# maximal operator's ball sums): a fixed budget keeps each block's index
-# and sample temporaries near 1 MB whatever the lattice size
+# point-node pairs per block of the maximal operator's ball sums, and
+# window samples per batch of the H^1 column correlations: a fixed budget
+# keeps each temporary near 1 MB whatever the lattice size
 _PAIR_BUDGET = 1 << 17
-# BLAS matrix-vector kernels sum the rows in groups (of 4 in OpenBLAS) and
-# the rows past the last whole group in another kernel, so a row's bits
-# depend on its place in its block; sub-blocks of whole groups of this
-# many rows keep every row in the group it has in the whole block
-_ROW_GROUP = 16
 
 
 def pair_rows(n_cols: int) -> int:
-    """Rows per block of a pair kernel over ``n_cols`` columns.
-
-    The most whole ``_ROW_GROUP``s within ``_PAIR_BUDGET`` pairs, and at
-    least one.
-    """
-    return _ROW_GROUP * max(1, _PAIR_BUDGET // (_ROW_GROUP * n_cols))
+    """Rows per block of a pair kernel over ``n_cols`` columns: ``_PAIR_BUDGET`` pairs, and at least one."""
+    return max(1, _PAIR_BUDGET // n_cols)
 
 
 def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None, out=None) -> np.ndarray:
@@ -359,14 +350,18 @@ def _lattice_index(pts, spacing):
 class ProductLattice:
     """The grid on which the products x z of points and nodes land.
 
-    ``grid`` holds the sample points, shape S + (N,).  The nodes fall into
-    columns: the nodes of one column share every lattice index but the
-    last, and node n sits at slot ``m[n]`` of column ``col[n]``.  The
+    ``grid`` holds the sample points, shape S + (N,).  Points and nodes
+    fall into columns: the members of one column share every lattice
+    index but the last.  Node n sits at slot ``m[n]`` of node column
+    ``col[n]``; on H^1, point p sits at slot ``s[p]`` of point column
+    ``pcol[p]`` (both None on R^N, where no sum reads them).  The
     product of point p and node n sits at flat grid index
-    ``P[p] + Zc[c] + A[p] @ Bc[c] + step * m[n]`` with c = ``col[n]``.
-    The bilinear twist ``A @ Bc`` (empty on R^N) is constant along a
-    column, so one column's products land ``step`` apart (4 on H^1, 1 on
-    R^N): after ``split`` they are one contiguous window.
+    ``P[p] + Zc[c] + A[p] @ Bc[c] + step * m[n]`` with c = ``col[n]``,
+    and ``P[p]`` grows by ``step`` per point slot.  The bilinear twist
+    ``A @ Bc`` (empty on R^N) is constant along a point column and along a
+    node column, so the products of one pair of columns land ``step``
+    apart (4 on H^1, 1 on R^N): after ``split`` they are one contiguous
+    window, and the product of slots s and m sits at position s + m.
     """
 
     grid: np.ndarray
@@ -376,6 +371,8 @@ class ProductLattice:
     Bc: np.ndarray
     col: np.ndarray
     m: np.ndarray
+    pcol: np.ndarray | None
+    s: np.ndarray | None
     step: int
 
     def starts(self, rows, cols, first=0):
@@ -383,18 +380,25 @@ class ProductLattice:
         return self.P[rows][:, None] + self.Zc[cols] + self.step * first + self.A[rows] @ self.Bc[cols].T
 
     def split(self, values):
-        """Every column window of flat grid ``values``: a view of rows ``step`` apart.
+        """Every column-pair window of flat grid ``values``: a view of rows ``step`` apart.
 
         Flat index f moves to ``(f % step) * n + f // step``, n the grid
         size over ``step`` rounded up, so the slots of a column follow one
-        another.  Row i of the view holds the longest column's worth of
-        values from position i on; zeros pad the end.
+        another.  Row i of the view holds the values from position i on,
+        enough for the longest node column and, on H^1, for the transform
+        of the longest pair of columns (``_fft_length`` of their slots less
+        one); zeros pad the end.
         """
         n = -(-values.size // self.step)
-        flat = np.zeros(self.step * n, values.dtype)
-        flat[: values.size] = values.ravel()
         width = int(self.m.max()) + 1
-        out = np.concatenate([flat.reshape(n, self.step).T.ravel(), np.zeros(width - 1, flat.dtype)])
+        if self.s is not None:
+            width = _fft_length(width + int(self.s.max()))
+        out = np.zeros(self.step * n + width - 1, values.dtype)
+        # row q of this (n, step) view holds flat indices q * step + r
+        rows = out[: self.step * n].reshape(self.step, n).T
+        flat, (full, rem) = values.ravel(), divmod(values.size, self.step)
+        rows[:full] = flat[: full * self.step].reshape(full, self.step)
+        rows[full:, :rem] = flat[full * self.step :]
         return np.lib.stride_tricks.sliding_window_view(out, width)
 
     def windows(self, split, at, width):
@@ -405,10 +409,10 @@ class ProductLattice:
     def pairs(self, split, rows):
         """The value of every (point in ``rows``, node) pair, in node order.
 
-        Every column is read as one window, then compressed through the
-        slots.
+        Every node column is read as one window, then compressed through
+        the slots.
         """
-        width = split.shape[1]
+        width = int(self.m.max()) + 1
         win = self.windows(split, self.starts(rows, slice(None)), width)
         return np.take(win.reshape(len(win), -1), self.col * width + self.m, axis=1)
 
@@ -445,11 +449,11 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     but the bilinear term splits into a point part and a node part.  The
     grid spans exactly the least to the greatest k over all pairs: only
     the extreme k of each point column meets the extreme k of each node
-    column.  A node's slot is its last index less the least one in its
-    column.  None when a point or node is off the lattice, or when the
-    grid would hold at least as many samples as there are point-node
-    pairs (single points, far-apart points): the caller's direct loop
-    runs then.
+    column.  A node's slot, and on H^1 a point's, counts the steps of its
+    last index from the least one in its column.  None when a point or node is off
+    the lattice, or when the grid would hold at least as many samples as
+    there are point-node pairs (single points, far-apart points): the
+    caller's direct loop runs then.
     """
     spacing = np.array([h ** w for w in g.weights])
     ix, iz = _lattice_index(points, spacing), _lattice_index(nodes, spacing)
@@ -465,8 +469,10 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     col, blo, bhi, Bc = _columns(iz, kz[:, -1], B)
     xlo = kx.min(axis=0)
     lo, hi = xlo + kz.min(axis=0), kx.max(axis=0) + kz.max(axis=0)
+    pcol = s = None
     if g.law == groups.HEISENBERG1:
-        _, alo, ahi, Ac = _columns(ix, kx[:, -1], A)
+        pcol, alo, ahi, Ac = _columns(ix, kx[:, -1], A)
+        s = (kx[:, -1] - alo[pcol]) // step
         twist = Ac @ Bc.T
         lo[2], hi[2] = np.min(alo[:, None] + blo + twist), np.max(ahi[:, None] + bhi + twist)
     shape = tuple(int(v) for v in hi - lo + 1)
@@ -487,6 +493,8 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
         Bc=Bc,
         col=col,
         m=m,
+        pcol=pcol,
+        s=s,
         step=step,
     )
 
@@ -511,12 +519,12 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
     ``nodes`` are sorted by their gauges ``dist``.  This is the one place
     that picks a backend.  When ``product_lattice`` accepts the points and
     nodes, u is sampled once on its grid: on a Euclidean law x z = x + z
-    and S is a discrete correlation (one FFT); on H^1 the products of a
-    point with one column of nodes are one window of the samples, read
-    whole and summed against the column's weights.  Otherwise the direct
-    loop evaluates u(x z).  The gather and the loop take the
-    ``source_blocks`` of ``chunk`` points and skip the nodes beyond each
-    block's cap, where u vanishes.
+    and S is a discrete correlation over the whole grid (one FFT); on H^1
+    it is one short correlation per pair of point and node columns
+    (``_column_correlations``).  Otherwise the direct loop evaluates
+    u(x z).  H^1 and the loop take the ``source_blocks`` of ``chunk``
+    points and leave out the nodes beyond each block's cap, where u
+    vanishes; the Euclidean FFT sums over every node.
     A non-finite sample that a point reaches through a nonzero weight
     raises IntegrandError; unreached ones are dropped.
     """
@@ -542,45 +550,93 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
             # no sample index exceeds the circular length, so nothing wraps
             corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
             return corr.ravel()[lat.P]
-        # a subnormal sample moves no sum by more than sum |w| * 2.2e-308,
-        # and each product with one costs the mat-vec a microcode assist
-        samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
-        samples, grid = lat.split(samples), lat.grid.reshape(-1, g.dimension)
     decay = getattr(u, "decay_radius", math.inf)
-    gauge_pts = groups.gauge(g, points)
+    blocks = [(rows, int(np.searchsorted(dist, cap, side="right")))
+              for rows, cap in source_blocks(groups.gauge(g, points), decay, h, chunk)]
+    if lat is not None:
+        # a subnormal sample moves no sum by more than sum |w| * 2.2e-308,
+        # and each product with one costs the transform a microcode assist
+        samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
+        return _column_correlations(lat, lat.split(samples), clean, weights, blocks)
     out = np.zeros(points.shape[0])
-    for rows, cap in source_blocks(gauge_pts, decay, h, chunk):
-        jmax = int(np.searchsorted(dist, cap, side="right"))
-        if jmax == 0:
-            continue
-        w = weights[:jmax]
-        if lat is None:
+    for rows, jmax in blocks:
+        if jmax:
+            w = weights[:jmax]
             ys = groups.mul(g, points[rows][:, None, :], nodes[None, :jmax, :])
             out[rows] = finite_samples(np.asarray(u(ys), dtype=float), ys, w != 0) @ w
-            continue
-        # the columns with a node inside the cap, each read from the first
-        # such slot on, against its weights padded with zeros
-        col, m, end = lat.col[:jmax], lat.m[:jmax], samples.shape[1]
-        first = np.full(len(lat.Zc), end)
-        np.minimum.at(first, col, m)
-        live = np.flatnonzero(first < end)
-        slot = np.searchsorted(live, col), m - first[col]
-        W = np.zeros((len(live), int(np.max(slot[1])) + 1))
-        W[slot] = w
-        at = lat.starts(rows, live, first[live])
-        step = pair_rows(W.size)
-        for start in range(0, len(rows), step):
-            sub = slice(start, start + step)
-            uv = lat.windows(samples, at[sub], W.shape[1])
+    return out
+
+
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _column_correlations(lat: ProductLattice, split, clean, weights, blocks):
+    """``translate_sums`` over the columns of a ``ProductLattice``.
+
+    ``split`` holds the samples after ``ProductLattice.split``.  The
+    products of point column p with node column c are one window of it,
+    and slot s of p meets slot m of c at position s + m, so the sums over
+    the pair are a correlation of the window with the column's weights.
+    Every window is transformed along the slot axis (an FFT long enough
+    that nothing wraps), multiplied by the conjugate transform of its node
+    column's weights, summed over node columns and transformed back once
+    per point column.  The points of
+    every block that reaches all nodes share one weight transform; a
+    block whose cap (``jmax`` of ``blocks``) leaves nodes out takes its
+    own, over the node columns it reaches, with the rest masked.  Point
+    columns go in batches of at most ``_PAIR_BUDGET`` window samples.
+    """
+    n_pt, n_nd = int(lat.s.max()) + 1, int(lat.m.max()) + 1
+    # windows run on past the n_pt + n_nd - 1 positions a pair of columns
+    # reaches to the transform length n; what lies beyond meets the
+    # weights only at point slots past the last
+    n = split.shape[1]
+    out = np.zeros(len(lat.P))
+    full = [rows for rows, jmax in blocks if jmax == len(weights)]
+    parts = [(np.concatenate(full), len(weights))] if full else []
+    parts += [(rows, jmax) for rows, jmax in blocks if 0 < jmax < len(weights)]
+    for rows, jmax in parts:
+        cols, slot = np.unique(lat.col[:jmax], return_inverse=True)
+        W = np.zeros((len(cols), n_nd))
+        W[slot, lat.m[:jmax]] = weights[:jmax]
+        Wf = np.conj(np.fft.rfft(W, n))
+        pcols, first, inv = np.unique(lat.pcol[rows], return_index=True, return_inverse=True)
+        # flat grid index of slot 0 of each point column times slot 0 of each node column
+        rep = rows[first]
+        at = lat.starts(rep, cols, -lat.s[rep][:, None])
+        if not clean:
+            present = np.zeros((len(pcols), n_pt))
+            present[inv, lat.s[rows]] = 1.0
+            Pf, Nf = np.fft.rfft(present, n), np.fft.rfft(W != 0, n)
+        sums = np.empty((len(pcols), n_pt))
+        batch = max(1, _PAIR_BUDGET // (len(cols) * n))
+        for start in range(0, len(pcols), batch):
+            sub = slice(start, start + batch)
+            win = lat.windows(split, at[sub], n)
             if not clean:
-                bad = ~np.isfinite(uv)
-                hit = np.argwhere(bad & (W != 0))
+                bad = ~np.isfinite(win)
+                # position k of a window is reached when a point slot s and
+                # a weighted node slot k - s meet there
+                reached = np.fft.irfft(Pf[sub, None] * Nf, n) > 0.5
+                hit = np.argwhere(bad & reached)
                 if len(hit):
                     x, c, k = hit[0]
-                    node = grid[at[sub][x, c] + lat.step * k]
+                    node = lat.grid.reshape(-1, lat.grid.shape[-1])[at[sub][x, c] + lat.step * k]
                     raise IntegrandError(f"non-finite integrand at node {node.tolist()}")
-                uv[bad] = 0.0
-            out[rows[sub]] = uv.reshape(len(uv), -1) @ W.ravel()
+                win[bad] = 0.0
+            freq = np.fft.rfft(win)
+            freq *= Wf
+            sums[sub] = np.fft.irfft(freq.sum(axis=1), n)[:, :n_pt]
+        out[rows] = sums[inv, lat.s[rows]]
     return out
 
 

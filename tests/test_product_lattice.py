@@ -1,11 +1,12 @@
 """The product-lattice backend against the direct loops it replaces.
 
 On H^1, ``translate_sums`` (so ``riesz_values``) samples u once on the
-grid where the products x z of on-lattice points and nodes land and
-reads the products with each column of nodes as one window of that
-grid.  On every law, ``frac_maximal_values`` reads the ball bin of each
-centre-node pair from a table over that grid, by the same windows, and
-recomputes the pairs near a radius.  The direct loops stay as the
+grid where the products x z of on-lattice points and nodes land, reads
+the products of each point column with each node column as one window of
+that grid and sums them as a correlation by FFT.  On every law,
+``frac_maximal_values`` reads the ball bin of each centre-node pair from
+a table over that grid, by column windows, and recomputes the pairs near
+a radius.  The direct loops stay as the
 fallback; here they are the small-K oracle.  Riesz sums must agree to
 1e-12 of the largest value; ball bins and maximal values bit for bit.
 """
@@ -41,20 +42,20 @@ def flat_index(lat):
 
 
 @pytest.fixture
-def gathers(monkeypatch):
-    """Counts the window reads and the per-pair finiteness scans."""
-    calls = dict(windows=0, finite_samples=0)
-    windows, finite_samples = quadrature.ProductLattice.windows, quadrature.finite_samples
+def fast_path(monkeypatch):
+    """Counts the H^1 column-correlation calls and the per-pair finiteness scans."""
+    calls = dict(columns=0, finite_samples=0)
+    columns, finite_samples = quadrature._column_correlations, quadrature.finite_samples
 
-    def count_windows(*args):
-        calls["windows"] += 1
-        return windows(*args)
+    def count_columns(*args):
+        calls["columns"] += 1
+        return columns(*args)
 
     def count_finite_samples(*args):
         calls["finite_samples"] += 1
         return finite_samples(*args)
 
-    monkeypatch.setattr(quadrature.ProductLattice, "windows", count_windows)
+    monkeypatch.setattr(quadrature, "_column_correlations", count_columns)
     monkeypatch.setattr(quadrature, "finite_samples", count_finite_samples)
     return calls
 
@@ -114,6 +115,40 @@ def test_h1_gather_matches_direct_under_caps_shorter_than_a_column(backends, h1)
     backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, dist ** -2.5, 0.3, 1)
 
 
+@pytest.mark.parametrize("case", ["shuffled", "gaps", "one_column", "capped"])
+def test_h1_column_correlations_match_direct(backends, h1, case):
+    # shuffled: point and node order are free (u declares a decay radius
+    # past R_max, so no cap drops a node); gaps: every third node in gauge order leaves holes
+    # inside point columns; one_column: a single point column; capped: u
+    # declares a decay radius it does not have, so the sums change with
+    # each cap, and some blocks reach every node while others do not
+    h = 0.25
+    zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
+    w, pts, decay = dist ** -2.5, zs, 10.0
+    lat = product_lattice(h1, zs, zs, h)
+    if case == "shuffled":
+        rng = np.random.default_rng(3)
+        order = rng.permutation(len(zs))
+        zs, dist, w = zs[order], dist[order], w[order]
+        pts = zs[rng.permutation(len(zs))]
+    elif case == "gaps":
+        pts = zs[::3]
+        lat = product_lattice(h1, pts, zs, h)
+        last = np.zeros(lat.pcol.max() + 1, np.intp)
+        np.maximum.at(last, lat.pcol, lat.s)
+        assert np.any(np.bincount(lat.pcol) < last + 1)
+    elif case == "one_column":
+        pts = zs[lat.pcol == np.argmax(np.bincount(lat.pcol))]
+        assert product_lattice(h1, pts, zs, h).pcol.max() == 0
+    else:
+        decay = 0.1
+        caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), decay, h, 32)]
+        jmax = np.searchsorted(dist, caps, side="right")
+        assert 0 < jmax.min() < len(zs) // 2 and jmax.max() == len(zs)
+    u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), decay)
+    backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, w, h, 32)
+
+
 def test_h1_node_subset_matches_direct(backends, h1):
     spec = QuadratureSpec(R_max=1.5, lattice_h=0.25)
     nodes = lattice_nodes(h1, spec, R_eff=0.8)[0]
@@ -137,17 +172,17 @@ def test_off_lattice_and_single_points_take_the_direct_path(backends, h1):
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["gather", "direct"])
-def test_h1_non_finite_sample_raises(backends, gathers, h1, fast):
+def test_h1_non_finite_sample_raises(backends, fast_path, h1, fast):
     # x z = 0 for z = x^{-1} = -x: the singularity of the truncated power
     u = power_truncated(h1, 1.0, 1.0)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0, 0\.0, 0\.0\]"):
         backends.run(fast, operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
-    # the gather reads the same windows as for finite samples, and nothing else
-    assert (gathers["windows"] > 0, gathers["finite_samples"] > 0) == (fast, not fast)
+    # the column correlations check their own windows, and nothing else
+    assert (fast_path["columns"] > 0, fast_path["finite_samples"] > 0) == (fast, not fast)
 
 
-def test_h1_unreached_non_finite_sample_is_dropped(backends, gathers, h1):
+def test_h1_unreached_non_finite_sample_is_dropped(backends, fast_path, h1):
     # the band (1.0, R_max] never reaches y = 0 from points with |x| < 0.9,
     # though the grid holds it
     u = power_truncated(h1, 1.0, 1.0)
@@ -155,8 +190,38 @@ def test_h1_unreached_non_finite_sample_is_dropped(backends, gathers, h1):
     grid = product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h).grid
     assert not np.all(np.isfinite(u(grid)))
     backends.run(True, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
-    assert gathers["windows"] > 0 and gathers["finite_samples"] == 0
+    assert fast_path["columns"] > 0 and fast_path["finite_samples"] == 0
     backends.agree(kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
+
+
+def test_h1_non_finite_sample_reached_as_in_direct(backends, h1):
+    # u is NaN at one product y0 = x0 z0 of two nodes far out on the first
+    # axis, which few pairs reach: a random subset of points and a random
+    # half of the weights decide whether any point reaches it through a
+    # nonzero weight; both paths must raise on the same draws and give the
+    # same sums on the others
+    zs, dist, _ = nodes_by_gauge(h1, 2.0, 0.4)
+    far = zs[np.argsort(zs[:, 0])[-30:]]
+    outcomes = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        pts = zs[np.sort(rng.choice(len(zs), 150, replace=False))]
+        w = np.where(rng.random(len(zs)) < 0.5, dist ** -2.5, 0.0)
+        y0 = groups.mul(h1, far[rng.integers(30)], far[rng.integers(30)])
+        u = custom(lambda p, y0=y0: np.where(np.all(np.abs(p - y0) < 1e-9, axis=-1), np.nan,
+                                             np.exp(-np.sum(p * p, axis=-1))), 10.0)
+        args = (quadrature.translate_sums, h1, u, pts, zs, dist, w, 0.4, _BAND_CHUNK)
+        try:
+            direct = backends.run(False, *args)
+        except IntegrandError:
+            with pytest.raises(IntegrandError, match="non-finite integrand at node"):
+                backends.run(True, *args)
+            outcomes.add("raised")
+        else:
+            assert np.all(np.isfinite(direct))
+            backends.agree(*args)
+            outcomes.add("summed")
+    assert outcomes == {"raised", "summed"}
 
 
 # (group, spec): radius_grid starts at 2h with ratio 2^(1/4), so every
@@ -223,9 +288,9 @@ def test_shuffled_nodes_keep_bins_and_maximal_values(backends, monkeypatch, name
 
 
 def test_pair_blocks_do_not_move_bits(h1, monkeypatch):
-    # shipped: the gather splits each block of 192 points, the maximal
-    # operator takes 160 centres a block; then one row group a block, then
-    # whole blocks
+    # shipped: the correlations take 68 of 80 point columns a batch, the maximal
+    # operator takes 170 centres a block; then one point column or one
+    # centre a block, then all of them in one
     u = gaussian(h1, 0.3)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     radii = radius_grid(H1_SPEC, u.decay_radius)
