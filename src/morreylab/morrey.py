@@ -88,13 +88,14 @@ def morrey_sup_from_samples(
 ) -> MorreyEstimate:
     """Grid supremum from precomputed |f| samples on lattice nodes.
 
+    ``centers`` holds points of the group (ShapeError otherwise).
     ``cellvol`` is either the scalar cell volume or an array of per-node
     quadrature masses (used when a singular gauge-power weight is folded
     into the measure instead of the samples).
     """
     if not (0 <= lam <= g.Q):
         raise DomainError(f"lambda must lie in [0, Q], got {lam}")
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = groups.as_points(g, centers).reshape(-1, g.dimension)
     radii = check_radii(radii)
     nodes = np.asarray(nodes, dtype=float)
     powered = np.abs(np.asarray(values, dtype=float)) ** p * cellvol

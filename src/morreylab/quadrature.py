@@ -14,10 +14,12 @@ the points lie on the node lattice, every product x z lands on one
 ``product_lattice`` grid; the sums then run as a lattice correlation (one
 FFT) on Euclidean laws and, on H^1, as one short correlation (an FFT
 along the central axis) per pair of point and node columns, and ball bins
-are read from one table over the grid by column windows.  Other points
-take the direct point-by-node loop.  H^1 and the loop take their points
-in the blocks of ``source_blocks``; the ball sums go in blocks of
-``pair_rows`` points.
+are read from one table over the grid by column windows.  These fast
+sums take every node of a grid whose samples are all finite.  Other
+points, and grids with a non-finite sample, take the direct point-by-node
+loop: it alone leaves out the nodes past each ``source_blocks`` cap and
+decides which non-finite samples are reached.  The ball sums go in
+blocks of ``pair_rows`` points.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -320,7 +322,7 @@ def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
     return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
 
 
-def finite_samples(vals, pts, reached=True):
+def finite_samples(vals, pts, reached):
     """``vals`` with unreached non-finite samples set to zero.
 
     A non-finite sample where ``reached`` holds (a node that carries
@@ -518,48 +520,36 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
 
     ``nodes`` are sorted by their gauges ``dist``.  This is the one place
     that picks a backend.  When ``product_lattice`` accepts the points and
-    nodes, u is sampled once on its grid: on a Euclidean law x z = x + z
-    and S is a discrete correlation over the whole grid (one FFT); on H^1
-    it is one short correlation per pair of point and node columns
+    nodes, u is sampled once on its grid, and if every sample is finite S
+    sums over every node: on a Euclidean law x z = x + z and S is a
+    discrete correlation over the whole grid (one FFT); on H^1 it is one
+    short correlation per pair of point and node columns
     (``_column_correlations``).  Otherwise the direct loop evaluates
-    u(x z).  H^1 and the loop take the ``source_blocks`` of ``chunk``
-    points and leave out the nodes beyond each block's cap, where u
-    vanishes; the Euclidean FFT sums over every node.
-    A non-finite sample that a point reaches through a nonzero weight
+    u(x z) over the ``source_blocks`` of ``chunk`` points and leaves out
+    the nodes beyond each block's cap, where u vanishes.  In the loop a
+    non-finite sample that a point reaches through a nonzero weight
     raises IntegrandError; unreached ones are dropped.
     """
     lat = product_lattice(g, points, nodes, h)
     if lat is not None:
-        shape = lat.grid.shape[:-1]
         samples = np.asarray(u(lat.grid), dtype=float)
-        clean = bool(np.all(np.isfinite(samples)))
-        if g.law == groups.EUCLIDEAN:
-            dense = np.zeros(shape)
-            dense.flat[lat.Zc[lat.col] + lat.m] = weights
-            ax = tuple(range(len(shape)))
-
-            def fft(arr):
-                return np.fft.rfftn(arr, axes=ax)
-
-            if not clean:
-                # sample k is reached when some point a has a weighted node k - a
-                hit = np.zeros(shape)
-                hit.flat[lat.P] = 1.0
-                reached = np.fft.irfftn(fft(hit) * fft(dense != 0), s=shape, axes=ax) > 0.5
-                samples = finite_samples(samples, lat.grid, reached)
-            # no sample index exceeds the circular length, so nothing wraps
-            corr = np.fft.irfftn(fft(samples) * np.conj(fft(dense)), s=shape, axes=ax)
-            return corr.ravel()[lat.P]
+        if np.all(np.isfinite(samples)):
+            if g.law == groups.EUCLIDEAN:
+                shape = lat.grid.shape[:-1]
+                dense = np.zeros(shape)
+                dense.flat[lat.Zc[lat.col] + lat.m] = weights
+                ax = tuple(range(len(shape)))
+                # no sample index exceeds the circular length, so nothing wraps
+                freq = np.fft.rfftn(samples, axes=ax) * np.conj(np.fft.rfftn(dense, axes=ax))
+                return np.fft.irfftn(freq, s=shape, axes=ax).ravel()[lat.P]
+            # a subnormal sample moves no sum by more than sum |w| * 2.2e-308,
+            # and each product with one costs the transform a microcode assist
+            samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
+            return _column_correlations(lat, lat.split(samples), weights)
     decay = getattr(u, "decay_radius", math.inf)
-    blocks = [(rows, int(np.searchsorted(dist, cap, side="right")))
-              for rows, cap in source_blocks(groups.gauge(g, points), decay, h, chunk)]
-    if lat is not None:
-        # a subnormal sample moves no sum by more than sum |w| * 2.2e-308,
-        # and each product with one costs the transform a microcode assist
-        samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
-        return _column_correlations(lat, lat.split(samples), clean, weights, blocks)
     out = np.zeros(points.shape[0])
-    for rows, jmax in blocks:
+    for rows, cap in source_blocks(groups.gauge(g, points), decay, h, chunk):
+        jmax = int(np.searchsorted(dist, cap, side="right"))
         if jmax:
             w = weights[:jmax]
             ys = groups.mul(g, points[rows][:, None, :], nodes[None, :jmax, :])
@@ -579,8 +569,8 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _column_correlations(lat: ProductLattice, split, clean, weights, blocks):
-    """``translate_sums`` over the columns of a ``ProductLattice``.
+def _column_correlations(lat: ProductLattice, split, weights):
+    """``translate_sums`` over every node, by the columns of a ``ProductLattice``.
 
     ``split`` holds the samples after ``ProductLattice.split``.  The
     products of point column p with node column c are one window of it,
@@ -589,55 +579,27 @@ def _column_correlations(lat: ProductLattice, split, clean, weights, blocks):
     Every window is transformed along the slot axis (an FFT long enough
     that nothing wraps), multiplied by the conjugate transform of its node
     column's weights, summed over node columns and transformed back once
-    per point column.  The points of
-    every block that reaches all nodes share one weight transform; a
-    block whose cap (``jmax`` of ``blocks``) leaves nodes out takes its
-    own, over the node columns it reaches, with the rest masked.  Point
-    columns go in batches of at most ``_PAIR_BUDGET`` window samples.
+    per point column.  Point columns go in batches of at most
+    ``_PAIR_BUDGET`` window samples.
     """
-    n_pt, n_nd = int(lat.s.max()) + 1, int(lat.m.max()) + 1
-    # windows run on past the n_pt + n_nd - 1 positions a pair of columns
-    # reaches to the transform length n; what lies beyond meets the
-    # weights only at point slots past the last
+    # windows run on past the positions a pair of columns reaches to the
+    # transform length n; what lies beyond meets the weights only at
+    # point slots past the last
     n = split.shape[1]
-    out = np.zeros(len(lat.P))
-    full = [rows for rows, jmax in blocks if jmax == len(weights)]
-    parts = [(np.concatenate(full), len(weights))] if full else []
-    parts += [(rows, jmax) for rows, jmax in blocks if 0 < jmax < len(weights)]
-    for rows, jmax in parts:
-        cols, slot = np.unique(lat.col[:jmax], return_inverse=True)
-        W = np.zeros((len(cols), n_nd))
-        W[slot, lat.m[:jmax]] = weights[:jmax]
-        Wf = np.conj(np.fft.rfft(W, n))
-        pcols, first, inv = np.unique(lat.pcol[rows], return_index=True, return_inverse=True)
-        # flat grid index of slot 0 of each point column times slot 0 of each node column
-        rep = rows[first]
-        at = lat.starts(rep, cols, -lat.s[rep][:, None])
-        if not clean:
-            present = np.zeros((len(pcols), n_pt))
-            present[inv, lat.s[rows]] = 1.0
-            Pf, Nf = np.fft.rfft(present, n), np.fft.rfft(W != 0, n)
-        sums = np.empty((len(pcols), n_pt))
-        batch = max(1, _PAIR_BUDGET // (len(cols) * n))
-        for start in range(0, len(pcols), batch):
-            sub = slice(start, start + batch)
-            win = lat.windows(split, at[sub], n)
-            if not clean:
-                bad = ~np.isfinite(win)
-                # position k of a window is reached when a point slot s and
-                # a weighted node slot k - s meet there
-                reached = np.fft.irfft(Pf[sub, None] * Nf, n) > 0.5
-                hit = np.argwhere(bad & reached)
-                if len(hit):
-                    x, c, k = hit[0]
-                    node = lat.grid.reshape(-1, lat.grid.shape[-1])[at[sub][x, c] + lat.step * k]
-                    raise IntegrandError(f"non-finite integrand at node {node.tolist()}")
-                win[bad] = 0.0
-            freq = np.fft.rfft(win)
-            freq *= Wf
-            sums[sub] = np.fft.irfft(freq.sum(axis=1), n)[:, :n_pt]
-        out[rows] = sums[inv, lat.s[rows]]
-    return out
+    W = np.zeros((int(lat.col.max()) + 1, int(lat.m.max()) + 1))
+    W[lat.col, lat.m] = weights
+    Wf = np.conj(np.fft.rfft(W, n))
+    # flat grid index of slot 0 of each point column times slot 0 of each node column
+    rep = np.unique(lat.pcol, return_index=True)[1]
+    at = lat.starts(rep, slice(None), -lat.s[rep][:, None])
+    sums = np.empty((len(rep), int(lat.s.max()) + 1))
+    batch = max(1, _PAIR_BUDGET // (len(W) * n))
+    for start in range(0, len(rep), batch):
+        sub = slice(start, start + batch)
+        freq = np.fft.rfft(lat.windows(split, at[sub], n))
+        freq *= Wf
+        sums[sub] = np.fft.irfft(freq.sum(axis=1), n)[:, :sums.shape[1]]
+    return sums[lat.pcol, lat.s]
 
 
 # points per block of the batch singular-kernel sum

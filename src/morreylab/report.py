@@ -41,10 +41,12 @@ _TOP_KEYS = ("group", "quadrature", "battery", "t_values", "theorems", "checks",
              "workers", "adapt_specs", "centers_per_axis", "output")
 _GROUP_KEYS = ("law", "dimension", "gauge")
 _QUADRATURE_KEYS = ("R_max", "lattice_h", "refinement_level")
-_BATTERY_KEYS = {
-    "gauss_tensor": ("kind", "width"),
-    "bump_compact": ("kind", "radius"),
-    "power_truncated": ("kind", "exponent", "radius"),
+# per battery kind: its constructor, and its fields in the constructor's
+# order with their defaults (None: required)
+_BATTERY = {
+    "gauss_tensor": (testfunctions.gaussian, {"width": 1.0}),
+    "bump_compact": (testfunctions.bump, {"radius": 2.0}),
+    "power_truncated": (testfunctions.power_truncated, {"exponent": None, "radius": 1.0}),
 }
 _THEOREM_KEYS = ("theorem", "p", "gamma", "alpha", "beta", "lambda", "a", "r",
                  "perturb_inv_q")
@@ -77,7 +79,12 @@ def _list(doc, field, default):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer literal past the float range
+        return False
 
 
 def _is_count(v) -> bool:
@@ -129,21 +136,19 @@ def parse_config(doc: dict):
         if not isinstance(b, dict):
             raise ConfigError(f"{path}: expected an object, got {type(b).__name__}")
         kind = _need(b, "kind", str, path)
-        if kind not in _BATTERY_KEYS:
+        if kind not in _BATTERY:
             raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-        _object(b, path, _BATTERY_KEYS[kind])
+        make, fields = _BATTERY[kind]
+        _object(b, path, ("kind", *fields))
+        args = []
+        for key, default in fields.items():
+            v = _need(b, key, (int, float), path) if default is None else b.get(key, default)
+            if not _is_number(v):
+                raise ConfigError(f"{path}.{key}: expected a finite number, got {v!r}")
+            args.append(float(v))
         try:
-            if kind == "gauss_tensor":
-                battery.append(testfunctions.gaussian(g, float(b.get("width", 1.0))))
-            elif kind == "bump_compact":
-                battery.append(testfunctions.bump(g, float(b.get("radius", 2.0))))
-            else:
-                battery.append(
-                    testfunctions.power_truncated(
-                        g, float(b["exponent"]), float(b.get("radius", 1.0))
-                    )
-                )
-        except Exception as e:
+            battery.append(make(g, *args))
+        except DomainError as e:
             raise ConfigError(f"{path}: {e}") from e
 
     t_values = _list(doc, "t_values", [0.25, 0.5, 1.0, 2.0, 4.0])

@@ -80,3 +80,20 @@ class Backends:
 @pytest.fixture
 def backends(monkeypatch):
     return Backends(monkeypatch)
+
+
+@pytest.fixture
+def translate_paths(monkeypatch):
+    """Counts the calls of the two functions that tell ``translate_sums``' paths apart.
+
+    Only the direct loop calls ``finite_samples``; only the H^1 fast path
+    calls ``_column_correlations``.
+    """
+    calls = {"_column_correlations": 0, "finite_samples": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(quadrature, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    return calls

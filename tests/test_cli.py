@@ -234,6 +234,20 @@ CONFIG_FAULTS = [
      "config.quadrature.shell_ratio"),
     (dict(quadrature={"R_max": 10.0, "lattice_h": 0.05, "inner_cutoff": 1.0}),
      "config.quadrature.inner_cutoff"),
+    # battery fields are finite numbers, and a required one is named when missing
+    (dict(battery=[{"kind": "gauss_tensor", "width": True}]), "config.battery[0].width"),
+    (dict(battery=[{"kind": "gauss_tensor", "width": "0.5"}]), "config.battery[0].width"),
+    (dict(battery=[{"kind": "gauss_tensor", "width": None}]), "config.battery[0].width"),
+    (dict(battery=[{"kind": "gauss_tensor", "width": 0.5},
+                   {"kind": "bump_compact", "radius": float("nan")}]), "config.battery[1].radius"),
+    (dict(battery=[{"kind": "power_truncated", "exponent": 0.4, "radius": float("inf")}]),
+     "config.battery[0].radius"),
+    (dict(battery=[{"kind": "power_truncated", "radius": 1.0}]),
+     "config.battery[0].exponent: required field missing"),
+    (dict(battery=[{"kind": "power_truncated", "exponent": [0.4]}]), "config.battery[0].exponent"),
+    # an integer literal past the float range is no finite number
+    (dict(battery=[{"kind": "gauss_tensor", "width": 10 ** 400}]), "config.battery[0].width"),
+    (dict(quadrature={"R_max": 10 ** 400, "lattice_h": 0.05}), "config.quadrature.R_max"),
 ]
 
 

@@ -2,7 +2,8 @@
 
 ``quadrature.translate_sums`` serves ``kernel_band_values`` and
 ``frac_laplacian_values``: on-lattice points of a Euclidean law take one
-FFT over the ``product_lattice`` grid, other points the direct
+FFT over the ``product_lattice`` grid when every sample there is finite;
+other points, and grids with a non-finite sample, take the direct
 point-by-node loop, which is the small-K oracle here.  Each case runs once
 as shipped (FFT) and once with the product lattice switched off, and the
 two must agree to 1e-12 of the largest value.  The direct loop itself is
@@ -149,7 +150,7 @@ def test_product_lattice_needs_enough_points():
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fft", "direct"])
-def test_non_finite_source_sample_raises(backends, g1, fast):
+def test_non_finite_source_sample_raises(backends, translate_paths, g1, fast):
     # node + (-node) = 0 is the singularity of the truncated power
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     u = power_truncated(g1, 0.4, 1.0)
@@ -157,13 +158,20 @@ def test_non_finite_source_sample_raises(backends, g1, fast):
     for fn, arg in [(operators.riesz_values, 0.5), (operators.frac_laplacian_values, 0.4)]:
         with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0\]"):
             backends.run(fast, fn, g1, arg, u, nodes, spec)
+    # a non-finite grid sample sends the sums to the direct loop
+    assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
 
 
-def test_unreached_non_finite_sample_is_dropped(backends, g1):
-    # the band (0.5, R_max] never reaches y = 0 from nodes with |x| < 0.5
+def test_unreached_non_finite_sample_is_dropped(backends, translate_paths, g1):
+    # the band (0.5, R_max] never reaches y = 0 from nodes with |x| < 0.5,
+    # though the grid holds it: the direct loop runs and drops it
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     u = power_truncated(g1, 0.4, 1.0)
     pts = lattice_nodes(g1, spec, R_eff=0.45)[0]
+    grid = product_lattice(g1, pts, lattice_nodes(g1, spec)[0], spec.effective_h).grid
+    assert not np.all(np.isfinite(u(grid)))
+    backends.run(True, kernel_band_values, g1, -0.5, u, pts, spec, r_lo=0.5)
+    assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
     backends.agree(kernel_band_values, g1, -0.5, u, pts, spec, r_lo=0.5)
 
 

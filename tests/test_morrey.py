@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morreylab import custom, dilated, gaussian
-from morreylab.errors import DomainError
+from morreylab.errors import DomainError, ShapeError
 from morreylab.morrey import (
     MorreyEstimate,
     MorreyParams,
@@ -38,6 +38,27 @@ def test_params_invariants(g1):
     for radii in ([1.0, 0.5], [], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0]):
         with pytest.raises(DomainError):
             norm_of(g1, u, p=2.0, lam=0.5, radii=np.array(radii))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4,), (2, 3, 2)])
+def test_centres_of_the_wrong_dimension_raise(g3, shape):
+    # (3, 2) holds as many numbers as two 3-vectors, (2, 2) fits no whole one
+    nodes = np.zeros((5, 3))
+    with pytest.raises(ShapeError, match="expected points of dimension 3"):
+        morrey_sup_from_samples(g3, 2.0, 0.5, np.zeros(shape), np.array([1.0]), nodes,
+                                np.ones(5), 1.0)
+
+
+def test_one_centre_or_a_grid_of_centres(g3):
+    nodes = np.arange(15.0).reshape(5, 3) / 10.0
+    radii, values = np.array([0.5, 1.0]), np.ones(5)
+    centers = np.arange(12.0).reshape(2, 2, 3) / 10.0
+    grid = morrey_sup_from_samples(g3, 2.0, 0.5, centers, radii, nodes, values, 1.0)
+    flat = morrey_sup_from_samples(g3, 2.0, 0.5, centers.reshape(4, 3), radii, nodes, values, 1.0)
+    assert (grid.value, grid.argmax_radius) == (flat.value, flat.argmax_radius)
+    assert np.array_equal(grid.argmax_center, flat.argmax_center)
+    one = morrey_sup_from_samples(g3, 2.0, 0.5, centers[0, 0], radii, nodes, values, 1.0)
+    assert one.argmax_center.shape == (3,)
 
 
 def test_zero_function(g1):

@@ -3,7 +3,9 @@
 On H^1, ``translate_sums`` (so ``riesz_values``) samples u once on the
 grid where the products x z of on-lattice points and nodes land, reads
 the products of each point column with each node column as one window of
-that grid and sums them as a correlation by FFT.  On every law,
+that grid and sums them as a correlation by FFT, over every node, when
+every sample is finite; a non-finite sample sends the sums to the direct
+loop, which alone applies source caps.  On every law,
 ``frac_maximal_values`` reads the ball bin of each centre-node pair from
 a table over that grid, by column windows, and recomputes the pairs near
 a radius.  The direct loops stay as the
@@ -41,23 +43,9 @@ def flat_index(lat):
     return lat.starts(slice(None), lat.col) + lat.step * lat.m
 
 
-@pytest.fixture
-def fast_path(monkeypatch):
-    """Counts the H^1 column-correlation calls and the per-pair finiteness scans."""
-    calls = dict(columns=0, finite_samples=0)
-    columns, finite_samples = quadrature._column_correlations, quadrature.finite_samples
-
-    def count_columns(*args):
-        calls["columns"] += 1
-        return columns(*args)
-
-    def count_finite_samples(*args):
-        calls["finite_samples"] += 1
-        return finite_samples(*args)
-
-    monkeypatch.setattr(quadrature, "_column_correlations", count_columns)
-    monkeypatch.setattr(quadrature, "finite_samples", count_finite_samples)
-    return calls
+def gauge_ball_bump(h1, r):
+    """A u that vanishes beyond gauge r, as the decay radius it declares says."""
+    return custom(lambda p: np.maximum(1.0 - groups.gauge(h1, p) ** 2 / r ** 2, 0.0) ** 2, r)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -91,9 +79,9 @@ def test_h1_band_matches_direct(backends, h1, r_lo, r_hi):
 
 def test_h1_riesz_matches_direct_where_caps_drop_nodes(backends, h1):
     # u vanishes beyond gauge 0.3, so the inner block's source cap falls
-    # inside R_max: its windows start and end inside the node columns
+    # inside R_max: the loop drops the nodes past it, the fast path sums them
     spec = QuadratureSpec(R_max=2.0, lattice_h=0.3)
-    u = custom(lambda p: np.maximum(1.0 - groups.gauge(h1, p) ** 2 / 0.09, 0.0) ** 2, 0.3)
+    u = gauge_ball_bump(h1, 0.3)
     pts = lattice_nodes(h1, spec, R_eff=1.2)[0]
     caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.3, 0.3, _BAND_CHUNK)]
     assert min(caps) < spec.R_max < max(caps)
@@ -101,16 +89,17 @@ def test_h1_riesz_matches_direct_where_caps_drop_nodes(backends, h1):
 
 
 def test_h1_gather_matches_direct_under_caps_shorter_than_a_column(backends, h1):
-    # nodes on the four central columns, one point a block and a decay
-    # radius near 0: the least cap holds fewer nodes than the longest
-    # column has slots (both backends skip the terms beyond each cap)
+    # nodes on the four central columns, one point a block and u supported
+    # in the gauge ball of radius 0.5: the least cap holds fewer nodes than
+    # the longest column has slots (the loop skips the terms beyond each
+    # cap, where u vanishes; the fast path sums them)
     zs, dist, _ = nodes_by_gauge(h1, 4.0, 0.3)
     thin = np.max(np.abs(zs[:, :2]), axis=1) < 0.3
     zs, dist = zs[thin], dist[thin]
     pts = lattice_nodes(h1, QuadratureSpec(R_max=3.0, lattice_h=0.3), R_eff=1.2)[0]
-    u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), 1e-3)
+    u = gauge_ball_bump(h1, 0.5)
     longest = product_lattice(h1, pts, zs, 0.3).m.max() + 1
-    caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 1e-3, 0.3, 1)]
+    caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.5, 0.3, 1)]
     assert np.searchsorted(dist, min(caps), side="right") < longest
     backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, dist ** -2.5, 0.3, 1)
 
@@ -120,11 +109,12 @@ def test_h1_column_correlations_match_direct(backends, h1, case):
     # shuffled: point and node order are free (u declares a decay radius
     # past R_max, so no cap drops a node); gaps: every third node in gauge order leaves holes
     # inside point columns; one_column: a single point column; capped: u
-    # declares a decay radius it does not have, so the sums change with
-    # each cap, and some blocks reach every node while others do not
+    # vanishes beyond gauge 0.35, and in blocks of 8 points the loop's caps
+    # reach every node in some blocks and under half of them in others
     h = 0.25
     zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
-    w, pts, decay = dist ** -2.5, zs, 10.0
+    w, pts, chunk = dist ** -2.5, zs, 32
+    u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), 10.0)
     lat = product_lattice(h1, zs, zs, h)
     if case == "shuffled":
         rng = np.random.default_rng(3)
@@ -141,12 +131,11 @@ def test_h1_column_correlations_match_direct(backends, h1, case):
         pts = zs[lat.pcol == np.argmax(np.bincount(lat.pcol))]
         assert product_lattice(h1, pts, zs, h).pcol.max() == 0
     else:
-        decay = 0.1
-        caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), decay, h, 32)]
+        u, chunk = gauge_ball_bump(h1, 0.35), 8
+        caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.35, h, chunk)]
         jmax = np.searchsorted(dist, caps, side="right")
         assert 0 < jmax.min() < len(zs) // 2 and jmax.max() == len(zs)
-    u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), decay)
-    backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, w, h, 32)
+    backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, w, h, chunk)
 
 
 def test_h1_node_subset_matches_direct(backends, h1):
@@ -171,26 +160,37 @@ def test_off_lattice_and_single_points_take_the_direct_path(backends, h1):
     assert product_lattice(h1, nodes[:0], nodes, H1_SPEC.effective_h) is None
 
 
+@pytest.mark.parametrize("law", ["R1", "H1"])
+def test_finite_grids_take_the_fast_path(backends, translate_paths, law):
+    # the R^N FFT runs inline, the H^1 sums in _column_correlations; neither
+    # scans samples the way the direct loop does
+    g = groups.euclidean_group(1) if law == "R1" else groups.heisenberg_group()
+    spec = QuadratureSpec(R_max=3.0, lattice_h=0.05) if law == "R1" else H1_SPEC
+    backends.run(True, operators.riesz_values, g, 0.5, gaussian(g, 0.3), lattice_nodes(g, spec)[0], spec)
+    assert translate_paths["finite_samples"] == 0
+    assert (translate_paths["_column_correlations"] > 0) == (law == "H1")
+
+
 @pytest.mark.parametrize("fast", [True, False], ids=["gather", "direct"])
-def test_h1_non_finite_sample_raises(backends, fast_path, h1, fast):
+def test_h1_non_finite_sample_raises(backends, translate_paths, h1, fast):
     # x z = 0 for z = x^{-1} = -x: the singularity of the truncated power
     u = power_truncated(h1, 1.0, 1.0)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0, 0\.0, 0\.0\]"):
         backends.run(fast, operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
-    # the column correlations check their own windows, and nothing else
-    assert (fast_path["columns"] > 0, fast_path["finite_samples"] > 0) == (fast, not fast)
+    # a non-finite grid sample sends the sums to the direct loop
+    assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
 
 
-def test_h1_unreached_non_finite_sample_is_dropped(backends, fast_path, h1):
+def test_h1_unreached_non_finite_sample_is_dropped(backends, translate_paths, h1):
     # the band (1.0, R_max] never reaches y = 0 from points with |x| < 0.9,
-    # though the grid holds it
+    # though the grid holds it: the direct loop runs and drops it
     u = power_truncated(h1, 1.0, 1.0)
     pts = lattice_nodes(h1, H1_SPEC, R_eff=0.9)[0]
     grid = product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h).grid
     assert not np.all(np.isfinite(u(grid)))
     backends.run(True, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
-    assert fast_path["columns"] > 0 and fast_path["finite_samples"] == 0
+    assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
     backends.agree(kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
 
 
