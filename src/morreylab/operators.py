@@ -17,15 +17,11 @@ from . import groups
 from .errors import DomainError, UnsupportedGroupError
 from .quadrature import (
     QuadratureSpec,
-    ball_bin_table,
-    ball_bins,
-    ball_sums,
+    ball_totals,
     check_radii,
     kernel_band_values,
     lattice_nodes,
     nodes_by_gauge,
-    pair_rows,
-    product_lattice,
     resolve_R,
     source_blocks,
     translate_sums,
@@ -89,42 +85,23 @@ def frac_maximal_values(
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
 
-    src, sdist, cell = lattice_nodes(g, spec)
+    src, _, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
-    n = len(radii)
-    gauge_pts = groups.gauge(g, pts)
-    # on-lattice centres: -c is a node too, so every pair's gauge is read
-    # from one table over the product grid, near-ties aside
-    lat = product_lattice(g, -pts, src, spec.effective_h)
-    if lat is not None:
-        table = lat.split(ball_bin_table(g, lat, radii, max(np.max(gauge_pts), np.max(sdist))))
+    cnt, m_r = ball_totals(g, pts, src, radii, uv, spec.effective_h)
+    m_r *= cell
     # balls that leave the domain scale their volume from the last ball
     # inside it (or from one cell at r_dom) by r^Q
-    r_dom = np.maximum(spec.R_max - gauge_pts, 4.0 * spec.effective_h)
+    r_dom = np.maximum(spec.R_max - groups.gauge(g, pts), 4.0 * spec.effective_h)
     j = np.searchsorted(radii, r_dom, side="right") - 1
-    beyond = radii > r_dom[:, None]
-    out = np.zeros(pts.shape[0])
-
-    step = pair_rows(len(src))
-    # |u| per pair and the bins, for the largest block; the last block
-    # takes their first rows
-    uv_pairs = np.tile(uv, (min(step, pts.shape[0]), 1))
-    bins_buf = np.empty(uv_pairs.shape, np.intp)
-    for start in range(0, pts.shape[0], step):
-        sl = slice(start, start + step)
-        known = None if lat is None else lat.pairs(table, sl)
-        bins = ball_bins(g, src, pts[sl], radii, known, bins_buf[: len(pts[sl])])
-        cnt = ball_sums(bins, n).astype(float)
-        m_r = ball_sums(bins, n, uv_pairs[: bins.shape[0]]) * cell
-        rows = np.arange(cnt.shape[0])
-        jc = np.maximum(j[sl], 0)
-        has_base = (j[sl] >= 0) & (cnt[rows, jc] > 0)
-        base_v = np.where(has_base, cnt[rows, jc] * cell, cell)[:, None]
-        base_r = np.where(has_base, radii[jc], r_dom[sl])[:, None]
-        vol = np.where(beyond[sl], base_v * (radii / base_r) ** g.Q, cnt * cell)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(vol > 0, vol ** (alpha - 1.0) * m_r, 0.0)
-        out[sl] = np.max(vals, axis=1)
+    rows = np.arange(len(pts))
+    jc = np.maximum(j, 0)
+    has_base = (j >= 0) & (cnt[rows, jc] > 0)
+    base_v = np.where(has_base, cnt[rows, jc] * cell, cell)[:, None]
+    base_r = np.where(has_base, radii[jc], r_dom)[:, None]
+    vol = np.where(radii > r_dom[:, None], base_v * (radii / base_r) ** g.Q, cnt * cell)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(vol > 0, vol ** (alpha - 1.0) * m_r, 0.0)
+    out = np.max(vals, axis=1)
     return out[0] if single else out
 
 

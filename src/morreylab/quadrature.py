@@ -13,13 +13,14 @@ Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
 ``product_lattice`` grid; the sums then run as a lattice correlation (one
 FFT) on Euclidean laws and, on H^1, as one short correlation (an FFT
-along the central axis) per pair of point and node columns, and ball bins
-are read from one table over the grid by column windows.  These fast
+along the central axis) per pair of point and node columns.  These fast
 sums take every node of a grid whose samples are all finite.  Other
 points, and grids with a non-finite sample, take the direct point-by-node
 loop: it alone leaves out the nodes past each ``source_blocks`` cap and
-decides which non-finite samples are reached.  The ball sums go in
-blocks of ``pair_rows`` points.
+decides which non-finite samples are reached.  Ball counts and masses
+(``ball_totals``) at on-lattice centres are differences of prefix sums
+over node columns, taken at the ends of the runs of grid samples inside
+each ball; other centres bin every centre-node pair (``ball_bins``).
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -237,51 +238,30 @@ def gauge_power_weights(g, a, R, h):
     return w
 
 
-# point-node pairs per block of the maximal operator's ball sums, and
-# window samples per batch of the H^1 column correlations: a fixed budget
-# keeps each temporary near 1 MB whatever the lattice size
+# centre-node pairs per block of the direct ball sums, grid samples per
+# block of lines, prefix values per gather (and, over 8, near-tie pairs per
+# block) of the on-lattice ball sums, and window samples per batch of the
+# H^1 column correlations: a fixed budget keeps each temporary near 1 MB
+# whatever the lattice size
 _PAIR_BUDGET = 1 << 17
 
 
-def pair_rows(n_cols: int) -> int:
-    """Rows per block of a pair kernel over ``n_cols`` columns: ``_PAIR_BUDGET`` pairs, and at least one."""
-    return max(1, _PAIR_BUDGET // n_cols)
-
-
-def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii, known=None, out=None) -> np.ndarray:
+def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
     """Bin of every (centre, node) pair in an (n_centers, len(radii) + 1) table.
 
     Row i of the result holds, for each node z, ``i * (len(radii) + 1) + j``
     with j the index of the first radius r_j such that z lies in the
     left-translated ball {z : gauge(c_i^{-1} z) < r_j}; j = len(radii)
     marks nodes outside every ball.  ``radii`` must be non-decreasing.
-    ``known`` (n_centers, n_nodes), if given, already holds j for the pairs
-    ``ball_bin_table`` fixed and -1 for the rest, in the table's narrow
-    integer type and any memory order; only the rest are computed, pair
-    by pair, with the same arithmetic.  It is left unchanged.  ``out``, an
-    (n_centers, n_nodes) intp array, receives the result if given: a
-    caller that bins block after block reuses one buffer, where a fresh
-    array per block can cost a page fault per 4 KB.
     """
-    if known is None:
-        d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
-        j = np.searchsorted(radii, d, side="right")
-        if out is not None:
-            out[...] = j
-            j = out
-    else:
-        ties = np.flatnonzero(known < 0)
-        r, c = np.divmod(ties, known.shape[1])
-        d = groups.gauge(g, groups.mul(g, -centers[r], nodes[c]))
-        j = np.empty(known.shape, np.intp) if out is None else out
-        j[...] = known
-        j[r, c] = np.searchsorted(radii, d, side="right")
+    d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
+    j = np.searchsorted(radii, d, side="right")
     j += (len(radii) + 1) * np.arange(len(centers))[:, None]
     return j
 
 
-def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale) -> np.ndarray:
-    """``ball_bins``' j at every flat sample of ``lat.grid``, -1 near a radius.
+def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale):
+    """Bounds (lo, hi) on ``ball_bins``' j at every sample of a ``ProductLattice``.
 
     ``lat`` is ``product_lattice(g, -centers, nodes, h)`` and ``scale``
     bounds the gauge of every centre and node.  Against the exact sample,
@@ -289,37 +269,185 @@ def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale)
     axis and 6 eps scale^2 on the H^1 centre.  Through the gauge
     (|dd/dx| <= 1, |dd/dt| <= 2/d) and its own rounding, the pair's gauge
     stays within 22 eps (1 + scale/d)^2 of d relative, which is below
-    ``tol`` wherever d >= r_0/2, so wherever a radius is near.  A sample
-    whose band d(1 +/- tol) holds a radius (every exact lattice distance
-    on the radius grid does) is marked -1, and ``ball_bins`` recomputes
-    its pairs one by one: the bins match the direct ones exactly.  The
-    table takes the narrowest signed integer type that holds
-    ``len(radii) + 1``, so gathering from it moves few bytes.
+    ``tol`` wherever d >= r_0/2, so wherever a radius is near.  So the j
+    of every pair whose product sits at a sample lies in [lo, hi], the
+    bins of the band d(1 +/- tol): lo == hi is the bin, and lo < hi marks
+    a sample near a radius (every exact lattice distance on the radius
+    grid is one), whose pairs need their own gauge.  Both tables have one
+    row per line of the grid along its last axis, and take the narrowest
+    signed integer type that holds ``len(radii) + 1``.
     """
     tol = 128.0 * np.finfo(float).eps * (1.0 + scale / radii[0]) ** 2
-    d = groups.gauge(g, lat.grid).ravel()
-    lo = np.searchsorted(radii, d * (1.0 - tol), side="right")
-    hi = np.searchsorted(radii, d * (1.0 + tol), side="right")
+    width = lat.shape[-1]
     dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > len(radii))
-    return np.where(lo == hi, lo, -1).astype(dtype)
+    lo, hi = np.empty((2, math.prod(lat.shape) // width, width), dtype)
+    rows = max(1, _PAIR_BUDGET // width)
+    for start in range(0, len(lo), rows):
+        sl = slice(start, start + rows)
+        d = groups.gauge(g, lat.lines(sl))
+        lo[sl] = np.searchsorted(radii, d * (1.0 - tol), side="right")
+        hi[sl] = np.searchsorted(radii, d * (1.0 + tol), side="right")
+    return lo, hi
 
 
 def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
     """Per-ball totals from ``ball_bins``: shape (n_centers, n_radii).
 
     Node counts when ``weights`` is None, otherwise sums of ``weights``
-    over each ball: one weight per node, or one per pair (the shape of
-    ``bins``).  Each pair is binned once into the first ball that holds
-    it, and the cumulative sum over radii fills the larger balls, so no
-    per-centre sort is needed.
+    over each ball: one weight per node.  Each pair is binned once into
+    the first ball that holds it, and the cumulative sum over radii fills
+    the larger balls, so no per-centre sort is needed.
     """
     m = bins.shape[0]
     if weights is not None:
-        # np.bincount copies weights that are not writeable, as views made
-        # by np.broadcast_to are
-        weights = np.ravel(weights) if np.shape(weights) == bins.shape else np.tile(weights, m)
+        weights = np.tile(weights, m)
     per_bin = np.bincount(bins.ravel(), weights=weights, minlength=m * (n_radii + 1))
     return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
+
+
+def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
+    """Node counts and sums of ``weights`` over every ball: two (n_centers, n_radii) arrays.
+
+    Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
+    over ``nodes`` with one weight per node.  Centres and nodes that
+    ``product_lattice`` accepts, with finite weights, take
+    ``_lattice_ball_totals``; the others bin every pair (``ball_bins``) in
+    blocks of ``_PAIR_BUDGET`` pairs, so that a non-finite weight reaches
+    only the balls that hold its node, not every prefix past it.  The
+    counts of both paths are equal; the sums agree to rounding.
+    """
+    lat = product_lattice(g, -centers, nodes, h)
+    if lat is not None and np.all(np.isfinite(weights)):
+        return _lattice_ball_totals(g, lat, -centers, nodes, radii, weights)
+    cnt, tot = np.empty((2, len(centers), len(radii)))
+    rows = max(1, _PAIR_BUDGET // len(nodes))
+    for start in range(0, len(centers), rows):
+        sl = slice(start, start + rows)
+        bins = ball_bins(g, nodes, centers[sl], radii)
+        cnt[sl] = ball_sums(bins, len(radii))
+        tot[sl] = ball_sums(bins, len(radii), weights)
+    return cnt, tot
+
+
+def _ranges(lo, hi):
+    """(i, v) for every v in [lo[i], hi[i]) over all i, in order."""
+    n = hi - lo
+    i = np.repeat(np.arange(len(n)), n)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
+def _lattice_ball_totals(g, lat: ProductLattice, points, nodes, radii, weights):
+    """``ball_totals`` at the centres -``points`` of ``lat``, from runs of the grid.
+
+    ``lat`` is ``product_lattice(g, points, nodes, h)``.  Along a line of
+    the grid in its last axis the gauge is monotone in |t|, t the last
+    coordinate, on either side of t = 0, and so is the ``hi`` bound of
+    ``ball_bin_table``: the samples surely inside ball j (hi <= j) form
+    one run [klo, khi) of last indices per line.  Slot s of a point
+    column meets slot m of a node column at last index k0 + step (s + m)
+    on one line, so ball j holds the node slots m in [A - s, B - s), A
+    and B the least slot sums at or past klo and khi, and its count and
+    sum are differences of the node column's prefix sums over slots.
+    For one point column, each (node column, radius) that holds part of
+    its node column reads one contiguous run of the padded prefix array,
+    one value per point slot; the differences are summed over node
+    columns.  The absolute error of a sum is at most about L eps times
+    the total of each node column it draws on, L the column's slots.  A
+    pair at a sample near a radius (lo < hi) is binned by its own gauge
+    as ``ball_bins`` does, and joins balls j to hi - 1 if its bin is j:
+    the runs leave those out.
+    """
+    n, step = len(radii), lat.step
+    scale = max(np.max(groups.gauge(g, points)), np.max(groups.gauge(g, nodes)))
+    lo, hi = ball_bin_table(g, lat, radii, scale)
+    width = hi.shape[1]
+    # t < 0 on the first ``neg`` samples of every line
+    neg = int(np.count_nonzero(lat.axes[-1] < 0))
+    klo = neg - np.stack([np.count_nonzero(hi[:, :neg] <= j, axis=1) for j in range(n)], axis=1)
+    khi = neg + np.stack([np.count_nonzero(hi[:, neg:] <= j, axis=1) for j in range(n)], axis=1)
+
+    line0, k0 = np.divmod(lat.column_starts(), width)
+    n_pc, n_nc = k0.shape
+    Lp, Lc = np.zeros(n_pc, np.intp), np.zeros(n_nc, np.intp)
+    np.maximum.at(Lp, lat.pcol, lat.s + 1)
+    np.maximum.at(Lc, lat.col, lat.m + 1)
+    L, M = int(Lp.max()), int(Lc.max())
+    # weights as the real part and node counts as the imaginary one, so
+    # that one gather reads both
+    slots = np.zeros((n_nc, M), complex)
+    np.add.at(slots, (lat.col, lat.m), weights + 1j)
+    # prefix sums over node slots, L - 1 zeros before them and the totals
+    # after, so that slot sums past either end of a column read its first
+    # or last prefix
+    pre = np.zeros((n_nc, M + 2 * L - 1), complex)
+    np.cumsum(slots, axis=1, out=pre[:, L : L + M])
+    pre[:, L + M :] = pre[:, L + M - 1, None]
+    win = np.lib.stride_tricks.sliding_window_view(pre, L, axis=1)
+
+    # per point column, radius and point slot s at L - 1 - s
+    res = np.zeros((n_pc, n, L), complex)
+    chunk = max(1, _PAIR_BUDGET // L)
+    for pc, runs in enumerate(res):
+        # window start B reads the prefixes at B + L - 1 - s for s = 0 .. L - 1
+        A = np.clip(-((k0[pc, :, None] - klo[line0[pc]]) // step), 0, M + L - 1)
+        B = np.clip(-((k0[pc, :, None] - khi[line0[pc]]) // step), 0, M + L - 1)
+        # a (node column, radius) that holds the whole column at every
+        # point slot adds its total; one that holds none of it adds nothing
+        full = (A == 0) & (B >= Lc[:, None] + Lp[pc] - 1)
+        runs += (pre[:, -1] @ full)[:, None]
+        j, c = np.nonzero(((B > A) & ~full).T)
+        for start in range(0, len(j), chunk):
+            jj, cc = j[start : start + chunk], c[start : start + chunk]
+            first = np.flatnonzero(np.diff(jj, prepend=-1))
+            diff = win[cc, B[cc, jj]]
+            diff -= win[cc, A[cc, jj]]
+            runs[jj[first]] += np.add.reduceat(diff, first, axis=0)
+
+    point_at, node_at = np.full((n_pc, L), -1), np.full((n_nc, M), -1)
+    point_at[lat.pcol, lat.s] = np.arange(len(points))
+    node_at[lat.col, lat.m] = np.arange(len(nodes))
+    delta = np.zeros((2, n_pc * L * (n + 1)))
+    for ps, ns, f in _near_tie_pairs(lat, np.flatnonzero(lo != hi), Lp, Lc, point_at, node_at):
+        d = groups.gauge(g, groups.mul(g, points[point_at.flat[ps]], nodes[node_at.flat[ns]]))
+        into = ps * (n + 1) + np.searchsorted(radii, d, side="right")
+        past = ps * (n + 1) + hi.ravel()[f]
+        for part, wz in zip(delta, (slots.flat[ns].real, slots.flat[ns].imag)):
+            np.add.at(part, into, wz)
+            np.subtract.at(part, past, wz)
+    mass, cnt = np.cumsum(delta.reshape(2, n_pc, L, n + 1)[..., :n], axis=-1)
+    res.real += mass.transpose(0, 2, 1)[..., ::-1]
+    res.imag += cnt.transpose(0, 2, 1)[..., ::-1]
+    out = res[lat.pcol, :, L - 1 - lat.s]
+    return out.imag, out.real
+
+
+def _near_tie_pairs(lat: ProductLattice, ties, Lp, Lc, point_at, node_at):
+    """(point slot, node slot, flat grid index) of the pairs at the samples ``ties``.
+
+    ``ties`` holds sorted flat grid indices, ``Lp`` and ``Lc`` the slots of
+    each point and node column, and ``point_at`` and ``node_at`` a point
+    or node at each (column, slot), -1 where there is none.  A slot is
+    yielded as a flat index into them.  The samples are found in the
+    window of each pair of columns, and their pairs are yielded in blocks
+    of about ``_PAIR_BUDGET / 8``.
+    """
+    f0 = lat.column_starts()
+    last = f0 + lat.step * (Lp[:, None] + Lc - 2)
+    pair, t = _ranges(np.searchsorted(ties, f0.ravel()), np.searchsorted(ties, last.ravel(), side="right"))
+    w, r = np.divmod(ties[t] - f0.ravel()[pair], lat.step)
+    pc, nc = np.divmod(pair[r == 0], len(Lc))
+    t, w = t[r == 0], w[r == 0]
+    s_lo, s_hi = np.maximum(0, w - Lc[nc] + 1), np.minimum(Lp[pc], w + 1)
+    ends = np.cumsum(s_hi - s_lo)
+    block = max(1, _PAIR_BUDGET // 8)
+    cuts = np.searchsorted(ends, np.arange(block, ends[-1] if ends.size else 0, block))
+    for sel in np.split(np.arange(len(t)), cuts):
+        e, s = _ranges(s_lo[sel], s_hi[sel])
+        e = sel[e]
+        ps = pc[e] * point_at.shape[1] + s
+        ns = nc[e] * node_at.shape[1] + w[e] - s
+        keep = (point_at.flat[ps] >= 0) & (node_at.flat[ns] >= 0)
+        yield ps[keep], ns[keep], ties[t[e][keep]]
 
 
 def finite_samples(vals, pts, reached):
@@ -352,12 +480,12 @@ def _lattice_index(pts, spacing):
 class ProductLattice:
     """The grid on which the products x z of points and nodes land.
 
-    ``grid`` holds the sample points, shape S + (N,).  Points and nodes
-    fall into columns: the members of one column share every lattice
-    index but the last.  Node n sits at slot ``m[n]`` of node column
-    ``col[n]``; on H^1, point p sits at slot ``s[p]`` of point column
-    ``pcol[p]`` (both None on R^N, where no sum reads them).  The
-    product of point p and node n sits at flat grid index
+    ``axes`` holds the sample coordinates along each axis, so the grid
+    has shape S = ``shape``; ``lines`` makes its points, a block of lines
+    along the last axis at a time.  Points and nodes fall into columns:
+    the members of one column share every lattice index but the last.  Node n sits at slot ``m[n]`` of node column
+    ``col[n]``, and point p at slot ``s[p]`` of point column ``pcol[p]``.
+    The product of point p and node n sits at flat grid index
     ``P[p] + Zc[c] + A[p] @ Bc[c] + step * m[n]`` with c = ``col[n]``,
     and ``P[p]`` grows by ``step`` per point slot.  The bilinear twist
     ``A @ Bc`` (empty on R^N) is constant along a point column and along a
@@ -366,16 +494,31 @@ class ProductLattice:
     window, and the product of slots s and m sits at position s + m.
     """
 
-    grid: np.ndarray
+    axes: tuple
     P: np.ndarray
     A: np.ndarray
     Zc: np.ndarray
     Bc: np.ndarray
     col: np.ndarray
     m: np.ndarray
-    pcol: np.ndarray | None
-    s: np.ndarray | None
+    pcol: np.ndarray
+    s: np.ndarray
     step: int
+
+    @property
+    def shape(self):
+        return tuple(len(a) for a in self.axes)
+
+    def lines(self, rows=slice(None)):
+        """The samples of ``rows`` of the lines along the last axis, flat index order: (n, S[-1], N)."""
+        shape = self.shape
+        line = np.arange(math.prod(shape[:-1]))[rows]
+        out = np.empty((len(line), shape[-1], len(shape)))
+        for i in reversed(range(len(shape) - 1)):
+            line, k = np.divmod(line, shape[i])
+            out[:, :, i] = self.axes[i][k, None]
+        out[:, :, -1] = self.axes[-1]
+        return out
 
     def starts(self, rows, cols, first=0):
         """Flat grid index of slot ``first`` of columns ``cols`` times points ``rows``."""
@@ -387,14 +530,11 @@ class ProductLattice:
         Flat index f moves to ``(f % step) * n + f // step``, n the grid
         size over ``step`` rounded up, so the slots of a column follow one
         another.  Row i of the view holds the values from position i on,
-        enough for the longest node column and, on H^1, for the transform
-        of the longest pair of columns (``_fft_length`` of their slots less
-        one); zeros pad the end.
+        enough for the transform of the longest pair of columns
+        (``_fft_length`` of their slots less one); zeros pad the end.
         """
         n = -(-values.size // self.step)
-        width = int(self.m.max()) + 1
-        if self.s is not None:
-            width = _fft_length(width + int(self.s.max()))
+        width = _fft_length(int(self.m.max()) + 1 + int(self.s.max()))
         out = np.zeros(self.step * n + width - 1, values.dtype)
         # row q of this (n, step) view holds flat indices q * step + r
         rows = out[: self.step * n].reshape(self.step, n).T
@@ -403,20 +543,15 @@ class ProductLattice:
         rows[full:, :rem] = flat[full * self.step :]
         return np.lib.stride_tricks.sliding_window_view(out, width)
 
+    def column_starts(self):
+        """Flat grid index of slot 0 of every point column times slot 0 of every node column."""
+        rep = np.unique(self.pcol, return_index=True)[1]
+        return self.starts(rep, slice(None), -self.s[rep][:, None])
+
     def windows(self, split, at, width):
         """The first ``width`` values of the window of ``split`` at each flat grid index ``at``."""
         q, r = np.divmod(at, self.step)
         return split[r * (len(split) // self.step) + q, :width]
-
-    def pairs(self, split, rows):
-        """The value of every (point in ``rows``, node) pair, in node order.
-
-        Every node column is read as one window, then compressed through
-        the slots.
-        """
-        width = int(self.m.max()) + 1
-        win = self.windows(split, self.starts(rows, slice(None)), width)
-        return np.take(win.reshape(len(win), -1), self.col * width + self.m, axis=1)
 
 
 def _columns(idx, k, M):
@@ -451,8 +586,8 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     but the bilinear term splits into a point part and a node part.  The
     grid spans exactly the least to the greatest k over all pairs: only
     the extreme k of each point column meets the extreme k of each node
-    column.  A node's slot, and on H^1 a point's, counts the steps of its
-    last index from the least one in its column.  None when a point or node is off
+    column.  A node's or a point's slot counts the steps of its last
+    index from the least one in its column.  None when a point or node is off
     the lattice, or when the grid would hold at least as many samples as
     there are point-node pairs (single points, far-apart points): the
     caller's direct loop runs then.
@@ -471,10 +606,9 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     col, blo, bhi, Bc = _columns(iz, kz[:, -1], B)
     xlo = kx.min(axis=0)
     lo, hi = xlo + kz.min(axis=0), kx.max(axis=0) + kz.max(axis=0)
-    pcol = s = None
+    pcol, alo, ahi, Ac = _columns(ix, kx[:, -1], A)
+    s = (kx[:, -1] - alo[pcol]) // step
     if g.law == groups.HEISENBERG1:
-        pcol, alo, ahi, Ac = _columns(ix, kx[:, -1], A)
-        s = (kx[:, -1] - alo[pcol]) // step
         twist = Ac @ Bc.T
         lo[2], hi[2] = np.min(alo[:, None] + blo + twist), np.max(ahi[:, None] + bhi + twist)
     shape = tuple(int(v) for v in hi - lo + 1)
@@ -488,7 +622,7 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     Zc = np.empty(len(Bc), np.intp)
     Zc[col] = (kz - lo + xlo) @ stride - step * m
     return ProductLattice(
-        grid=np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1),
+        axes=tuple(axes),
         P=(kx - xlo) @ stride,
         A=A,
         Zc=Zc,
@@ -532,10 +666,16 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
     """
     lat = product_lattice(g, points, nodes, h)
     if lat is not None:
-        samples = np.asarray(u(lat.grid), dtype=float)
+        # sampled a block of lines at a time: the grid's points are never
+        # all held at once
+        samples = np.empty(lat.shape)
+        lines = samples.reshape(-1, lat.shape[-1])
+        rows = max(1, _PAIR_BUDGET // lat.shape[-1])
+        for start in range(0, len(lines), rows):
+            lines[start : start + rows] = u(lat.lines(slice(start, start + rows)))
         if np.all(np.isfinite(samples)):
             if g.law == groups.EUCLIDEAN:
-                shape = lat.grid.shape[:-1]
+                shape = lat.shape
                 dense = np.zeros(shape)
                 dense.flat[lat.Zc[lat.col] + lat.m] = weights
                 ax = tuple(range(len(shape)))
@@ -589,12 +729,10 @@ def _column_correlations(lat: ProductLattice, split, weights):
     W = np.zeros((int(lat.col.max()) + 1, int(lat.m.max()) + 1))
     W[lat.col, lat.m] = weights
     Wf = np.conj(np.fft.rfft(W, n))
-    # flat grid index of slot 0 of each point column times slot 0 of each node column
-    rep = np.unique(lat.pcol, return_index=True)[1]
-    at = lat.starts(rep, slice(None), -lat.s[rep][:, None])
-    sums = np.empty((len(rep), int(lat.s.max()) + 1))
+    at = lat.column_starts()
+    sums = np.empty((len(at), int(lat.s.max()) + 1))
     batch = max(1, _PAIR_BUDGET // (len(W) * n))
-    for start in range(0, len(rep), batch):
+    for start in range(0, len(at), batch):
         sub = slice(start, start + batch)
         freq = np.fft.rfft(lat.windows(split, at[sub], n))
         freq *= Wf

@@ -149,7 +149,9 @@ def parse_config(doc: dict):
         try:
             battery.append(make(g, *args))
         except DomainError as e:
-            raise ConfigError(f"{path}: {e}") from e
+            # the constructors' messages start with the field they reject
+            named = any(str(e).startswith(key + " ") for key in fields)
+            raise ConfigError(f"{path}.{e}" if named else f"{path}: {e}") from e
 
     t_values = _list(doc, "t_values", [0.25, 0.5, 1.0, 2.0, 4.0])
     if not all(_is_number(t) for t in t_values):

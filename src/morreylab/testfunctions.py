@@ -75,11 +75,17 @@ def _gauge_decay_radius(g, fn, start: float) -> float:
     raise DomainError("could not bracket the decay radius")
 
 
+def _scale_squared(name: str, value: float) -> float:
+    """value^2; DomainError naming ``name`` unless value > 0 and its square is finite and nonzero."""
+    sq = value * value
+    if not (value > 0 and 0 < sq < math.inf):
+        raise DomainError(f"{name} must be positive with a finite nonzero square, got {value}")
+    return sq
+
+
 def gaussian(g: groups.GroupDescriptor, width: float = 1.0) -> TestFunction:
     """Tensor Gaussian exp(-|x|_E^2 / width^2)."""
-    if width <= 0:
-        raise DomainError("width must be positive")
-    w2 = width * width
+    w2 = _scale_squared("width", width)
 
     def fn(pts):
         return np.exp(-np.sum(pts * pts, axis=-1) / w2)
@@ -121,9 +127,7 @@ def gaussian(g: groups.GroupDescriptor, width: float = 1.0) -> TestFunction:
 
 def bump(g: groups.GroupDescriptor, support_radius: float = 2.0) -> TestFunction:
     """Smooth compactly supported bump in the Euclidean coordinate ball."""
-    if support_radius <= 0:
-        raise DomainError("support radius must be positive")
-    r02 = support_radius * support_radius
+    r02 = _scale_squared("radius", support_radius)
 
     def fn(pts):
         s = np.sum(pts * pts, axis=-1) / r02
@@ -165,9 +169,9 @@ def power_truncated(
 ) -> TestFunction:
     """gauge(x)^(-a) on {gauge < r0}: the rough member of the battery."""
     if not (0 < exponent < g.Q):
-        raise DomainError(f"power exponent must lie in (0, Q), got {exponent}")
+        raise DomainError(f"exponent must lie in (0, Q), got {exponent}")
     if support_radius <= 0:
-        raise DomainError("support radius must be positive")
+        raise DomainError("radius must be positive")
 
     def fn(pts):
         d = groups.gauge(g, pts)

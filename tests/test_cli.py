@@ -248,6 +248,13 @@ CONFIG_FAULTS = [
     # an integer literal past the float range is no finite number
     (dict(battery=[{"kind": "gauss_tensor", "width": 10 ** 400}]), "config.battery[0].width"),
     (dict(quadrature={"R_max": 10 ** 400, "lattice_h": 0.05}), "config.quadrature.R_max"),
+    # a scale whose square underflows to 0 or overflows makes u NaN or 0 at its centre
+    (dict(battery=[{"kind": "gauss_tensor", "width": 1e-308}]), "config.battery[0].width"),
+    (dict(battery=[{"kind": "gauss_tensor", "width": 1e200}]), "config.battery[0].width"),
+    (dict(battery=[{"kind": "gauss_tensor", "width": 0}]), "config.battery[0].width"),
+    (dict(battery=[{"kind": "gauss_tensor", "width": 0.5},
+                   {"kind": "bump_compact", "radius": 1e-320}]), "config.battery[1].radius"),
+    (dict(battery=[{"kind": "bump_compact", "radius": -1.5}]), "config.battery[0].radius"),
 ]
 
 

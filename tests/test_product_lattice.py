@@ -6,11 +6,12 @@ the products of each point column with each node column as one window of
 that grid and sums them as a correlation by FFT, over every node, when
 every sample is finite; a non-finite sample sends the sums to the direct
 loop, which alone applies source caps.  On every law,
-``frac_maximal_values`` reads the ball bin of each centre-node pair from
-a table over that grid, by column windows, and recomputes the pairs near
-a radius.  The direct loops stay as the
-fallback; here they are the small-K oracle.  Riesz sums must agree to
-1e-12 of the largest value; ball bins and maximal values bit for bit.
+``frac_maximal_values`` reads its ball counts and masses at on-lattice
+centres from runs of a table over that grid and prefix sums over node
+columns, and bins the pairs near a radius one by one.  The direct loops
+stay as the fallback; here they are the small-K oracle.  Riesz sums and
+maximal values must agree to 1e-12 of the largest value; ball counts bit
+for bit.
 """
 
 import numpy as np
@@ -23,6 +24,8 @@ from morreylab.quadrature import (
     QuadratureSpec,
     ball_bin_table,
     ball_bins,
+    ball_sums,
+    ball_totals,
     geometric_radii,
     kernel_band_values,
     lattice_nodes,
@@ -56,7 +59,7 @@ def test_products_land_on_the_grid(h1, sign):
     for R_eff in (None, 0.9):
         pts = sign * lattice_nodes(h1, H1_SPEC, R_eff=R_eff)[0]
         lat = product_lattice(h1, pts, nodes, H1_SPEC.effective_h)
-        grid = lat.grid.reshape(-1, 3)
+        grid = lat.lines().reshape(-1, 3)
         at = flat_index(lat)
         assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
         prod = groups.mul(h1, pts[:, None, :], nodes[None, :, :])
@@ -187,7 +190,7 @@ def test_h1_unreached_non_finite_sample_is_dropped(backends, translate_paths, h1
     # though the grid holds it: the direct loop runs and drops it
     u = power_truncated(h1, 1.0, 1.0)
     pts = lattice_nodes(h1, H1_SPEC, R_eff=0.9)[0]
-    grid = product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h).grid
+    grid = product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h).lines()
     assert not np.all(np.isfinite(u(grid)))
     backends.run(True, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
     assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
@@ -233,74 +236,148 @@ BIN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
-def test_tabulated_bins_equal_direct_bins(name, g, spec):
+BIN_IDS = [c[0] for c in BIN_CASES]
+
+
+def check_ball_totals(backends, g, spec, centers, nodes, radii):
+    """Ball counts from the runs equal the direct bins' bit for bit, sums agree.
+
+    Some pairs sit at samples near a radius, so the per-pair rule is tested.
+    """
+    h = spec.effective_h
+    w = gaussian(g, 0.3)(nodes)
+    lat = product_lattice(g, -centers, nodes, h)
+    scale = float(max(np.max(groups.gauge(g, centers)), np.max(groups.gauge(g, nodes))))
+    lo, hi = ball_bin_table(g, lat, radii, scale)
+    assert np.any(lo.ravel()[flat_index(lat)] < hi.ravel()[flat_index(lat)])
+    cnt, tot = backends.run(True, ball_totals, g, centers, nodes, radii, w, h)
+    bins = ball_bins(g, nodes, centers, radii)
+    assert np.array_equal(cnt, ball_sums(bins, len(radii)))
+    backends.close(tot, ball_sums(bins, len(radii), w))
+
+
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
+def test_tabulated_bins_equal_direct_bins(backends, name, g, spec):
     nodes = lattice_nodes(g, spec)[0]
     lat = product_lattice(g, -nodes, nodes, spec.effective_h)
     scale = float(np.max(groups.gauge(g, nodes)))
-    # the table is one byte wide up to 126 radii and widens past that
+    # the tables are one byte wide up to 126 radii and widen past that
     h = spec.effective_h
     short, long = radius_grid(spec, 1.5), geometric_radii(2.0 * h, 2.0 ** 33 * h)
     assert len(short) < 127 <= len(long)
     for radii, dtype in [(short, np.int8), (long, np.int16)]:
-        table = ball_bin_table(g, lat, radii, scale)
-        assert table.dtype == dtype
-        assert np.any(table < 0)  # near-ties exist and are recomputed
-        known = table[flat_index(lat)]
-        assert np.array_equal(lat.pairs(lat.split(table), slice(None)), known)
-        kept = known.copy()
-        direct = ball_bins(g, nodes, nodes, radii)
-        # the ties are filled in whatever the memory order of ``known``
-        for order in (known, np.asfortranarray(known)):
-            assert np.array_equal(ball_bins(g, nodes, nodes, radii, order), direct)
-        assert np.array_equal(known, kept)
+        lo, hi = ball_bin_table(g, lat, radii, scale)
+        assert lo.dtype == hi.dtype == dtype
+        # every pair's bin lies in the bounds of its sample, and is them where they meet
+        j = ball_bins(g, nodes, nodes, radii) % (len(radii) + 1)
+        lo, hi = lo.ravel()[flat_index(lat)], hi.ravel()[flat_index(lat)]
+        assert np.all((lo <= j) & (j <= hi))
+        assert np.any(lo < hi)  # near-ties exist and are binned pair by pair
+        assert np.array_equal(j[lo == hi], lo[lo == hi])
+        check_ball_totals(backends, g, spec, nodes, nodes, radii)
 
 
-@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_maximal_values_bit_identical(backends, name, g, spec):
+    # ball counts are bit-identical; the masses are prefix differences, so
+    # the values agree with the direct bincounts to rounding
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)
-    for fn, args in [(operators.frac_maximal_values, (0.0, u, nodes, radii, spec)),
-                     (operators.frac_maximal_values, (0.3, u, nodes, radii, spec))]:
-        fast = backends.run(True, fn, g, *args)
-        assert np.array_equal(fast, backends.run(False, fn, g, *args))
+    check_ball_totals(backends, g, spec, nodes, nodes, radii)
+    for alpha in (0.0, 0.3):
+        backends.agree(operators.frac_maximal_values, g, alpha, u, nodes, radii, spec)
 
 
-@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=[c[0] for c in BIN_CASES])
+@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats"])
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
+def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
+    # gaps: every fifth node as a centre leaves holes inside point columns;
+    # one_column: the centres of the longest point column (on H^1 of a
+    # finer lattice, whose grid holds fewer samples than the column has
+    # pairs); repeats: centres and nodes that occur twice count twice
+    if case == "one_column" and name == "H1":
+        spec = QuadratureSpec(R_max=1.5, lattice_h=0.25)
+    nodes = lattice_nodes(g, spec)[0]
+    if case == "gaps":
+        centers = nodes[::5]
+    elif case == "repeats":
+        centers = np.concatenate([nodes[::5], nodes[::10]])
+        nodes = np.concatenate([nodes, nodes[::3]])
+        monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: (nodes, None, 1.0))
+    else:
+        pcol = product_lattice(g, -nodes, nodes, spec.effective_h).pcol
+        centers = nodes[pcol == np.argmax(np.bincount(pcol))]
+        assert product_lattice(g, -centers, nodes, spec.effective_h).pcol.max() == 0
+    u = gaussian(g, 0.3)
+    check_ball_totals(backends, g, spec, centers, nodes, radius_grid(spec, 1.5))
+    backends.agree(operators.frac_maximal_values, g, 0.3, u, centers,
+                   radius_grid(spec, u.decay_radius), spec)
+
+
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_shuffled_nodes_keep_bins_and_maximal_values(backends, monkeypatch, name, g, spec):
-    # windows read whole columns and compress them through the slots, so
-    # node order is free: bins and bincounts follow it pair for pair
+    # the runs read node columns through their slots, so node order is
+    # free: counts follow it exactly and masses to rounding
     nodes = lattice_nodes(g, spec)
     order = np.random.default_rng(7).permutation(len(nodes[0]))
     shuffled = (nodes[0][order], nodes[1][order], nodes[2])
     centers = shuffled[0][::5]
-    radii = radius_grid(spec, 1.5)
-    lat = product_lattice(g, -centers, shuffled[0], spec.effective_h)
-    table = ball_bin_table(g, lat, radii, float(np.max(shuffled[1])))
-    assert np.array_equal(ball_bins(g, shuffled[0], centers, radii, lat.pairs(lat.split(table), slice(None))),
-                          ball_bins(g, shuffled[0], centers, radii))
+    check_ball_totals(backends, g, spec, centers, shuffled[0], radius_grid(spec, 1.5))
     monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: shuffled)
     u = gaussian(g, 0.3)
-    args = (0.3, u, centers, radius_grid(spec, u.decay_radius), spec)
-    assert np.array_equal(backends.run(True, operators.frac_maximal_values, g, *args),
-                          backends.run(False, operators.frac_maximal_values, g, *args))
+    backends.agree(operators.frac_maximal_values, g, 0.3, u, centers,
+                   radius_grid(spec, u.decay_radius), spec)
 
 
-def test_pair_blocks_do_not_move_bits(h1, monkeypatch):
-    # shipped: the correlations take 68 of 80 point columns a batch, the maximal
-    # operator takes 170 centres a block; then one point column or one
-    # centre a block, then all of them in one
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
+def test_on_lattice_centres_bin_no_pairs(monkeypatch, name, g, spec):
+    # a silent fall-back to binning every pair would pass every agreement
+    # test: on-lattice centres must take the runs, off-lattice ones the bins
+    calls = []
+
+    def counted(*args, real=quadrature.ball_bins):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "ball_bins", counted)
+    u = gaussian(g, 0.3)
+    nodes = lattice_nodes(g, spec)[0]
+    radii = radius_grid(spec, u.decay_radius)
+    operators.frac_maximal_values(g, 0.0, u, nodes, radii, spec)
+    assert calls == []
+    off = nodes[::7] + 0.3 * spec.effective_h
+    operators.frac_maximal_values(g, 0.0, u, off, radii, spec)
+    assert sum(calls) == len(off)
+
+
+def test_non_finite_weights_bin_pairs(backends, g1):
+    # an infinite |u| at one node makes every ball that holds it infinite;
+    # prefix sums would turn the balls past it into inf - inf
+    spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
+    u = custom(lambda p: np.where(np.abs(p[..., 0] - 0.025) < 1e-9, np.inf,
+                                  np.exp(-p[..., 0] ** 2)), 10.0)
+    nodes = lattice_nodes(g1, spec)[0]
+    args = (operators.frac_maximal_values, g1, 0.0, u, nodes, radius_grid(spec, 1.0), spec)
+    fast = backends.run(True, *args)
+    assert np.isinf(fast).any() and not np.isnan(fast).any()
+    assert np.array_equal(fast, backends.run(False, *args))
+
+
+def test_pair_blocks_do_not_move_bits(backends, h1, monkeypatch):
+    # shipped budget, then one column window, run or tie pair a block, then
+    # all of them in one: the Riesz sums keep their bits; the maximal
+    # values sum their prefix differences in another order, to rounding
     u = gaussian(h1, 0.3)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     radii = radius_grid(H1_SPEC, u.decay_radius)
-    calls = [(operators.riesz_values, (1.5, u, nodes, H1_SPEC)),
-             (operators.frac_maximal_values, (0.3, u, nodes, radii, H1_SPEC))]
-    shipped = [fn(h1, *args) for fn, args in calls]
+    riesz = (1.5, u, nodes, H1_SPEC)
+    maximal = (0.3, u, nodes, radii, H1_SPEC)
+    want = operators.riesz_values(h1, *riesz), operators.frac_maximal_values(h1, *maximal)
     for budget in (1, len(nodes) ** 2):
         monkeypatch.setattr(quadrature, "_PAIR_BUDGET", budget)
-        for (fn, args), want in zip(calls, shipped):
-            assert np.array_equal(fn(h1, *args), want)
+        assert np.array_equal(operators.riesz_values(h1, *riesz), want[0])
+        backends.close(operators.frac_maximal_values(h1, *maximal), want[1])
 
 
 def test_sweep_records_where_each_supremum_sat(g1):

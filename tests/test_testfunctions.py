@@ -47,6 +47,14 @@ def test_dilated_metadata(g1):
     assert dilated(g1, u, 1.0) is u
 
 
+@pytest.mark.parametrize("make,scale", [(gaussian, 1e-308), (gaussian, 1e200), (gaussian, 0.0),
+                                        (bump, 1e-320), (bump, float("nan"))])
+def test_scale_needs_a_finite_nonzero_square(g1, make, scale):
+    # gaussian(g, 1e-308) was NaN everywhere (0/0), bump(g, 1e-320) 0 at its centre
+    with pytest.raises(DomainError, match="must be positive with a finite nonzero square"):
+        make(g1, scale)
+
+
 def test_custom_requires_finite_decay():
     with pytest.raises(DomainError):
         custom(lambda p: np.ones(p.shape[:-1]), decay_radius=np.inf)
