@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import groups
 from .errors import DomainError
-from .quadrature import (QuadratureSpec, ball_bins, ball_sums, check_radii, lattice_nodes,
-                         radius_grid)
+from .quadrature import QuadratureSpec, ball_masses, check_radii, lattice_nodes, radius_grid
 
 
 @dataclass(frozen=True)
@@ -63,19 +61,6 @@ def default_centers(
     return np.vstack([np.zeros((1, g.dimension)), pts])
 
 
-@lru_cache(maxsize=8)
-def _ball_bins_cached(g, nodes: bytes, centers: bytes, radii: bytes) -> np.ndarray:
-    """``ball_bins`` keyed on array contents, so a key can never go stale."""
-    bins = ball_bins(
-        g,
-        np.frombuffer(nodes).reshape(-1, g.dimension),
-        np.frombuffer(centers).reshape(-1, g.dimension),
-        np.frombuffer(radii),
-    )
-    bins.setflags(write=False)
-    return bins
-
-
 def morrey_sup_from_samples(
     g: groups.GroupDescriptor,
     p: float,
@@ -99,8 +84,7 @@ def morrey_sup_from_samples(
     radii = check_radii(radii)
     nodes = np.asarray(nodes, dtype=float)
     powered = np.abs(np.asarray(values, dtype=float)) ** p * cellvol
-    bins = _ball_bins_cached(g, nodes.tobytes(), centers.tobytes(), radii.tobytes())
-    vals = radii ** (-lam) * ball_sums(bins, len(radii), powered)
+    vals = radii ** (-lam) * ball_masses(g, centers, nodes, radii, powered)
     # first centre, then first radius, attaining the maximum
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best_r = float(radii[k])

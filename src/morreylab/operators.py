@@ -23,7 +23,6 @@ from .quadrature import (
     lattice_nodes,
     nodes_by_gauge,
     resolve_R,
-    source_blocks,
     translate_sums,
 )
 
@@ -133,10 +132,12 @@ def frac_laplacian_values(
 
     The inner region {|y| < h} uses the second-order Taylor form of the
     difference, integrated in closed form.  For inputs that decay inside
-    R_max the omitted far tail of the 2u(x) term is added in closed form
-    beyond each block's ``source_blocks`` cap; non-decaying inputs (e.g.
-    oscillatory probes) instead need R_max large enough that the tail is
-    below tolerance.  The node set is symmetric, so
+    R_max, points go in blocks of ``_FRACLAP_CHUNK`` in gauge order, u
+    vanishes beyond each block's source cap (its largest gauge + decay
+    radius + 2h, clipped at R_max), and the far tail of the 2u(x) term
+    closes there in radial form; non-decaying inputs (e.g. oscillatory
+    probes) instead need R_max large enough that the tail is below
+    tolerance.  The node set is symmetric, so
     sum k(y) (2u(x) - u(x+y) - u(x-y)) is 2u(x) sum k(y) - 2
     ``translate_sums``.  A non-finite sample of u raises IntegrandError.
     """
@@ -167,13 +168,16 @@ def frac_laplacian_values(
     jmax = np.full(pts.shape[0], len(dY))
     tail = np.zeros(pts.shape[0])
     if decay <= spec.R_max:
-        for rows, cap in source_blocks(groups.gauge(g, pts), decay, h, _FRACLAP_CHUNK):
-            cap = min(cap, spec.R_max)
+        gx = groups.gauge(g, pts)
+        order = np.argsort(gx, kind="stable")
+        for start in range(0, len(order), _FRACLAP_CHUNK):
+            rows = order[start : start + _FRACLAP_CHUNK]
+            cap = min(float(np.max(gx[rows])) + decay + 2.0 * h, spec.R_max)
             jmax[rows] = np.searchsorted(dY, cap, side="right")
             tail[rows] = 2.0 * u_x[rows] * area * cap ** (-2.0 * s) / (2.0 * s)
 
     ksum = np.concatenate([[0.0], np.cumsum(kern)])
-    sums = translate_sums(g, u, pts, Y, dY, kern, h, _FRACLAP_CHUNK)
+    sums = translate_sums(g, u, pts, Y, kern, h)
     vals = 0.5 * A * (2.0 * u_x * ksum[jmax] - 2.0 * sums + inner + tail)
     return vals[0] if single else vals
 

@@ -13,14 +13,14 @@ Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
 ``product_lattice`` grid; the sums then run as a lattice correlation (one
 FFT) on Euclidean laws and, on H^1, as one short correlation (an FFT
-along the central axis) per pair of point and node columns.  These fast
-sums take every node of a grid whose samples are all finite.  Other
-points, and grids with a non-finite sample, take the direct point-by-node
-loop: it alone leaves out the nodes past each ``source_blocks`` cap and
-decides which non-finite samples are reached.  Ball counts and masses
+along the central axis) per pair of point and node columns, when every
+sample is finite.  Other points, and grids with a non-finite sample, take
+the direct point-by-node loop, which decides which non-finite samples are
+reached.  Every path sums every node.  Ball counts and masses
 (``ball_totals``) at on-lattice centres are differences of prefix sums
 over node columns, taken at the ends of the runs of grid samples inside
-each ball; other centres bin every centre-node pair (``ball_bins``).
+each ball; other centres, and the Morrey supremum, bin every centre-node
+pair once (``ball_masses``).
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -112,17 +112,11 @@ def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float 
 
 def _midpoint_sum(g, f, spec, singular_point):
     pts, _, cell = lattice_nodes(g, spec)
-    vals = np.asarray(f(pts), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        if singular_point is not None:
-            sp = np.asarray(singular_point, dtype=float)
-            near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * spec.effective_h ** max(g.weights)
-            vals = np.where(bad & near, 0.0, vals)
-            bad = ~np.isfinite(vals)
-        if np.any(bad):
-            node = pts[np.argmax(bad)]
-            raise IntegrandError(f"non-finite integrand at node {node.tolist()}")
+    near = np.zeros(len(pts), bool)
+    if singular_point is not None:
+        sp = np.asarray(singular_point, dtype=float)
+        near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * spec.effective_h ** max(g.weights)
+    vals = finite_samples(np.asarray(f(pts), dtype=float), pts, ~near)
     return float(np.sum(vals) * cell), pts.shape[0]
 
 
@@ -157,21 +151,15 @@ def _shell_edges(R_max: float, h: float):
 
 @lru_cache(maxsize=64)
 def _shell_weights_cached(g, a, R_max, h, r_lo, r_hi):
-    """Per-node quadrature weights for the kernel d^a on a banded ball.
+    """Nodes and per-node quadrature weights for the kernel d^a on a banded ball.
 
-    Nodes are sorted by gauge distance from the centre.  Every shell
-    carries its exact radial kernel mass, distributed over its nodes
+    Returns ``_nodes_cached``' nodes (in its order), their weights and the
+    u(centre)-coefficient ``c0``.  Every shell around the centre carries
+    its exact radial kernel mass, distributed over its nodes
     proportionally to the raw midpoint weights; the innermost region (and
-    any shell too thin to hold a node) contributes through the
-    u(centre)-coefficient ``c0``.
+    any shell too thin to hold a node) contributes through ``c0``.
     """
-    # sorted here, not through nodes_by_gauge: freeing the index array
-    # early moves the h1_adams bench's peak RSS from about 103 MB to 113 MB
-    # (the same live data; glibc keeps more of its heap)
     zs, dist, cell = _nodes_cached(g, R_max, h)
-    order = np.argsort(dist, kind="stable")
-    zs = zs[order]
-    dist = dist[order]
     edges = _shell_edges(R_max, h)
     r_stop = float(edges[-1])
     sigma = groups.sphere_measure(g, QuadratureSpec(R_max=R_max, lattice_h=h))
@@ -198,7 +186,7 @@ def _shell_weights_cached(g, a, R_max, h, r_lo, r_hi):
     if hi_in > lo_in:
         c0 += sigma * (hi_in ** aQ - lo_in ** aQ) / aQ
     weights.setflags(write=False)
-    return zs, dist, weights, c0
+    return zs, weights, c0
 
 
 @lru_cache(maxsize=64)
@@ -238,11 +226,11 @@ def gauge_power_weights(g, a, R, h):
     return w
 
 
-# centre-node pairs per block of the direct ball sums, grid samples per
-# block of lines, prefix values per gather (and, over 8, near-tie pairs per
-# block) of the on-lattice ball sums, and window samples per batch of the
-# H^1 column correlations: a fixed budget keeps each temporary near 1 MB
-# whatever the lattice size
+# pairs per block of the pair bins and of the direct translate sums, grid
+# samples per block of lines, prefix values per gather (and, over 8,
+# near-tie pairs per block) of the on-lattice ball sums, and window samples
+# per batch of the H^1 column correlations: a fixed budget keeps each
+# temporary near 1 MB whatever the lattice size
 _PAIR_BUDGET = 1 << 17
 
 
@@ -305,28 +293,50 @@ def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
     return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
 
 
+@lru_cache(maxsize=8)
+def _ball_bins_cached(g, nodes: bytes, centers: bytes, radii: bytes) -> np.ndarray:
+    """``ball_bins`` keyed on array contents, so a key can never go stale.
+
+    The table is filled ``_PAIR_BUDGET`` pairs at a time.
+    """
+    nodes = np.frombuffer(nodes).reshape(-1, g.dimension)
+    centers = np.frombuffer(centers).reshape(-1, g.dimension)
+    radii = np.frombuffer(radii)
+    bins = np.empty((len(centers), len(nodes)), np.intp)
+    rows = max(1, _PAIR_BUDGET // max(1, len(nodes)))
+    for start in range(0, len(centers), rows):
+        sl = slice(start, start + rows)
+        bins[sl] = ball_bins(g, nodes, centers[sl], radii) + start * (len(radii) + 1)
+    bins.setflags(write=False)
+    return bins
+
+
+def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None):
+    """``ball_sums`` over the ``ball_bins`` of every (centre, node) pair.
+
+    The bins are memoised on the contents of ``nodes``, ``centers`` and
+    ``radii``, so the Morrey supremum bins its centre grid once for every
+    set of samples.
+    """
+    key = (np.asarray(a, dtype=float).tobytes() for a in (nodes, centers, radii))
+    return ball_sums(_ball_bins_cached(g, *key), len(radii), weights)
+
+
 def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
     """Node counts and sums of ``weights`` over every ball: two (n_centers, n_radii) arrays.
 
     Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
     over ``nodes`` with one weight per node.  Centres and nodes that
     ``product_lattice`` accepts, with finite weights, take
-    ``_lattice_ball_totals``; the others bin every pair (``ball_bins``) in
-    blocks of ``_PAIR_BUDGET`` pairs, so that a non-finite weight reaches
-    only the balls that hold its node, not every prefix past it.  The
-    counts of both paths are equal; the sums agree to rounding.
+    ``_lattice_ball_totals``; the others bin every pair (``ball_masses``),
+    so that a non-finite weight reaches only the balls that hold its node,
+    not every prefix past it.  The counts of both paths are equal; the
+    sums agree to rounding.
     """
     lat = product_lattice(g, -centers, nodes, h)
     if lat is not None and np.all(np.isfinite(weights)):
         return _lattice_ball_totals(g, lat, -centers, nodes, radii, weights)
-    cnt, tot = np.empty((2, len(centers), len(radii)))
-    rows = max(1, _PAIR_BUDGET // len(nodes))
-    for start in range(0, len(centers), rows):
-        sl = slice(start, start + rows)
-        bins = ball_bins(g, nodes, centers[sl], radii)
-        cnt[sl] = ball_sums(bins, len(radii))
-        tot[sl] = ball_sums(bins, len(radii), weights)
-    return cnt, tot
+    return ball_masses(g, centers, nodes, radii), ball_masses(g, centers, nodes, radii, weights)
 
 
 def _ranges(lo, hi):
@@ -594,7 +604,7 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     """
     spacing = np.array([h ** w for w in g.weights])
     ix, iz = _lattice_index(points, spacing), _lattice_index(nodes, spacing)
-    if len(points) == 0 or ix is None or iz is None:
+    if len(points) == 0 or len(nodes) == 0 or ix is None or iz is None:
         return None
     kx, kz = ix.copy(), iz + 1
     A, B, step = ix[:, :0], iz[:, :0], 1
@@ -635,34 +645,18 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     )
 
 
-def source_blocks(gauge_pts, decay, h, chunk):
-    """(rows, cap) for each block of ``chunk`` points in increasing gauge order.
+def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
+    """S(x) = sum_z w(z) u(x z) at every point x, over every node of one shared set.
 
-    ``gauge_pts`` holds the gauges of the points.  ``cap`` = max gauge of
-    the block + ``decay`` + 2h: a source u of decay radius ``decay``
-    vanishes at x z for every point x of the block and every node z of
-    gauge beyond it.
-    """
-    porder = np.argsort(gauge_pts, kind="stable")
-    for start in range(0, len(porder), chunk):
-        rows = porder[start : start + chunk]
-        yield rows, float(np.max(gauge_pts[rows])) + decay + 2.0 * h
-
-
-def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h, chunk):
-    """S(x) = sum_z w(z) u(x z) at every point x over one shared node set.
-
-    ``nodes`` are sorted by their gauges ``dist``.  This is the one place
-    that picks a backend.  When ``product_lattice`` accepts the points and
-    nodes, u is sampled once on its grid, and if every sample is finite S
-    sums over every node: on a Euclidean law x z = x + z and S is a
+    This is the one place that picks a backend.  When ``product_lattice``
+    accepts the points and nodes, u is sampled once on its grid, and if
+    every sample is finite: on a Euclidean law x z = x + z and S is a
     discrete correlation over the whole grid (one FFT); on H^1 it is one
     short correlation per pair of point and node columns
     (``_column_correlations``).  Otherwise the direct loop evaluates
-    u(x z) over the ``source_blocks`` of ``chunk`` points and leaves out
-    the nodes beyond each block's cap, where u vanishes.  In the loop a
-    non-finite sample that a point reaches through a nonzero weight
-    raises IntegrandError; unreached ones are dropped.
+    u(x z) in blocks of ``_PAIR_BUDGET`` pairs; a non-finite sample that a
+    point reaches through a nonzero weight raises IntegrandError, and
+    unreached ones are dropped.
     """
     lat = product_lattice(g, points, nodes, h)
     if lat is not None:
@@ -686,14 +680,12 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, dist, weights, h
             # and each product with one costs the transform a microcode assist
             samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
             return _column_correlations(lat, lat.split(samples), weights)
-    decay = getattr(u, "decay_radius", math.inf)
-    out = np.zeros(points.shape[0])
-    for rows, cap in source_blocks(groups.gauge(g, points), decay, h, chunk):
-        jmax = int(np.searchsorted(dist, cap, side="right"))
-        if jmax:
-            w = weights[:jmax]
-            ys = groups.mul(g, points[rows][:, None, :], nodes[None, :jmax, :])
-            out[rows] = finite_samples(np.asarray(u(ys), dtype=float), ys, w != 0) @ w
+    out = np.empty(points.shape[0])
+    rows = max(1, _PAIR_BUDGET // max(1, len(nodes)))
+    for start in range(0, len(out), rows):
+        sl = slice(start, start + rows)
+        ys = groups.mul(g, points[sl, None, :], nodes[None, :, :])
+        out[sl] = finite_samples(np.asarray(u(ys), dtype=float), ys, weights != 0) @ weights
     return out
 
 
@@ -740,10 +732,6 @@ def _column_correlations(lat: ProductLattice, split, weights):
     return sums[lat.pcol, lat.s]
 
 
-# points per block of the batch singular-kernel sum
-_BAND_CHUNK = 192
-
-
 def kernel_band_values(
     g: groups.GroupDescriptor,
     a: float,
@@ -776,8 +764,8 @@ def kernel_band_values(
     u_at = np.where(np.isfinite(u_at), u_at, 0.0)
     if r_lo < r_hi:
         h = spec.effective_h
-        zs, dist, weights, c0 = _shell_weights_cached(g, float(a), resolve_R(spec), h, r_lo, r_hi)
-        out = translate_sums(g, u, pts, zs, dist, weights, h, _BAND_CHUNK) + u_at * c0
+        zs, weights, c0 = _shell_weights_cached(g, float(a), resolve_R(spec), h, r_lo, r_hi)
+        out = translate_sums(g, u, pts, zs, weights, h) + u_at * c0
     return out[0] if single else out
 
 

@@ -89,8 +89,8 @@ def backends(monkeypatch):
 def translate_paths(monkeypatch):
     """Counts the calls of the two functions that tell ``translate_sums``' paths apart.
 
-    Only the direct loop calls ``finite_samples``; only the H^1 fast path
-    calls ``_column_correlations``.
+    Within ``translate_sums`` only the direct loop calls ``finite_samples``;
+    only the H^1 fast path calls ``_column_correlations``.
     """
     calls = {"_column_correlations": 0, "finite_samples": 0}
     for name in calls:

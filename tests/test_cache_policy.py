@@ -56,7 +56,7 @@ def test_every_memo_is_an_lru_cache_and_clears():
         "quadrature._nodes_cached",
         "quadrature._shell_weights_cached",
         "quadrature.gauge_power_weights",
-        "morrey._ball_bins_cached",
+        "quadrature._ball_bins_cached",
     }
     assert used <= set(memos)
     assert all(memos[n].cache_info().currsize > 0 for n in used)

@@ -146,6 +146,7 @@ def test_product_lattice_needs_enough_points():
     # one point: the dense grid holds as many samples as the direct loop
     assert product_lattice(g, nodes[:1], nodes, 0.25) is None
     assert product_lattice(g, nodes[:0], nodes, 0.25) is None
+    assert product_lattice(g, nodes, nodes[:0], 0.25) is None
     assert product_lattice(g, nodes, nodes, 0.25) is not None
 
 

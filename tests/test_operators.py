@@ -280,19 +280,19 @@ class TestHorizontal:
             assert sub_laplacian_values(h1, uxy, np.array(pt)) == pytest.approx(4.0, abs=1e-5)
 
     def test_analytic_forms_match_fd(self, h1, rng):
-        u = gaussian(h1, 1.0)
-        fd = custom(u.fn, decay_radius=u.decay_radius, smooth=True)
         pts = rng.standard_normal((6, 3)) * 0.7
-        assert np.allclose(
-            horizontal_gradient_values(h1, u, pts),
-            horizontal_gradient_values(h1, fd, pts),
-            atol=1e-6,
-        )
-        assert np.allclose(
-            sub_laplacian_values(h1, u, pts),
-            sub_laplacian_values(h1, fd, pts),
-            atol=1e-5,
-        )
+        for u in (gaussian(h1, 1.0), bump(h1, 2.0)):
+            fd = custom(u.fn, decay_radius=u.decay_radius, smooth=True)
+            assert np.allclose(
+                horizontal_gradient_values(h1, u, pts),
+                horizontal_gradient_values(h1, fd, pts),
+                atol=1e-6,
+            )
+            assert np.allclose(
+                sub_laplacian_values(h1, u, pts),
+                sub_laplacian_values(h1, fd, pts),
+                atol=1e-5,
+            )
 
 
 class TestHedbergAndZones:

@@ -20,7 +20,6 @@ import pytest
 from morreylab import groups, harness, operators, quadrature
 from morreylab.errors import IntegrandError
 from morreylab.quadrature import (
-    _BAND_CHUNK,
     QuadratureSpec,
     ball_bin_table,
     ball_bins,
@@ -32,7 +31,7 @@ from morreylab.quadrature import (
     nodes_by_gauge,
     product_lattice,
     radius_grid,
-    source_blocks,
+    translate_sums,
 )
 from morreylab.report import run_experiment
 from morreylab.testfunctions import custom, dilated, gaussian, power_truncated
@@ -81,42 +80,35 @@ def test_h1_band_matches_direct(backends, h1, r_lo, r_hi):
 
 
 def test_h1_riesz_matches_direct_where_caps_drop_nodes(backends, h1):
-    # u vanishes beyond gauge 0.3, so the inner block's source cap falls
-    # inside R_max: the loop drops the nodes past it, the fast path sums them
+    # u vanishes beyond gauge 0.3, inside R_max for the points nearest the
+    # identity: most of their terms are zero samples, which both paths sum
     spec = QuadratureSpec(R_max=2.0, lattice_h=0.3)
     u = gauge_ball_bump(h1, 0.3)
     pts = lattice_nodes(h1, spec, R_eff=1.2)[0]
-    caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.3, 0.3, _BAND_CHUNK)]
-    assert min(caps) < spec.R_max < max(caps)
     backends.agree(operators.riesz_values, h1, 1.5, u, pts, spec)
 
 
 def test_h1_gather_matches_direct_under_caps_shorter_than_a_column(backends, h1):
-    # nodes on the four central columns, one point a block and u supported
-    # in the gauge ball of radius 0.5: the least cap holds fewer nodes than
-    # the longest column has slots (the loop skips the terms beyond each
-    # cap, where u vanishes; the fast path sums them)
+    # nodes on the four central columns and u supported in the gauge ball
+    # of radius 0.5: for the points nearest the identity u vanishes at most
+    # slots of the longest node column
     zs, dist, _ = nodes_by_gauge(h1, 4.0, 0.3)
     thin = np.max(np.abs(zs[:, :2]), axis=1) < 0.3
     zs, dist = zs[thin], dist[thin]
     pts = lattice_nodes(h1, QuadratureSpec(R_max=3.0, lattice_h=0.3), R_eff=1.2)[0]
     u = gauge_ball_bump(h1, 0.5)
-    longest = product_lattice(h1, pts, zs, 0.3).m.max() + 1
-    caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.5, 0.3, 1)]
-    assert np.searchsorted(dist, min(caps), side="right") < longest
-    backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, dist ** -2.5, 0.3, 1)
+    backends.agree(translate_sums, h1, u, pts, zs, dist ** -2.5, 0.3)
 
 
 @pytest.mark.parametrize("case", ["shuffled", "gaps", "one_column", "capped"])
 def test_h1_column_correlations_match_direct(backends, h1, case):
-    # shuffled: point and node order are free (u declares a decay radius
-    # past R_max, so no cap drops a node); gaps: every third node in gauge order leaves holes
-    # inside point columns; one_column: a single point column; capped: u
-    # vanishes beyond gauge 0.35, and in blocks of 8 points the loop's caps
-    # reach every node in some blocks and under half of them in others
+    # shuffled: point and node order are free; gaps: every third node in
+    # gauge order leaves holes inside point columns; one_column: a single
+    # point column; capped: u vanishes beyond gauge 0.35, so most samples
+    # are zero
     h = 0.25
     zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
-    w, pts, chunk = dist ** -2.5, zs, 32
+    w, pts = dist ** -2.5, zs
     u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), 10.0)
     lat = product_lattice(h1, zs, zs, h)
     if case == "shuffled":
@@ -134,11 +126,8 @@ def test_h1_column_correlations_match_direct(backends, h1, case):
         pts = zs[lat.pcol == np.argmax(np.bincount(lat.pcol))]
         assert product_lattice(h1, pts, zs, h).pcol.max() == 0
     else:
-        u, chunk = gauge_ball_bump(h1, 0.35), 8
-        caps = [cap for _, cap in source_blocks(groups.gauge(h1, pts), 0.35, h, chunk)]
-        jmax = np.searchsorted(dist, caps, side="right")
-        assert 0 < jmax.min() < len(zs) // 2 and jmax.max() == len(zs)
-    backends.agree(quadrature.translate_sums, h1, u, pts, zs, dist, w, h, chunk)
+        u = gauge_ball_bump(h1, 0.35)
+    backends.agree(translate_sums, h1, u, pts, zs, w, h)
 
 
 def test_h1_node_subset_matches_direct(backends, h1):
@@ -213,7 +202,7 @@ def test_h1_non_finite_sample_reached_as_in_direct(backends, h1):
         y0 = groups.mul(h1, far[rng.integers(30)], far[rng.integers(30)])
         u = custom(lambda p, y0=y0: np.where(np.all(np.abs(p - y0) < 1e-9, axis=-1), np.nan,
                                              np.exp(-np.sum(p * p, axis=-1))), 10.0)
-        args = (quadrature.translate_sums, h1, u, pts, zs, dist, w, 0.4, _BAND_CHUNK)
+        args = (translate_sums, h1, u, pts, zs, w, 0.4)
         try:
             direct = backends.run(False, *args)
         except IntegrandError:
@@ -225,6 +214,25 @@ def test_h1_non_finite_sample_reached_as_in_direct(backends, h1):
             backends.agree(*args)
             outcomes.add("summed")
     assert outcomes == {"raised", "summed"}
+
+
+@pytest.mark.parametrize("law", ["R1", "H1"])
+def test_direct_loop_sums_every_node(backends, law):
+    # u declares a decay radius far below its support, so no node may be
+    # left out on the strength of it: off the lattice the loop equals the
+    # sum over every node term by term, and on it the fast path agrees
+    g = groups.euclidean_group(1) if law == "R1" else groups.heisenberg_group()
+    spec = QuadratureSpec(R_max=3.0, lattice_h=0.05) if law == "R1" else H1_SPEC
+    h = spec.effective_h
+    u = custom(gaussian(g, 1.0).fn, 0.05)
+    zs = lattice_nodes(g, spec)[0]
+    w = groups.gauge(g, zs) ** -0.5
+    near = zs[groups.gauge(g, zs) < 1.0]
+    off = near + 0.3 * h ** np.array(g.weights)
+    assert product_lattice(g, off, zs, h) is None
+    want = np.array([np.sum(w * u(groups.mul(g, x, zs))) for x in off])
+    backends.close(translate_sums(g, u, off, zs, w, h), want)
+    backends.agree(translate_sums, g, u, lattice_nodes(g, spec, R_eff=1.0)[0], zs, w, h)
 
 
 # (group, spec): radius_grid starts at 2h with ratio 2^(1/4), so every
@@ -341,6 +349,7 @@ def test_on_lattice_centres_bin_no_pairs(monkeypatch, name, g, spec):
         return real(*args)
 
     monkeypatch.setattr(quadrature, "ball_bins", counted)
+    quadrature._ball_bins_cached.cache_clear()
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)

@@ -5,7 +5,7 @@ import pytest
 
 from morreylab import custom, gauge, gaussian, lattice_integrate, mul, shell_integrate_singular
 from morreylab.errors import ContractError, DomainError, IntegrandError
-from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, radius_grid
+from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, geometric_radii, radius_grid
 
 
 def const(c):
@@ -114,6 +114,22 @@ def test_shell_domain_errors(g1, h1):
         shell_integrate_singular(h1, -4.0, const(1.0), np.zeros(3), spec)
 
 
+def test_shell_error_unknown_when_only_the_coarse_lattice_hits_a_singularity(g1):
+    # the products c + z of the coarse lattice reach c + 3h/2 and those of
+    # the finer one straddle it: the value stands, its error bar is inf
+    spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
+    c = np.array([0.3])
+    y0 = c[0] + 1.5 * spec.effective_h
+    clean = gaussian(g1, 1.0)
+    u = custom(lambda p: np.where(np.abs(p[..., 0] - y0) < 1e-12, np.nan, clean(p)), 10.0)
+    res = shell_integrate_singular(g1, -0.5, u, c, spec)
+    assert res.error_estimate == math.inf
+    assert res.value == shell_integrate_singular(g1, -0.5, clean, c, spec).value
+    # one level coarser, the finer lattice is this one and raises
+    with pytest.raises(IntegrandError, match="non-finite integrand at node"):
+        shell_integrate_singular(g1, -0.5, u, c, QuadratureSpec(R_max=2.5, lattice_h=0.1))
+
+
 def test_shell_vs_lattice_mild_singularity(g1):
     # a in (-Q/2, 0): both engines integrate u(y)|y|^a and must agree.
     # The raw midpoint side converges at order a+1 < 1, so its Richardson
@@ -138,6 +154,11 @@ def test_radius_grid_endpoints():
     assert grid[-1] >= 2.0 * (spec.R_max + 2.0)
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, 2.0 ** 0.25)
+
+
+def test_geometric_radii_without_room_is_the_least_radius():
+    for r_max in (0.5, 0.3):
+        assert np.array_equal(geometric_radii(0.5, r_max), [0.5])
 
 
 @pytest.mark.parametrize("group", ["g1", "g2", "h1"])
