@@ -198,46 +198,30 @@ def ball_volume(g: GroupDescriptor, R: float, quad) -> float:
     """
     if not (R > 0):
         raise DomainError(f"radius must be positive, got {R}")
-    h = quad.effective_h
     if g.dimension == 1:
         return 2.0 * coord_bound(g, 0, R)
-    axes = [
-        _midpoint_axis(coord_bound(g, i, R), h ** g.weights[i])
-        for i in range(g.dimension - 1)
-    ]
-    n_cols = int(np.prod([a.size for a in axes]))
-    if n_cols > _MAX_VOLUME_COLUMNS:
-        # budget exhausted at the requested spacing: coarsen, report, raise
-        h_c = h
-        while n_cols > _MAX_VOLUME_COLUMNS:
-            h_c *= 2.0
-            n_cols = int(
-                np.prod(
-                    [
-                        _midpoint_axis(coord_bound(g, i, R), h_c ** g.weights[i]).size
-                        for i in range(g.dimension - 1)
-                    ]
-                )
-            )
+    h = h_c = quad.effective_h
+    while math.prod(a.size for a in _volume_axes(g, R, h_c)) > _MAX_VOLUME_COLUMNS:
+        h_c *= 2.0
+    if h_c > h:
+        # budget exhausted at the requested spacing: report the coarse estimate
         raise AccuracyError(
             f"ball volume lattice exceeds the column budget at h={h}",
-            estimate=_ball_volume_columns(g, R, None, h_c),
+            estimate=_ball_volume_columns(g, R, h_c),
         )
-    return _ball_volume_columns(g, R, axes, h)
+    return _ball_volume_columns(g, R, h)
 
 
-def _ball_volume_columns(g, R, axes, h):
-    if axes is None:
-        axes = [
-            _midpoint_axis(coord_bound(g, i, R), h ** g.weights[i])
-            for i in range(g.dimension - 1)
-        ]
-    grids = np.meshgrid(*axes, indexing="ij")
+def _volume_axes(g, R, h):
+    """Midpoint axes of the first N-1 coordinates over the bounding box of {gauge < R}."""
+    return [_midpoint_axis(coord_bound(g, i, R), h ** g.weights[i]) for i in range(g.dimension - 1)]
+
+
+def _ball_volume_columns(g, R, h):
+    grids = np.meshgrid(*_volume_axes(g, R, h), indexing="ij")
     outer = np.stack([gr.ravel() for gr in grids], axis=-1)
     widths = _column_half_width(g, outer, R)
-    cell = 1.0
-    for i in range(g.dimension - 1):
-        cell *= h ** g.weights[i]
+    cell = math.prod(h ** w for w in g.weights[:-1])
     return float(np.sum(2.0 * widths) * cell)
 
 

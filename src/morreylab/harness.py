@@ -25,7 +25,14 @@ import numpy as np
 
 from . import groups, morrey, operators
 from .errors import DegenerateInputError, DomainError
-from .quadrature import QuadratureSpec, geometric_radii, lattice_nodes, radius_grid
+from .quadrature import (
+    QuadratureSpec,
+    gauge_power_weights,
+    geometric_radii,
+    lattice_nodes,
+    radius_grid,
+    resolve_R,
+)
 from .testfunctions import TestFunction, dilated
 
 @dataclass(frozen=True)
@@ -45,10 +52,6 @@ class ExponentConfig:
     @property
     def p_prime(self):
         return self.p / (self.p - 1)
-
-    @property
-    def q_prime(self):
-        return self.q / (self.q - 1)
 
     def as_floats(self) -> dict:
         out = {}
@@ -393,8 +396,6 @@ def _op_values(g, op, cfg, u: TestFunction, nodes, spec):
 
 
 def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
-    from .quadrature import gauge_power_weights, resolve_R
-
     # integral-operator outputs have fat tails: keep the full lattice
     wide = factor["op"] in ("riesz", "fraclap", "maximal")
     decay = getattr(u, "decay_radius", math.inf)

@@ -234,18 +234,27 @@ def gauge_power_weights(g, a, R, h):
 _PAIR_BUDGET = 1 << 17
 
 
-def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
-    """Bin of every (centre, node) pair in an (n_centers, len(radii) + 1) table.
+def _blocks(n, per):
+    """Slices that cover range(n), ``_PAIR_BUDGET`` // ``per`` items each (at least one)."""
+    size = max(1, _PAIR_BUDGET // max(1, per))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
-    Row i of the result holds, for each node z, ``i * (len(radii) + 1) + j``
-    with j the index of the first radius r_j such that z lies in the
-    left-translated ball {z : gauge(c_i^{-1} z) < r_j}; j = len(radii)
-    marks nodes outside every ball.  ``radii`` must be non-decreasing.
+
+def _bin_dtype(n_radii):
+    """The narrowest signed integer type that holds the bin index ``n_radii``."""
+    return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n_radii)
+
+
+def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
+    """Bin of every (centre, node) pair: an (n_centers, n_nodes) table.
+
+    Row i holds, for each node z, the index j of the first radius r_j
+    such that z lies in the left-translated ball {z : gauge(c_i^{-1} z) <
+    r_j}; j = len(radii) marks nodes outside every ball.  ``radii`` must
+    be non-decreasing.  The table takes ``_bin_dtype``.
     """
     d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
-    j = np.searchsorted(radii, d, side="right")
-    j += (len(radii) + 1) * np.arange(len(centers))[:, None]
-    return j
+    return np.searchsorted(radii, d, side="right").astype(_bin_dtype(len(radii)))
 
 
 def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale):
@@ -262,16 +271,12 @@ def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale)
     bins of the band d(1 +/- tol): lo == hi is the bin, and lo < hi marks
     a sample near a radius (every exact lattice distance on the radius
     grid is one), whose pairs need their own gauge.  Both tables have one
-    row per line of the grid along its last axis, and take the narrowest
-    signed integer type that holds ``len(radii) + 1``.
+    row per line of the grid along its last axis, and take ``_bin_dtype``.
     """
     tol = 128.0 * np.finfo(float).eps * (1.0 + scale / radii[0]) ** 2
     width = lat.shape[-1]
-    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > len(radii))
-    lo, hi = np.empty((2, math.prod(lat.shape) // width, width), dtype)
-    rows = max(1, _PAIR_BUDGET // width)
-    for start in range(0, len(lo), rows):
-        sl = slice(start, start + rows)
+    lo, hi = np.empty((2, math.prod(lat.shape) // width, width), _bin_dtype(len(radii)))
+    for sl in _blocks(len(lo), width):
         d = groups.gauge(g, lat.lines(sl))
         lo[sl] = np.searchsorted(radii, d * (1.0 - tol), side="right")
         hi[sl] = np.searchsorted(radii, d * (1.0 + tol), side="right")
@@ -283,30 +288,27 @@ def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
 
     Node counts when ``weights`` is None, otherwise sums of ``weights``
     over each ball: one weight per node.  Each pair is binned once into
-    the first ball that holds it, and the cumulative sum over radii fills
-    the larger balls, so no per-centre sort is needed.
+    the first ball that holds it, a row at a time, and the cumulative sum
+    over radii fills the larger balls, so no per-centre sort is needed.
     """
-    m = bins.shape[0]
-    if weights is not None:
-        weights = np.tile(weights, m)
-    per_bin = np.bincount(bins.ravel(), weights=weights, minlength=m * (n_radii + 1))
-    return np.cumsum(per_bin.reshape(m, n_radii + 1)[:, :n_radii], axis=1)
+    per_bin = np.array([np.bincount(row, weights, minlength=n_radii + 1) for row in bins])
+    return np.cumsum(per_bin.reshape(len(bins), n_radii + 1)[:, :n_radii], axis=1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _ball_bins_cached(g, nodes: bytes, centers: bytes, radii: bytes) -> np.ndarray:
     """``ball_bins`` keyed on array contents, so a key can never go stale.
 
-    The table is filled ``_PAIR_BUDGET`` pairs at a time.
+    The table is filled ``_PAIR_BUDGET`` pairs at a time.  Its bins take
+    one byte each up to 126 radii, so 32 tables stay small; one pass of a
+    bench workload asks for at most 26 distinct ones.
     """
     nodes = np.frombuffer(nodes).reshape(-1, g.dimension)
     centers = np.frombuffer(centers).reshape(-1, g.dimension)
     radii = np.frombuffer(radii)
-    bins = np.empty((len(centers), len(nodes)), np.intp)
-    rows = max(1, _PAIR_BUDGET // max(1, len(nodes)))
-    for start in range(0, len(centers), rows):
-        sl = slice(start, start + rows)
-        bins[sl] = ball_bins(g, nodes, centers[sl], radii) + start * (len(radii) + 1)
+    bins = np.empty((len(centers), len(nodes)), _bin_dtype(len(radii)))
+    for sl in _blocks(len(centers), len(nodes)):
+        bins[sl] = ball_bins(g, nodes, centers[sl], radii)
     bins.setflags(write=False)
     return bins
 
@@ -377,26 +379,21 @@ def _lattice_ball_totals(g, lat: ProductLattice, points, nodes, radii, weights):
     khi = neg + np.stack([np.count_nonzero(hi[:, neg:] <= j, axis=1) for j in range(n)], axis=1)
 
     line0, k0 = np.divmod(lat.column_starts(), width)
-    n_pc, n_nc = k0.shape
-    Lp, Lc = np.zeros(n_pc, np.intp), np.zeros(n_nc, np.intp)
-    np.maximum.at(Lp, lat.pcol, lat.s + 1)
-    np.maximum.at(Lc, lat.col, lat.m + 1)
+    Lp, Lc = lat.Lp, lat.Lc
     L, M = int(Lp.max()), int(Lc.max())
     # weights as the real part and node counts as the imaginary one, so
     # that one gather reads both
-    slots = np.zeros((n_nc, M), complex)
-    np.add.at(slots, (lat.col, lat.m), weights + 1j)
+    slots = lat.node_table(weights + 1j)
     # prefix sums over node slots, L - 1 zeros before them and the totals
     # after, so that slot sums past either end of a column read its first
     # or last prefix
-    pre = np.zeros((n_nc, M + 2 * L - 1), complex)
+    pre = np.zeros((len(Lc), M + 2 * L - 1), complex)
     np.cumsum(slots, axis=1, out=pre[:, L : L + M])
     pre[:, L + M :] = pre[:, L + M - 1, None]
     win = np.lib.stride_tricks.sliding_window_view(pre, L, axis=1)
 
     # per point column, radius and point slot s at L - 1 - s
-    res = np.zeros((n_pc, n, L), complex)
-    chunk = max(1, _PAIR_BUDGET // L)
+    res = np.zeros((len(Lp), n, L), complex)
     for pc, runs in enumerate(res):
         # window start B reads the prefixes at B + L - 1 - s for s = 0 .. L - 1
         A = np.clip(-((k0[pc, :, None] - klo[line0[pc]]) // step), 0, M + L - 1)
@@ -406,41 +403,36 @@ def _lattice_ball_totals(g, lat: ProductLattice, points, nodes, radii, weights):
         full = (A == 0) & (B >= Lc[:, None] + Lp[pc] - 1)
         runs += (pre[:, -1] @ full)[:, None]
         j, c = np.nonzero(((B > A) & ~full).T)
-        for start in range(0, len(j), chunk):
-            jj, cc = j[start : start + chunk], c[start : start + chunk]
+        for sl in _blocks(len(j), L):
+            jj, cc = j[sl], c[sl]
             first = np.flatnonzero(np.diff(jj, prepend=-1))
             diff = win[cc, B[cc, jj]]
             diff -= win[cc, A[cc, jj]]
             runs[jj[first]] += np.add.reduceat(diff, first, axis=0)
 
-    point_at, node_at = np.full((n_pc, L), -1), np.full((n_nc, M), -1)
+    point_at, node_at = np.full((len(Lp), L), -1), np.full((len(Lc), M), -1)
     point_at[lat.pcol, lat.s] = np.arange(len(points))
     node_at[lat.col, lat.m] = np.arange(len(nodes))
-    delta = np.zeros((2, n_pc * L * (n + 1)))
-    for ps, ns, f in _near_tie_pairs(lat, np.flatnonzero(lo != hi), Lp, Lc, point_at, node_at):
+    delta = np.zeros(len(Lp) * L * (n + 1), complex)
+    for ps, ns, f in _near_tie_pairs(lat, np.flatnonzero(lo != hi), point_at, node_at):
         d = groups.gauge(g, groups.mul(g, points[point_at.flat[ps]], nodes[node_at.flat[ns]]))
-        into = ps * (n + 1) + np.searchsorted(radii, d, side="right")
-        past = ps * (n + 1) + hi.ravel()[f]
-        for part, wz in zip(delta, (slots.flat[ns].real, slots.flat[ns].imag)):
-            np.add.at(part, into, wz)
-            np.subtract.at(part, past, wz)
-    mass, cnt = np.cumsum(delta.reshape(2, n_pc, L, n + 1)[..., :n], axis=-1)
-    res.real += mass.transpose(0, 2, 1)[..., ::-1]
-    res.imag += cnt.transpose(0, 2, 1)[..., ::-1]
+        np.add.at(delta, ps * (n + 1) + np.searchsorted(radii, d, side="right"), slots.flat[ns])
+        np.subtract.at(delta, ps * (n + 1) + hi.ravel()[f], slots.flat[ns])
+    res += np.cumsum(delta.reshape(len(Lp), L, n + 1)[..., :n], axis=-1).transpose(0, 2, 1)[..., ::-1]
     out = res[lat.pcol, :, L - 1 - lat.s]
     return out.imag, out.real
 
 
-def _near_tie_pairs(lat: ProductLattice, ties, Lp, Lc, point_at, node_at):
+def _near_tie_pairs(lat: ProductLattice, ties, point_at, node_at):
     """(point slot, node slot, flat grid index) of the pairs at the samples ``ties``.
 
-    ``ties`` holds sorted flat grid indices, ``Lp`` and ``Lc`` the slots of
-    each point and node column, and ``point_at`` and ``node_at`` a point
-    or node at each (column, slot), -1 where there is none.  A slot is
-    yielded as a flat index into them.  The samples are found in the
-    window of each pair of columns, and their pairs are yielded in blocks
-    of about ``_PAIR_BUDGET / 8``.
+    ``ties`` holds sorted flat grid indices, and ``point_at`` and
+    ``node_at`` a point or node at each (column, slot), -1 where there is
+    none.  A slot is yielded as a flat index into them.  The samples are
+    found in the window of each pair of columns, and their pairs are
+    yielded in blocks of about ``_PAIR_BUDGET / 8``.
     """
+    Lp, Lc = lat.Lp, lat.Lc
     f0 = lat.column_starts()
     last = f0 + lat.step * (Lp[:, None] + Lc - 2)
     pair, t = _ranges(np.searchsorted(ties, f0.ravel()), np.searchsorted(ties, last.ravel(), side="right"))
@@ -493,8 +485,11 @@ class ProductLattice:
     ``axes`` holds the sample coordinates along each axis, so the grid
     has shape S = ``shape``; ``lines`` makes its points, a block of lines
     along the last axis at a time.  Points and nodes fall into columns:
-    the members of one column share every lattice index but the last.  Node n sits at slot ``m[n]`` of node column
-    ``col[n]``, and point p at slot ``s[p]`` of point column ``pcol[p]``.
+    the members of one column share every lattice index but the last.
+    Node n sits at slot ``m[n]`` of node column ``col[n]``, and point p at
+    slot ``s[p]`` of point column ``pcol[p]``; node column c spans
+    ``Lc[c]`` slots and point column p ``Lp[p]``, from the least to the
+    greatest last index in it.
     The product of point p and node n sits at flat grid index
     ``P[p] + Zc[c] + A[p] @ Bc[c] + step * m[n]`` with c = ``col[n]``,
     and ``P[p]`` grows by ``step`` per point slot.  The bilinear twist
@@ -513,6 +508,8 @@ class ProductLattice:
     m: np.ndarray
     pcol: np.ndarray
     s: np.ndarray
+    Lc: np.ndarray
+    Lp: np.ndarray
     step: int
 
     @property
@@ -530,9 +527,14 @@ class ProductLattice:
         out[:, :, -1] = self.axes[-1]
         return out
 
-    def starts(self, rows, cols, first=0):
-        """Flat grid index of slot ``first`` of columns ``cols`` times points ``rows``."""
-        return self.P[rows][:, None] + self.Zc[cols] + self.step * first + self.A[rows] @ self.Bc[cols].T
+    def node_table(self, values):
+        """``values``, one per node, summed at each (node column, slot): (columns, max Lc).
+
+        Repeated nodes add; slots that hold no node are zero.
+        """
+        out = np.zeros((len(self.Lc), int(self.Lc.max())), np.result_type(values))
+        np.add.at(out, (self.col, self.m), values)
+        return out
 
     def split(self, values):
         """Every column-pair window of flat grid ``values``: a view of rows ``step`` apart.
@@ -544,7 +546,7 @@ class ProductLattice:
         (``_fft_length`` of their slots less one); zeros pad the end.
         """
         n = -(-values.size // self.step)
-        width = _fft_length(int(self.m.max()) + 1 + int(self.s.max()))
+        width = _fft_length(int(self.Lc.max() + self.Lp.max()) - 1)
         out = np.zeros(self.step * n + width - 1, values.dtype)
         # row q of this (n, step) view holds flat indices q * step + r
         rows = out[: self.step * n].reshape(self.step, n).T
@@ -555,8 +557,8 @@ class ProductLattice:
 
     def column_starts(self):
         """Flat grid index of slot 0 of every point column times slot 0 of every node column."""
-        rep = np.unique(self.pcol, return_index=True)[1]
-        return self.starts(rep, slice(None), -self.s[rep][:, None])
+        p = np.unique(self.pcol, return_index=True)[1]
+        return self.P[p][:, None] + self.Zc - self.step * self.s[p][:, None] + self.A[p] @ self.Bc.T
 
     def windows(self, split, at, width):
         """The first ``width`` values of the window of ``split`` at each flat grid index ``at``."""
@@ -641,6 +643,8 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
         m=m,
         pcol=pcol,
         s=s,
+        Lc=(bhi - blo) // step + 1,
+        Lp=(ahi - alo) // step + 1,
         step=step,
     )
 
@@ -664,14 +668,13 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
         # all held at once
         samples = np.empty(lat.shape)
         lines = samples.reshape(-1, lat.shape[-1])
-        rows = max(1, _PAIR_BUDGET // lat.shape[-1])
-        for start in range(0, len(lines), rows):
-            lines[start : start + rows] = u(lat.lines(slice(start, start + rows)))
+        for sl in _blocks(len(lines), lat.shape[-1]):
+            lines[sl] = u(lat.lines(sl))
         if np.all(np.isfinite(samples)):
             if g.law == groups.EUCLIDEAN:
+                # node n sits at flat index Zc[col[n]] + m[n]; repeated nodes add
                 shape = lat.shape
-                dense = np.zeros(shape)
-                dense.flat[lat.Zc[lat.col] + lat.m] = weights
+                dense = np.bincount(lat.Zc[lat.col] + lat.m, weights, minlength=samples.size).reshape(shape)
                 ax = tuple(range(len(shape)))
                 # no sample index exceeds the circular length, so nothing wraps
                 freq = np.fft.rfftn(samples, axes=ax) * np.conj(np.fft.rfftn(dense, axes=ax))
@@ -681,9 +684,7 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
             samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
             return _column_correlations(lat, lat.split(samples), weights)
     out = np.empty(points.shape[0])
-    rows = max(1, _PAIR_BUDGET // max(1, len(nodes)))
-    for start in range(0, len(out), rows):
-        sl = slice(start, start + rows)
+    for sl in _blocks(len(out), len(nodes)):
         ys = groups.mul(g, points[sl, None, :], nodes[None, :, :])
         out[sl] = finite_samples(np.asarray(u(ys), dtype=float), ys, weights != 0) @ weights
     return out
@@ -718,14 +719,10 @@ def _column_correlations(lat: ProductLattice, split, weights):
     # transform length n; what lies beyond meets the weights only at
     # point slots past the last
     n = split.shape[1]
-    W = np.zeros((int(lat.col.max()) + 1, int(lat.m.max()) + 1))
-    W[lat.col, lat.m] = weights
-    Wf = np.conj(np.fft.rfft(W, n))
+    Wf = np.conj(np.fft.rfft(lat.node_table(weights), n))
     at = lat.column_starts()
-    sums = np.empty((len(at), int(lat.s.max()) + 1))
-    batch = max(1, _PAIR_BUDGET // (len(W) * n))
-    for start in range(0, len(at), batch):
-        sub = slice(start, start + batch)
+    sums = np.empty((len(at), int(lat.Lp.max())))
+    for sub in _blocks(len(at), len(Wf) * n):
         freq = np.fft.rfft(lat.windows(split, at[sub], n))
         freq *= Wf
         sums[sub] = np.fft.irfft(freq.sum(axis=1), n)[:, :sums.shape[1]]

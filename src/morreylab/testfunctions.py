@@ -55,7 +55,7 @@ def _gauge_decay_radius(g, fn, start: float) -> float:
     raw = rng.standard_normal((512, g.dimension))
     gs = groups.gauge(g, raw)
     keep = gs > 1e-9
-    dirs = raw[keep] / 1.0
+    dirs = raw[keep]
     gs = gs[keep]
     # normalise to the unit gauge sphere via component-wise dilation
     scale = np.stack([(1.0 / gs) ** w for w in g.weights], axis=-1)

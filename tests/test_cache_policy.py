@@ -6,12 +6,20 @@ A run must leave no state behind in plain module-level containers, and
 
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import morreylab
 from morreylab import heisenberg_group, quadrature
 from morreylab.operators import riesz_values
 from morreylab.report import run_experiment
 from morreylab.testfunctions import gaussian
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+import workloads  # noqa: E402
 
 CONFIG = {
     "group": {"law": "euclidean", "dimension": 1},
@@ -75,3 +83,21 @@ def test_one_lattice_per_key():
     nodes = quadrature.lattice_nodes(g, spec)[0]
     riesz_values(g, 1.0, gaussian(g, 1.0), nodes, spec)
     assert quadrature._nodes_cached.cache_info().currsize == 1
+
+
+def test_pair_bin_memo_holds_a_pass(monkeypatch):
+    # the seed-0 default_r1 pass asks for a dozen distinct pair-bin tables
+    # many times over: each must be filled once, not refilled after eviction
+    real = quadrature._ball_bins_cached
+    keys, calls = set(), []
+
+    def spy(*key):
+        keys.add(key)
+        calls.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(quadrature, "_ball_bins_cached", spy)
+    real.cache_clear()
+    workloads.build("default_r1", 0).run()
+    assert len(calls) > len(keys) > 1
+    assert real.cache_info().misses == len(keys)

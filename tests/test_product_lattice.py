@@ -41,8 +41,12 @@ H1_SPEC = QuadratureSpec(R_max=2.0, lattice_h=0.4)
 
 
 def flat_index(lat):
-    """Flat grid index of every (point, node) product, from the column map."""
-    return lat.starts(slice(None), lat.col) + lat.step * lat.m
+    """Flat grid index of every (point, node) product, from the column map.
+
+    Slot s of a point column meets slot m of a node column ``step`` (s + m)
+    past the pair's column start.
+    """
+    return lat.column_starts()[lat.pcol][:, lat.col] + lat.step * (lat.s[:, None] + lat.m)
 
 
 def gauge_ball_bump(h1, r):
@@ -245,6 +249,18 @@ BIN_CASES = [
 
 
 BIN_IDS = [c[0] for c in BIN_CASES]
+
+
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
+def test_repeated_nodes_add_on_the_fast_path(backends, name, g, spec):
+    # a node listed twice, with its own weight each time, adds both terms:
+    # the fast path fills the grid or the node columns by accumulation,
+    # as the direct loop sums every node
+    zs = lattice_nodes(g, spec)[0]
+    nodes = np.concatenate([zs, zs[::3], zs[::7]])
+    w = np.random.default_rng(5).uniform(0.5, 1.5, len(nodes))
+    u = gaussian(g, 0.3)
+    backends.agree(translate_sums, g, u, zs[::2], nodes, w, spec.effective_h)
 
 
 def check_ball_totals(backends, g, spec, centers, nodes, radii):
