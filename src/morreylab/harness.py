@@ -30,7 +30,6 @@ from .quadrature import (
     gauge_power_weights,
     geometric_radii,
     lattice_nodes,
-    radius_grid,
     resolve_R,
 )
 from .testfunctions import TestFunction, dilated
@@ -390,7 +389,7 @@ def _op_values(g, op, cfg, u: TestFunction, nodes, spec):
         s = float(cfg.gamma) / 2.0
         return np.abs(operators.frac_laplacian_values(g, s, u, nodes, spec))
     if op == "maximal":
-        radii = radius_grid(spec, getattr(u, "decay_radius", spec.R_max))
+        radii = morrey.default_radii(g, u, spec)
         return operators.frac_maximal_values(g, 0.0, u, nodes, radii, spec)
     raise DomainError(f"unknown operator tag {op!r}")
 
@@ -604,7 +603,7 @@ def hedberg_pointwise_check(
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
 
     def max_ratio(sp):
-        radii = radius_grid(sp, u.decay_radius)
+        radii = morrey.default_radii(g, u, sp)
         pot = np.abs(operators.riesz_values(g, ga, u, pts, sp))
         m0 = operators.frac_maximal_values(g, 0.0, u, pts, radii, sp)
         mf = operators.frac_maximal_values(g, alpha_frac, u, pts, radii, sp)

@@ -11,16 +11,16 @@ closing the region below h in closed form.
 
 Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
-``product_lattice`` grid; the sums then run as a lattice correlation (one
-FFT) on Euclidean laws and, on H^1, as one short correlation (an FFT
-along the central axis) per pair of point and node columns, when every
-sample is finite.  Other points, and grids with a non-finite sample, take
-the direct point-by-node loop, which decides which non-finite samples are
-reached.  Every path sums every node.  Ball counts and masses
-(``ball_totals``) at on-lattice centres are differences of prefix sums
-over node columns, taken at the ends of the runs of grid samples inside
-each ball; other centres, and the Morrey supremum, bin every centre-node
-pair once (``ball_masses``).
+``product_lattice`` grid, sampled once into one buffer; the sums then run
+as a lattice correlation (one FFT) on Euclidean laws and, on H^1, as one
+short correlation (an FFT along the central axis) per pair of point and
+node columns, read in place, when every sample is finite.  Other points,
+and grids with a non-finite sample, take the direct point-by-node loop,
+which decides which non-finite samples are reached.  Every path sums
+every node.  Ball counts and masses (``ball_totals``) at on-lattice
+centres are differences of prefix sums over node columns, taken at the
+ends of the runs of grid samples inside each ball; other centres, and the
+Morrey supremum, bin every centre-node pair once (``ball_masses``).
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -206,10 +206,9 @@ def gauge_power_weights(g, a, R, h):
     aQ = a + g.Q
     edges = _shell_edges(R, h)
     n_shells = len(edges) - 1
+    # nodes below the innermost edge clip into the last shell
     idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, n_shells - 1)
     kern = dist ** a * cell
-    below = dist < edges[-1]
-    idx = np.where(below, n_shells - 1, idx)
     denom = np.bincount(idx, weights=kern, minlength=n_shells)
     exact = sigma * (edges[:-1] ** aQ - edges[1:] ** aQ) / aQ
     populated = np.nonzero(denom > 0)[0]
@@ -490,18 +489,16 @@ class ProductLattice:
     slot ``s[p]`` of point column ``pcol[p]``; node column c spans
     ``Lc[c]`` slots and point column p ``Lp[p]``, from the least to the
     greatest last index in it.
-    The product of point p and node n sits at flat grid index
-    ``P[p] + Zc[c] + A[p] @ Bc[c] + step * m[n]`` with c = ``col[n]``,
-    and ``P[p]`` grows by ``step`` per point slot.  The bilinear twist
-    ``A @ Bc`` (empty on R^N) is constant along a point column and along a
-    node column, so the products of one pair of columns land ``step``
-    apart (4 on H^1, 1 on R^N): after ``split`` they are one contiguous
-    window, and the product of slots s and m sits at position s + m.
+    Slot s of point column p times slot m of node column c sits at flat
+    grid index ``Pc[p] + Zc[c] + Ac[p] @ Bc[c] + step * (s + m)``: the
+    bilinear twist ``Ac @ Bc`` (empty on R^N) is constant along a column,
+    so the products of one pair of columns land ``step`` apart (4 on H^1,
+    1 on R^N) from the pair's ``column_starts``, as one row of ``windows``.
     """
 
     axes: tuple
-    P: np.ndarray
-    A: np.ndarray
+    Pc: np.ndarray
+    Ac: np.ndarray
     Zc: np.ndarray
     Bc: np.ndarray
     col: np.ndarray
@@ -536,34 +533,39 @@ class ProductLattice:
         np.add.at(out, (self.col, self.m), values)
         return out
 
-    def split(self, values):
-        """Every column-pair window of flat grid ``values``: a view of rows ``step`` apart.
+    def sample(self, u):
+        """u at every grid sample in flat order, zero-padded for ``windows``; None if one is not finite.
 
-        Flat index f moves to ``(f % step) * n + f // step``, n the grid
-        size over ``step`` rounded up, so the slots of a column follow one
-        another.  Row i of the view holds the values from position i on,
-        enough for the transform of the longest pair of columns
-        (``_fft_length`` of their slots less one); zeros pad the end.
+        Filled a block of lines at a time, so the grid's points are never
+        all held at once.  A subnormal sample is set to zero in the buffer:
+        it moves no sum by more than sum |w| * 2.2e-308, and each product
+        with one costs a transform a microcode assist.
         """
-        n = -(-values.size // self.step)
+        size, n = math.prod(self.shape), self.shape[-1]
         width = _fft_length(int(self.Lc.max() + self.Lp.max()) - 1)
-        out = np.zeros(self.step * n + width - 1, values.dtype)
-        # row q of this (n, step) view holds flat indices q * step + r
-        rows = out[: self.step * n].reshape(self.step, n).T
-        flat, (full, rem) = values.ravel(), divmod(values.size, self.step)
-        rows[:full] = flat[: full * self.step].reshape(full, self.step)
-        rows[full:, :rem] = flat[full * self.step :]
-        return np.lib.stride_tricks.sliding_window_view(out, width)
+        buf = np.zeros(size + self.step * (width - 1))
+        lines = buf[:size].reshape(-1, n)
+        for sl in _blocks(len(lines), n):
+            block = lines[sl]
+            block[...] = u(self.lines(sl))
+            if not np.all(np.isfinite(block)):
+                return None
+            block[np.abs(block) < np.finfo(float).tiny] = 0.0
+        return buf
+
+    def windows(self, buf):
+        """Every column-pair window of ``sample``'s buffer: a read-only view.
+
+        Row f reads samples ``step`` apart from flat index f on, as many as
+        the padding allows, so row ``column_starts()[p, c]`` starts with the
+        products of point column p with node column c.
+        """
+        reach = len(buf) - math.prod(self.shape) + 1
+        return np.lib.stride_tricks.sliding_window_view(buf, reach)[:, :: self.step]
 
     def column_starts(self):
         """Flat grid index of slot 0 of every point column times slot 0 of every node column."""
-        p = np.unique(self.pcol, return_index=True)[1]
-        return self.P[p][:, None] + self.Zc - self.step * self.s[p][:, None] + self.A[p] @ self.Bc.T
-
-    def windows(self, split, at, width):
-        """The first ``width`` values of the window of ``split`` at each flat grid index ``at``."""
-        q, r = np.divmod(at, self.step)
-        return split[r * (len(split) // self.step) + q, :width]
+        return self.Pc[:, None] + self.Zc + self.Ac @ self.Bc.T
 
 
 def _columns(idx, k, M):
@@ -631,12 +633,13 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     # to the flat index with stride 1
     stride = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
     m = (kz[:, -1] - blo[col]) // step
-    Zc = np.empty(len(Bc), np.intp)
+    Pc, Zc = np.empty(len(Ac), np.intp), np.empty(len(Bc), np.intp)
+    Pc[pcol] = (kx - xlo) @ stride - step * s
     Zc[col] = (kz - lo + xlo) @ stride - step * m
     return ProductLattice(
         axes=tuple(axes),
-        P=(kx - xlo) @ stride,
-        A=A,
+        Pc=Pc,
+        Ac=Ac,
         Zc=Zc,
         Bc=Bc,
         col=col,
@@ -653,36 +656,27 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
     """S(x) = sum_z w(z) u(x z) at every point x, over every node of one shared set.
 
     This is the one place that picks a backend.  When ``product_lattice``
-    accepts the points and nodes, u is sampled once on its grid, and if
-    every sample is finite: on a Euclidean law x z = x + z and S is a
-    discrete correlation over the whole grid (one FFT); on H^1 it is one
-    short correlation per pair of point and node columns
+    accepts the points and nodes, u is sampled once into one buffer
+    (``ProductLattice.sample``), and if every sample is finite: on a
+    Euclidean law x z = x + z and S is a discrete correlation over the
+    whole grid (one FFT); on H^1 it is one short correlation per pair of
+    point and node columns, read from a strided view of the buffer
     (``_column_correlations``).  Otherwise the direct loop evaluates
     u(x z) in blocks of ``_PAIR_BUDGET`` pairs; a non-finite sample that a
     point reaches through a nonzero weight raises IntegrandError, and
     unreached ones are dropped.
     """
     lat = product_lattice(g, points, nodes, h)
-    if lat is not None:
-        # sampled a block of lines at a time: the grid's points are never
-        # all held at once
-        samples = np.empty(lat.shape)
-        lines = samples.reshape(-1, lat.shape[-1])
-        for sl in _blocks(len(lines), lat.shape[-1]):
-            lines[sl] = u(lat.lines(sl))
-        if np.all(np.isfinite(samples)):
-            if g.law == groups.EUCLIDEAN:
-                # node n sits at flat index Zc[col[n]] + m[n]; repeated nodes add
-                shape = lat.shape
-                dense = np.bincount(lat.Zc[lat.col] + lat.m, weights, minlength=samples.size).reshape(shape)
-                ax = tuple(range(len(shape)))
-                # no sample index exceeds the circular length, so nothing wraps
-                freq = np.fft.rfftn(samples, axes=ax) * np.conj(np.fft.rfftn(dense, axes=ax))
-                return np.fft.irfftn(freq, s=shape, axes=ax).ravel()[lat.P]
-            # a subnormal sample moves no sum by more than sum |w| * 2.2e-308,
-            # and each product with one costs the transform a microcode assist
-            samples = np.where(np.abs(samples) < np.finfo(float).tiny, 0.0, samples)
-            return _column_correlations(lat, lat.split(samples), weights)
+    buf = None if lat is None else lat.sample(u)
+    if buf is not None:
+        if g.law == groups.EUCLIDEAN:
+            # node n sits at flat index Zc[col[n]] + m[n]; repeated nodes add
+            shape = lat.shape
+            dense = np.bincount(lat.Zc[lat.col] + lat.m, weights, minlength=math.prod(shape)).reshape(shape)
+            # no sample index exceeds the circular length, so nothing wraps
+            freq = np.fft.rfftn(buf[: dense.size].reshape(shape)) * np.conj(np.fft.rfftn(dense))
+            return np.fft.irfftn(freq, shape, range(len(shape))).ravel()[lat.Pc[lat.pcol] + lat.s]
+        return _column_correlations(lat, lat.windows(buf), weights)
     out = np.empty(points.shape[0])
     for sl in _blocks(len(out), len(nodes)):
         ys = groups.mul(g, points[sl, None, :], nodes[None, :, :])
@@ -702,30 +696,36 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _column_correlations(lat: ProductLattice, split, weights):
+def _column_correlations(lat: ProductLattice, windows, weights):
     """``translate_sums`` over every node, by the columns of a ``ProductLattice``.
 
-    ``split`` holds the samples after ``ProductLattice.split``.  The
-    products of point column p with node column c are one window of it,
-    and slot s of p meets slot m of c at position s + m, so the sums over
-    the pair are a correlation of the window with the column's weights.
-    Every window is transformed along the slot axis (an FFT long enough
-    that nothing wraps), multiplied by the conjugate transform of its node
-    column's weights, summed over node columns and transformed back once
-    per point column.  Point columns go in batches of at most
-    ``_PAIR_BUDGET`` window samples.
+    The products of point column p with node column c are the row of
+    ``lat.windows`` at their column start, where slot s of p meets slot m
+    of c at position s + m: the sums over the pair are a correlation of
+    the row with the column's weights.  Each row is transformed (an FFT
+    long enough that nothing wraps), multiplied by the conjugate transform
+    of its node column's weights, summed over node columns in their order
+    and transformed back once per point column.  Rows go in tiles of 16
+    point columns by as many node columns as ``_PAIR_BUDGET`` samples
+    allow, node column-major: a row reads one sample in ``step`` of a grid
+    line, and neighbouring pairs share lines, so they find them in cache.
     """
-    # windows run on past the positions a pair of columns reaches to the
-    # transform length n; what lies beyond meets the weights only at
-    # point slots past the last
-    n = split.shape[1]
+    # a row runs on past the pair's products to the transform length n;
+    # what lies beyond meets the weights only at point slots past the last
+    n = windows.shape[1]
     Wf = np.conj(np.fft.rfft(lat.node_table(weights), n))
     at = lat.column_starts()
     sums = np.empty((len(at), int(lat.Lp.max())))
-    for sub in _blocks(len(at), len(Wf) * n):
-        freq = np.fft.rfft(lat.windows(split, at[sub], n))
-        freq *= Wf
-        sums[sub] = np.fft.irfft(freq.sum(axis=1), n)[:, :sums.shape[1]]
+    for p in range(0, len(at), 16):
+        sub, acc = slice(p, p + 16), 0.0
+        for ch in _blocks(len(Wf), 16 * n):
+            freq = np.fft.rfft(windows[at[sub, ch].T])
+            freq *= Wf[ch, None]
+            # the running sum joins the tile's first node column, so node
+            # columns are summed in one order however the tiles cut them
+            freq[0] += acc
+            acc = freq.sum(axis=0)
+        sums[sub] = np.fft.irfft(acc, n)[:, : sums.shape[1]]
     return sums[lat.pcol, lat.s]
 
 

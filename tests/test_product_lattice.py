@@ -14,6 +14,9 @@ maximal values must agree to 1e-12 of the largest value; ball counts bit
 for bit.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,18 @@ from morreylab.testfunctions import custom, dilated, gaussian, power_truncated
 H1_SPEC = QuadratureSpec(R_max=2.0, lattice_h=0.4)
 
 
+# (group, spec): radius_grid starts at 2h with ratio 2^(1/4), so every
+# fourth radius is an exact lattice distance and ties are common
+BIN_CASES = [
+    ("R1", groups.euclidean_group(1), QuadratureSpec(R_max=6.0, lattice_h=0.05)),
+    ("R2", groups.euclidean_group(2), QuadratureSpec(R_max=1.6, lattice_h=0.1)),
+    ("H1", groups.heisenberg_group(), H1_SPEC),
+]
+
+
+BIN_IDS = [c[0] for c in BIN_CASES]
+
+
 def flat_index(lat):
     """Flat grid index of every (point, node) product, from the column map.
 
@@ -55,18 +70,83 @@ def gauge_ball_bump(h1, r):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_products_land_on_the_grid(h1, sign):
+def test_products_land_on_the_grid(sign):
     # the grid spans exactly the products' central range, so points from a
-    # smaller ball than the nodes' need their own extent
-    nodes = lattice_nodes(h1, H1_SPEC)[0]
-    for R_eff in (None, 0.9):
-        pts = sign * lattice_nodes(h1, H1_SPEC, R_eff=R_eff)[0]
-        lat = product_lattice(h1, pts, nodes, H1_SPEC.effective_h)
-        grid = lat.lines().reshape(-1, 3)
-        at = flat_index(lat)
-        assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
-        prod = groups.mul(h1, pts[:, None, :], nodes[None, :, :])
-        assert np.max(np.abs(grid[at] - prod)) <= 1e-14
+    # smaller ball than the nodes' need their own extent; each pair of
+    # columns reads u at its products from one row of the read-only
+    # window view of the sample buffer
+    for _, g, spec in BIN_CASES:
+        h = spec.effective_h
+        u = gaussian(g, 0.5)
+        nodes = lattice_nodes(g, spec)[0]
+        for R_eff in (None, 0.9):
+            pts = sign * lattice_nodes(g, spec, R_eff=R_eff)[0]
+            lat = product_lattice(g, pts, nodes, h)
+            grid = lat.lines().reshape(-1, g.dimension)
+            at = flat_index(lat)
+            assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
+            prod = groups.mul(g, pts[:, None, :], nodes[None, :, :])
+            assert np.max(np.abs(grid[at] - prod)) <= 1e-14
+            windows = lat.windows(lat.sample(u))
+            assert not windows.flags.writeable
+            got = windows[lat.column_starts()[lat.pcol][:, lat.col], lat.s[:, None] + lat.m]
+            want = u(prod)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["read_only", "broadcast"])
+@pytest.mark.parametrize("law", ["R1", "H1"])
+def test_read_only_samples_take_the_fast_path(backends, translate_paths, law, kind):
+    # u's arrays are copied into the sample buffer, and subnormal samples
+    # are set to zero there: a read-only array with a subnormal tail, or
+    # a constant broadcast with stride 0, is never written to
+    _, g, spec = BIN_CASES[0 if law == "R1" else 2]
+    h, tiny = spec.effective_h, np.finfo(float).tiny
+    zs, dist, _ = lattice_nodes(g, spec)
+    # exp(-720) is subnormal: u reaches it at the grid's farthest sample
+    c = 720.0 / np.max(np.sum(product_lattice(g, zs, zs, h).lines() ** 2, axis=-1))
+    returned = []
+
+    def fn(p):
+        if kind == "broadcast":
+            v = np.broadcast_to(np.float64(1.0), p.shape[:-1])
+        else:
+            v = np.exp(-c * np.sum(p * p, axis=-1))
+            v.setflags(write=False)
+        returned.append(v)
+        return v
+
+    u = custom(fn, 10.0)
+    args = (translate_sums, g, u, zs, zs, dist ** -0.5, h)
+    fast = backends.run(True, *args)
+    assert translate_paths["finite_samples"] == 0
+    assert (translate_paths["_column_correlations"] > 0) == (law == "H1")
+    if kind == "read_only":
+        assert any(np.any((v != 0) & (np.abs(v) < tiny)) for v in returned)
+        buf = product_lattice(g, zs, zs, h).sample(u)
+        assert not np.any((buf != 0) & (np.abs(buf) < tiny))
+    backends.close(fast, backends.run(False, *args))
+
+
+def test_translate_sums_hold_one_sample_grid(translate_paths, h1):
+    # the h1_adams t = 1 spec at K = 36,032: u is sampled into one buffer
+    # and the column windows are read from it in place, so the fast path
+    # allocates less than two grid-sized float arrays at its peak
+    spec = QuadratureSpec(R_max=6.529, lattice_h=0.5)
+    h = spec.effective_h
+    zs, dist, _ = lattice_nodes(h1, spec)
+    w, u = dist ** -2.5, gaussian(h1, 0.5)
+    grid = 8 * math.prod(product_lattice(h1, zs, zs, h).shape)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        translate_sums(h1, u, zs, zs, w, h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert translate_paths["_column_correlations"] == 1
+    assert peak < 2 * grid, peak / grid
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -239,18 +319,6 @@ def test_direct_loop_sums_every_node(backends, law):
     backends.agree(translate_sums, g, u, lattice_nodes(g, spec, R_eff=1.0)[0], zs, w, h)
 
 
-# (group, spec): radius_grid starts at 2h with ratio 2^(1/4), so every
-# fourth radius is an exact lattice distance and ties are common
-BIN_CASES = [
-    ("R1", groups.euclidean_group(1), QuadratureSpec(R_max=6.0, lattice_h=0.05)),
-    ("R2", groups.euclidean_group(2), QuadratureSpec(R_max=1.6, lattice_h=0.1)),
-    ("H1", groups.heisenberg_group(), H1_SPEC),
-]
-
-
-BIN_IDS = [c[0] for c in BIN_CASES]
-
-
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_repeated_nodes_add_on_the_fast_path(backends, name, g, spec):
     # a node listed twice, with its own weight each time, adds both terms:
@@ -390,16 +458,17 @@ def test_non_finite_weights_bin_pairs(backends, g1):
 
 
 def test_pair_blocks_do_not_move_bits(backends, h1, monkeypatch):
-    # shipped budget, then one column window, run or tie pair a block, then
-    # all of them in one: the Riesz sums keep their bits; the maximal
-    # values sum their prefix differences in another order, to rounding
+    # shipped budget, then one column window, run or tie pair a block,
+    # then tiles of two node columns (24-sample windows), then all of them
+    # in one: the Riesz sums keep their bits; the maximal values sum their
+    # prefix differences in another order, to rounding
     u = gaussian(h1, 0.3)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     radii = radius_grid(H1_SPEC, u.decay_radius)
     riesz = (1.5, u, nodes, H1_SPEC)
     maximal = (0.3, u, nodes, radii, H1_SPEC)
     want = operators.riesz_values(h1, *riesz), operators.frac_maximal_values(h1, *maximal)
-    for budget in (1, len(nodes) ** 2):
+    for budget in (1, 1000, len(nodes) ** 2):
         monkeypatch.setattr(quadrature, "_PAIR_BUDGET", budget)
         assert np.array_equal(operators.riesz_values(h1, *riesz), want[0])
         backends.close(operators.frac_maximal_values(h1, *maximal), want[1])
