@@ -170,11 +170,11 @@ def estimate_quasi_constant(
     return float(np.max(quasi_ratio(g, xs, ys)))
 
 
-def _column_half_width(g: GroupDescriptor, outer: np.ndarray, R: float) -> np.ndarray:
-    """Extent of {gauge < R} in the last coordinate over fixed outer coords.
+def column_half_width(g: GroupDescriptor, outer: np.ndarray, R) -> np.ndarray:
+    """Half-width of {gauge < R} along the last axis, the others fixed at ``outer`` (..., N-1).
 
-    ``outer`` has shape (M, N-1); returns the half-width of the section,
-    zero where the section is empty.
+    The section is |t| < sqrt(R^4 - |z|^4) / 4 on H^1; zero where empty.
+    ``R`` broadcasts against ``outer``'s leading shape.
     """
     if g.gauge_kind == GAUGE_EUCLIDEAN:
         rem = R * R - np.sum(outer * outer, axis=-1)
@@ -220,7 +220,7 @@ def _volume_axes(g, R, h):
 def _ball_volume_columns(g, R, h):
     grids = np.meshgrid(*_volume_axes(g, R, h), indexing="ij")
     outer = np.stack([gr.ravel() for gr in grids], axis=-1)
-    widths = _column_half_width(g, outer, R)
+    widths = column_half_width(g, outer, R)
     cell = math.prod(h ** w for w in g.weights[:-1])
     return float(np.sum(2.0 * widths) * cell)
 

@@ -19,7 +19,8 @@ and grids with a non-finite sample, take the direct point-by-node loop,
 which decides which non-finite samples are reached.  Every path sums
 every node.  Ball counts and masses (``ball_totals``) at on-lattice
 centres are differences of prefix sums over node columns, taken at the
-ends of the runs of grid samples inside each ball; other centres, and the
+ends of the runs of grid samples inside each ball, which the gauge ball's
+closed-form section cuts from each grid line; other centres, and the
 Morrey supremum, bin every centre-node pair once (``ball_masses``).
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
@@ -85,9 +86,7 @@ def _nodes_cached(g: groups.GroupDescriptor, R: float, h: float):
     keep = dist <= R
     pts = pts[keep]
     dist = dist[keep]
-    cell = 1.0
-    for w in g.weights:
-        cell *= h ** w
+    cell = math.prod(h ** w for w in g.weights)
     pts.setflags(write=False)
     dist.setflags(write=False)
     return pts, dist, cell
@@ -149,6 +148,25 @@ def _shell_edges(R_max: float, h: float):
     return R_max * 0.5 ** np.arange(k_max + 1)
 
 
+def _shells(g, R, h):
+    """``_nodes_cached``, the ``_shell_edges``, each node's shell (the last below them) and sigma."""
+    zs, dist, cell = _nodes_cached(g, R, h)
+    edges = _shell_edges(R, h)
+    idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, len(edges) - 2)
+    sigma = groups.sphere_measure(g, QuadratureSpec(R_max=R, lattice_h=h))
+    return zs, dist, cell, edges, idx, sigma
+
+
+def _spread(kern, idx, exact):
+    """``kern`` scaled so that each shell's nodes carry its ``exact`` mass (read-only); shells without kern."""
+    denom = np.bincount(idx, weights=kern, minlength=len(exact))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(denom > 0, exact / np.where(denom > 0, denom, 1.0), 0.0)
+    w = kern * scale[idx]
+    w.setflags(write=False)
+    return w, denom == 0
+
+
 @lru_cache(maxsize=64)
 def _shell_weights_cached(g, a, R_max, h, r_lo, r_hi):
     """Nodes and per-node quadrature weights for the kernel d^a on a banded ball.
@@ -159,33 +177,21 @@ def _shell_weights_cached(g, a, R_max, h, r_lo, r_hi):
     proportionally to the raw midpoint weights; the innermost region (and
     any shell too thin to hold a node) contributes through ``c0``.
     """
-    zs, dist, cell = _nodes_cached(g, R_max, h)
-    edges = _shell_edges(R_max, h)
+    zs, dist, cell, edges, idx, sigma = _shells(g, R_max, h)
     r_stop = float(edges[-1])
-    sigma = groups.sphere_measure(g, QuadratureSpec(R_max=R_max, lattice_h=h))
     aQ = a + g.Q
-    n_shells = len(edges) - 1
-
     live = (dist >= r_stop) & (dist > r_lo) & (dist <= r_hi)
-    d_safe = np.where(live, dist, 1.0)
-    kern = np.where(live, d_safe ** a * cell, 0.0)
-    idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, n_shells - 1)
-    denom = np.bincount(idx[live], weights=kern[live], minlength=n_shells)
-    lo_clip = np.clip(edges[1:], r_lo, r_hi)
-    hi_clip = np.clip(edges[:-1], r_lo, r_hi)
+    kern = np.where(live, np.where(live, dist, 1.0) ** a * cell, 0.0)
+    lo_clip, hi_clip = np.clip(edges[1:], r_lo, r_hi), np.clip(edges[:-1], r_lo, r_hi)
     exact = sigma * np.maximum(hi_clip ** aQ - lo_clip ** aQ, 0.0) / aQ
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(denom > 0, exact / np.where(denom > 0, denom, 1.0), 0.0)
-    weights = kern * scale[idx]
+    weights, empty = _spread(kern, idx, exact)
     # shells with no nodes (below lattice resolution) and the innermost
     # region use u(centre) against the exact kernel mass
-    c0 = float(np.sum(exact[denom == 0]))
+    c0 = float(np.sum(exact[empty]))
     lo_in = min(max(r_lo, 0.0), r_stop)
     hi_in = min(r_hi, r_stop)
     if hi_in > lo_in:
         c0 += sigma * (hi_in ** aQ - lo_in ** aQ) / aQ
-    weights.setflags(write=False)
     return zs, weights, c0
 
 
@@ -196,40 +202,26 @@ def gauge_power_weights(g, a, R, h):
     Valid for any a > -Q, including singular negative powers: the shells
     of ``_shell_edges`` around the origin carry their exact radial mass
     (the deepest populated shell absorbs everything below it), distributed
-    over their nodes proportionally to midpoint weights.  Node order
-    matches ``lattice_nodes``.
+    over their nodes proportionally to midpoint weights (``_spread``).
+    Node order matches ``lattice_nodes``.
     """
     if a <= -g.Q:
         raise DomainError(f"weight exponent {a} <= -Q is not integrable")
-    zs, dist, cell = _nodes_cached(g, R, h)
-    sigma = groups.sphere_measure(g, QuadratureSpec(R_max=R, lattice_h=h))
+    _, dist, cell, edges, idx, sigma = _shells(g, R, h)
     aQ = a + g.Q
-    edges = _shell_edges(R, h)
-    n_shells = len(edges) - 1
-    # nodes below the innermost edge clip into the last shell
-    idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, n_shells - 1)
-    kern = dist ** a * cell
-    denom = np.bincount(idx, weights=kern, minlength=n_shells)
     exact = sigma * (edges[:-1] ** aQ - edges[1:] ** aQ) / aQ
-    populated = np.nonzero(denom > 0)[0]
-    if populated.size:
-        deepest = populated[-1]
-        exact = exact.copy()
-        # everything below the deepest populated shell, incl. the disc
-        exact[deepest] = sigma * edges[deepest] ** aQ / aQ
-        exact[deepest + 1 :] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(denom > 0, exact / np.where(denom > 0, denom, 1.0), 0.0)
-    w = kern * scale[idx]
-    w.setflags(write=False)
-    return w
+    # the deepest shell with a node (each has kern > 0) takes all below it, incl. the disc
+    deepest = idx.max(initial=0)
+    exact[deepest] = sigma * edges[deepest] ** aQ / aQ
+    exact[deepest + 1 :] = 0.0
+    return _spread(dist ** a * cell, idx, exact)[0]
 
 
 # pairs per block of the pair bins and of the direct translate sums, grid
-# samples per block of lines, prefix values per gather (and, over 8,
-# near-tie pairs per block) of the on-lattice ball sums, and window samples
-# per batch of the H^1 column correlations: a fixed budget keeps each
-# temporary near 1 MB whatever the lattice size
+# samples per block of ``ProductLattice.sample``, prefix values per gather
+# (and, over 8, near-tie pairs per block) of the on-lattice ball sums, and
+# window samples per tile of the H^1 column correlations: a fixed budget
+# keeps each temporary near 1 MB whatever the lattice size
 _PAIR_BUDGET = 1 << 17
 
 
@@ -240,7 +232,7 @@ def _blocks(n, per):
 
 
 def _bin_dtype(n_radii):
-    """The narrowest signed integer type that holds the bin index ``n_radii``."""
+    """The narrowest signed integer type of the pair bins: it holds the bin index ``n_radii``."""
     return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n_radii)
 
 
@@ -254,32 +246,6 @@ def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
     """
     d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
     return np.searchsorted(radii, d, side="right").astype(_bin_dtype(len(radii)))
-
-
-def ball_bin_table(g: groups.GroupDescriptor, lat: ProductLattice, radii, scale):
-    """Bounds (lo, hi) on ``ball_bins``' j at every sample of a ``ProductLattice``.
-
-    ``lat`` is ``product_lattice(g, -centers, nodes, h)`` and ``scale``
-    bounds the gauge of every centre and node.  Against the exact sample,
-    ``mul`` rounds a pair's product by at most 3 eps scale on a horizontal
-    axis and 6 eps scale^2 on the H^1 centre.  Through the gauge
-    (|dd/dx| <= 1, |dd/dt| <= 2/d) and its own rounding, the pair's gauge
-    stays within 22 eps (1 + scale/d)^2 of d relative, which is below
-    ``tol`` wherever d >= r_0/2, so wherever a radius is near.  So the j
-    of every pair whose product sits at a sample lies in [lo, hi], the
-    bins of the band d(1 +/- tol): lo == hi is the bin, and lo < hi marks
-    a sample near a radius (every exact lattice distance on the radius
-    grid is one), whose pairs need their own gauge.  Both tables have one
-    row per line of the grid along its last axis, and take ``_bin_dtype``.
-    """
-    tol = 128.0 * np.finfo(float).eps * (1.0 + scale / radii[0]) ** 2
-    width = lat.shape[-1]
-    lo, hi = np.empty((2, math.prod(lat.shape) // width, width), _bin_dtype(len(radii)))
-    for sl in _blocks(len(lo), width):
-        d = groups.gauge(g, lat.lines(sl))
-        lo[sl] = np.searchsorted(radii, d * (1.0 - tol), side="right")
-        hi[sl] = np.searchsorted(radii, d * (1.0 + tol), side="right")
-    return lo, hi
 
 
 def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
@@ -347,37 +313,64 @@ def _ranges(lo, hi):
     return i, np.arange(i.size) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
+def _ball_runs(g, lat: ProductLattice, radii, scale):
+    """Runs of the samples of a ``ProductLattice`` inside each ball, and the samples near its radius.
+
+    ``lat`` is ``product_lattice(g, -centers, nodes, h)`` and ``scale``
+    bounds the gauge of every centre and node.  Ball j meets each line of
+    the grid along its last axis t in |t| < half (``groups.column_half_width``).
+    ``mul`` rounds a pair's product off its sample by at most 3 eps scale
+    on a horizontal axis and 6 eps scale^2 on the H^1 centre, so through
+    the gauge (|dd/dx| <= 1, |dd/dt| <= 2/d) and its own rounding the
+    pair's gauge stays within 22 eps (1 + scale/d)^2 of the sample's d
+    relative: below ``tol`` wherever d >= r_0/2.  So pairs at samples inside
+    the section for r_j/(1 + tol) lie in ball j, and pairs at samples outside
+    the one for r_j/(1 - tol) do not.  Returns the inner sections as runs
+    [klo, khi) of last indices, two (lines, radii) arrays, and the samples
+    between the sections (every exact lattice distance on the radius grid
+    is one) as sorted flat grid indices, with the radius index of each.
+    """
+    tol = 128.0 * np.finfo(float).eps * (1.0 + scale / radii[0]) ** 2
+    heads, t = lat.heads()[:, None, :], lat.axes[-1]
+
+    def cut(r):
+        half = groups.column_half_width(g, heads, r)
+        lo = np.searchsorted(t, -half, side="right")
+        # an empty section leaves an empty run at lo
+        return lo, np.maximum(np.searchsorted(t, half), lo)
+
+    klo, khi = cut(radii / (1.0 + tol))
+    olo, ohi = cut(radii / (1.0 - tol))
+    # the samples in [olo, klo) and [khi, ohi) of each line, per radius
+    at, k = _ranges(np.ravel([olo, khi]), np.ravel([klo, ohi]))
+    line, j = np.divmod(at % klo.size, len(radii))
+    ties = line * t.size + k
+    order = np.argsort(ties, kind="stable")
+    return klo, khi, ties[order], j[order]
+
+
 def _lattice_ball_totals(g, lat: ProductLattice, points, nodes, radii, weights):
     """``ball_totals`` at the centres -``points`` of ``lat``, from runs of the grid.
 
-    ``lat`` is ``product_lattice(g, points, nodes, h)``.  Along a line of
-    the grid in its last axis the gauge is monotone in |t|, t the last
-    coordinate, on either side of t = 0, and so is the ``hi`` bound of
-    ``ball_bin_table``: the samples surely inside ball j (hi <= j) form
-    one run [klo, khi) of last indices per line.  Slot s of a point
-    column meets slot m of a node column at last index k0 + step (s + m)
-    on one line, so ball j holds the node slots m in [A - s, B - s), A
-    and B the least slot sums at or past klo and khi, and its count and
-    sum are differences of the node column's prefix sums over slots.
-    For one point column, each (node column, radius) that holds part of
-    its node column reads one contiguous run of the padded prefix array,
-    one value per point slot; the differences are summed over node
-    columns.  The absolute error of a sum is at most about L eps times
-    the total of each node column it draws on, L the column's slots.  A
-    pair at a sample near a radius (lo < hi) is binned by its own gauge
-    as ``ball_bins`` does, and joins balls j to hi - 1 if its bin is j:
-    the runs leave those out.
+    ``lat`` is ``product_lattice(g, points, nodes, h)``.  The samples surely
+    inside ball j form one run [klo, khi) of last indices per line of the
+    grid along its last axis (``_ball_runs``).  Slot s of a point column
+    meets slot m of a node column at last index k0 + step (s + m) on one
+    line, so ball j holds the node slots m in [A - s, B - s), A and B the
+    least slot sums at or past klo and khi, and its count and sum are
+    differences of the node column's prefix sums over slots.  For one
+    point column, each (node column, radius) that holds part of its node
+    column reads one contiguous run of the padded prefix array, one value
+    per point slot; the differences are summed over node columns.  The
+    absolute error of a sum is at most about L eps times the total of each
+    node column it draws on, L the column's slots.  A pair at a near-tie
+    sample of radius j joins ball j alone when its own gauge is below r_j,
+    as in ``ball_bins``: the runs leave it out.
     """
     n, step = len(radii), lat.step
     scale = max(np.max(groups.gauge(g, points)), np.max(groups.gauge(g, nodes)))
-    lo, hi = ball_bin_table(g, lat, radii, scale)
-    width = hi.shape[1]
-    # t < 0 on the first ``neg`` samples of every line
-    neg = int(np.count_nonzero(lat.axes[-1] < 0))
-    klo = neg - np.stack([np.count_nonzero(hi[:, :neg] <= j, axis=1) for j in range(n)], axis=1)
-    khi = neg + np.stack([np.count_nonzero(hi[:, neg:] <= j, axis=1) for j in range(n)], axis=1)
-
-    line0, k0 = np.divmod(lat.column_starts(), width)
+    klo, khi, ties, tie_j = _ball_runs(g, lat, radii, scale)
+    line0, k0 = np.divmod(lat.column_starts(), lat.shape[-1])
     Lp, Lc = lat.Lp, lat.Lc
     L, M = int(Lp.max()), int(Lc.max())
     # weights as the real part and node counts as the imaginary one, so
@@ -412,18 +405,17 @@ def _lattice_ball_totals(g, lat: ProductLattice, points, nodes, radii, weights):
     point_at, node_at = np.full((len(Lp), L), -1), np.full((len(Lc), M), -1)
     point_at[lat.pcol, lat.s] = np.arange(len(points))
     node_at[lat.col, lat.m] = np.arange(len(nodes))
-    delta = np.zeros(len(Lp) * L * (n + 1), complex)
-    for ps, ns, f in _near_tie_pairs(lat, np.flatnonzero(lo != hi), point_at, node_at):
+    for ps, ns, at in _near_tie_pairs(lat, ties, point_at, node_at):
         d = groups.gauge(g, groups.mul(g, points[point_at.flat[ps]], nodes[node_at.flat[ns]]))
-        np.add.at(delta, ps * (n + 1) + np.searchsorted(radii, d, side="right"), slots.flat[ns])
-        np.subtract.at(delta, ps * (n + 1) + hi.ravel()[f], slots.flat[ns])
-    res += np.cumsum(delta.reshape(len(Lp), L, n + 1)[..., :n], axis=-1).transpose(0, 2, 1)[..., ::-1]
+        keep = d < radii[tie_j[at]]
+        pc, s = np.divmod(ps[keep], L)
+        np.add.at(res, (pc, tie_j[at[keep]], L - 1 - s), slots.flat[ns[keep]])
     out = res[lat.pcol, :, L - 1 - lat.s]
     return out.imag, out.real
 
 
 def _near_tie_pairs(lat: ProductLattice, ties, point_at, node_at):
-    """(point slot, node slot, flat grid index) of the pairs at the samples ``ties``.
+    """(point slot, node slot, position in ``ties``) of the pairs at the samples ``ties``.
 
     ``ties`` holds sorted flat grid indices, and ``point_at`` and
     ``node_at`` a point or node at each (column, slot), -1 where there is
@@ -448,7 +440,7 @@ def _near_tie_pairs(lat: ProductLattice, ties, point_at, node_at):
         ps = pc[e] * point_at.shape[1] + s
         ns = nc[e] * node_at.shape[1] + w[e] - s
         keep = (point_at.flat[ps] >= 0) & (node_at.flat[ns] >= 0)
-        yield ps[keep], ns[keep], ties[t[e][keep]]
+        yield ps[keep], ns[keep], t[e][keep]
 
 
 def finite_samples(vals, pts, reached):
@@ -513,15 +505,21 @@ class ProductLattice:
     def shape(self):
         return tuple(len(a) for a in self.axes)
 
-    def lines(self, rows=slice(None)):
-        """The samples of ``rows`` of the lines along the last axis, flat index order: (n, S[-1], N)."""
+    def heads(self, rows=slice(None)):
+        """Every coordinate but the last of ``rows`` of the lines along the last axis: (n, N - 1)."""
         shape = self.shape
         line = np.arange(math.prod(shape[:-1]))[rows]
-        out = np.empty((len(line), shape[-1], len(shape)))
+        out = np.empty((len(line), len(shape) - 1))
         for i in reversed(range(len(shape) - 1)):
             line, k = np.divmod(line, shape[i])
-            out[:, :, i] = self.axes[i][k, None]
-        out[:, :, -1] = self.axes[-1]
+            out[:, i] = self.axes[i][k]
+        return out
+
+    def lines(self, rows=slice(None)):
+        """The samples of ``rows`` of the lines along the last axis, flat index order: (n, S[-1], N)."""
+        heads = self.heads(rows)
+        out = np.empty((len(heads), self.shape[-1], len(self.shape)))
+        out[:, :, :-1], out[:, :, -1] = heads[:, None], self.axes[-1]
         return out
 
     def node_table(self, values):
@@ -802,10 +800,11 @@ def shell_integrate_singular(
 
 
 def check_radii(radii) -> np.ndarray:
-    """``radii`` as a float array; DomainError unless non-empty, positive, increasing."""
+    """``radii`` as a float array; DomainError unless 1-D, non-empty, finite, positive, increasing."""
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise DomainError("radius grid must be non-empty, positive, increasing")
+    ok = radii.ndim == 1 and radii.size > 0 and np.all(np.isfinite(radii)) and radii[0] > 0
+    if not (ok and np.all(np.diff(radii) > 0)):
+        raise DomainError("radius grid must be a non-empty 1-D array of finite, positive, increasing radii")
     return radii
 
 

@@ -34,8 +34,10 @@ def test_params_invariants(g1):
     u = gaussian(g1, 1.0)
     with pytest.raises(DomainError):
         norm_of(g1, u, p=2.0, lam=1.5)  # lambda > Q
-    # decreasing, empty, zero, negative and repeated radii
-    for radii in ([1.0, 0.5], [], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0]):
+    # decreasing, empty, zero, negative, repeated, NaN, infinite, 0-D and
+    # 2-D radii
+    for radii in ([1.0, 0.5], [], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [0.1, np.nan, 0.3],
+                  [0.5, np.inf], 1.0, [[0.5, 1.0]]):
         with pytest.raises(DomainError):
             norm_of(g1, u, p=2.0, lam=0.5, radii=np.array(radii))
 

@@ -123,6 +123,11 @@ class TestMaximal:
         with pytest.raises(DomainError):
             frac_maximal_values(g1, 1.0, indicator1d(), np.array([0.0]), radii, SPEC25)
 
+    def test_non_finite_radius_raises(self, g1):
+        # every comparison with a NaN is false, so a grid of radii <= 0 is not the only bad one
+        with pytest.raises(DomainError, match="finite"):
+            frac_maximal_values(g1, 0.0, indicator1d(), np.array([0.0]), [0.1, np.nan, 0.3], SPEC25)
+
     def test_scalar_homogeneity(self, g1):
         spec = QuadratureSpec(R_max=6.0, lattice_h=0.05)
         u = gaussian(g1, 1.0)

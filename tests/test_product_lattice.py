@@ -7,8 +7,9 @@ that grid and sums them as a correlation by FFT, over every node, when
 every sample is finite; a non-finite sample sends the sums to the direct
 loop, which alone applies source caps.  On every law,
 ``frac_maximal_values`` reads its ball counts and masses at on-lattice
-centres from runs of a table over that grid and prefix sums over node
-columns, and bins the pairs near a radius one by one.  The direct loops
+centres from runs of that grid, cut from each grid line by the gauge
+ball's closed-form section, and prefix sums over node columns, and bins
+the pairs near a radius one by one.  The direct loops
 stay as the fallback; here they are the small-K oracle.  Riesz sums and
 maximal values must agree to 1e-12 of the largest value; ball counts bit
 for bit.
@@ -24,7 +25,7 @@ from morreylab import groups, harness, operators, quadrature
 from morreylab.errors import IntegrandError
 from morreylab.quadrature import (
     QuadratureSpec,
-    ball_bin_table,
+    _ball_runs,
     ball_bins,
     ball_sums,
     ball_totals,
@@ -334,14 +335,13 @@ def test_repeated_nodes_add_on_the_fast_path(backends, name, g, spec):
 def check_ball_totals(backends, g, spec, centers, nodes, radii):
     """Ball counts from the runs equal the direct bins' bit for bit, sums agree.
 
-    Some pairs sit at samples near a radius, so the per-pair rule is tested.
+    Some pairs have a gauge within 1e-12 of a radius, so the per-pair rule
+    is tested.
     """
     h = spec.effective_h
     w = gaussian(g, 0.3)(nodes)
-    lat = product_lattice(g, -centers, nodes, h)
-    scale = float(max(np.max(groups.gauge(g, centers)), np.max(groups.gauge(g, nodes))))
-    lo, hi = ball_bin_table(g, lat, radii, scale)
-    assert np.any(lo.ravel()[flat_index(lat)] < hi.ravel()[flat_index(lat)])
+    d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
+    assert np.any(np.searchsorted(radii, d * (1 - 1e-12)) < np.searchsorted(radii, d * (1 + 1e-12)))
     cnt, tot = backends.run(True, ball_totals, g, centers, nodes, radii, w, h)
     bins = ball_bins(g, nodes, centers, radii)
     assert np.array_equal(cnt, ball_sums(bins, len(radii)))
@@ -349,24 +349,50 @@ def check_ball_totals(backends, g, spec, centers, nodes, radii):
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
-def test_tabulated_bins_equal_direct_bins(backends, name, g, spec):
+def test_ball_runs_bound_direct_bins(backends, name, g, spec):
+    # every pair at a sample of the run of ball j lies in it, every pair at
+    # a sample outside the run and not a near-tie of radius j lies outside
+    # it, and near-ties exist: they are binned pair by pair
     nodes = lattice_nodes(g, spec)[0]
     lat = product_lattice(g, -nodes, nodes, spec.effective_h)
     scale = float(np.max(groups.gauge(g, nodes)))
-    # the tables are one byte wide up to 126 radii and widen past that
+    # the pair bins are one byte wide up to 126 radii and widen past that
     h = spec.effective_h
     short, long = radius_grid(spec, 1.5), geometric_radii(2.0 * h, 2.0 ** 33 * h)
     assert len(short) < 127 <= len(long)
+    at = flat_index(lat).ravel()
+    line, k = np.divmod(at, lat.shape[-1])
     for radii, dtype in [(short, np.int8), (long, np.int16)]:
-        lo, hi = ball_bin_table(g, lat, radii, scale)
-        assert lo.dtype == hi.dtype == dtype
-        # every pair's bin lies in the bounds of its sample, and is them where they meet
-        j = ball_bins(g, nodes, nodes, radii) % (len(radii) + 1)
-        lo, hi = lo.ravel()[flat_index(lat)], hi.ravel()[flat_index(lat)]
-        assert np.all((lo <= j) & (j <= hi))
-        assert np.any(lo < hi)  # near-ties exist and are binned pair by pair
-        assert np.array_equal(j[lo == hi], lo[lo == hi])
+        bins = ball_bins(g, nodes, nodes, radii)
+        assert bins.dtype == dtype
+        bins = bins.ravel()
+        klo, khi, ties, tie_j = _ball_runs(g, lat, radii, scale)
+        assert np.all(np.diff(ties) >= 0)
+        tied = 0
+        for j in range(len(radii)):
+            inside = (klo[line, j] <= k) & (k < khi[line, j])
+            near = np.isin(at, ties[tie_j == j])
+            assert not np.any(inside & near)
+            assert np.all(bins[inside] <= j) and np.all(bins[~inside & ~near] > j)
+            tied += np.count_nonzero(near)
+        assert tied > 0
         check_ball_totals(backends, g, spec, nodes, nodes, radii)
+
+
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
+def test_on_lattice_ball_totals_sample_no_grid(monkeypatch, name, g, spec):
+    # the runs come from the closed-form sections of each grid line, so no
+    # grid point is built and no gauge is taken over the grid; nor may the
+    # totals fall back to binning every pair
+    def forbidden(*args, **kwargs):
+        raise AssertionError("on-lattice ball totals built grid lines or binned every pair")
+
+    monkeypatch.setattr(quadrature.ProductLattice, "lines", forbidden)
+    monkeypatch.setattr(quadrature, "ball_masses", forbidden)
+    nodes = lattice_nodes(g, spec)[0]
+    radii = radius_grid(spec, 1.5)
+    cnt, _ = ball_totals(g, nodes, nodes, radii, gaussian(g, 0.3)(nodes), spec.effective_h)
+    assert np.array_equal(cnt, ball_sums(ball_bins(g, nodes, nodes, radii), len(radii)))
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
