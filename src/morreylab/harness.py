@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -375,23 +376,57 @@ def predicted_mismatch(cfg: ExponentConfig):
 # inequality sides
 # ---------------------------------------------------------------------------
 
-def _op_values(g, op, cfg, u: TestFunction, nodes, spec):
+# operator tag -> the function on ``operators`` that evaluates it
+_OPERATORS = {"riesz": "riesz_values", "grad": "horizontal_gradient_values",
+              "sublap": "sub_laplacian_values", "fraclap": "frac_laplacian_values",
+              "maximal": "frac_maximal_values"}
+
+
+def _op_values(g, op, cfg, u: TestFunction, spec, R_eff):
+    """Read-only values of the factor operator ``op`` applied to ``u`` at
+    the nodes of ``lattice_nodes(g, spec, R_eff)``, modulus taken.
+
+    The values are memoised on (g, op, the evaluating callable as looked
+    up now, its parameter, u, spec, R_eff): γ for ``riesz``, s = γ/2 for
+    ``fraclap``, none for the other tags, so sweeps that differ only in
+    exponents the operator does not read (a tuple and its ``perturb_q``
+    control) evaluate it once.  Keying on the callable means a patched or
+    traced operator never receives values another function computed.
+    The memo assumes a test function is pure: one object gives one set
+    of values.
+    """
     if op == "id":
-        return np.abs(np.asarray(u(nodes), dtype=float))
+        fn = type(u).__call__
+    elif op in _OPERATORS:
+        fn = getattr(operators, _OPERATORS[op])
+    else:
+        raise DomainError(f"unknown operator tag {op!r}")
+    param = None
     if op == "riesz":
-        return np.abs(operators.riesz_values(g, float(cfg.gamma), u, nodes, spec))
-    if op == "grad":
-        grad = operators.horizontal_gradient_values(g, u, nodes)
-        return np.sqrt(np.sum(grad * grad, axis=-1))
-    if op == "sublap":
-        return np.abs(operators.sub_laplacian_values(g, u, nodes))
-    if op == "fraclap":
-        s = float(cfg.gamma) / 2.0
-        return np.abs(operators.frac_laplacian_values(g, s, u, nodes, spec))
-    if op == "maximal":
-        radii = morrey.default_radii(g, u, spec)
-        return operators.frac_maximal_values(g, 0.0, u, nodes, radii, spec)
-    raise DomainError(f"unknown operator tag {op!r}")
+        param = float(cfg.gamma)
+    elif op == "fraclap":
+        param = float(cfg.gamma) / 2.0
+    return _op_values_cached(g, op, fn, param, u, spec, R_eff)
+
+
+# sized from the longest reuse distance of the benchmark sweeps: 20 factor
+# evaluations in euclid_consequences (16 entries lose 5 of its 150 hits)
+@lru_cache(maxsize=20)
+def _op_values_cached(g, op, fn, param, u, spec, R_eff):
+    nodes = lattice_nodes(g, spec, R_eff)[0]
+    if op == "id":
+        vals = np.abs(np.asarray(fn(u, nodes), dtype=float))
+    elif op in ("riesz", "fraclap"):
+        vals = np.abs(fn(g, param, u, nodes, spec))
+    elif op == "grad":
+        grad = fn(g, u, nodes)
+        vals = np.sqrt(np.sum(grad * grad, axis=-1))
+    elif op == "sublap":
+        vals = np.abs(fn(g, u, nodes))
+    else:  # maximal
+        vals = fn(g, 0.0, u, nodes, morrey.default_radii(g, u, spec), spec)
+    vals.setflags(write=False)
+    return vals
 
 
 def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
@@ -400,7 +435,7 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
     decay = getattr(u, "decay_radius", math.inf)
     R_eff = resolve_R(spec, None if wide or not math.isfinite(decay) else decay)
     nodes, _, cell = lattice_nodes(g, spec, R_eff)
-    vals = _op_values(g, factor["op"], cfg, u, nodes, spec)
+    vals = _op_values(g, factor["op"], cfg, u, spec, R_eff)
     theta = float(factor["theta"])
     p_fac = float(factor["exp"])
     if theta != 0.0:
@@ -480,16 +515,23 @@ def sweep_grids(g, base: QuadratureSpec, u: TestFunction, t_min: float, t_max: f
 
 
 def check_t_values(t_values) -> tuple:
-    """The dilations of a sweep as floats: one value, or positive values
-    spanning at least a decade, so the fitted slope is meaningful."""
+    """The dilations of a sweep as floats: one value, or finite positive
+    values spanning at least a decade, so the fitted slope is meaningful."""
     t_values = tuple(float(t) for t in t_values)
     if not t_values:
         raise DomainError("t values must not be empty")
-    if any(t <= 0 for t in t_values):
-        raise DomainError("t values must be positive")
+    if not all(0 < t < math.inf for t in t_values):
+        raise DomainError("t values must be positive and finite")
     if len(t_values) > 1 and max(t_values) / min(t_values) < 10.0 - 1e-9:
         raise DomainError("t values must span at least one decade")
     return t_values
+
+
+# one object per (g, u, t), so sweeps over the same u share the factor
+# memo; as many entries as that memo, whose keys each hold one copy
+@lru_cache(maxsize=20)
+def _dilated(g, u: TestFunction, t: float) -> TestFunction:
+    return dilated(g, u, t)
 
 
 def dilation_sweep(
@@ -505,7 +547,11 @@ def dilation_sweep(
     ``spec`` is a QuadratureSpec, or a callable t -> QuadratureSpec for
     scale-adapted sweeps.  The centre and radius grids stay fixed across
     the sweep, so both sides are matched lower-bound estimates at every
-    scale.
+    scale.  The copies u o dilate_t come from a memo on (g, u, t), so
+    every sweep over the same u sees one object per t and the factor
+    values of ``_op_values`` computed for one sweep serve the next (the
+    ``perturb_q`` control reuses its tuple's Riesz potential).  Like that
+    memo, this assumes u is pure: one object gives one set of values.
     """
     t_values = check_t_values(t_values)
     degenerate = len(t_values) == 1
@@ -513,7 +559,7 @@ def dilation_sweep(
     base = getattr(spec, "base", None) or spec_of(1.0)
     ratios, suprema = [], []
     for t in t_values:
-        ut = dilated(g, u, t)
+        ut = _dilated(g, u, t)
         sups = []
         lhs, rhs = inequality_sides(g, cfg, ut, grids, spec_of(t), sups)
         if rhs == 0.0:

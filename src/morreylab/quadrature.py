@@ -53,10 +53,11 @@ class QuadratureSpec:
     refinement_level: int = 0
 
     def __post_init__(self):
-        if not (self.R_max > self.lattice_h > 0):
-            raise DomainError("need R_max > lattice_h > 0")
-        if self.refinement_level < 0:
-            raise DomainError("refinement_level must be non-negative")
+        if not (math.inf > self.R_max > self.lattice_h > 0):
+            raise DomainError("need a finite R_max > lattice_h > 0")
+        level = self.refinement_level
+        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
+            raise DomainError(f"refinement_level must be a non-negative integer, got {level!r}")
 
     @property
     def effective_h(self) -> float:

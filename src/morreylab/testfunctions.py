@@ -215,8 +215,8 @@ def dilated(g: groups.GroupDescriptor, u: TestFunction, t: float) -> TestFunctio
     Horizontal gradients and sub-Laplacians transform with exact degrees
     1 and 2 under the dilation, so analytic forms are carried along.
     """
-    if not (t > 0):
-        raise DomainError("dilation parameter must be positive")
+    if not (0 < t < math.inf):
+        raise DomainError(f"dilation parameter must be positive and finite, got {t}")
     if t == 1.0:
         return u
     scale = np.array([t ** w for w in g.weights])

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import morreylab
-from morreylab import heisenberg_group, quadrature
+from morreylab import harness, heisenberg_group, quadrature
 from morreylab.operators import riesz_values
 from morreylab.report import run_experiment
 from morreylab.testfunctions import gaussian
@@ -19,6 +19,7 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 CONFIG = {
@@ -65,12 +66,24 @@ def test_every_memo_is_an_lru_cache_and_clears():
         "quadrature._shell_weights_cached",
         "quadrature.gauge_power_weights",
         "quadrature._ball_bins_cached",
+        "harness._op_values_cached",
+        "harness._dilated",
     }
     assert used <= set(memos)
     assert all(memos[n].cache_info().currsize > 0 for n in used)
     for obj in memos.values():
         obj.cache_clear()
         assert obj.cache_info().currsize == 0
+
+
+def test_bench_passes_start_without_factor_values():
+    # every timed pass begins with worker.clear_caches(): a factor value or
+    # dilated copy left from the previous pass would make it warm
+    run_experiment(CONFIG)
+    memos = (harness._op_values_cached, harness._dilated)
+    assert all(m.cache_info().currsize > 0 for m in memos)
+    worker.clear_caches()
+    assert [m.cache_info().currsize for m in memos] == [0, 0]
 
 
 def test_one_lattice_per_key():

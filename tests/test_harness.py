@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab import custom, gaussian
+from morreylab import custom, gaussian, harness, operators
 from morreylab.errors import DegenerateInputError, DomainError
 from morreylab.harness import (
     _DEGREES,
@@ -18,6 +19,7 @@ from morreylab.harness import (
     Rejection,
     admissible,
     adapted_spec_factory,
+    check_t_values,
     dilation_sweep,
     hedberg_pointwise_check,
     inequality_sides,
@@ -26,7 +28,7 @@ from morreylab.harness import (
     predicted_mismatch,
     sweep_grids,
 )
-from morreylab.quadrature import QuadratureSpec
+from morreylab.quadrature import QuadratureSpec, resolve_R
 
 T5 = (0.25, 0.5, 1.0, 2.0, 4.0)
 SPEC1 = QuadratureSpec(R_max=14.0, lattice_h=0.03)
@@ -405,6 +407,89 @@ class TestSweep:
         grids = sweep_grids(g1, SPEC1, u, min(T5), max(T5))
         rec = dilation_sweep(g1, pert, u, T5, grids, SPEC1)
         assert abs(rec.fitted_slope - pm) <= 0.10 * abs(pm)
+
+
+@pytest.mark.parametrize("t_values", [(1.0, math.nan, 20.0), (math.nan,), (1.0, math.inf),
+                                      (math.inf,)])
+def test_non_finite_dilations_rejected(t_values):
+    # t is part of the dilation memo's key
+    with pytest.raises(DomainError, match="finite"):
+        check_t_values(t_values)
+
+
+T3 = (0.25, 1.0, 4.0)
+HLS = admissible("adams_hls", Q=1, p=1.5, gamma=0.4, lam=0.2)
+
+
+def _clear_factor_memos():
+    harness._op_values_cached.cache_clear()
+    harness._dilated.cache_clear()
+
+
+def _count_riesz(monkeypatch):
+    """The argument tuples of every ``operators.riesz_values`` call from now on."""
+    calls = []
+    real = operators.riesz_values
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(operators, "riesz_values", spy)
+    return calls
+
+
+class TestFactorMemo:
+    """``_op_values`` computes each factor once per operator, dilated copy and lattice."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _clear_factor_memos()
+
+    @staticmethod
+    def sweep(g, cfg, u):
+        grids = sweep_grids(g, SPEC1, u, min(T3), max(T3))
+        return dilation_sweep(g, cfg, u, T3, grids, SPEC1)
+
+    def test_control_reuses_its_tuples_riesz_values(self, g1, monkeypatch):
+        u = gaussian(g1, 0.5)
+        pert = perturb_q(HLS, 0.3)
+        cold = []
+        for cfg in (HLS, pert):
+            _clear_factor_memos()
+            cold.append(self.sweep(g1, cfg, u).ratios)
+        _clear_factor_memos()
+        riesz_calls = _count_riesz(monkeypatch)
+        warm = [self.sweep(g1, cfg, u).ratios for cfg in (HLS, pert)]
+        assert len(riesz_calls) == 3  # one per dilation, not two
+        assert warm == cold
+
+    @pytest.mark.parametrize("op", ["id", "riesz", "grad", "sublap", "fraclap", "maximal"])
+    def test_values_are_read_only(self, g1, op):
+        spec = QuadratureSpec(R_max=6.0, lattice_h=0.1)
+        u = gaussian(g1, 0.5)
+        vals = harness._op_values(g1, op, HLS, u, spec, resolve_R(spec))
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        assert harness._op_values(g1, op, HLS, u, spec, resolve_R(spec)) is vals
+
+    def test_an_operator_patched_between_sweeps_is_called(self, g1, monkeypatch):
+        u = gaussian(g1, 0.5)
+        first = self.sweep(g1, HLS, u)
+        calls = _count_riesz(monkeypatch)
+        again = self.sweep(g1, HLS, u)
+        assert len(calls) == 3
+        assert again.ratios == first.ratios
+
+    def test_separately_built_functions_share_no_entry(self, g1, monkeypatch):
+        riesz_calls = _count_riesz(monkeypatch)
+        u1, u2 = gaussian(g1, 0.5), gaussian(g1, 0.5)
+        assert u1 != u2  # their callables compare by identity
+        a = self.sweep(g1, HLS, u1)
+        b = self.sweep(g1, HLS, u2)
+        assert len(riesz_calls) == 6
+        assert a.ratios == b.ratios
 
 
 class TestChecks:

@@ -22,6 +22,14 @@ def test_spec_invariants():
     assert spec.refined().refinement_level == 3
 
 
+@pytest.mark.parametrize("kw", [dict(R_max=math.inf), dict(refinement_level=0.5),
+                                dict(refinement_level=True), dict(refinement_level=1.0)])
+def test_spec_rejects_what_the_config_parser_rejects(kw):
+    # a spec is a memo key: an infinite R_max or a non-integer level must not enter one
+    with pytest.raises(DomainError):
+        QuadratureSpec(**{"R_max": 1.0, "lattice_h": 0.1, **kw})
+
+
 def test_lattice_constant(g1):
     spec = QuadratureSpec(R_max=1.0, lattice_h=0.05)
     res = lattice_integrate(g1, const(1.0), spec)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,13 @@ def test_dilated_metadata(g1):
         2.0 * u.analytic_gradient(2.0 * x)[0, 0]
     )
     assert dilated(g1, u, 1.0) is u
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -2.0])
+def test_dilation_must_be_positive_and_finite(g1, t):
+    # dilated(g, u, inf) had decay_radius 0.0
+    with pytest.raises(DomainError, match="positive and finite"):
+        dilated(g1, gaussian(g1, 1.0), t)
 
 
 @pytest.mark.parametrize("make,scale", [(gaussian, 1e-308), (gaussian, 1e200), (gaussian, 0.0),
