@@ -30,6 +30,7 @@ from .quadrature import (
     QuadratureSpec,
     gauge_power_weights,
     geometric_radii,
+    lattice_key,
     lattice_nodes,
     resolve_R,
 )
@@ -443,7 +444,8 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
         # weights near the origin are integrated at full order
         cell = gauge_power_weights(g, theta * p_fac, R_eff, spec.effective_h)
     return morrey.morrey_sup_from_samples(
-        g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell
+        g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell,
+        lattice_key(spec, R_eff),
     )
 
 

@@ -16,8 +16,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import groups
-from .errors import DomainError
-from .quadrature import QuadratureSpec, ball_masses, check_radii, lattice_nodes, radius_grid
+from .errors import DomainError, ShapeError
+from .quadrature import (
+    QuadratureSpec,
+    ball_masses,
+    check_radii,
+    finite_samples,
+    lattice_key,
+    lattice_nodes,
+    radius_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -70,21 +78,31 @@ def morrey_sup_from_samples(
     nodes: np.ndarray,
     values: np.ndarray,
     cellvol,
+    lattice=None,
 ) -> MorreyEstimate:
     """Grid supremum from precomputed |f| samples on lattice nodes.
 
     ``centers`` holds points of the group (ShapeError otherwise).
-    ``cellvol`` is either the scalar cell volume or an array of per-node
-    quadrature masses (used when a singular gauge-power weight is folded
-    into the measure instead of the samples).
+    ``values`` holds one sample per node, and ``cellvol`` is either the
+    scalar cell volume or an array of per-node quadrature masses (used
+    when a singular gauge-power weight is folded into the measure instead
+    of the samples); ShapeError when either does not match ``nodes`` in
+    length, IntegrandError naming the node when a sample or mass is not
+    finite.  ``lattice`` is the ``lattice_key`` of ``nodes`` when they
+    come from ``lattice_nodes``: the centre-node bins are then memoised
+    on it (``ball_masses``); other nodes are binned on each call.
     """
     if not (0 <= lam <= g.Q):
         raise DomainError(f"lambda must lie in [0, Q], got {lam}")
     centers = groups.as_points(g, centers).reshape(-1, g.dimension)
     radii = check_radii(radii)
     nodes = np.asarray(nodes, dtype=float)
-    powered = np.abs(np.asarray(values, dtype=float)) ** p * cellvol
-    vals = radii ** (-lam) * ball_masses(g, centers, nodes, radii, powered)
+    values, cellvol = np.asarray(values, dtype=float), np.asarray(cellvol, dtype=float)
+    if values.shape != nodes.shape[:1] or cellvol.shape not in ((), values.shape):
+        raise ShapeError(f"need one sample per node and a scalar or per-node cellvol: {len(nodes)} "
+                         f"nodes, values of shape {values.shape}, cellvol of shape {cellvol.shape}")
+    powered = finite_samples(np.abs(values) ** p * cellvol, nodes, True)
+    vals = radii ** (-lam) * ball_masses(g, centers, nodes, radii, powered, lattice)
     # first centre, then first radius, attaining the maximum
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best_r = float(radii[k])
@@ -114,7 +132,8 @@ def morrey_norm(
     nodes, _, cell = lattice_nodes(g, spec, R_eff)
     values = np.asarray(u(nodes), dtype=float)
     est = morrey_sup_from_samples(
-        g, params.p, params.lam, params.centers, params.radii, nodes, values, cell
+        g, params.p, params.lam, params.centers, params.radii, nodes, values, cell,
+        lattice_key(spec, R_eff),
     )
     # a supremum sitting at the domain scale of an input that has not yet
     # decayed is radius-capped: flag it rather than report it silently

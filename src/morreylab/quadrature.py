@@ -20,8 +20,11 @@ which decides which non-finite samples are reached.  Every path sums
 every node.  Ball counts and masses (``ball_totals``) at on-lattice
 centres are differences of prefix sums over node columns, taken at the
 ends of the runs of grid samples inside each ball, which the gauge ball's
-closed-form section cuts from each grid line; other centres, and the
-Morrey supremum, bin every centre-node pair once (``ball_masses``).
+closed-form section cuts from each grid line; other centres bin every
+centre-node pair once (``ball_bins``, one coordinate at a time).  The
+Morrey supremum sums its samples over the same bins (``ball_masses``),
+memoised per lattice key (g, R, h) of ``_nodes_cached``, centres and
+radii, so each centre grid of a lattice is binned once.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -105,9 +108,14 @@ def resolve_R(spec: QuadratureSpec, R_eff: float | None = None) -> float:
     return round(float(R), 12)
 
 
+def lattice_key(spec: QuadratureSpec, R_eff: float | None = None):
+    """(R, h) of the lattice that ``lattice_nodes(g, spec, R_eff)`` returns: with g, its ``_nodes_cached`` key."""
+    return resolve_R(spec, R_eff), spec.effective_h
+
+
 def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float | None = None):
     """Nodes, gauge distances from 0 and cell volume for the truncated ball."""
-    return _nodes_cached(g, resolve_R(spec, R_eff), spec.effective_h)
+    return _nodes_cached(g, *lattice_key(spec, R_eff))
 
 
 def _midpoint_sum(g, f, spec, singular_point):
@@ -237,16 +245,57 @@ def _bin_dtype(n_radii):
     return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n_radii)
 
 
+def _pair_gauges(g: groups.GroupDescriptor, centers, coords) -> np.ndarray:
+    """gauge(c^{-1} z) of every (centre, node) pair: an (n_centers, n_nodes) array.
+
+    ``coords`` holds the nodes' coordinates as contiguous rows, (N,
+    n_nodes).  The gauges are built one coordinate at a time, in place in
+    (n_centers, n_nodes) planes, with the operations of ``groups.gauge(
+    groups.mul(g, -c, z))`` in their order, so every value equals it bit
+    for bit: on R^N the squares of z_i - c_i summed in axis order, on H^1
+    the symmetric law's central term z_2 - c_2 + (c_1 z_0 - c_0 z_1) / 2.
+    """
+    c = centers[:, :, None]
+    acc = coords[0] - c[:, 0]
+    acc *= acc
+    plane = np.empty_like(acc)
+    if g.law == groups.HEISENBERG1:
+        np.subtract(coords[1], c[:, 1], out=plane)
+        plane *= plane
+        acc += plane
+        cross = c[:, 1] * coords[0]
+        cross -= np.multiply(c[:, 0], coords[1], out=plane)
+        cross *= 0.5
+        np.subtract(coords[2], c[:, 2], out=plane)
+        plane += cross
+        plane *= plane
+        plane *= 16.0
+        acc *= acc
+        acc += plane
+        return np.power(acc, 0.25, out=acc)
+    for i in range(1, g.dimension):
+        np.subtract(coords[i], c[:, i], out=plane)
+        plane *= plane
+        acc += plane
+    return np.sqrt(acc, out=acc)
+
+
 def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
     """Bin of every (centre, node) pair: an (n_centers, n_nodes) table.
 
     Row i holds, for each node z, the index j of the first radius r_j
     such that z lies in the left-translated ball {z : gauge(c_i^{-1} z) <
     r_j}; j = len(radii) marks nodes outside every ball.  ``radii`` must
-    be non-decreasing.  The table takes ``_bin_dtype``.
+    be non-decreasing.  The table takes ``_bin_dtype`` and is filled
+    ``_PAIR_BUDGET`` pairs at a time from ``_pair_gauges``.
     """
-    d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
-    return np.searchsorted(radii, d, side="right").astype(_bin_dtype(len(radii)))
+    centers = groups.as_points(g, centers).reshape(-1, g.dimension)
+    nodes = groups.as_points(g, nodes).reshape(-1, g.dimension)
+    coords = np.ascontiguousarray(nodes.T)
+    bins = np.empty((len(centers), len(nodes)), _bin_dtype(len(radii)))
+    for sl in _blocks(len(centers), len(nodes)):
+        bins[sl] = np.searchsorted(radii, _pair_gauges(g, centers[sl], coords), side="right")
+    return bins
 
 
 def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
@@ -262,32 +311,36 @@ def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _ball_bins_cached(g, nodes: bytes, centers: bytes, radii: bytes) -> np.ndarray:
-    """``ball_bins`` keyed on array contents, so a key can never go stale.
+def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> np.ndarray:
+    """Read-only ``ball_bins`` of the nodes of ``_nodes_cached(g, R, h)``.
 
-    The table is filled ``_PAIR_BUDGET`` pairs at a time.  Its bins take
-    one byte each up to 126 radii, so 32 tables stay small; one pass of a
-    bench workload asks for at most 26 distinct ones.
+    Keyed on the lattice, not on its nodes: the key is (g, R, h) and the
+    bytes of the centres and radii, so a lookup hashes no node-sized
+    array.  Bins take one byte each up to 126 radii, so 32 tables stay
+    small; one pass of a bench workload asks for at most 26 distinct ones.
     """
-    nodes = np.frombuffer(nodes).reshape(-1, g.dimension)
-    centers = np.frombuffer(centers).reshape(-1, g.dimension)
-    radii = np.frombuffer(radii)
-    bins = np.empty((len(centers), len(nodes)), _bin_dtype(len(radii)))
-    for sl in _blocks(len(centers), len(nodes)):
-        bins[sl] = ball_bins(g, nodes, centers[sl], radii)
+    nodes = _nodes_cached(g, R, h)[0]
+    bins = ball_bins(g, nodes, np.frombuffer(centers).reshape(-1, g.dimension), np.frombuffer(radii))
     bins.setflags(write=False)
     return bins
 
 
-def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None):
+def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None, lattice=None):
     """``ball_sums`` over the ``ball_bins`` of every (centre, node) pair.
 
-    The bins are memoised on the contents of ``nodes``, ``centers`` and
-    ``radii``, so the Morrey supremum bins its centre grid once for every
-    set of samples.
+    ``lattice`` is the ``lattice_key`` (R, h) when ``nodes`` are those of
+    ``lattice_nodes``: the bins then come from ``_lattice_bins``, so the
+    Morrey supremum bins each centre grid of a lattice once for every set
+    of samples.  Other node arrays (None) are binned on each call.
     """
-    key = (np.asarray(a, dtype=float).tobytes() for a in (nodes, centers, radii))
-    return ball_sums(_ball_bins_cached(g, *key), len(radii), weights)
+    if lattice is None:
+        bins = ball_bins(g, nodes, centers, radii)
+    else:
+        bins = _lattice_bins(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
+                             np.asarray(radii, dtype=float).tobytes())
+        if bins.shape[1] != len(nodes):
+            raise ContractError(f"{len(nodes)} nodes, but the lattice {lattice} holds {bins.shape[1]}")
+    return ball_sums(bins, len(radii), weights)
 
 
 def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
@@ -296,15 +349,16 @@ def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
     Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
     over ``nodes`` with one weight per node.  Centres and nodes that
     ``product_lattice`` accepts, with finite weights, take
-    ``_lattice_ball_totals``; the others bin every pair (``ball_masses``),
-    so that a non-finite weight reaches only the balls that hold its node,
-    not every prefix past it.  The counts of both paths are equal; the
-    sums agree to rounding.
+    ``_lattice_ball_totals``; the others bin every pair once
+    (``ball_bins``) for both totals, so that a non-finite weight reaches
+    only the balls that hold its node, not every prefix past it.  The
+    counts of both paths are equal; the sums agree to rounding.
     """
     lat = product_lattice(g, -centers, nodes, h)
     if lat is not None and np.all(np.isfinite(weights)):
         return _lattice_ball_totals(g, lat, -centers, nodes, radii, weights)
-    return ball_masses(g, centers, nodes, radii), ball_masses(g, centers, nodes, radii, weights)
+    bins = ball_bins(g, nodes, centers, radii)
+    return ball_sums(bins, len(radii)), ball_sums(bins, len(radii), weights)
 
 
 def _ranges(lo, hi):

@@ -18,6 +18,7 @@ import os
 import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 from . import __version__, groups, harness, testfunctions
 from .errors import DomainError
@@ -228,6 +229,17 @@ def parse_config(doc: dict):
     )
 
 
+@lru_cache(maxsize=1)
+def _parsed(text: str):
+    """``parse_config`` of a document given as canonical JSON (sorted keys).
+
+    Every task of a run reads the same text, so a process parses it once
+    and its tasks share one battery: a test function is one object across
+    theorems, and the factor memo of ``harness`` hits across tasks.
+    """
+    return parse_config(json.loads(text))
+
+
 def _ops_needed(cfg):
     lhs, rhs = harness._factors(cfg)
     return {lhs["op"]} | {f["op"] for f in rhs}
@@ -270,8 +282,8 @@ def _record_dict(cfg, u, t_values, check, passed, note=None, rec=None):
 
 
 def _run_task(args):
-    doc, ti, fi = args
-    parsed = parse_config(doc)
+    text, ti, fi = args
+    parsed = _parsed(text)
     g = parsed["group"]
     cfg = parsed["theorems"][ti]
     u = parsed["battery"][fi]
@@ -328,19 +340,24 @@ def _anchor(g, cfg, u, grids, spec_of, rec):
 def run_experiment(doc: dict) -> dict:
     """Execute a config document and return the report document."""
     t_start = time.time()
-    parsed = parse_config(doc)
-    tasks = [
-        (doc, ti, fi)
-        for ti in range(len(parsed["theorems"]))
-        for fi in range(len(parsed["battery"]))
-    ]
+    try:
+        text = json.dumps(doc, sort_keys=True)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config: not a JSON document: {e}") from e
+    parsed = _parsed(text)
+    n_t, n_f = len(parsed["theorems"]), len(parsed["battery"])
+    # function-major, so that a tuple and its perturb_inv_q control run
+    # close enough for the factor memo to keep the values they share
+    tasks = [(text, ti, fi) for fi in range(n_f) for ti in range(n_t)]
     # the pool forks all its workers at the first submit: start no idle ones
     workers = min(parsed["workers"], len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_task, tasks))
+            done = list(pool.map(_run_task, tasks))
     else:
-        records = [_run_task(t) for t in tasks]
+        done = [_run_task(t) for t in tasks]
+    # records in theorem-major order: task (ti, fi) ran at fi * n_t + ti
+    records = [done[fi * n_t + ti] for ti in range(n_t) for fi in range(n_f)]
     checks = [
         dict(
             name=f"{r['theorem']}[{r['function']}]",

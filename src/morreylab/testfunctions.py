@@ -219,7 +219,12 @@ def dilated(g: groups.GroupDescriptor, u: TestFunction, t: float) -> TestFunctio
         raise DomainError(f"dilation parameter must be positive and finite, got {t}")
     if t == 1.0:
         return u
-    scale = np.array([t ** w for w in g.weights])
+    try:
+        scale = np.array([t ** w for w in g.weights])
+    except OverflowError:
+        scale = None
+    if scale is None or not np.all(scale > 0):
+        raise DomainError(f"dilation parameter {t} is out of range: some t**w overflows or underflows to 0")
 
     def fn(pts):
         return u.fn(np.asarray(pts, dtype=float) * scale)

@@ -9,6 +9,8 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import morreylab
 from morreylab import harness, heisenberg_group, quadrature
 from morreylab.operators import riesz_values
@@ -65,7 +67,7 @@ def test_every_memo_is_an_lru_cache_and_clears():
         "quadrature._nodes_cached",
         "quadrature._shell_weights_cached",
         "quadrature.gauge_power_weights",
-        "quadrature._ball_bins_cached",
+        "quadrature._lattice_bins",
         "harness._op_values_cached",
         "harness._dilated",
     }
@@ -99,18 +101,67 @@ def test_one_lattice_per_key():
 
 
 def test_pair_bin_memo_holds_a_pass(monkeypatch):
-    # the seed-0 default_r1 pass asks for a dozen distinct pair-bin tables
-    # many times over: each must be filled once, not refilled after eviction
-    real = quadrature._ball_bins_cached
-    keys, calls = set(), []
+    # a seed-0 pass asks for 12 (default_r1) or 26 (euclid_consequences)
+    # distinct pair-bin tables many times over: each must be filled once,
+    # not refilled after eviction
+    real = quadrature._lattice_bins
+    for name, tables in (("default_r1", 12), ("euclid_consequences", 26)):
+        keys, calls = set(), []
 
-    def spy(*key):
-        keys.add(key)
-        calls.append(key)
-        return real(*key)
+        def spy(*key):
+            keys.add(key)
+            calls.append(key)
+            return real(*key)
 
-    monkeypatch.setattr(quadrature, "_ball_bins_cached", spy)
-    real.cache_clear()
-    workloads.build("default_r1", 0).run()
-    assert len(calls) > len(keys) > 1
-    assert real.cache_info().misses == len(keys)
+        monkeypatch.setattr(quadrature, "_lattice_bins", spy)
+        real.cache_clear()
+        workloads.build(name, 0).run()
+        assert len(calls) > len(keys) == tables
+        assert real.cache_info().misses == tables
+
+
+def test_no_memo_key_holds_a_node_array(monkeypatch):
+    # a key holding the bytes of a node array hashes every node on every
+    # lookup: the pair bins are keyed on their lattice (g, R, h) instead
+    worker.clear_caches()
+    keys = []
+    for name, memo in list(_module_globals()):
+        if hasattr(memo, "cache_clear"):
+            def spy(*args, real=memo, name=name):
+                keys.append((name, args))
+                return real(*args)
+
+            mod, attr = name.split(".")
+            monkeypatch.setattr(importlib.import_module(f"morreylab.{mod}"), attr, spy)
+    workloads.build("euclid_consequences", 0).run()
+    lattices = {args for name, args in keys if name.endswith("._nodes_cached")}
+    node_bytes = {quadrature._nodes_cached(*key)[0].nbytes for key in lattices}
+    sizes = {len(a) if isinstance(a, bytes) else np.asarray(a).nbytes
+             for _, args in keys for a in args if isinstance(a, (bytes, np.ndarray))}
+    assert len(lattices) > 1 and sizes
+    assert not node_bytes & sizes
+
+
+def test_a_run_parses_once_so_controls_reuse_riesz_values(monkeypatch):
+    # each task parsed the config anew, so no two tasks shared a test
+    # function and the factor memo never hit: the perturb_inv_q control
+    # recomputed its tuple's |I_γ u| (30 Riesz calls a pass, not 20)
+    from morreylab import operators, report
+
+    run = workloads.build("default_r1", 0)
+    calls = {"parse_config": 0, "riesz_values": 0}
+    for owner, name in ((report, "parse_config"), (operators, "riesz_values")):
+        def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    worker.clear_caches()
+    outcomes = run.run()
+    assert calls == {"parse_config": 1, "riesz_values": 20}
+    assert harness._op_values_cached.cache_info().hits == 50
+    # the records keep theorem-major order
+    doc = workloads.DEFAULT_CONFIG
+    names = [o["label"].split(":", 1)[1].split("[", 1) for o in outcomes]
+    assert [t for t, _ in names] == [t["theorem"] for t in doc["theorems"] for _ in doc["battery"]]
+    assert [f for _, f in names] == [f for _, f in names[:2]] * len(doc["theorems"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morreylab import custom, dilated, gaussian
-from morreylab.errors import DomainError, ShapeError
+from morreylab.errors import ContractError, DomainError, IntegrandError, ShapeError
 from morreylab.morrey import (
     MorreyEstimate,
     MorreyParams,
@@ -15,7 +15,7 @@ from morreylab.morrey import (
     morrey_norm,
     morrey_sup_from_samples,
 )
-from morreylab.quadrature import QuadratureSpec
+from morreylab.quadrature import QuadratureSpec, lattice_key, lattice_nodes
 
 SPEC = QuadratureSpec(R_max=12.0, lattice_h=0.04)
 
@@ -49,6 +49,36 @@ def test_centres_of_the_wrong_dimension_raise(g3, shape):
     with pytest.raises(ShapeError, match="expected points of dimension 3"):
         morrey_sup_from_samples(g3, 2.0, 0.5, np.zeros(shape), np.array([1.0]), nodes,
                                 np.ones(5), 1.0)
+
+
+@pytest.mark.parametrize("values,cellvol", [([1.0, np.nan], 0.1), ([1.0, np.inf], 0.1),
+                                            ([1.0, 2.0], [0.1, np.nan]), ([1.0, 2.0], np.inf)])
+def test_non_finite_samples_and_masses_raise(g1, values, cellvol):
+    # one NaN sample of two returned MorreyEstimate(value=nan) without an error
+    nodes = np.array([[0.25], [0.75]])
+    with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.\d5\]"):
+        morrey_sup_from_samples(g1, 2.0, 0.5, np.zeros((1, 1)), [0.5, 1.0], nodes, values, cellvol)
+
+
+@pytest.mark.parametrize("values,cellvol", [(np.ones(3), 0.1), (np.ones((2, 1)), 0.1),
+                                            (np.ones(2), np.ones(3)), (np.ones(2), np.ones((2, 1)))])
+def test_samples_and_masses_must_match_the_nodes(g1, values, cellvol):
+    nodes = np.array([[0.25], [0.75]])
+    with pytest.raises(ShapeError, match="one sample per node"):
+        morrey_sup_from_samples(g1, 2.0, 0.5, np.zeros((1, 1)), [0.5, 1.0], nodes, values, cellvol)
+
+
+def test_lattice_key_bins_equal_fresh_bins(g1):
+    # bins memoised on the lattice key equal the bins of the nodes passed
+    # in; nodes that do not match the key in number are refused
+    spec = QuadratureSpec(R_max=4.0, lattice_h=0.05)
+    nodes, _, cell = lattice_nodes(g1, spec)
+    args = (g1, 2.0, 0.5, np.array([[0.0], [0.4]]), np.geomspace(0.1, 4.0, 9))
+    values = np.exp(-nodes[:, 0] ** 2)
+    keyed = morrey_sup_from_samples(*args, nodes, values, cell, lattice_key(spec))
+    assert keyed == morrey_sup_from_samples(*args, nodes.copy(), values, cell)
+    with pytest.raises(ContractError):
+        morrey_sup_from_samples(*args, nodes[1:], values[1:], cell, lattice_key(spec))
 
 
 def test_one_centre_or_a_grid_of_centres(g3):

@@ -379,6 +379,24 @@ def test_ball_runs_bound_direct_bins(backends, name, g, spec):
         check_ball_totals(backends, g, spec, nodes, nodes, radii)
 
 
+@pytest.mark.parametrize("name,g,spec", BIN_CASES + [
+    ("R3", groups.euclidean_group(3), QuadratureSpec(R_max=1.5, lattice_h=0.2))], ids=BIN_IDS + ["R3"])
+def test_pair_gauge_bins_equal_gauge_of_products(name, g, spec):
+    # the coordinate-wise pair gauges and their bins equal gauge(mul(c^-1, z))
+    # and its bins bit for bit, on- and off-lattice centres alike; on the
+    # lattice some pair gauges equal a radius of the grid exactly
+    nodes = lattice_nodes(g, spec)[0]
+    radii = radius_grid(spec, 1.5)
+    off = np.random.default_rng(3).uniform(-1.0, 1.0, (20, g.dimension))
+    ties = []
+    for centers in (nodes[::3], off):
+        d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
+        assert np.array_equal(quadrature._pair_gauges(g, centers, np.ascontiguousarray(nodes.T)), d)
+        assert np.array_equal(ball_bins(g, nodes, centers, radii), np.searchsorted(radii, d, side="right"))
+        ties.append(np.count_nonzero(np.isin(d, radii)))
+    assert ties[0] > 0
+
+
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_on_lattice_ball_totals_sample_no_grid(monkeypatch, name, g, spec):
     # the runs come from the closed-form sections of each grid line, so no
@@ -388,10 +406,11 @@ def test_on_lattice_ball_totals_sample_no_grid(monkeypatch, name, g, spec):
         raise AssertionError("on-lattice ball totals built grid lines or binned every pair")
 
     monkeypatch.setattr(quadrature.ProductLattice, "lines", forbidden)
-    monkeypatch.setattr(quadrature, "ball_masses", forbidden)
+    monkeypatch.setattr(quadrature, "ball_bins", forbidden)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, 1.5)
     cnt, _ = ball_totals(g, nodes, nodes, radii, gaussian(g, 0.3)(nodes), spec.effective_h)
+    monkeypatch.undo()
     assert np.array_equal(cnt, ball_sums(ball_bins(g, nodes, nodes, radii), len(radii)))
 
 
@@ -459,7 +478,6 @@ def test_on_lattice_centres_bin_no_pairs(monkeypatch, name, g, spec):
         return real(*args)
 
     monkeypatch.setattr(quadrature, "ball_bins", counted)
-    quadrature._ball_bins_cached.cache_clear()
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)

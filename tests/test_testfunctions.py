@@ -56,6 +56,16 @@ def test_dilation_must_be_positive_and_finite(g1, t):
         dilated(g1, gaussian(g1, 1.0), t)
 
 
+@pytest.mark.parametrize("t", [1e155, 1e-200])
+def test_dilation_powers_must_be_representable(g1, h1, t):
+    # on H^1, t**2 overflowed (OverflowError) at 1e155 and underflowed to 0
+    # at 1e-200, which made u o delta_t equal u(0) everywhere; on R^1 the
+    # only power is t itself, which both represent
+    with pytest.raises(DomainError, match=r"t\*\*w"):
+        dilated(h1, gaussian(h1, 1.0), t)
+    assert dilated(g1, gaussian(g1, 1.0), t).params[-1] == ("t", t)
+
+
 @pytest.mark.parametrize("make,scale", [(gaussian, 1e-308), (gaussian, 1e200), (gaussian, 0.0),
                                         (bump, 1e-320), (bump, float("nan"))])
 def test_scale_needs_a_finite_nonzero_square(g1, make, scale):
