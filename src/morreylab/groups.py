@@ -125,11 +125,24 @@ def inv(g: GroupDescriptor, x) -> np.ndarray:
     return -as_points(g, x)
 
 
+def squared_norm(pts) -> np.ndarray:
+    """Sum of the squares of the coordinates, over the last axis of ``pts``.
+
+    Summed one coordinate at a time in axis order, so it equals
+    ``np.sum(pts * pts, axis=-1)`` bit for bit without numpy's inner loop
+    per point over a trailing axis of length N <= 3.
+    """
+    acc = pts[..., 0] * pts[..., 0]
+    for i in range(1, pts.shape[-1]):
+        acc += pts[..., i] * pts[..., i]
+    return acc
+
+
 def gauge(g: GroupDescriptor, x) -> np.ndarray:
     """Homogeneous gauge |x|: 1-homogeneous, symmetric, zero only at 0."""
     pts = as_points(g, x)
     if g.gauge_kind == GAUGE_EUCLIDEAN:
-        return np.sqrt(np.sum(pts * pts, axis=-1))
+        return np.sqrt(squared_norm(pts))
     s = pts[..., 0] ** 2 + pts[..., 1] ** 2
     return (s * s + 16.0 * pts[..., 2] ** 2) ** 0.25
 

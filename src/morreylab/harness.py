@@ -421,7 +421,7 @@ def _op_values_cached(g, op, fn, param, u, spec, R_eff):
         vals = np.abs(fn(g, param, u, nodes, spec))
     elif op == "grad":
         grad = fn(g, u, nodes)
-        vals = np.sqrt(np.sum(grad * grad, axis=-1))
+        vals = np.sqrt(groups.squared_norm(grad))
     elif op == "sublap":
         vals = np.abs(fn(g, u, nodes))
     else:  # maximal

@@ -21,10 +21,13 @@ every node.  Ball counts and masses (``ball_totals``) at on-lattice
 centres are differences of prefix sums over node columns, taken at the
 ends of the runs of grid samples inside each ball, which the gauge ball's
 closed-form section cuts from each grid line; other centres bin every
-centre-node pair once (``ball_bins``, one coordinate at a time).  The
-Morrey supremum sums its samples over the same bins (``ball_masses``),
-memoised per lattice key (g, R, h) of ``_nodes_cached``, centres and
-radii, so each centre grid of a lattice is binned once.
+centre-node pair once (``ball_bins``, one coordinate at a time) and keep
+the table as its runs of equal bin along each row (``bin_runs``, 8 bytes
+a run).  The Morrey supremum sums its samples over the same runs
+(``ball_masses``), memoised per lattice key (g, R, h) of
+``_nodes_cached``, centres and radii, so each centre grid of a lattice is
+binned once; a call reads one prefix sum of the samples at every run's
+end and bincounts the differences into balls (``ball_sums``).
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -298,49 +301,113 @@ def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
     return bins
 
 
-def ball_sums(bins: np.ndarray, n_radii: int, weights=None) -> np.ndarray:
-    """Per-ball totals from ``ball_bins``: shape (n_centers, n_radii).
+@dataclass(frozen=True)
+class BinRuns:
+    """The runs of equal bin along each row of a ``ball_bins`` table (``bin_runs``).
+
+    Rows follow each other, and the runs ``first`` are the first of each
+    row (none when there are no nodes): they start at node 0, every other
+    run at the end of the one before, and ``end`` holds the node past each
+    run's last.  ``ball`` is row * (n_radii + 1) + the run's bin.  Both
+    are ``int32`` up to 2**31 nodes and balls, so a run takes 8 bytes.
+    """
+
+    end: np.ndarray
+    ball: np.ndarray
+    first: np.ndarray
+    n_centers: int
+    n_radii: int
+    n_nodes: int
+
+
+def bin_runs(bins: np.ndarray, n_radii: int) -> BinRuns:
+    """``BinRuns`` of a ``ball_bins`` table over ``n_radii`` radii."""
+    n_centers, n_nodes = bins.shape
+    width = max(n_nodes, 1)  # a table without nodes has no runs
+    flat = bins.ravel()
+    # the last pair of each run: its bin differs from the next one's, or it ends a row
+    last = np.empty(flat.size, bool)
+    np.not_equal(flat[1:], flat[:-1], out=last[:-1])
+    last[width - 1 :: width] = True
+    at = np.flatnonzero(last)
+    row, end = np.divmod(at, width)
+    ball = row * (n_radii + 1) + flat[at]
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    dtype = np.int32 if max(n_nodes, n_centers * (n_radii + 1)) <= np.iinfo(np.int32).max else np.intp
+    return BinRuns((end + 1).astype(dtype), ball.astype(dtype), first, n_centers, n_radii, n_nodes)
+
+
+def ball_sums(runs: BinRuns, weights=None) -> np.ndarray:
+    """Per-ball totals from ``bin_runs``: shape (n_centers, n_radii).
 
     Node counts when ``weights`` is None, otherwise sums of ``weights``
-    over each ball: one weight per node.  Each pair is binned once into
-    the first ball that holds it, a row at a time, and the cumulative sum
-    over radii fills the larger balls, so no per-centre sort is needed.
+    over each ball: one weight per node.  One prefix sum of the weights is
+    read at every run's end; each run adds the difference from the run
+    before it (its length, for counts) to the first ball that holds it,
+    and the cumulative sum over radii fills the larger balls.  Counts are
+    exact.  A run's difference misses its exact sum only by the roundings
+    of the prefix along the run and of the difference, so the sum of ball
+    j is off by at most about (its nodes + its runs + j) eps sum |w|,
+    absolute, the sums over runs and radii included.  A non-finite weight
+    makes every prefix past it non-finite, the last one too; then each run
+    is summed on its own (``np.add.reduceat``), so the weight reaches only
+    the balls that hold its node.
     """
-    per_bin = np.array([np.bincount(row, weights, minlength=n_radii + 1) for row in bins])
-    return np.cumsum(per_bin.reshape(len(bins), n_radii + 1)[:, :n_radii], axis=1)
+    end, first = runs.end, runs.first
+    pre = None if weights is None else np.concatenate([[0.0], np.cumsum(weights)])
+    if pre is not None and not math.isfinite(pre[-1]):
+        # reduceat sums [start, end) at the even positions; the odd ones are unused
+        start = np.empty_like(end)
+        start[1:] = end[:-1]
+        start[first] = 0
+        per_run = np.add.reduceat(np.append(weights, 0.0), np.column_stack([start, end]).ravel())[::2]
+    else:
+        at_end = end if pre is None else pre.take(end)
+        per_run = np.empty_like(at_end)
+        np.subtract(at_end[1:], at_end[:-1], out=per_run[1:])
+        per_run[first] = at_end[first]
+    per_ball = np.bincount(runs.ball, per_run, minlength=runs.n_centers * (runs.n_radii + 1))
+    per_ball = per_ball.reshape(runs.n_centers, runs.n_radii + 1)[:, : runs.n_radii]
+    return np.cumsum(per_ball.astype(np.intp) if weights is None else per_ball, axis=1)
 
 
 @lru_cache(maxsize=32)
-def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> np.ndarray:
-    """Read-only ``ball_bins`` of the nodes of ``_nodes_cached(g, R, h)``.
+def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> BinRuns:
+    """Read-only ``bin_runs`` of the nodes of ``_nodes_cached(g, R, h)``.
 
     Keyed on the lattice, not on its nodes: the key is (g, R, h) and the
     bytes of the centres and radii, so a lookup hashes no node-sized
-    array.  Bins take one byte each up to 126 radii, so 32 tables stay
-    small; one pass of a bench workload asks for at most 26 distinct ones.
+    array.  The ``ball_bins`` table is built and dropped here; its runs
+    take 8 bytes each, and neighbouring nodes mostly share their bin, so
+    a table of C centres and K nodes keeps 0.06-0.2 C K runs.  One pass
+    of a bench workload asks for at most 26 distinct tables, about 2.2 MB
+    in all on ``euclid_consequences``.
     """
     nodes = _nodes_cached(g, R, h)[0]
-    bins = ball_bins(g, nodes, np.frombuffer(centers).reshape(-1, g.dimension), np.frombuffer(radii))
-    bins.setflags(write=False)
-    return bins
+    radii = np.frombuffer(radii)
+    runs = bin_runs(ball_bins(g, nodes, np.frombuffer(centers).reshape(-1, g.dimension), radii), len(radii))
+    for a in (runs.end, runs.ball, runs.first):
+        a.setflags(write=False)
+    return runs
 
 
 def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None, lattice=None):
-    """``ball_sums`` over the ``ball_bins`` of every (centre, node) pair.
+    """``ball_sums`` over the ``bin_runs`` of every (centre, node) pair.
 
     ``lattice`` is the ``lattice_key`` (R, h) when ``nodes`` are those of
-    ``lattice_nodes``: the bins then come from ``_lattice_bins``, so the
+    ``lattice_nodes``: the runs then come from ``_lattice_bins``, so the
     Morrey supremum bins each centre grid of a lattice once for every set
-    of samples.  Other node arrays (None) are binned on each call.
+    of samples, and each call costs one prefix sum and one ``bincount``
+    over the runs.  Other node arrays (None) are binned on each call.
     """
     if lattice is None:
-        bins = ball_bins(g, nodes, centers, radii)
+        runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
     else:
-        bins = _lattice_bins(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
+        runs = _lattice_bins(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
                              np.asarray(radii, dtype=float).tobytes())
-        if bins.shape[1] != len(nodes):
-            raise ContractError(f"{len(nodes)} nodes, but the lattice {lattice} holds {bins.shape[1]}")
-    return ball_sums(bins, len(radii), weights)
+        if runs.n_nodes != len(nodes):
+            raise ContractError(f"{len(nodes)} nodes, but the lattice {lattice} holds {runs.n_nodes}")
+    return ball_sums(runs, weights)
 
 
 def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
@@ -357,8 +424,8 @@ def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
     lat = product_lattice(g, -centers, nodes, h)
     if lat is not None and np.all(np.isfinite(weights)):
         return _lattice_ball_totals(g, lat, -centers, nodes, radii, weights)
-    bins = ball_bins(g, nodes, centers, radii)
-    return ball_sums(bins, len(radii)), ball_sums(bins, len(radii), weights)
+    runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
+    return ball_sums(runs), ball_sums(runs, weights)
 
 
 def _ranges(lo, hi):

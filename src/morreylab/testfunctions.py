@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 GAUSS = "gauss_tensor"
 BUMP = "bump_compact"
@@ -88,7 +88,7 @@ def gaussian(g: groups.GroupDescriptor, width: float = 1.0) -> TestFunction:
     w2 = _scale_squared("width", width)
 
     def fn(pts):
-        return np.exp(-np.sum(pts * pts, axis=-1) / w2)
+        return np.exp(-groups.squared_norm(pts) / w2)
 
     if g.law == groups.HEISENBERG1:
         def grad_fn(pts):
@@ -110,7 +110,7 @@ def gaussian(g: groups.GroupDescriptor, width: float = 1.0) -> TestFunction:
             return (-2.0 / w2) * pts * fn(pts)[..., None]
 
         def sublap_fn(pts):
-            r2 = np.sum(pts * pts, axis=-1)
+            r2 = groups.squared_norm(pts)
             return (-2.0 * g.dimension / w2 + 4.0 * r2 / (w2 * w2)) * fn(pts)
 
     decay = _gauge_decay_radius(g, fn, width)
@@ -130,14 +130,14 @@ def bump(g: groups.GroupDescriptor, support_radius: float = 2.0) -> TestFunction
     r02 = _scale_squared("radius", support_radius)
 
     def fn(pts):
-        s = np.sum(pts * pts, axis=-1) / r02
+        s = groups.squared_norm(pts) / r02
         inside = s < 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             vals = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
         return vals
 
     def grad_coord(pts):
-        s = np.sum(pts * pts, axis=-1) / r02
+        s = groups.squared_norm(pts) / r02
         inside = s < 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0)
@@ -226,22 +226,32 @@ def dilated(g: groups.GroupDescriptor, u: TestFunction, t: float) -> TestFunctio
     if scale is None or not np.all(scale > 0):
         raise DomainError(f"dilation parameter {t} is out of range: some t**w overflows or underflows to 0")
 
+    def dilate(pts):
+        # pts * scale one coordinate at a time, each into a contiguous plane
+        pts = np.asarray(pts, dtype=float)
+        if pts.shape[-1:] != scale.shape:
+            raise ShapeError(f"expected points of dimension {len(scale)}, got shape {pts.shape}")
+        out = np.moveaxis(np.empty((len(scale),) + pts.shape[:-1]), 0, -1)
+        for i, s in enumerate(scale):
+            np.multiply(pts[..., i], s, out=out[..., i])
+        return out
+
     def fn(pts):
-        return u.fn(np.asarray(pts, dtype=float) * scale)
+        return u.fn(dilate(pts))
 
     grad_fn = None
     if u.analytic_gradient is not None:
         base_grad = u.analytic_gradient
 
         def grad_fn(pts):
-            return t * base_grad(np.asarray(pts, dtype=float) * scale)
+            return t * base_grad(dilate(pts))
 
     sublap_fn = None
     if u.analytic_sub_laplacian is not None:
         base_sl = u.analytic_sub_laplacian
 
         def sublap_fn(pts):
-            return t * t * base_sl(np.asarray(pts, dtype=float) * scale)
+            return t * t * base_sl(dilate(pts))
 
     return TestFunction(
         kind=u.kind,

@@ -103,21 +103,24 @@ def test_one_lattice_per_key():
 def test_pair_bin_memo_holds_a_pass(monkeypatch):
     # a seed-0 pass asks for 12 (default_r1) or 26 (euclid_consequences)
     # distinct pair-bin tables many times over: each must be filled once,
-    # not refilled after eviction
+    # not refilled after eviction; the runs of a euclid_consequences pass
+    # hold less than its 2.6 MB of one-byte pair bins
     real = quadrature._lattice_bins
     for name, tables in (("default_r1", 12), ("euclid_consequences", 26)):
-        keys, calls = set(), []
+        keys, calls, held = set(), [], {}
 
         def spy(*key):
             keys.add(key)
             calls.append(key)
-            return real(*key)
+            held[key] = real(*key)
+            return held[key]
 
         monkeypatch.setattr(quadrature, "_lattice_bins", spy)
         real.cache_clear()
         workloads.build(name, 0).run()
         assert len(calls) > len(keys) == tables
         assert real.cache_info().misses == tables
+    assert sum(r.end.nbytes + r.ball.nbytes + r.first.nbytes for r in held.values()) <= 2.6e6
 
 
 def test_no_memo_key_holds_a_node_array(monkeypatch):

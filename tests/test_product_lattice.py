@@ -27,7 +27,6 @@ from morreylab.quadrature import (
     QuadratureSpec,
     _ball_runs,
     ball_bins,
-    ball_sums,
     ball_totals,
     geometric_radii,
     kernel_band_values,
@@ -332,6 +331,13 @@ def test_repeated_nodes_add_on_the_fast_path(backends, name, g, spec):
     backends.agree(translate_sums, g, u, zs[::2], nodes, w, spec.effective_h)
 
 
+def pair_totals(bins, n_radii, weights):
+    """Counts and sums of ``weights`` over every ball, pair by pair: a pair lies in ball j iff its bin is <= j."""
+    inside = [bins <= j for j in range(n_radii)]
+    return (np.stack([np.count_nonzero(b, axis=1) for b in inside], axis=1),
+            np.stack([b @ weights for b in inside], axis=1))
+
+
 def check_ball_totals(backends, g, spec, centers, nodes, radii):
     """Ball counts from the runs equal the direct bins' bit for bit, sums agree.
 
@@ -343,9 +349,9 @@ def check_ball_totals(backends, g, spec, centers, nodes, radii):
     d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
     assert np.any(np.searchsorted(radii, d * (1 - 1e-12)) < np.searchsorted(radii, d * (1 + 1e-12)))
     cnt, tot = backends.run(True, ball_totals, g, centers, nodes, radii, w, h)
-    bins = ball_bins(g, nodes, centers, radii)
-    assert np.array_equal(cnt, ball_sums(bins, len(radii)))
-    backends.close(tot, ball_sums(bins, len(radii), w))
+    want_cnt, want_tot = pair_totals(ball_bins(g, nodes, centers, radii), len(radii), w)
+    assert np.array_equal(cnt, want_cnt)
+    backends.close(tot, want_tot)
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
@@ -409,9 +415,10 @@ def test_on_lattice_ball_totals_sample_no_grid(monkeypatch, name, g, spec):
     monkeypatch.setattr(quadrature, "ball_bins", forbidden)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, 1.5)
-    cnt, _ = ball_totals(g, nodes, nodes, radii, gaussian(g, 0.3)(nodes), spec.effective_h)
+    w = gaussian(g, 0.3)(nodes)
+    cnt, _ = ball_totals(g, nodes, nodes, radii, w, spec.effective_h)
     monkeypatch.undo()
-    assert np.array_equal(cnt, ball_sums(ball_bins(g, nodes, nodes, radii), len(radii)))
+    assert np.array_equal(cnt, pair_totals(ball_bins(g, nodes, nodes, radii), len(radii), w)[0])
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
@@ -465,6 +472,40 @@ def test_shuffled_nodes_keep_bins_and_maximal_values(backends, monkeypatch, name
     u = gaussian(g, 0.3)
     backends.agree(operators.frac_maximal_values, g, 0.3, u, centers,
                    radius_grid(spec, u.decay_radius), spec)
+
+
+@pytest.mark.parametrize("order", ["lattice", "shuffled"])
+@pytest.mark.parametrize("name,g,spec", BIN_CASES + [
+    ("R3", groups.euclidean_group(3), QuadratureSpec(R_max=1.5, lattice_h=0.2))], ids=BIN_IDS + ["R3"])
+def test_morrey_ball_runs_equal_pair_bins(name, g, spec, order):
+    # the Morrey balls of a lattice's centre grid: the memoised runs cover
+    # each row with bins equal to the pair bins, so the counts are the
+    # per-pair counts exactly; the masses and the pair sums each lie within
+    # (nodes + runs + j) eps sum |w| of the exact ones; shuffled nodes, the
+    # most runs, keep both
+    nodes = lattice_nodes(g, spec)[0]
+    centers, radii = nodes[::9], radius_grid(spec, 1.5)
+    w = gaussian(g, 0.4)(nodes)
+    if order == "lattice":
+        runs = quadrature._lattice_bins(g, *quadrature.lattice_key(spec), centers.tobytes(), radii.tobytes())
+    else:
+        perm = np.random.default_rng(4).permutation(len(nodes))
+        nodes, w = nodes[perm], w[perm]
+        runs = quadrature.bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
+    bins = ball_bins(g, nodes, centers, radii)
+    n = len(radii)
+    start = np.concatenate([[0], runs.end[:-1]])
+    start[runs.first] = 0
+    balls = np.arange(len(centers))[:, None] * (n + 1) + bins
+    assert np.all(runs.end > start)
+    assert np.array_equal(np.repeat(runs.ball, runs.end - start), balls.ravel())
+    want_cnt, want_tot = pair_totals(bins, n, w)
+    lattice = quadrature.lattice_key(spec) if order == "lattice" else None
+    assert np.array_equal(quadrature.ball_masses(g, centers, nodes, radii, None, lattice), want_cnt)
+    got = quadrature.ball_masses(g, centers, nodes, radii, w, lattice)
+    per_ball = np.bincount(runs.ball, minlength=len(centers) * (n + 1)).reshape(len(centers), n + 1)
+    bound = (want_cnt + np.cumsum(per_ball[:, :n], axis=1) + np.arange(1, n + 1)) * np.finfo(float).eps * w.sum()
+    assert np.all(np.abs(got - want_tot) <= 2.0 * bound)
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import custom, gauge, gaussian, lattice_integrate, mul, shell_integrate_singular
+from morreylab import custom, euclidean_group, gauge, gaussian, lattice_integrate, mul, shell_integrate_singular
 from morreylab.errors import ContractError, DomainError, IntegrandError
-from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, geometric_radii, radius_grid
+from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, bin_runs, geometric_radii, radius_grid
 
 
 def const(c):
@@ -179,9 +179,9 @@ def test_ball_sums_match_direct_masks(group, request, rng):
     w = rng.uniform(0.0, 1.0, 60)
     on_ball = gauge(g, mul(g, -centers[0], nodes[:3]))
     radii = np.unique(np.concatenate([np.geomspace(0.05, 6.0, 9), on_ball]))
-    bins = ball_bins(g, nodes, centers, radii)
-    counts = ball_sums(bins, len(radii))
-    sums = ball_sums(bins, len(radii), w)
+    runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
+    counts = ball_sums(runs)
+    sums = ball_sums(runs, w)
     for i, c in enumerate(centers):
         d = gauge(g, mul(g, -c, nodes))
         for j, r in enumerate(radii):
@@ -192,3 +192,81 @@ def test_ball_sums_match_direct_masks(group, request, rng):
     d0 = gauge(g, mul(g, -centers[0], nodes))
     for r in on_ball:
         assert counts[0, np.searchsorted(radii, r)] == np.sum(d0 <= r) - 1
+
+
+def pair_bincount(bins, n_radii, weights=None):
+    """Per-ball totals of a ``ball_bins`` table, one ``bincount`` over the pairs of each centre."""
+    per_bin = np.array([np.bincount(row, weights, minlength=n_radii + 1) for row in bins])
+    return np.cumsum(per_bin.reshape(len(bins), n_radii + 1)[:, :n_radii], axis=1)
+
+
+def run_table(case, rng):
+    """A (bins, n_radii) table of one of the shapes the runs must handle."""
+    n = 9
+    if case == "shuffled":
+        # neighbouring nodes rarely share a bin: about one run per node
+        return rng.integers(0, n + 1, (5, 300)).astype(np.int8), n
+    if case == "one_node":
+        return rng.integers(0, n + 1, (6, 1)).astype(np.int8), n
+    if case == "one_bin_row":
+        bins = np.sort(rng.integers(0, n + 1, (4, 250)), axis=1).astype(np.int8)
+        bins[2] = 3
+        return bins, n
+    g = euclidean_group(2)
+    nodes = rng.uniform(-2.0, 2.0, (400, 2))
+    nodes = nodes[np.argsort(gauge(g, nodes))]
+    centers = rng.uniform(-0.5, 0.5, (4, 2))
+    # "past_every_node": radii past every node, so every pair lies in the first ball, one run per row
+    radii = np.geomspace(0.2, 6.0, n) if case == "sorted" else np.geomspace(10.0, 20.0, n)
+    return ball_bins(g, nodes, centers, radii), n
+
+
+@pytest.mark.parametrize("case", ["shuffled", "one_node", "one_bin_row", "sorted", "past_every_node"])
+def test_ball_sums_from_runs_match_pair_bincount(case, rng):
+    # counts equal the per-pair bincount exactly; sums lie within the
+    # documented bound of the exact ones: (nodes + runs + j) eps sum |w| for ball j
+    bins, n = run_table(case, rng)
+    runs = bin_runs(bins, n)
+    assert runs.end.dtype == runs.ball.dtype == np.int32
+    # the runs tile each row in order: repeated by their lengths they give the table
+    start = np.concatenate([[0], runs.end[:-1]])
+    start[runs.first] = 0
+    assert np.all(runs.end > start)
+    assert np.array_equal(np.repeat(runs.ball, runs.end - start),
+                          (np.arange(len(bins))[:, None] * (n + 1) + bins).ravel())
+    if case == "past_every_node":
+        assert len(runs.end) == len(bins)
+    counts = ball_sums(runs)
+    assert np.array_equal(counts, pair_bincount(bins, n))
+    n_runs = np.cumsum(np.bincount(runs.ball, minlength=len(bins) * (n + 1)).reshape(len(bins), n + 1)[:, :n],
+                       axis=1)
+    eps = np.finfo(float).eps
+    for w in (rng.uniform(0.0, 1.0, bins.shape[1]), rng.standard_normal(bins.shape[1]) * 1e3):
+        got = ball_sums(runs, w)
+        exact = np.array([[math.fsum(w[row <= j]) for j in range(n)] for row in bins])
+        bound = (counts + n_runs + np.arange(1, n + 1)) * eps * np.sum(np.abs(w))
+        assert np.all(np.abs(got - exact) <= bound)
+        assert np.all(np.abs(pair_bincount(bins, n, w) - exact) <= bound)
+
+
+@pytest.mark.parametrize("case", ["shuffled", "one_bin_row", "sorted"])
+def test_infinite_weight_reaches_only_the_balls_of_its_node(case, rng):
+    # prefix sums would turn every ball past an inf into inf - inf: with
+    # inf at the first and at the last node of a row each run is summed
+    # on its own, and the balls agree with the per-pair bincount
+    bins, n = run_table(case, rng)
+    runs = bin_runs(bins, n)
+    for at in (0, bins.shape[1] - 1, [0, bins.shape[1] - 1]):
+        w = rng.uniform(0.0, 1.0, bins.shape[1])
+        w[at] = np.inf
+        got, want = ball_sums(runs, w), pair_bincount(bins, n, w)
+        assert not np.isnan(got).any()
+        assert np.array_equal(np.isinf(got), np.isinf(want)) and np.isinf(got).any() and np.isfinite(got).any()
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=1e-13)
+
+
+def test_ball_sums_of_no_nodes_are_zero():
+    runs = bin_runs(np.zeros((3, 0), np.int8), 4)
+    assert np.array_equal(ball_sums(runs), np.zeros((3, 4)))
+    assert np.array_equal(ball_sums(runs, np.zeros(0)), np.zeros((3, 4)))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import bump, custom, dilated, gaussian
-from morreylab.errors import DomainError
+from morreylab import bump, custom, dilated, gaussian, groups
+from morreylab.errors import DomainError, ShapeError
 from morreylab.testfunctions import default_battery, power_truncated
 
 
@@ -86,3 +86,37 @@ def test_default_battery_contents(g1):
     assert "bump_compact" in kinds and "power_truncated" in kinds
     power = [u for u in battery if u.kind == "power_truncated"][0]
     assert power.params[0] == pytest.approx((g1.Q - 0.25) / 4.0)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2", "g3", "h1"])
+def test_coordinate_wise_kernels_equal_the_reductions(group, request):
+    # sums of squares written out one coordinate at a time, and the
+    # dilation one multiply per coordinate, compare == to the forms that
+    # reduce over or broadcast against the trailing axis
+    g = request.getfixturevalue(group)
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((4, 300, g.dimension)) * rng.uniform(0.05, 4.0, (4, 300, 1))
+    r2 = np.sum(pts * pts, axis=-1)
+    if g.law == groups.EUCLIDEAN:
+        assert np.array_equal(groups.gauge(g, pts), np.sqrt(r2))
+    w2, r02 = 0.7 ** 2, 1.9 ** 2
+    u, b = gaussian(g, 0.7), bump(g, 1.9)
+    assert np.array_equal(u(pts), np.exp(-r2 / w2))
+    s = r2 / r02
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        assert np.array_equal(b(pts), np.where(s < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - s, 1e-300)), 0.0))
+    if g.law == groups.EUCLIDEAN:
+        lap = (-2.0 * g.dimension / w2 + 4.0 * r2 / (w2 * w2)) * np.exp(-r2 / w2)
+        assert np.array_equal(u.analytic_sub_laplacian(pts), lap)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fac = np.where(s < 1.0, -1.0 / np.maximum((1.0 - s) ** 2, 1e-300), 0.0)
+        assert np.array_equal(b.analytic_gradient(pts), b(pts)[..., None] * fac[..., None] * 2.0 * pts / r02)
+    for t in (0.37, 2.5):
+        d = dilated(g, u, t)
+        scale = np.array([t ** w for w in g.weights])
+        assert np.array_equal(d(pts), u(pts * scale))
+        assert np.array_equal(d.analytic_gradient(pts), t * u.analytic_gradient(pts * scale))
+        assert np.array_equal(d.analytic_sub_laplacian(pts), t * t * u.analytic_sub_laplacian(pts * scale))
+        with pytest.raises(ShapeError):
+            d(np.zeros((2, g.dimension + 1)))
+    assert np.array_equal(groups.squared_norm(pts[0]), r2[0])
