@@ -28,62 +28,44 @@ _MAX_VOLUME_COLUMNS = 4_000_000
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """A homogeneous group: dimension, dilation weights, law and gauge.
+    """A homogeneous group: its law and its dimension.
 
-    ``Q`` is the homogeneous dimension, always the exact sum of the
-    weights.  Each law has one gauge: the Euclidean norm on R^N, the
-    Korányi gauge on H^1.
+    The dilation weights and the gauge follow from the law: on Euclidean
+    R^N every weight is one and the gauge is the Euclidean norm; H^1 has
+    dimension 3, weights (1, 1, 2) and the Korányi gauge.  ``Q`` is the
+    homogeneous dimension, the exact sum of the weights.
     """
 
-    dimension: int
-    weights: tuple
     law: str
-    gauge_kind: str
+    dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1 or len(self.weights) != self.dimension:
-            raise ShapeError("weights must have one entry per dimension")
-        if any(w <= 0 for w in self.weights):
-            raise DomainError("dilation weights must be positive")
-        if self.law == EUCLIDEAN:
-            if any(w != 1 for w in self.weights):
-                raise DomainError("euclidean law requires all weights equal to 1")
-            if self.gauge_kind != GAUGE_EUCLIDEAN:
-                raise DomainError("euclidean law requires the euclidean gauge")
-        elif self.law == HEISENBERG1:
-            if self.dimension != 3 or self.weights != (1, 1, 2):
-                raise DomainError("heisenberg1 requires N=3 with weights (1,1,2)")
-            if self.gauge_kind != GAUGE_KORANYI:
-                raise DomainError("heisenberg1 requires the koranyi gauge")
-        else:
-            raise DomainError(f"unknown group law {self.law!r}")
+        if self.law not in (EUCLIDEAN, HEISENBERG1):
+            raise DomainError(f"law {self.law!r} is unknown")
+        if not isinstance(self.dimension, int) or self.dimension < 1:
+            raise ShapeError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        if self.law == HEISENBERG1 and self.dimension != 3:
+            raise DomainError(f"dimension of {HEISENBERG1} is 3, got {self.dimension}")
+
+    @property
+    def weights(self) -> tuple:
+        return (1, 1, 2) if self.law == HEISENBERG1 else (1,) * self.dimension
+
+    @property
+    def gauge_kind(self) -> str:
+        return GAUGE_KORANYI if self.law == HEISENBERG1 else GAUGE_EUCLIDEAN
 
     @property
     def Q(self) -> float:
         return float(sum(self.weights))
 
-    @property
-    def first_layer(self) -> int:
-        """Size of the first layer of the stratification."""
-        return 2 if self.law == HEISENBERG1 else self.dimension
-
 
 def euclidean_group(dimension: int) -> GroupDescriptor:
-    return GroupDescriptor(
-        dimension=dimension,
-        weights=(1,) * dimension,
-        law=EUCLIDEAN,
-        gauge_kind=GAUGE_EUCLIDEAN,
-    )
+    return GroupDescriptor(EUCLIDEAN, dimension)
 
 
 def heisenberg_group() -> GroupDescriptor:
-    return GroupDescriptor(
-        dimension=3,
-        weights=(1, 1, 2),
-        law=HEISENBERG1,
-        gauge_kind=GAUGE_KORANYI,
-    )
+    return GroupDescriptor(HEISENBERG1, 3)
 
 
 def as_points(g: GroupDescriptor, x) -> np.ndarray:
@@ -141,7 +123,7 @@ def squared_norm(pts) -> np.ndarray:
 def gauge(g: GroupDescriptor, x) -> np.ndarray:
     """Homogeneous gauge |x|: 1-homogeneous, symmetric, zero only at 0."""
     pts = as_points(g, x)
-    if g.gauge_kind == GAUGE_EUCLIDEAN:
+    if g.law == EUCLIDEAN:
         return np.sqrt(squared_norm(pts))
     s = pts[..., 0] ** 2 + pts[..., 1] ** 2
     return (s * s + 16.0 * pts[..., 2] ** 2) ** 0.25
@@ -149,7 +131,7 @@ def gauge(g: GroupDescriptor, x) -> np.ndarray:
 
 def coord_bound(g: GroupDescriptor, i: int, R: float) -> float:
     """Half-width in coordinate i of the bounding box of {gauge < R}."""
-    if g.gauge_kind == GAUGE_KORANYI and i == 2:
+    if g.law == HEISENBERG1 and i == 2:
         return R * R / 4.0
     return R ** g.weights[i]
 
@@ -189,7 +171,7 @@ def column_half_width(g: GroupDescriptor, outer: np.ndarray, R) -> np.ndarray:
     The section is |t| < sqrt(R^4 - |z|^4) / 4 on H^1; zero where empty.
     ``R`` broadcasts against ``outer``'s leading shape.
     """
-    if g.gauge_kind == GAUGE_EUCLIDEAN:
+    if g.law == EUCLIDEAN:
         rem = R * R - np.sum(outer * outer, axis=-1)
         return np.sqrt(np.maximum(rem, 0.0))
     s = outer[..., 0] ** 2 + outer[..., 1] ** 2

@@ -192,6 +192,14 @@ _DEGREES = {"id": 0, "maximal": 0, "grad": 1, "sublap": 2,
             "fraclap": "gamma", "riesz": "-gamma"}
 
 
+def differentiates(cfg: ExponentConfig) -> bool:
+    """Whether the theorem differentiates u: a factor's operator of
+    positive degree (gradient, sub-Laplacian, fractional Laplacian)
+    needs a smooth test function."""
+    lhs, rhs = _factors(cfg)
+    return any(f["degree"] > 0 for f in (lhs, *rhs))
+
+
 class _Theorem(NamedTuple):
     """One inequality.  A factor is (norm exponent, weight power, operator,
     power); each of its numbers is a constant, a config field name, or

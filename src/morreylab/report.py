@@ -29,12 +29,6 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
-# per law: its one gauge and the one dimension it allows, if it fixes one
-_GROUPS = {
-    groups.EUCLIDEAN: (groups.GAUGE_EUCLIDEAN, None),
-    groups.HEISENBERG1: (groups.GAUGE_KORANYI, 3),
-}
-
 _CHECK_DEFAULTS = {"ratio_band": 1.10, "slope_rel_tol": 0.10}
 
 # the keys each level of a config may hold; "output" is read by the CLI only
@@ -104,17 +98,17 @@ def parse_config(doc: dict):
     _object(doc, "config", _TOP_KEYS)
     gdoc = _object(_need(doc, "group", dict, "config"), "config.group", _GROUP_KEYS)
     law = _need(gdoc, "law", str, "config.group")
-    if law not in _GROUPS:
-        raise ConfigError(f"config.group.law: unknown law {law!r}")
-    gauge, fixed_dim = _GROUPS[law]
-    dim = gdoc.get("dimension", fixed_dim or 1)
+    dim = gdoc.get("dimension", 3 if law == groups.HEISENBERG1 else 1)
     if not _is_count(dim):
         raise ConfigError(f"config.group.dimension: expected an integer >= 1, got {dim!r}")
-    if fixed_dim is not None and dim != fixed_dim:
-        raise ConfigError(f"config.group.dimension: {law} has dimension {fixed_dim}, got {dim}")
-    if gdoc.get("gauge", gauge) != gauge:
-        raise ConfigError(f"config.group.gauge: {law} admits {gauge}, got {gdoc['gauge']!r}")
-    g = groups.heisenberg_group() if law == groups.HEISENBERG1 else groups.euclidean_group(dim)
+    try:
+        g = groups.GroupDescriptor(law, dim)
+    except DomainError as e:
+        # the descriptor's messages start with the field they reject
+        raise ConfigError(f"config.group.{e}") from e
+    if gdoc.get("gauge", g.gauge_kind) != g.gauge_kind:
+        raise ConfigError(f"config.group.gauge: {law} admits {g.gauge_kind}, "
+                          f"got {gdoc['gauge']!r}")
 
     qdoc = _object(doc.get("quadrature", {}), "config.quadrature", _QUADRATURE_KEYS)
     for key, v in qdoc.items():
@@ -240,11 +234,6 @@ def _parsed(text: str):
     return parse_config(json.loads(text))
 
 
-def _ops_needed(cfg):
-    lhs, rhs = harness._factors(cfg)
-    return {lhs["op"]} | {f["op"] for f in rhs}
-
-
 def _grade(rec: harness.RatioSweepRecord, band, slope_tol):
     """(check description, passed) of one sweep record."""
     if rec.config.admissible_flag:
@@ -290,8 +279,7 @@ def _run_task(args):
     spec = parsed["spec"]
     t_values = parsed["t_values"]
 
-    needs = _ops_needed(cfg)
-    if needs & {"grad", "sublap", "fraclap"} and not u.smooth:
+    if harness.differentiates(cfg) and not u.smooth:
         return _record_dict(cfg, u, t_values, "skipped", True,
                             note="skipped: theorem needs a smooth test function")
     t_min, t_max = min(t_values), max(t_values)

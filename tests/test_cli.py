@@ -139,6 +139,16 @@ def test_plotdata_roundtrip(tmp_path):
             i += 1
 
 
+def test_small_perturbation_is_recorded_only():
+    # a control whose predicted slope (-0.08) is below the slope test's 0.2
+    # threshold passes ungraded
+    doc = dict(SMALL_CONFIG, theorems=[dict(SMALL_CONFIG["theorems"][0], perturb_inv_q=0.1)])
+    (rec,) = run_experiment(doc)["records"]
+    assert rec["predicted_mismatch"] == pytest.approx(-0.08)
+    assert rec["check"] == "perturbation below slope-test threshold: recorded only"
+    assert rec["passed"] is True
+
+
 def test_plotdata_empty_report(tmp_path):
     buf = io.StringIO()
     assert emit_plotdata({"records": []}, buf) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,16 +26,27 @@ finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 def test_descriptor_invariants():
+    # a descriptor is its law and dimension; the weights and the gauge follow
+    assert [f.name for f in dataclasses.fields(GroupDescriptor)] == ["law", "dimension"]
     g = heisenberg_group()
-    assert g.Q == 4.0 and g.first_layer == 2
-    assert euclidean_group(3).Q == 3.0 and euclidean_group(3).first_layer == 3
-    with pytest.raises(DomainError):
-        GroupDescriptor(dimension=2, weights=(1, 2), law="euclidean", gauge_kind="euclidean")
-    with pytest.raises(DomainError):
-        GroupDescriptor(dimension=3, weights=(1, 1, 2), law="heisenberg1",
-                        gauge_kind="euclidean")
-    with pytest.raises(DomainError):
-        GroupDescriptor(dimension=2, weights=(1, 1), law="euclidean", gauge_kind="anisotropic")
+    assert g.Q == 4.0 and g.weights == (1, 1, 2) and g.gauge_kind == "koranyi"
+    g3 = euclidean_group(3)
+    assert g3.Q == 3.0 and g3.weights == (1, 1, 1) and g3.gauge_kind == "euclidean"
+    assert g3 == GroupDescriptor("euclidean", 3)
+
+
+@pytest.mark.parametrize("call,exc,match", [
+    (lambda: euclidean_group(0), ShapeError, "dimension"),
+    (lambda: euclidean_group(2.0), ShapeError, "dimension"),
+    (lambda: GroupDescriptor("solvable", 2), DomainError, "^law "),
+    (lambda: GroupDescriptor("heisenberg1", 2), DomainError, "^dimension "),
+    (lambda: ball_volume(euclidean_group(2), 0.0, QuadratureSpec(R_max=4.0, lattice_h=0.1)),
+     DomainError, "radius"),
+], ids=["euclidean_dimension_0", "euclidean_dimension_float", "unknown_law", "h1_dimension_2",
+        "ball_volume_radius_0"])
+def test_public_error_paths(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_dilate_examples(g2, h1):

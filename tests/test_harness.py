@@ -270,6 +270,17 @@ def test_mismatch_vanishes_on_every_accepted_rational_tuple(theorem, Q, u):
         assert predicted_mismatch(out) == 0
 
 
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_differentiates_exactly_the_theorems_with_a_derivative(theorem):
+    # the potential and maximal theorems take rough test functions; every
+    # other one has a gradient, sub-Laplacian or fractional Laplacian factor
+    cfg = admissible(theorem, Q=F(4), **_BUILDERS[theorem](F(4), [F(1, 5)] * 5))
+    assert not isinstance(cfg, Rejection)
+    rough = theorem in ("adams_hls", "stein_weiss_adams", "maximal_bound")
+    assert harness.differentiates(cfg) is not rough
+    assert harness.differentiates(perturb_q(cfg, F(1, 100))) is not rough
+
+
 class TestPerturb:
     def test_zero_delta_identity(self):
         cfg = admissible("stein_weiss_adams", Q=F(4), p=F(2), gamma=F(1), lam=F(1))
@@ -560,3 +571,9 @@ class TestHeisenbergConsistency:
         cfg = admissible("uncertainty", Q=4, p=2, lam=1.5)
         lhs, rhs = inequality_sides(h1, cfg, u, grids, spec)
         assert lhs > 0 and rhs > 0
+
+
+def test_public_error_paths():
+    # 1/q = 1/6 + 0.9 stays positive, but q = 15/16 is not above 1
+    with pytest.raises(DomainError, match="must exceed 1"):
+        perturb_q(admissible("adams_hls", Q=1, p=1.5, gamma=0.4, lam=0.2), 0.9)

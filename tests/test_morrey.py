@@ -244,3 +244,8 @@ def test_sup_follows_node_contents(g1):
             g1, 2.0, 0.5, centers, radii, nodes, np.exp(-nodes[:, 0] ** 2), h
         ).value
         assert val == pytest.approx(_direct_sup(h, centers, radii), rel=1e-12)
+
+
+def test_public_error_paths():
+    with pytest.raises(DomainError, match="centre"):
+        MorreyParams(p=2.0, lam=0.5, centers=np.empty((0, 1)), radii=np.array([1.0]))

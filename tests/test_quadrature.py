@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import custom, euclidean_group, gauge, gaussian, lattice_integrate, mul, shell_integrate_singular
+from morreylab import custom, euclidean_group, gauge, gaussian, heisenberg_group, lattice_integrate, mul, shell_integrate_singular
 from morreylab.errors import ContractError, DomainError, IntegrandError
-from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, bin_runs, geometric_radii, radius_grid
+from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, bin_runs, gauge_power_weights, geometric_radii, kernel_band_values, radius_grid
 
 
 def const(c):
@@ -270,3 +270,20 @@ def test_ball_sums_of_no_nodes_are_zero():
     runs = bin_runs(np.zeros((3, 0), np.int8), 4)
     assert np.array_equal(ball_sums(runs), np.zeros((3, 4)))
     assert np.array_equal(ball_sums(runs, np.zeros(0)), np.zeros((3, 4)))
+
+
+_G1 = euclidean_group(1)
+_H1 = heisenberg_group()
+_SPEC = QuadratureSpec(R_max=4.0, lattice_h=0.1)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: gauge_power_weights(_H1, -_H1.Q, 4.0, 0.5), "not integrable"),
+    (lambda: kernel_band_values(_G1, -_G1.Q, gaussian(_G1, 1.0), np.zeros((1, 1)), _SPEC),
+     "diverges"),
+    (lambda: kernel_band_values(_G1, 0.0, gaussian(_G1, 1.0), np.zeros((1, 1)), _SPEC),
+     "singular kernel"),
+], ids=["weight_exponent_minus_Q", "kernel_exponent_minus_Q", "kernel_exponent_0"])
+def test_public_error_paths(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -120,3 +120,8 @@ def test_coordinate_wise_kernels_equal_the_reductions(group, request):
         with pytest.raises(ShapeError):
             d(np.zeros((2, g.dimension + 1)))
     assert np.array_equal(groups.squared_norm(pts[0]), r2[0])
+
+
+def test_public_error_paths():
+    with pytest.raises(DomainError, match="radius"):
+        power_truncated(groups.euclidean_group(1), 0.5, 0.0)
