@@ -18,12 +18,13 @@ node columns, read in place, when every sample is finite.  Other points,
 and grids with a non-finite sample, take the direct point-by-node loop,
 which decides which non-finite samples are reached.  Every path sums
 every node.  Ball counts and masses (``ball_totals``) at on-lattice
-centres are differences of prefix sums over node columns, taken at the
-ends of the runs of grid samples inside each ball, which the gauge ball's
-closed-form section cuts from each grid line; other centres bin every
-centre-node pair once (``ball_bins``, one coordinate at a time) and keep
-the table as its runs of equal bin along each row (``bin_runs``, 8 bytes
-a run).  The Morrey supremum sums its samples over the same runs
+centres are read at the ends of the runs of grid samples inside each
+ball, which the gauge ball's closed-form section cuts from each grid
+line: masses as differences of prefix sums over node columns, counts in
+closed form from the kinks of each column's count prefix.  Other centres
+bin every centre-node pair once (``ball_bins``, one coordinate at a time)
+and keep the table as its runs of equal bin along each row (``bin_runs``,
+8 bytes a run).  The Morrey supremum sums its samples over the same runs
 (``ball_masses``), memoised per lattice key (g, R, h) of
 ``_nodes_cached``, centres and radii, so each centre grid of a lattice is
 binned once; a call reads one prefix sum of the samples at every run's
@@ -229,11 +230,14 @@ def gauge_power_weights(g, a, R, h):
     return _spread(dist ** a * cell, idx, exact)[0]
 
 
-# pairs per block of the pair bins and of the direct translate sums, grid
-# samples per block of ``ProductLattice.sample``, prefix values per gather
-# (and, over 8, near-tie pairs per block) of the on-lattice ball sums, and
-# window samples per tile of the H^1 column correlations: a fixed budget
-# keeps each temporary near 1 MB whatever the lattice size
+# the one size of every blocked temporary, counted in items: pairs per
+# block of the pair bins and of the direct translate sums, grid samples per
+# block of ``ProductLattice.sample``, window samples per tile of the H^1
+# column correlations, and in the on-lattice ball totals the float prefix
+# values per gather, the int32 slot bounds of a block of point columns and
+# (over 16) the near-tie pairs per block.  A float64 array of 2^17 items is
+# 1 MB, whatever the lattice size; a block of near-tie pairs holds about
+# ten arrays of 64 KB at once
 _PAIR_BUDGET = 1 << 17
 
 
@@ -248,28 +252,30 @@ def _bin_dtype(n_radii):
     return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n_radii)
 
 
-def _pair_gauges(g: groups.GroupDescriptor, centers, coords) -> np.ndarray:
-    """gauge(c^{-1} z) of every (centre, node) pair: an (n_centers, n_nodes) array.
+def _pair_gauges(g: groups.GroupDescriptor, c, z) -> np.ndarray:
+    """gauge(c^{-1} z) of every (centre, node) pair the planes ``c`` and ``z`` pair up.
 
-    ``coords`` holds the nodes' coordinates as contiguous rows, (N,
-    n_nodes).  The gauges are built one coordinate at a time, in place in
-    (n_centers, n_nodes) planes, with the operations of ``groups.gauge(
-    groups.mul(g, -c, z))`` in their order, so every value equals it bit
-    for bit: on R^N the squares of z_i - c_i summed in axis order, on H^1
-    the symmetric law's central term z_2 - c_2 + (c_1 z_0 - c_0 z_1) / 2.
+    ``c`` and ``z`` hold the centres' and the nodes' coordinates as N
+    planes each, and plane i of ``c`` broadcasts against plane i of ``z``:
+    (n_centers, 1) against (n_nodes,) rows for a table of every pair,
+    equal shapes for gathered pairs.  The gauges are built one coordinate
+    at a time, in place in planes of the broadcast shape, with the
+    operations of ``groups.gauge(groups.mul(g, -c, z))`` in their order, so
+    every value equals it bit for bit: on R^N the squares of z_i - c_i
+    summed in axis order, on H^1 the symmetric law's central term
+    z_2 - c_2 + (c_1 z_0 - c_0 z_1) / 2.
     """
-    c = centers[:, :, None]
-    acc = coords[0] - c[:, 0]
+    acc = z[0] - c[0]
     acc *= acc
     plane = np.empty_like(acc)
     if g.law == groups.HEISENBERG1:
-        np.subtract(coords[1], c[:, 1], out=plane)
+        np.subtract(z[1], c[1], out=plane)
         plane *= plane
         acc += plane
-        cross = c[:, 1] * coords[0]
-        cross -= np.multiply(c[:, 0], coords[1], out=plane)
+        cross = c[1] * z[0]
+        cross -= np.multiply(c[0], z[1], out=plane)
         cross *= 0.5
-        np.subtract(coords[2], c[:, 2], out=plane)
+        np.subtract(z[2], c[2], out=plane)
         plane += cross
         plane *= plane
         plane *= 16.0
@@ -277,7 +283,7 @@ def _pair_gauges(g: groups.GroupDescriptor, centers, coords) -> np.ndarray:
         acc += plane
         return np.power(acc, 0.25, out=acc)
     for i in range(1, g.dimension):
-        np.subtract(coords[i], c[:, i], out=plane)
+        np.subtract(z[i], c[i], out=plane)
         plane *= plane
         acc += plane
     return np.sqrt(acc, out=acc)
@@ -297,7 +303,7 @@ def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
     coords = np.ascontiguousarray(nodes.T)
     bins = np.empty((len(centers), len(nodes)), _bin_dtype(len(radii)))
     for sl in _blocks(len(centers), len(nodes)):
-        bins[sl] = np.searchsorted(radii, _pair_gauges(g, centers[sl], coords), side="right")
+        bins[sl] = np.searchsorted(radii, _pair_gauges(g, centers[sl].T[:, :, None], coords), side="right")
     return bins
 
 
@@ -423,9 +429,21 @@ def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
     """
     lat = product_lattice(g, -centers, nodes, h)
     if lat is not None and np.all(np.isfinite(weights)):
-        return _lattice_ball_totals(g, lat, -centers, nodes, radii, weights)
+        return _lattice_ball_totals(g, lat, centers, nodes, radii, weights)
     runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
     return ball_sums(runs), ball_sums(runs, weights)
+
+
+def _spans(ends, size):
+    """(i, j) bounds that split items with running totals ``ends`` into runs of about ``size``.
+
+    The runs cover every item and none is empty; an item larger than
+    ``size`` makes a run of its own.
+    """
+    size = max(1, size)
+    cuts = np.searchsorted(ends, np.arange(size, ends[-1] if len(ends) else 0, size), side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(ends)]]))
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _ranges(lo, hi):
@@ -471,98 +489,164 @@ def _ball_runs(g, lat: ProductLattice, radii, scale):
     return klo, khi, ties[order], j[order]
 
 
-def _lattice_ball_totals(g, lat: ProductLattice, points, nodes, radii, weights):
-    """``ball_totals`` at the centres -``points`` of ``lat``, from runs of the grid.
+def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights):
+    """``ball_totals`` at the on-lattice ``centers``, from runs of the grid.
 
-    ``lat`` is ``product_lattice(g, points, nodes, h)``.  The samples surely
-    inside ball j form one run [klo, khi) of last indices per line of the
-    grid along its last axis (``_ball_runs``).  Slot s of a point column
-    meets slot m of a node column at last index k0 + step (s + m) on one
-    line, so ball j holds the node slots m in [A - s, B - s), A and B the
-    least slot sums at or past klo and khi, and its count and sum are
-    differences of the node column's prefix sums over slots.  For one
-    point column, each (node column, radius) that holds part of its node
-    column reads one contiguous run of the padded prefix array, one value
-    per point slot; the differences are summed over node columns.  The
-    absolute error of a sum is at most about L eps times the total of each
-    node column it draws on, L the column's slots.  A pair at a near-tie
-    sample of radius j joins ball j alone when its own gauge is below r_j,
-    as in ``ball_bins``: the runs leave it out.
+    ``lat`` is ``product_lattice(g, -centers, nodes, h)``.  The samples
+    surely inside ball j form one run [klo, khi) of last indices per line
+    of the grid along its last axis (``_ball_runs``).  Slot s of a point
+    column meets slot m of a node column at last index k0 + step (s + m) on
+    one line, so ball j holds the node slots m in [A - s, B - s), A and B
+    the least slot sums at or past klo and khi.  A (node column, radius)
+    that holds the whole column at every slot of a point column adds the
+    column's totals there; one that holds none of it adds nothing; every
+    other one is a partial row.  Point columns go in blocks whose slot
+    bounds A and B hold ``_PAIR_BUDGET`` values.
+
+    Masses.  A partial row's mass is a difference of the node column's
+    prefix sums of the weights over slots: two float windows of the
+    padded prefix array, one value per point slot, gathered ``_PAIR_BUDGET``
+    values at a time and summed over node columns.  Its absolute error is
+    at most about Lc eps times the total of each node column it draws on,
+    Lc that column's slots.
+
+    Counts.  A node column's count prefix n(y) over slots is piecewise
+    linear: it has a kink at each slot k where its count per slot changes,
+    by dk (+1 at slot 0 and -1 at Lc on a column without holes or repeats).
+    So over the point slots s < L a partial row adds n(B - L) - n(A - L)
+    and the ramps dk min(max(y - k - s, 0), L - s) for y = B (and minus
+    those for y = A): each ramp is one coefficient in a histogram of L + 1
+    bins per (point column, radius), and two running sums over its bins
+    give the count at every slot.  The counts are exact.
+
+    A pair at a near-tie sample of radius j joins ball j alone when its
+    own gauge (``_pair_gauges``) is below r_j, as in ``ball_bins``: the runs
+    leave it out.
     """
     n, step = len(radii), lat.step
-    scale = max(np.max(groups.gauge(g, points)), np.max(groups.gauge(g, nodes)))
+    scale = max(np.max(groups.gauge(g, centers)), np.max(groups.gauge(g, nodes)))
     klo, khi, ties, tie_j = _ball_runs(g, lat, radii, scale)
-    line0, k0 = np.divmod(lat.column_starts(), lat.shape[-1])
+    starts = lat.column_starts()
     Lp, Lc = lat.Lp, lat.Lc
-    L, M = int(Lp.max()), int(Lc.max())
-    # weights as the real part and node counts as the imaginary one, so
-    # that one gather reads both
-    slots = lat.node_table(weights + 1j)
-    # prefix sums over node slots, L - 1 zeros before them and the totals
+    P, C, L, M = len(Lp), len(Lc), int(Lp.max()), int(Lc.max())
+    w_slots, n_slots = lat.node_table(weights), lat.node_table(np.ones(len(nodes)))
+    # prefix sums over node slots, with zeros before them and the totals
     # after, so that slot sums past either end of a column read its first
-    # or last prefix
-    pre = np.zeros((len(Lc), M + 2 * L - 1), complex)
-    np.cumsum(slots, axis=1, out=pre[:, L : L + M])
+    # or last prefix: pre[c, L - 1 + y] holds the weights and n_pre[c, L + y]
+    # the nodes of column c below slot y
+    pre = np.zeros((C, M + 2 * L - 1))
+    np.cumsum(w_slots, axis=1, out=pre[:, L : L + M])
     pre[:, L + M :] = pre[:, L + M - 1, None]
     win = np.lib.stride_tricks.sliding_window_view(pre, L, axis=1)
+    n_pre = np.zeros((C, M + L + 1))
+    np.cumsum(n_slots, axis=1, out=n_pre[:, L + 1 :])
+    totals = np.column_stack([pre[:, -1], n_pre[:, -1]])
+    # the kinks of each column, padded with zero kinks: row i of kpos and
+    # kval holds L plus the i-th slot of each column where its count per
+    # slot changes, and by how much
+    per_slot = np.diff(n_slots, axis=1, prepend=0.0, append=0.0)
+    kc, kk = np.nonzero(per_slot)
+    rank = np.arange(len(kc)) - np.searchsorted(kc, kc)
+    kpos, kval = np.zeros((rank.max() + 1, C), np.intp), np.zeros((rank.max() + 1, C))
+    kpos[rank, kc], kval[rank, kc] = kk + L, per_slot[kc, kk]
 
-    # per point column, radius and point slot s at L - 1 - s
-    res = np.zeros((len(Lp), n, L), complex)
-    for pc, runs in enumerate(res):
-        # window start B reads the prefixes at B + L - 1 - s for s = 0 .. L - 1
-        A = np.clip(-((k0[pc, :, None] - klo[line0[pc]]) // step), 0, M + L - 1)
-        B = np.clip(-((k0[pc, :, None] - khi[line0[pc]]) // step), 0, M + L - 1)
-        # a (node column, radius) that holds the whole column at every
-        # point slot adds its total; one that holds none of it adds nothing
-        full = (A == 0) & (B >= Lc[:, None] + Lp[pc] - 1)
-        runs += (pre[:, -1] @ full)[:, None]
-        j, c = np.nonzero(((B > A) & ~full).T)
-        for sl in _blocks(len(j), L):
-            jj, cc = j[sl], c[sl]
-            first = np.flatnonzero(np.diff(jj, prepend=-1))
-            diff = win[cc, B[cc, jj]]
-            diff -= win[cc, A[cc, jj]]
-            runs[jj[first]] += np.add.reduceat(diff, first, axis=0)
+    # slot bounds in (point column, radius, node column) order, int32; step is a power of two
+    shift = int(step).bit_length() - 1
+    klo, khi = klo.astype(np.int32), khi.astype(np.int32)
+    mass, count = np.empty((P, n, L)), np.empty((P, n, L))
+    for pb in _blocks(P, 2 * n * C):
+        line, k0 = np.divmod(starts[pb], lat.shape[-1])
+        A, B = np.empty((2, len(line), n, C), np.int32)
+        for bound, cut in ((A, klo), (B, khi)):
+            np.subtract(k0[:, None].astype(np.int32), cut[line].transpose(0, 2, 1), out=bound)
+            bound >>= shift
+            np.negative(bound, out=bound)
+            np.clip(bound, 0, M + L - 1, out=bound)
+        full = (A == 0) & (B >= Lp[pb, None, None] + Lc - 1)
+        rows = full.reshape(-1, C) @ totals
+        part = (B > A) & ~full
+        flat = np.flatnonzero(part)
+        row, c = np.divmod(flat, C)
+        b, a = B.ravel()[flat], A.ravel()[flat]
 
-    point_at, node_at = np.full((len(Lp), L), -1), np.full((len(Lc), M), -1)
-    point_at[lat.pcol, lat.s] = np.arange(len(points))
-    node_at[lat.col, lat.m] = np.arange(len(nodes))
-    for ps, ns, at in _near_tie_pairs(lat, ties, point_at, node_at):
-        d = groups.gauge(g, groups.mul(g, points[point_at.flat[ps]], nodes[node_at.flat[ns]]))
-        keep = d < radii[tie_j[at]]
+        # masses, gathered in runs of whole (point column, radius) rows
+        size = np.count_nonzero(part.reshape(-1, C), axis=1)
+        used = np.flatnonzero(size)
+        end = np.cumsum(size[used])
+        blk = mass[pb].reshape(-1, L)
+        blk[:] = rows[:, :1]
+        first = end - size[used]
+        for i, j in _spans(end, _PAIR_BUDGET // L):
+            sl = slice(first[i], end[j - 1])
+            diff = win[c[sl], b[sl]]
+            diff -= win[c[sl], a[sl]]
+            # reduceat costs about a row's length per group, so single rows skip it
+            blk[used[i:j]] += diff if j - i == len(diff) else np.add.reduceat(diff, first[i:j] - first[i], axis=0)
+
+        # counts: each ramp at bin L - y + k of the reversed slot order,
+        # clipped to [0, L]; bin L reaches no slot
+        at = np.take(kpos, c, axis=1) - np.stack([b, a])[:, None]
+        np.clip(at, 0, L, out=at)
+        at += row * (L + 1)
+        dk = np.take(kval, c, axis=1)
+        hist = np.bincount(at.ravel(), np.stack([dk, -dk]).ravel(), len(rows) * (L + 1))
+        blk = count[pb].reshape(-1, L)
+        np.cumsum(hist.reshape(-1, L + 1)[:, :L], axis=1, out=blk)
+        np.cumsum(blk, axis=1, out=blk)
+        base = c * (M + L + 1)
+        edge = np.bincount(row, n_pre.take(base + b) - n_pre.take(base + a), len(rows))
+        blk += (rows[:, 1] + edge)[:, None]
+
+    # near-tie pairs, from the coordinates at every point and node slot
+    slot = lat.pcol * L + lat.s
+    c_at, z_at = np.zeros((g.dimension, P * L)), np.zeros((g.dimension, C * M))
+    c_at[:, slot], z_at[:, lat.col * M + lat.m] = centers.T, nodes.T
+    filled = np.zeros(P * L, bool)
+    filled[slot] = True
+    for ps, ns, tie in _near_tie_pairs(lat, starts, ties, filled, n_slots.ravel() > 0):
+        j = tie_j[tie]
+        keep = _pair_gauges(g, c_at.take(ps, axis=1), z_at.take(ns, axis=1)) < radii[j]
         pc, s = np.divmod(ps[keep], L)
-        np.add.at(res, (pc, tie_j[at[keep]], L - 1 - s), slots.flat[ns[keep]])
-    out = res[lat.pcol, :, L - 1 - lat.s]
-    return out.imag, out.real
+        cell = (pc * n + j[keep]) * L + L - 1 - s
+        ns = ns[keep]
+        np.add.at(mass.reshape(-1), cell, w_slots.take(ns))
+        np.add.at(count.reshape(-1), cell, n_slots.take(ns))
+    return count[lat.pcol, :, L - 1 - lat.s], mass[lat.pcol, :, L - 1 - lat.s]
 
 
-def _near_tie_pairs(lat: ProductLattice, ties, point_at, node_at):
+def _near_tie_pairs(lat: ProductLattice, starts, ties, point_filled, node_filled):
     """(point slot, node slot, position in ``ties``) of the pairs at the samples ``ties``.
 
-    ``ties`` holds sorted flat grid indices, and ``point_at`` and
-    ``node_at`` a point or node at each (column, slot), -1 where there is
-    none.  A slot is yielded as a flat index into them.  The samples are
-    found in the window of each pair of columns, and their pairs are
-    yielded in blocks of about ``_PAIR_BUDGET / 8``.
+    ``starts`` is ``lat.column_starts()`` and ``ties`` holds sorted flat
+    grid indices.  Point slot s of column p is p * max Lp + s, node slot m
+    of column c is c * max Lc + m, and ``point_filled`` and
+    ``node_filled`` tell which slots hold a point or a node; pairs with an
+    empty slot are left out.  The samples are found in the window of each
+    pair of columns on a line that holds one, and their pairs are yielded
+    in blocks of about ``_PAIR_BUDGET / 16``.
     """
-    Lp, Lc = lat.Lp, lat.Lc
-    f0 = lat.column_starts()
-    last = f0 + lat.step * (Lp[:, None] + Lc - 2)
-    pair, t = _ranges(np.searchsorted(ties, f0.ravel()), np.searchsorted(ties, last.ravel(), side="right"))
-    w, r = np.divmod(ties[t] - f0.ravel()[pair], lat.step)
-    pc, nc = np.divmod(pair[r == 0], len(Lc))
-    t, w = t[r == 0], w[r == 0]
-    s_lo, s_hi = np.maximum(0, w - Lc[nc] + 1), np.minimum(Lp[pc], w + 1)
-    ends = np.cumsum(s_hi - s_lo)
-    block = max(1, _PAIR_BUDGET // 8)
-    cuts = np.searchsorted(ends, np.arange(block, ends[-1] if ends.size else 0, block))
-    for sel in np.split(np.arange(len(t)), cuts):
-        e, s = _ranges(s_lo[sel], s_hi[sel])
-        e = sel[e]
-        ps = pc[e] * point_at.shape[1] + s
-        ns = nc[e] * node_at.shape[1] + w[e] - s
-        keep = (point_at.flat[ps] >= 0) & (node_at.flat[ns] >= 0)
-        yield ps[keep], ns[keep], t[e][keep]
+    Lp, Lc, width = lat.Lp, lat.Lc, lat.shape[-1]
+    L, M = int(Lp.max()), int(Lc.max())
+    tied = np.zeros(math.prod(lat.shape[:-1]), bool)
+    tied[ties // width] = True
+    pair = np.flatnonzero(tied[starts.ravel() // width])
+    pc, nc = np.divmod(pair, len(Lc))
+    f0 = starts.ravel()[pair]
+    last = f0 + lat.step * (Lp[pc] + Lc[nc] - 2)
+    at, t = _ranges(np.searchsorted(ties, f0), np.searchsorted(ties, last, side="right"))
+    w, r = np.divmod(ties[t] - f0[at], lat.step)
+    at, t, w = at[r == 0], t[r == 0], w[r == 0]
+    pc, nc = pc[at], nc[at]
+    # point slot s of pc meets node slot w - s of nc: the two slots sum to ``sums``
+    s_lo = pc * L + np.maximum(0, w - Lc[nc] + 1)
+    s_hi = pc * L + np.minimum(Lp[pc], w + 1)
+    sums = pc * L + nc * M + w
+    for i, j in _spans(np.cumsum(s_hi - s_lo), _PAIR_BUDGET // 16):
+        e, ps = _ranges(s_lo[i:j], s_hi[i:j])
+        e += i
+        ns = sums[e] - ps
+        keep = point_filled[ps] & node_filled[ns]
+        yield ps[keep], ns[keep], t[e[keep]]
 
 
 def finite_samples(vals, pts, reached):
@@ -647,11 +731,10 @@ class ProductLattice:
     def node_table(self, values):
         """``values``, one per node, summed at each (node column, slot): (columns, max Lc).
 
-        Repeated nodes add; slots that hold no node are zero.
+        Repeated nodes add, in node order; slots that hold no node are zero.
         """
-        out = np.zeros((len(self.Lc), int(self.Lc.max())), np.result_type(values))
-        np.add.at(out, (self.col, self.m), values)
-        return out
+        M = int(self.Lc.max())
+        return np.bincount(self.col * M + self.m, values, len(self.Lc) * M).reshape(-1, M)
 
     def sample(self, u):
         """u at every grid sample in flat order, zero-padded for ``windows``; None if one is not finite.

@@ -17,7 +17,6 @@ import math
 import os
 import resource
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from . import __version__, groups, harness, testfunctions
@@ -325,6 +324,13 @@ def _anchor(g, cfg, u, grids, spec_of, rec):
                 spread=max(ratio, refined) / min(ratio, refined))
 
 
+def _process_pool(max_workers):
+    """A ``ProcessPoolExecutor``, imported here: a one-worker run never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_experiment(doc: dict) -> dict:
     """Execute a config document and return the report document."""
     t_start = time.time()
@@ -340,7 +346,7 @@ def run_experiment(doc: dict) -> dict:
     # the pool forks all its workers at the first submit: start no idle ones
     workers = min(parsed["workers"], len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(max_workers=workers) as pool:
             done = list(pool.map(_run_task, tasks))
     else:
         done = [_run_task(t) for t in tasks]

@@ -304,7 +304,7 @@ class _RecordingPool:
     (1, 8, []),
 ])
 def test_pool_is_capped_at_tasks_and_cpus(monkeypatch, workers, cpus, pool):
-    monkeypatch.setattr(report, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(report, "_process_pool", _RecordingPool)
     monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     rep = run_experiment(dict(SMALL_CONFIG, t_values=[1.0], workers=workers))

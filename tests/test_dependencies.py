@@ -2,10 +2,12 @@
 
 Every module under ``src/morreylab`` is parsed, and each import must name
 the standard library, numpy or the package itself (relative imports
-included).
+included).  Importing the report module loads no process pool.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,12 @@ def test_imports_only_stdlib_and_numpy(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     foreign = sorted(set(imported_roots(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_report_loads_no_process_pool():
+    # every bench set-up imports the report module, and only runs with
+    # more than one worker start a pool: multiprocessing stays unloaded
+    code = "import sys, morreylab.report; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "[]"

@@ -149,6 +149,28 @@ def test_translate_sums_hold_one_sample_grid(translate_paths, h1):
     assert peak < 2 * grid, peak / grid
 
 
+def test_all_node_ball_totals_memory_ceiling(h1):
+    # the h1_adams t = 1 lattice, every node a centre (K = 7,120): point
+    # columns go in blocks and prefix windows in gathers of _PAIR_BUDGET
+    # values, so the call allocates 8.6 MB at its peak (9.8 MB as the
+    # first call of a fresh process).  14 MB is a present-state ceiling
+    # that no block size may outgrow unnoticed, not a target
+    spec = QuadratureSpec(R_max=6.529, lattice_h=0.75)
+    u = gaussian(h1, 0.5)
+    nodes = lattice_nodes(h1, spec)[0]
+    radii, w = radius_grid(spec, u.decay_radius), u(nodes)
+    assert len(nodes) == 7120
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ball_totals(h1, nodes, nodes, radii, w, spec.effective_h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6, peak / 1e6
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_h1_riesz_matches_direct(backends, h1, t):
     u = dilated(h1, gaussian(h1, 0.25), t)
@@ -397,10 +419,33 @@ def test_pair_gauge_bins_equal_gauge_of_products(name, g, spec):
     ties = []
     for centers in (nodes[::3], off):
         d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
-        assert np.array_equal(quadrature._pair_gauges(g, centers, np.ascontiguousarray(nodes.T)), d)
+        assert np.array_equal(quadrature._pair_gauges(g, centers.T[:, :, None], nodes.T), d)
         assert np.array_equal(ball_bins(g, nodes, centers, radii), np.searchsorted(radii, d, side="right"))
         ties.append(np.count_nonzero(np.isin(d, radii)))
     assert ties[0] > 0
+    # the same kernel on gathered pairs, which the on-lattice ball totals
+    # bin near each radius: random pairs, and every near-tie pair of one
+    # _ball_runs call, whose products land on its tie samples
+    def check_pairs(c, z):
+        want = groups.gauge(g, groups.mul(g, -c, z))
+        assert np.array_equal(quadrature._pair_gauges(g, c.T, z.T), want)
+        return want
+
+    i, k = np.random.default_rng(5).integers(len(nodes), size=(2, 5000))
+    check_pairs(nodes[i], nodes[k])
+    check_pairs(off[i % len(off)], nodes[k])
+    lat = product_lattice(g, -nodes, nodes, spec.effective_h)
+    L, M = int(lat.Lp.max()), int(lat.Lc.max())
+    point_at, node_at = np.full(len(lat.Lp) * L, -1), np.full(len(lat.Lc) * M, -1)
+    point_at[lat.pcol * L + lat.s] = np.arange(len(nodes))
+    node_at[lat.col * M + lat.m] = np.arange(len(nodes))
+    starts = lat.column_starts()
+    tie_at = _ball_runs(g, lat, radii, float(np.max(groups.gauge(g, nodes))))[2]
+    pairs = list(quadrature._near_tie_pairs(lat, starts, tie_at, point_at >= 0, node_at >= 0))
+    p, n, at = (np.concatenate(a) for a in zip(*pairs))
+    p, n = point_at[p], node_at[n]
+    assert np.array_equal(starts[lat.pcol[p], lat.col[n]] + lat.step * (lat.s[p] + lat.m[n]), tie_at[at])
+    assert len(check_pairs(nodes[p], nodes[n])) > 0
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
@@ -433,13 +478,16 @@ def test_maximal_values_bit_identical(backends, name, g, spec):
         backends.agree(operators.frac_maximal_values, g, alpha, u, nodes, radii, spec)
 
 
-@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats"])
+@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats", "holes"])
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
     # gaps: every fifth node as a centre leaves holes inside point columns;
     # one_column: the centres of the longest point column (on H^1 of a
     # finer lattice, whose grid holds fewer samples than the column has
-    # pairs); repeats: centres and nodes that occur twice count twice
+    # pairs); repeats: centres and nodes that occur twice count twice;
+    # holes: every node as a centre, and the nodes without every seventh
+    # one, so node columns have holes inside them and their count
+    # prefixes kinks between their ends
     if case == "one_column" and name == "H1":
         spec = QuadratureSpec(R_max=1.5, lattice_h=0.25)
     nodes = lattice_nodes(g, spec)[0]
@@ -448,6 +496,12 @@ def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
     elif case == "repeats":
         centers = np.concatenate([nodes[::5], nodes[::10]])
         nodes = np.concatenate([nodes, nodes[::3]])
+        monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: (nodes, None, 1.0))
+    elif case == "holes":
+        centers, nodes = nodes, np.delete(nodes, np.s_[::7], axis=0)
+        # a column spans its first to its last node: fewer nodes than slots leave a hole inside
+        lat = product_lattice(g, -centers, nodes, spec.effective_h)
+        assert np.any(np.bincount(lat.col) < lat.Lc)
         monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: (nodes, None, 1.0))
     else:
         pcol = product_lattice(g, -nodes, nodes, spec.effective_h).pcol
