@@ -5,7 +5,6 @@
 import numpy as np
 
 import morreylab as ml
-from morreylab.quadrature import QuadratureSpec
 
 e2 = ml.euclidean_group(2)
 h1 = ml.heisenberg_group()
@@ -32,13 +31,13 @@ print("quasi constant R^2:", ml.estimate_quasi_constant(e2, 2000, seed=0))
 print("quasi constant H^1:", ml.estimate_quasi_constant(h1, 2000, seed=0))
 
 # ball volumes obey |B(R)| = |B(1)| R^Q exactly; the lattice reproduces it
-spec = QuadratureSpec(R_max=6.0, lattice_h=0.03125)
-v1 = ml.ball_volume(h1, 1.0, spec)
+h = 0.03125
+v1 = ml.ball_volume(h1, 1.0, h)
 print("H^1 unit ball volume:", v1, " (pi^2/8 =", np.pi ** 2 / 8, ")")
 for R in (0.5, 2.0, 4.0):
-    print(f"  |B({R})| / |B(1)| / R^Q =", ml.ball_volume(h1, R, spec) / v1 / R ** h1.Q)
+    print(f"  |B({R})| / |B(1)| / R^Q =", ml.ball_volume(h1, R, h) / v1 / R ** h1.Q)
 
 # the polar decomposition is calibrated so that integrating the unit-ball
 # indicator against r^(Q-1) dr reproduces the ball volume
-polar = ml.polar_integrate(h1, lambda r: (r < 1.0).astype(float), spec)
+polar = ml.polar_integrate(h1, lambda r: (r < 1.0).astype(float), 6.0, h)
 print("polar unit-ball volume:", polar, " direct:", v1)

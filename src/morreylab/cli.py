@@ -52,7 +52,7 @@ def _build_parser():
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument(
         "--refine", action="count", default=0,
-        help="increment the global refinement level (repeatable)",
+        help="halve the quadrature lattice_h (repeatable)",
     )
 
     p_adm = sub.add_parser("check-admissibility", help="complete or reject a tuple")
@@ -87,13 +87,11 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG_ERROR
     try:
         # validate the file as written, then apply the command-line overrides
-        report.parse_config(doc)
+        spec = report.parse_config(doc)["spec"]
         if args.workers is not None:
             doc["workers"] = args.workers
         if args.refine:
-            q = dict(doc.get("quadrature", {}))
-            q["refinement_level"] = q.get("refinement_level", 0) + args.refine
-            doc["quadrature"] = q
+            doc["quadrature"] = dict(doc.get("quadrature", {}), lattice_h=spec.refined(args.refine).lattice_h)
         rep = report.run_experiment(doc)
     except report.ConfigError as e:
         print(str(e), file=sys.stderr)

@@ -184,7 +184,7 @@ def _midpoint_axis(half_width: float, h: float) -> np.ndarray:
     return (np.arange(-n, n) + 0.5) * h
 
 
-def ball_volume(g: GroupDescriptor, R: float, quad) -> float:
+def ball_volume(g: GroupDescriptor, R: float, h: float) -> float:
     """Numerical Haar volume of the quasi-ball {gauge < R}.
 
     Midpoint lattice over the first N-1 coordinates (spacing ``h**w_i``),
@@ -193,9 +193,11 @@ def ball_volume(g: GroupDescriptor, R: float, quad) -> float:
     """
     if not (R > 0):
         raise DomainError(f"radius must be positive, got {R}")
+    if not (math.inf > h > 0):
+        raise DomainError(f"spacing must be finite and positive, got {h}")
     if g.dimension == 1:
         return 2.0 * coord_bound(g, 0, R)
-    h = h_c = quad.effective_h
+    h_c = h
     while math.prod(a.size for a in _volume_axes(g, R, h_c)) > _MAX_VOLUME_COLUMNS:
         h_c *= 2.0
     if h_c > h:
@@ -222,33 +224,30 @@ def _ball_volume_columns(g, R, h):
 
 @lru_cache(maxsize=64)
 def _unit_ball_volume_cached(g: GroupDescriptor, h: float) -> float:
-    from .quadrature import QuadratureSpec
-
-    spec = QuadratureSpec(R_max=8.0, lattice_h=h)
-    return ball_volume(g, 1.0, spec)
+    return ball_volume(g, 1.0, h)
 
 
-def sphere_measure(g: GroupDescriptor, quad) -> float:
+def sphere_measure(g: GroupDescriptor, h: float) -> float:
     """Measure of the unit quasi-sphere in the polar decomposition.
 
     Forced by applying the polar formula to the unit-ball indicator:
     sigma = Q * |B(0,1)|.  The unit volume is a one-time geometric
     constant per group, so it is computed at a fine fixed spacing no
-    coarser than the caller's lattice.
+    coarser than the caller's spacing ``h``.
     """
-    h = min(quad.effective_h, 1.0 / 32.0)
-    return g.Q * _unit_ball_volume_cached(g, h)
+    return g.Q * _unit_ball_volume_cached(g, min(h, 1.0 / 32.0))
 
 
-def polar_integrate(g: GroupDescriptor, f_radial, quad) -> float:
+def polar_integrate(g: GroupDescriptor, f_radial, R: float, h: float) -> float:
     """Integral of a gauge-radial function via the polar decomposition.
 
-    Returns sigma * integral_0^R_max f(r) r^(Q-1) dr with the radial
-    integral done by a fine midpoint rule.  ``f_radial`` must accept a
-    numpy array of radii.  Radial profiles diverging at least as fast
-    as r^(-Q) near zero are rejected.
+    Returns sigma * integral_0^R f(r) r^(Q-1) dr with the radial integral
+    done by a fine midpoint rule and sigma = ``sphere_measure(g, h)``.
+    ``f_radial`` must accept a numpy array of radii.  Radial profiles
+    diverging at least as fast as r^(-Q) near zero are rejected.
     """
-    R = quad.R_max
+    if not (math.inf > R > 0):
+        raise DomainError(f"radius must be finite and positive, got {R}")
     # probe the small-radius growth to reject non-integrable profiles
     eps = 1e-6 * R
     probe = np.asarray(f_radial(np.array([eps, 2.0 * eps])), dtype=float)
@@ -263,4 +262,4 @@ def polar_integrate(g: GroupDescriptor, f_radial, quad) -> float:
     r = (np.arange(n) + 0.5) * (R / n)
     vals = np.asarray(f_radial(r), dtype=float) * r ** (g.Q - 1.0)
     radial = float(np.sum(vals) * (R / n))
-    return sphere_measure(g, quad) * radial
+    return sphere_measure(g, h) * radial

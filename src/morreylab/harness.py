@@ -68,7 +68,6 @@ class ExponentConfig:
 class Rejection:
     theorem: str
     condition: str
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -450,7 +449,7 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
     if theta != 0.0:
         # fold the gauge power into exact-mass node weights so singular
         # weights near the origin are integrated at full order
-        cell = gauge_power_weights(g, theta * p_fac, R_eff, spec.effective_h)
+        cell = gauge_power_weights(g, theta * p_fac, R_eff, spec.lattice_h)
     return morrey.morrey_sup_from_samples(
         g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell,
         lattice_key(spec, R_eff),
@@ -508,7 +507,7 @@ def adapted_spec_factory(
         R_t = min(base.R_max, 1.35 * decay_t + pad)
         h_t = base.lattice_h * (min(1.0, 1.0 / t) if fix_wide else 1.0 / t)
         h_t = min(h_t, R_t / 8.0)
-        return QuadratureSpec(R_max=R_t, lattice_h=h_t, refinement_level=base.refinement_level)
+        return QuadratureSpec(R_max=R_t, lattice_h=h_t)
 
     factory.base = base
     return factory
@@ -519,7 +518,7 @@ def sweep_grids(g, base: QuadratureSpec, u: TestFunction, t_min: float, t_max: f
     """Centre/radius grids shared by every dilation in a sweep."""
     return MorreyGrids(
         centers=morrey.default_centers(g, base, n_per_axis=n_per_axis),
-        radii=geometric_radii(2.0 * base.effective_h * min(1.0, 1.0 / t_max),
+        radii=geometric_radii(2.0 * base.lattice_h * min(1.0, 1.0 / t_max),
                               2.0 * (base.R_max + u.decay_radius / t_min)),
     )
 
@@ -594,7 +593,6 @@ def dilation_sweep(
             dimension=g.dimension,
             R_max=base.R_max,
             lattice_h=base.lattice_h,
-            refinement_level=base.refinement_level,
             adapted=callable(spec),
             n_centers=int(np.atleast_2d(grids.centers).shape[0]),
             n_radii=int(np.asarray(grids.radii).size),

@@ -55,7 +55,7 @@ class MorreyEstimate:
 def default_centers(
     g: groups.GroupDescriptor, spec: QuadratureSpec, n_per_axis: int | None = None
 ) -> np.ndarray:
-    """Coarse anisotropic centre lattice in {gauge <= R_max/2} plus identity."""
+    """The identity, then a coarse anisotropic centre lattice in {0 < gauge <= R_max/2}."""
     if n_per_axis is None:
         n_per_axis = max(3, min(11, int(math.floor(125 ** (1.0 / g.dimension)))))
     R = spec.R_max / 2.0
@@ -65,7 +65,8 @@ def default_centers(
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    pts = pts[groups.gauge(g, pts) <= R]
+    d = groups.gauge(g, pts)
+    pts = pts[(d > 0) & (d <= R)]
     return np.vstack([np.zeros((1, g.dimension)), pts])
 
 

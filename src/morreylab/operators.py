@@ -30,7 +30,8 @@ _EPS3 = np.finfo(float).eps ** (1.0 / 3.0)
 _EPS4 = np.finfo(float).eps ** 0.25
 
 
-# points per block of the fractional Laplacian's translate sums
+# points per block, in gauge order, that share one source cap of the
+# fractional Laplacian (the translate sums run once over all points)
 _FRACLAP_CHUNK = 128
 
 
@@ -90,11 +91,11 @@ def frac_maximal_values(
 
     src, _, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
-    cnt, m_r = ball_totals(g, pts, src, radii, uv, spec.effective_h)
+    cnt, m_r = ball_totals(g, pts, src, radii, uv, spec.lattice_h)
     m_r *= cell
     # balls that leave the domain scale their volume from the last ball
     # inside it (or from one cell at r_dom) by r^Q
-    r_dom = np.maximum(spec.R_max - groups.gauge(g, pts), 4.0 * spec.effective_h)
+    r_dom = np.maximum(spec.R_max - groups.gauge(g, pts), 4.0 * spec.lattice_h)
     j = np.searchsorted(radii, r_dom, side="right") - 1
     rows = np.arange(len(pts))
     jc = np.maximum(j, 0)
@@ -156,7 +157,7 @@ def frac_laplacian_values(
     N = g.dimension
     A = frac_normalization(N, s)
     area = _euclidean_sphere_area(N)
-    h = spec.effective_h
+    h = spec.lattice_h
     src, dist, cell = nodes_by_gauge(g, resolve_R(spec), h)
     live = dist >= h
     Y, dY = src[live], dist[live]

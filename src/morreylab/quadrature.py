@@ -48,30 +48,27 @@ from .errors import ContractError, DomainError, IntegrandError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for truncation and lattice spacing.
+    """Truncation radius and lattice spacing.
 
     ``lattice_h`` is the spacing at the weight-1 scale; coordinate i of a
-    group uses ``lattice_h**w_i``.  ``refinement_level`` halves the spacing
-    per level.
+    group uses ``lattice_h**w_i``.
     """
 
-    R_max: float = 8.0
-    lattice_h: float = 0.05
-    refinement_level: int = 0
+    R_max: float
+    lattice_h: float
 
     def __post_init__(self):
         if not (math.inf > self.R_max > self.lattice_h > 0):
             raise DomainError("need a finite R_max > lattice_h > 0")
-        level = self.refinement_level
-        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
-            raise DomainError(f"refinement_level must be a non-negative integer, got {level!r}")
 
     @property
     def effective_h(self) -> float:
-        return self.lattice_h / (2.0 ** self.refinement_level)
+        """``lattice_h``, kept as an alias because ``bench/tracer.py`` reads it."""
+        return self.lattice_h
 
     def refined(self, levels: int = 1) -> "QuadratureSpec":
-        return replace(self, refinement_level=self.refinement_level + levels)
+        """The spec with ``lattice_h`` halved ``levels`` times (exact in binary)."""
+        return replace(self, lattice_h=self.lattice_h / 2.0 ** levels)
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def resolve_R(spec: QuadratureSpec, R_eff: float | None = None) -> float:
 
 def lattice_key(spec: QuadratureSpec, R_eff: float | None = None):
     """(R, h) of the lattice that ``lattice_nodes(g, spec, R_eff)`` returns: with g, its ``_nodes_cached`` key."""
-    return resolve_R(spec, R_eff), spec.effective_h
+    return resolve_R(spec, R_eff), spec.lattice_h
 
 
 def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float | None = None):
@@ -127,7 +124,7 @@ def _midpoint_sum(g, f, spec, singular_point):
     near = np.zeros(len(pts), bool)
     if singular_point is not None:
         sp = np.asarray(singular_point, dtype=float)
-        near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * spec.effective_h ** max(g.weights)
+        near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * spec.lattice_h ** max(g.weights)
     vals = finite_samples(np.asarray(f(pts), dtype=float), pts, ~near)
     return float(np.sum(vals) * cell), pts.shape[0]
 
@@ -140,9 +137,9 @@ def lattice_integrate(
 ) -> IntegrationResult:
     """Midpoint rule over the anisotropic lattice with a Richardson error bar.
 
-    The value is computed at the requested refinement level and one level
-    finer; the finer value is returned and the difference between the two
-    levels is the error estimate.  A single singular point may be flagged:
+    The value is computed at the spec's spacing and at half of it; the
+    finer value is returned and the difference between the two is the
+    error estimate.  A single singular point may be flagged:
     non-finite samples in its cell are dropped.
     """
     coarse, n_c = _midpoint_sum(g, f, spec, singular_point)
@@ -166,7 +163,7 @@ def _shells(g, R, h):
     zs, dist, cell = _nodes_cached(g, R, h)
     edges = _shell_edges(R, h)
     idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, len(edges) - 2)
-    sigma = groups.sphere_measure(g, QuadratureSpec(R_max=R, lattice_h=h))
+    sigma = groups.sphere_measure(g, h)
     return zs, dist, cell, edges, idx, sigma
 
 
@@ -963,7 +960,7 @@ def kernel_band_values(
     u_at = np.asarray(u(pts), dtype=float)
     u_at = np.where(np.isfinite(u_at), u_at, 0.0)
     if r_lo < r_hi:
-        h = spec.effective_h
+        h = spec.lattice_h
         zs, weights, c0 = _shell_weights_cached(g, float(a), resolve_R(spec), h, r_lo, r_hi)
         out = translate_sums(g, u, pts, zs, weights, h) + u_at * c0
     return out[0] if single else out
@@ -982,7 +979,7 @@ def shell_integrate_singular(
     centre, halving from R_max down to h, carry their exact radial kernel
     mass; lattice samples of u supply the shell averages, and the region
     below h uses u(center) with the kernel integrated in closed form.  The error
-    estimate is the difference against one refinement level coarser, and
+    estimate is the difference against the lattice of twice the spacing, and
     infinite when only the coarser lattice hits a non-finite sample of u.
     """
     a = float(kernel_exponent)
@@ -1024,4 +1021,4 @@ def geometric_radii(r_min: float, r_max: float) -> np.ndarray:
 
 def radius_grid(spec: QuadratureSpec, decay_radius: float) -> np.ndarray:
     """Geometric radius grid from 2h to 2(R_max + decay_radius)."""
-    return geometric_radii(2.0 * spec.effective_h, 2.0 * (spec.R_max + decay_radius))
+    return geometric_radii(2.0 * spec.lattice_h, 2.0 * (spec.R_max + decay_radius))

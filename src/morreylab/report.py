@@ -34,7 +34,7 @@ _CHECK_DEFAULTS = {"ratio_band": 1.10, "slope_rel_tol": 0.10}
 _TOP_KEYS = ("group", "quadrature", "battery", "t_values", "theorems", "checks",
              "workers", "adapt_specs", "centers_per_axis", "output")
 _GROUP_KEYS = ("law", "dimension", "gauge")
-_QUADRATURE_KEYS = ("R_max", "lattice_h", "refinement_level")
+_QUADRATURE_KEYS = ("R_max", "lattice_h")
 # per battery kind: its constructor, and its fields in the constructor's
 # order with their defaults (None: required)
 _BATTERY = {
@@ -113,14 +113,9 @@ def parse_config(doc: dict):
     for key, v in qdoc.items():
         if not _is_number(v):
             raise ConfigError(f"config.quadrature.{key}: expected a finite number, got {v!r}")
-    if not isinstance(qdoc.get("refinement_level", 0), int):
-        raise ConfigError("config.quadrature.refinement_level: expected an integer")
     try:
-        spec = QuadratureSpec(
-            R_max=float(qdoc.get("R_max", 12.0)),
-            lattice_h=float(qdoc.get("lattice_h", 0.05)),
-            refinement_level=int(qdoc.get("refinement_level", 0)),
-        )
+        spec = QuadratureSpec(R_max=float(qdoc.get("R_max", 12.0)),
+                              lattice_h=float(qdoc.get("lattice_h", 0.05)))
     except Exception as e:
         raise ConfigError(f"config.quadrature: {e}") from e
 

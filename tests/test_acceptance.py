@@ -75,15 +75,12 @@ def test_criterion_02_ball_scaling(all_groups):
     worst = 0.0
     for g in all_groups:
         h = 0.03125 if g.law == "heisenberg1" else 0.05
-        spec = QuadratureSpec(R_max=6.0, lattice_h=h)
-        v1 = ml.ball_volume(g, 1.0, spec)
+        v1 = ml.ball_volume(g, 1.0, h)
         for R in (0.5, 1.0, 2.0, 4.0):
-            err = abs(ml.ball_volume(g, R, spec) / v1 / R ** g.Q - 1.0)
+            err = abs(ml.ball_volume(g, R, h) / v1 / R ** g.Q - 1.0)
             worst = max(worst, err)
     g2 = ml.euclidean_group(2)
-    pi_err = abs(
-        ml.ball_volume(g2, 1.0, QuadratureSpec(R_max=6.0, lattice_h=0.05)) - math.pi
-    ) / math.pi
+    pi_err = abs(ml.ball_volume(g2, 1.0, 0.05) - math.pi) / math.pi
     _verdict(
         2,
         worst <= 0.02 and pi_err <= 0.01,

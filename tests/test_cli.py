@@ -344,7 +344,7 @@ def test_refine_flag(tmp_path):
     out = str(tmp_path / "rep.json")
     assert main(["run", "--config", cfg, "--out", out, "--refine"]) == 0
     rep = json.loads(Path(out).read_text())
-    assert rep["config"]["quadrature"]["refinement_level"] == 1
+    assert rep["config"]["quadrature"] == {"R_max": 10.0, "lattice_h": 0.025}
 
 
 def test_adapted_sweeps_carry_the_t1_refinement_anchor():

@@ -8,14 +8,21 @@ the same shells inside ``R_max``.  Once u has decayed inside
 Between those doublings the value does move with ``R_max``, because the
 shells are then cut at other radii.  The spreads pinned below record the
 present state; they are ceilings with a margin, not targets.
+
+Fundamental solutions give exact values with no numerical reference:
+|x|^{2-N} / (4 pi) on R^3 (Newton) and gauge^{-2} / (2 pi) on H^1 (Folland,
+Bull. AMS 79, 1973) invert minus the (sub-)Laplacian, so the Riesz
+potential of order 2 of -L u is 4 pi u on R^3 and 2 pi u on H^1.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from morreylab import euclidean_group, gaussian, heisenberg_group
+from morreylab import custom, euclidean_group, gaussian, groups, heisenberg_group
 from morreylab.operators import riesz_values
-from morreylab.quadrature import QuadratureSpec
+from morreylab.quadrature import QuadratureSpec, lattice_nodes
 
 G1 = euclidean_group(1)
 G3 = euclidean_group(3)
@@ -63,3 +70,30 @@ def test_R_max_spread_stays_below_its_present_ceiling(g, width, h, gamma, x, R_m
     # not a target: a tighter truncation should lower these ceilings
     values = [riesz_at(g, width, h, gamma, x, R) for R in R_maxes]
     assert spread(values) <= ceiling, values
+
+
+# (group, the constant c of riesz_values(2, -L u) = c u, h, ceiling of the
+# error relative to max |c u|); present errors 6.41e-2, 2.53e-2, 8.49e-2
+# and 4.58e-3 at 160, 552, 40 and 176 points
+FUNDAMENTAL = [
+    (G3, 4.0 * math.pi, 0.3, 0.08),
+    (G3, 4.0 * math.pi, 0.2, 0.032),
+    (H1, 2.0 * math.pi, 0.4, 0.105),
+    (H1, 2.0 * math.pi, 0.283, 0.006),
+]
+
+
+@pytest.mark.parametrize("g,c,h,ceiling", FUNDAMENTAL,
+                         ids=["R3_Newton_0.3", "R3_Newton_0.2", "H1_Folland_0.4", "H1_Folland_0.283"])
+def test_riesz_inverts_the_sub_laplacian_within_its_present_ceiling(g, c, h, ceiling):
+    # not a target: a better near field should lower these ceilings.  The
+    # points are every node with gauge <= 1, so the batch takes the
+    # on-lattice paths (the FFT on R^3, the column correlations on H^1)
+    u = gaussian(g, 1.0)
+    minus_Lu = custom(lambda p: -u.analytic_sub_laplacian(p), u.decay_radius)
+    spec = QuadratureSpec(R_max=6.0, lattice_h=h)
+    nodes = lattice_nodes(g, spec)[0]
+    pts = nodes[groups.gauge(g, nodes) <= 1.0]
+    exact = c * u(pts)
+    err = np.max(np.abs(riesz_values(g, 2.0, minus_Lu, pts, spec) - exact)) / np.max(np.abs(exact))
+    assert err <= ceiling, err

@@ -2,7 +2,9 @@
 
 Every module under ``src/morreylab`` is parsed, and each import must name
 the standard library, numpy or the package itself (relative imports
-included).  Importing the report module loads no process pool.
+included).  The group geometry sits below the quadrature: ``groups``
+imports no module of the package but ``errors``.  Importing the report
+module loads no process pool.
 """
 
 import ast
@@ -38,6 +40,16 @@ def test_imports_only_stdlib_and_numpy(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     foreign = sorted(set(imported_roots(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_groups_imports_only_errors():
+    # parsed, not imported: importing any module runs the package
+    # __init__, which loads every module, and a lazy import inside a
+    # function body would not show in sys.modules until it runs
+    tree = ast.parse((PACKAGE / "groups.py").read_text())
+    relative = sorted({"." * node.level + (node.module or "") for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level > 0})
+    assert relative == [".errors"], relative
 
 
 def test_report_loads_no_process_pool():

@@ -20,7 +20,6 @@ from morreylab import (
 )
 from morreylab.errors import AccuracyError, DomainError, ShapeError
 from morreylab.groups import GroupDescriptor, quasi_ratio
-from morreylab.quadrature import QuadratureSpec
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -40,10 +39,13 @@ def test_descriptor_invariants():
     (lambda: euclidean_group(2.0), ShapeError, "dimension"),
     (lambda: GroupDescriptor("solvable", 2), DomainError, "^law "),
     (lambda: GroupDescriptor("heisenberg1", 2), DomainError, "^dimension "),
-    (lambda: ball_volume(euclidean_group(2), 0.0, QuadratureSpec(R_max=4.0, lattice_h=0.1)),
-     DomainError, "radius"),
+    (lambda: ball_volume(euclidean_group(2), 0.0, 0.1), DomainError, "radius"),
+    (lambda: ball_volume(euclidean_group(2), 1.0, 0.0), DomainError, "spacing"),
+    (lambda: polar_integrate(euclidean_group(1), np.ones_like, -2.0, 0.05), DomainError, "radius"),
+    (lambda: polar_integrate(euclidean_group(1), np.ones_like, 2.0, -0.05), DomainError, "spacing"),
 ], ids=["euclidean_dimension_0", "euclidean_dimension_float", "unknown_law", "h1_dimension_2",
-        "ball_volume_radius_0"])
+        "ball_volume_radius_0", "ball_volume_spacing_0", "polar_integrate_radius_negative",
+        "polar_integrate_spacing_negative"])
 def test_public_error_paths(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
@@ -132,54 +134,47 @@ def test_quasi_constant(g2, h1):
 
 
 def test_ball_volume_euclidean(g1, g2):
-    spec = QuadratureSpec(R_max=6.0, lattice_h=0.05)
-    assert ball_volume(g1, 3.0, spec) == pytest.approx(6.0)
-    v = ball_volume(g2, 1.0, spec)
+    assert ball_volume(g1, 3.0, 0.05) == pytest.approx(6.0)
+    v = ball_volume(g2, 1.0, 0.05)
     assert abs(v - math.pi) / math.pi <= 0.01
 
 
 def test_ball_volume_scaling_all_groups(all_groups):
     for g in all_groups:
         h = 0.03125 if g.law == "heisenberg1" else 0.05
-        spec = QuadratureSpec(R_max=6.0, lattice_h=h)
-        v1 = ball_volume(g, 1.0, spec)
+        v1 = ball_volume(g, 1.0, h)
         for R in (0.5, 1.0, 2.0, 4.0):
-            ratio = ball_volume(g, R, spec) / v1
+            ratio = ball_volume(g, R, h) / v1
             assert abs(ratio / R ** g.Q - 1.0) <= 0.02, (g.law, g.dimension, R)
-            fine = ball_volume(g, R, spec.refined()) / ball_volume(g, 1.0, spec.refined())
+            fine = ball_volume(g, R, h / 2.0) / ball_volume(g, 1.0, h / 2.0)
             assert abs(fine / R ** g.Q - 1.0) <= 0.005, (g.law, g.dimension, R)
 
 
 def test_ball_volume_budget_error(g3):
-    spec = QuadratureSpec(R_max=6.0, lattice_h=0.0005)
     with pytest.raises(AccuracyError) as exc:
-        ball_volume(g3, 4.0, spec)
+        ball_volume(g3, 4.0, 0.0005)
     # the achieved coarse estimate rides along
     want = 4.0 / 3.0 * math.pi * 64.0
     assert abs(exc.value.estimate - want) / want < 0.05
 
 
 def test_polar_integrate_examples(g1, h1):
-    spec = QuadratureSpec(R_max=2.0, lattice_h=0.05)
-    assert polar_integrate(g1, lambda r: np.zeros_like(r), spec) == 0.0
-    two = polar_integrate(g1, lambda r: (r < 1.0).astype(float), spec)
+    assert polar_integrate(g1, lambda r: np.zeros_like(r), 2.0, 0.05) == 0.0
+    two = polar_integrate(g1, lambda r: (r < 1.0).astype(float), 2.0, 0.05)
     assert two == pytest.approx(2.0, rel=1e-3)
-    spec_h = QuadratureSpec(R_max=2.0, lattice_h=0.0625)
-    got = polar_integrate(h1, lambda r: np.where(r < 1.0, r ** -2.0, 0.0), spec_h)
-    sigma = sphere_measure(h1, spec_h)
+    got = polar_integrate(h1, lambda r: np.where(r < 1.0, r ** -2.0, 0.0), 2.0, 0.0625)
+    sigma = sphere_measure(h1, 0.0625)
     assert got == pytest.approx(sigma / 2.0, rel=1e-3)
 
 
 def test_polar_divergence_rejected(h1):
-    spec = QuadratureSpec(R_max=2.0, lattice_h=0.0625)
     with pytest.raises(DomainError):
-        polar_integrate(h1, lambda r: r ** -4.0, spec)
+        polar_integrate(h1, lambda r: r ** -4.0, 2.0, 0.0625)
 
 
 def test_polar_vs_ball_volume_consistency(all_groups):
     for g in all_groups:
         h = 0.03125 if g.law == "heisenberg1" else 0.05
-        spec = QuadratureSpec(R_max=2.0, lattice_h=h)
-        via_polar = polar_integrate(g, lambda r: (r < 1.0).astype(float), spec)
-        direct = ball_volume(g, 1.0, spec)
+        via_polar = polar_integrate(g, lambda r: (r < 1.0).astype(float), 2.0, h)
+        direct = ball_volume(g, 1.0, h)
         assert abs(via_polar - direct) / direct <= 0.01

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,17 +16,19 @@ def const(c):
 def test_spec_invariants():
     with pytest.raises(DomainError):
         QuadratureSpec(R_max=1.0, lattice_h=2.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(R_max=1.0, lattice_h=0.1, refinement_level=-1)
-    spec = QuadratureSpec(R_max=1.0, lattice_h=0.1, refinement_level=2)
-    assert spec.effective_h == pytest.approx(0.025)
-    assert spec.refined().refinement_level == 3
+    # a spec is its radius and one spacing, both required
+    fields = dataclasses.fields(QuadratureSpec)
+    assert [f.name for f in fields] == ["R_max", "lattice_h"]
+    assert all(f.default is dataclasses.MISSING for f in fields)
+    spec = QuadratureSpec(R_max=1.0, lattice_h=0.1)
+    # halving is exact, so refining twice equals refining by two levels bit for bit
+    assert spec.refined(2) == spec.refined().refined() == QuadratureSpec(R_max=1.0, lattice_h=0.025)
+    assert spec.effective_h == spec.lattice_h
 
 
-@pytest.mark.parametrize("kw", [dict(R_max=math.inf), dict(refinement_level=0.5),
-                                dict(refinement_level=True), dict(refinement_level=1.0)])
+@pytest.mark.parametrize("kw", [dict(R_max=math.inf)])
 def test_spec_rejects_what_the_config_parser_rejects(kw):
-    # a spec is a memo key: an infinite R_max or a non-integer level must not enter one
+    # a spec is a memo key: an infinite R_max must not enter one
     with pytest.raises(DomainError):
         QuadratureSpec(**{"R_max": 1.0, "lattice_h": 0.1, **kw})
 
