@@ -21,7 +21,6 @@ from .quadrature import (
     QuadratureSpec,
     ball_masses,
     check_radii,
-    finite_samples,
     lattice_key,
     lattice_nodes,
     radius_grid,
@@ -63,6 +62,10 @@ def default_centers(
         np.linspace(-groups.coord_bound(g, i, R), groups.coord_bound(g, i, R), n_per_axis)
         for i in range(g.dimension)
     ]
+    if n_per_axis > 1 and n_per_axis % 2:
+        for ax in axes:
+            # linspace's middle point can miss 0 by an ulp of the bound
+            ax[n_per_axis // 2] = 0.0
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([gr.ravel() for gr in grids], axis=-1)
     d = groups.gauge(g, pts)
@@ -102,8 +105,7 @@ def morrey_sup_from_samples(
     if values.shape != nodes.shape[:1] or cellvol.shape not in ((), values.shape):
         raise ShapeError(f"need one sample per node and a scalar or per-node cellvol: {len(nodes)} "
                          f"nodes, values of shape {values.shape}, cellvol of shape {cellvol.shape}")
-    powered = finite_samples(np.abs(values) ** p * cellvol, nodes, True)
-    vals = radii ** (-lam) * ball_masses(g, centers, nodes, radii, powered, lattice)
+    vals = radii ** (-lam) * ball_masses(g, centers, nodes, radii, np.abs(values) ** p * cellvol, lattice)
     # first centre, then first radius, attaining the maximum
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best_r = float(radii[k])

@@ -19,6 +19,7 @@ from .quadrature import (
     QuadratureSpec,
     ball_totals,
     check_radii,
+    finite_samples,
     kernel_band_values,
     lattice_nodes,
     nodes_by_gauge,
@@ -80,7 +81,8 @@ def frac_maximal_values(
     over-reads: ``r_dom`` is floored at 4h, so balls up to that radius
     take their volume from the truncated lattice while it is smaller than
     the true one (for e^{-y^2} on R^1 with R_max 6 and h 0.02, 1.94 times
-    the true value at x = 5.99, alpha = 0).
+    the true value at x = 5.99, alpha = 0).  A non-finite |u| at a node
+    raises IntegrandError naming the node.
     """
     if not (0 <= alpha < 1):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
@@ -144,7 +146,8 @@ def frac_laplacian_values(
     probes) instead need R_max large enough that the tail is below
     tolerance.  The node set is symmetric, so
     sum k(y) (2u(x) - u(x+y) - u(x-y)) is 2u(x) sum k(y) - 2
-    ``translate_sums``.  A non-finite sample of u raises IntegrandError.
+    ``translate_sums``.  A non-finite sample of u at a weighted node or at
+    a point raises IntegrandError.
     """
     if g.law != groups.EUCLIDEAN:
         raise UnsupportedGroupError("fractional Laplacian requires Euclidean descriptors")
@@ -163,7 +166,7 @@ def frac_laplacian_values(
     Y, dY = src[live], dist[live]
     kern = dY ** (-N - 2.0 * s) * cell
 
-    u_x = np.asarray(u(pts), dtype=float)
+    u_x = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
     trH = sub_laplacian_values(g, u, pts)
     inner = -(trH / N) * area * h ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     # for inputs that decay inside R_max, u(x +/- y) < 1e-12 beyond the
@@ -213,11 +216,9 @@ def horizontal_gradient_values(g: groups.GroupDescriptor, u, points) -> np.ndarr
         return np.asarray(u.analytic_gradient(pts), dtype=float)
     if g.law == groups.EUCLIDEAN:
         return np.stack(_coordinate_partials(u, pts), axis=-1)
-    if g.law == groups.HEISENBERG1:
-        px, py, pt = _coordinate_partials(u, pts)
-        x, y = pts[..., 0], pts[..., 1]
-        return np.stack([px - 0.5 * y * pt, py + 0.5 * x * pt], axis=-1)
-    raise UnsupportedGroupError(f"no horizontal gradient for law {g.law!r}")
+    px, py, pt = _coordinate_partials(u, pts)
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack([px - 0.5 * y * pt, py + 0.5 * x * pt], axis=-1)
 
 
 def _second_partial(u, pts, i, j):
@@ -253,16 +254,14 @@ def sub_laplacian_values(g: groups.GroupDescriptor, u, points) -> np.ndarray:
         for i in range(g.dimension):
             acc = acc + _second_partial(u, pts, i, i)
         return acc
-    if g.law == groups.HEISENBERG1:
-        x, y = pts[..., 0], pts[..., 1]
-        return (
-            _second_partial(u, pts, 0, 0)
-            + _second_partial(u, pts, 1, 1)
-            - y * _second_partial(u, pts, 0, 2)
-            + x * _second_partial(u, pts, 1, 2)
-            + 0.25 * (x * x + y * y) * _second_partial(u, pts, 2, 2)
-        )
-    raise UnsupportedGroupError(f"no sub-Laplacian for law {g.law!r}")
+    x, y = pts[..., 0], pts[..., 1]
+    return (
+        _second_partial(u, pts, 0, 0)
+        + _second_partial(u, pts, 1, 1)
+        - y * _second_partial(u, pts, 0, 2)
+        + x * _second_partial(u, pts, 1, 2)
+        + 0.25 * (x * x + y * y) * _second_partial(u, pts, 2, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,8 @@ def three_zone_split(g, gamma, u, x, spec):
     Zones split the source by gauge(y): inside gauge(x)/2, the middle band,
     and outside 2 gauge(x).  Only the middle zone sees the kernel
     singularity.  The sum is an independent cross-check of the full
-    potential.
+    potential.  A non-finite |u| at a node of the outer two zones raises
+    IntegrandError, as does one the middle zone's band reaches.
     """
     if not (0 < gamma < g.Q):
         raise DomainError(f"gamma must lie in (0, Q), got {gamma}")
@@ -330,13 +330,13 @@ def three_zone_split(g, gamma, u, x, spec):
     a = gamma - g.Q
 
     src, sdist, cell = lattice_nodes(g, spec)
-    uv = np.abs(np.asarray(u(src), dtype=float))
+    inner_mask = sdist < 0.5 * gx
+    outer_mask = sdist > 2.0 * gx
+    uv = finite_samples(np.abs(np.asarray(u(src), dtype=float)), src, inner_mask | outer_mask)
     d = groups.gauge(g, groups.mul(g, -src, x))
     with np.errstate(divide="ignore"):
         kern = np.where(d > 0, d ** a, 0.0) * cell
 
-    inner_mask = sdist < 0.5 * gx
-    outer_mask = sdist > 2.0 * gx
     z1 = float(np.sum(uv[inner_mask] * kern[inner_mask]))
     z3 = float(np.sum(uv[outer_mask] * kern[outer_mask]))
 

@@ -119,31 +119,22 @@ def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float 
     return _nodes_cached(g, *lattice_key(spec, R_eff))
 
 
-def _midpoint_sum(g, f, spec, singular_point):
+def _midpoint_sum(g, f, spec):
     pts, _, cell = lattice_nodes(g, spec)
-    near = np.zeros(len(pts), bool)
-    if singular_point is not None:
-        sp = np.asarray(singular_point, dtype=float)
-        near = np.max(np.abs(pts - sp), axis=-1) <= 0.75 * spec.lattice_h ** max(g.weights)
-    vals = finite_samples(np.asarray(f(pts), dtype=float), pts, ~near)
+    vals = finite_samples(np.asarray(f(pts), dtype=float), pts, True)
     return float(np.sum(vals) * cell), pts.shape[0]
 
 
-def lattice_integrate(
-    g: groups.GroupDescriptor,
-    f,
-    spec: QuadratureSpec,
-    singular_point=None,
-) -> IntegrationResult:
+def lattice_integrate(g: groups.GroupDescriptor, f, spec: QuadratureSpec) -> IntegrationResult:
     """Midpoint rule over the anisotropic lattice with a Richardson error bar.
 
     The value is computed at the spec's spacing and at half of it; the
     finer value is returned and the difference between the two is the
-    error estimate.  A single singular point may be flagged:
-    non-finite samples in its cell are dropped.
+    error estimate.  A non-finite sample on either lattice raises
+    IntegrandError.
     """
-    coarse, n_c = _midpoint_sum(g, f, spec, singular_point)
-    fine, n_f = _midpoint_sum(g, f, spec.refined(), singular_point)
+    coarse, n_c = _midpoint_sum(g, f, spec)
+    fine, n_f = _midpoint_sum(g, f, spec.refined())
     return IntegrationResult(
         value=fine, error_estimate=abs(fine - coarse), nodes_used=n_c + n_f
     )
@@ -351,24 +342,14 @@ def ball_sums(runs: BinRuns, weights=None) -> np.ndarray:
     exact.  A run's difference misses its exact sum only by the roundings
     of the prefix along the run and of the difference, so the sum of ball
     j is off by at most about (its nodes + its runs + j) eps sum |w|,
-    absolute, the sums over runs and radii included.  A non-finite weight
-    makes every prefix past it non-finite, the last one too; then each run
-    is summed on its own (``np.add.reduceat``), so the weight reaches only
-    the balls that hold its node.
+    absolute, the sums over runs and radii included.  The weights must be
+    finite: one that is not would reach every prefix past it.
     """
     end, first = runs.end, runs.first
-    pre = None if weights is None else np.concatenate([[0.0], np.cumsum(weights)])
-    if pre is not None and not math.isfinite(pre[-1]):
-        # reduceat sums [start, end) at the even positions; the odd ones are unused
-        start = np.empty_like(end)
-        start[1:] = end[:-1]
-        start[first] = 0
-        per_run = np.add.reduceat(np.append(weights, 0.0), np.column_stack([start, end]).ravel())[::2]
-    else:
-        at_end = end if pre is None else pre.take(end)
-        per_run = np.empty_like(at_end)
-        np.subtract(at_end[1:], at_end[:-1], out=per_run[1:])
-        per_run[first] = at_end[first]
+    at_end = end if weights is None else np.concatenate([[0.0], np.cumsum(weights)]).take(end)
+    per_run = np.empty_like(at_end)
+    np.subtract(at_end[1:], at_end[:-1], out=per_run[1:])
+    per_run[first] = at_end[first]
     per_ball = np.bincount(runs.ball, per_run, minlength=runs.n_centers * (runs.n_radii + 1))
     per_ball = per_ball.reshape(runs.n_centers, runs.n_radii + 1)[:, : runs.n_radii]
     return np.cumsum(per_ball.astype(np.intp) if weights is None else per_ball, axis=1)
@@ -402,7 +383,10 @@ def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None, 
     Morrey supremum bins each centre grid of a lattice once for every set
     of samples, and each call costs one prefix sum and one ``bincount``
     over the runs.  Other node arrays (None) are binned on each call.
+    A non-finite weight raises IntegrandError naming its node.
     """
+    if weights is not None:
+        weights = finite_samples(weights, nodes, True)
     if lattice is None:
         runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
     else:
@@ -417,15 +401,15 @@ def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
     """Node counts and sums of ``weights`` over every ball: two (n_centers, n_radii) arrays.
 
     Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
-    over ``nodes`` with one weight per node.  Centres and nodes that
-    ``product_lattice`` accepts, with finite weights, take
-    ``_lattice_ball_totals``; the others bin every pair once
-    (``ball_bins``) for both totals, so that a non-finite weight reaches
-    only the balls that hold its node, not every prefix past it.  The
-    counts of both paths are equal; the sums agree to rounding.
+    over ``nodes`` with one weight per node; a non-finite weight raises
+    IntegrandError naming its node.  Centres and nodes that
+    ``product_lattice`` accepts take ``_lattice_ball_totals``; the others
+    bin every pair once (``ball_bins``) for both totals.  The counts of
+    both paths are equal; the sums agree to rounding.
     """
+    weights = finite_samples(weights, nodes, True)
     lat = product_lattice(g, -centers, nodes, h)
-    if lat is not None and np.all(np.isfinite(weights)):
+    if lat is not None:
         return _lattice_ball_totals(g, lat, centers, nodes, radii, weights)
     runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
     return ball_sums(runs), ball_sums(runs, weights)
@@ -651,6 +635,8 @@ def finite_samples(vals, pts, reached):
 
     A non-finite sample where ``reached`` holds (a node that carries
     quadrature weight) raises IntegrandError naming the node in ``pts``.
+    This is the one rule for non-finite samples: every engine sends its
+    samples and weights here, and nothing else raises IntegrandError.
     """
     bad = ~np.isfinite(vals)
     if not np.any(bad):
@@ -945,7 +931,8 @@ def kernel_band_values(
     serves every point through left translation, which preserves both the
     Haar measure and cell midpoints: the value is ``translate_sums`` plus
     the closed-form innermost term c0 u(x).  A non-finite sample of u at
-    a weighted node raises IntegrandError.
+    a weighted node, or a non-finite u(x) when c0 is not zero, raises
+    IntegrandError.
     """
     if a <= -g.Q:
         raise DomainError(f"kernel exponent {a} <= -Q diverges")
@@ -958,10 +945,11 @@ def kernel_band_values(
     pts = np.atleast_2d(pts)
     out = np.zeros(pts.shape[0])
     u_at = np.asarray(u(pts), dtype=float)
-    u_at = np.where(np.isfinite(u_at), u_at, 0.0)
     if r_lo < r_hi:
         h = spec.lattice_h
         zs, weights, c0 = _shell_weights_cached(g, float(a), resolve_R(spec), h, r_lo, r_hi)
+        if not np.all(np.isfinite(u_at)):
+            u_at = finite_samples(u_at, pts, c0 != 0.0)
         out = translate_sums(g, u, pts, zs, weights, h) + u_at * c0
     return out[0] if single else out
 
@@ -979,8 +967,8 @@ def shell_integrate_singular(
     centre, halving from R_max down to h, carry their exact radial kernel
     mass; lattice samples of u supply the shell averages, and the region
     below h uses u(center) with the kernel integrated in closed form.  The error
-    estimate is the difference against the lattice of twice the spacing, and
-    infinite when only the coarser lattice hits a non-finite sample of u.
+    estimate is the difference against the lattice of twice the spacing.  A
+    non-finite sample of u that either lattice reaches raises IntegrandError.
     """
     a = float(kernel_exponent)
     if a <= -g.Q:
@@ -989,12 +977,7 @@ def shell_integrate_singular(
         raise ContractError("non-singular kernel: use lattice_integrate")
     center = np.asarray(center, dtype=float)
     fine = float(kernel_band_values(g, a, u, center, spec.refined()))
-    try:
-        coarse = float(kernel_band_values(g, a, u, center, spec))
-    except IntegrandError:
-        # the coarse lattice lands on a singularity of u that the finer one
-        # straddles: the value stands, its error bar is unknown
-        coarse = math.inf
+    coarse = float(kernel_band_values(g, a, u, center, spec))
     n = lattice_nodes(g, spec)[0].shape[0] + lattice_nodes(g, spec.refined())[0].shape[0]
     return IntegrationResult(
         value=fine, error_estimate=abs(fine - coarse), nodes_used=n

@@ -4,7 +4,9 @@ Every module under ``src/morreylab`` is parsed, and each import must name
 the standard library, numpy or the package itself (relative imports
 included).  The group geometry sits below the quadrature: ``groups``
 imports no module of the package but ``errors``.  Importing the report
-module loads no process pool.
+module loads no process pool.  One function decides what a non-finite
+sample does: ``IntegrandError`` is raised in ``quadrature.finite_samples``
+alone, and no ``except`` clause names it.
 """
 
 import ast
@@ -59,3 +61,29 @@ def test_report_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert out.stdout.strip() == "[]"
+
+
+def named(node):
+    """Every name and attribute name in the expression ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_integrand_errors_are_raised_by_finite_samples_alone():
+    # a second place that raised, or a handler that turned the error into a
+    # value, would be a second rule for non-finite samples
+    raisers, handlers = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                fn = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                scope[child] = node.name if fn else scope.get(node, "<module>")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and "IntegrandError" in named(node.exc):
+                raisers.add(f"{path.stem}.{scope[node]}")
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and "IntegrandError" in named(node.type):
+                handlers.append(f"{path.name}:{node.lineno}")
+    assert raisers == {"quadrature.finite_samples"}
+    assert handlers == []

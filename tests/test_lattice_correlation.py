@@ -163,6 +163,13 @@ def test_non_finite_source_sample_raises(backends, translate_paths, g1, fast):
     assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
 
 
+def test_non_finite_value_at_the_point_raises(g1):
+    # the difference 2u(x) - u(x+y) - u(x-y) weighs u at the point itself
+    spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
+    with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0\]"):
+        operators.frac_laplacian_values(g1, 0.4, power_truncated(g1, 0.4, 1.0), np.zeros((1, 1)), spec)
+
+
 def test_unreached_non_finite_sample_is_dropped(backends, translate_paths, g1):
     # the band (0.5, R_max] never reaches y = 0 from nodes with |x| < 0.5,
     # though the grid holds it: the direct loop runs and drops it

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import custom, dilated, euclidean_group, gaussian, heisenberg_group
+from morreylab import custom, dilated, euclidean_group, gauge, gaussian, heisenberg_group
 from morreylab.errors import ContractError, DomainError, IntegrandError, ShapeError
 from morreylab.morrey import (
     MorreyEstimate,
@@ -42,14 +42,26 @@ def test_params_invariants(g1):
             norm_of(g1, u, p=2.0, lam=0.5, radii=np.array(radii))
 
 
+def assert_identity_once(g, centers):
+    assert np.array_equal(centers[0], np.zeros(g.dimension))
+    assert len(np.unique(centers, axis=0)) == len(centers) > 1
+    # every other row lies a grid step away, far past rounding
+    assert np.min(gauge(g, centers[1:])) > 1e-6
+
+
 @pytest.mark.parametrize("n_per_axis", [None, 3, 4, 5, 11])
 @pytest.mark.parametrize("g", [euclidean_group(1), euclidean_group(2), euclidean_group(3),
                                heisenberg_group()], ids=["R1", "R2", "R3", "H1"])
 def test_default_centres_hold_the_identity_once_as_row_0(g, n_per_axis):
     # an odd grid holds the identity too: it must not come back as a second row
-    centers = default_centers(g, SPEC, n_per_axis=n_per_axis)
-    assert np.array_equal(centers[0], np.zeros(g.dimension))
-    assert len(np.unique(centers, axis=0)) == len(centers) > 1
+    assert_identity_once(g, default_centers(g, SPEC, n_per_axis=n_per_axis))
+
+
+@pytest.mark.parametrize("g", [euclidean_group(1), heisenberg_group()], ids=["R1", "H1"])
+def test_default_centres_hold_no_row_within_rounding_of_the_identity(g):
+    # R_max 3.4: the middle of linspace(-1.7, 1.7, 11) is -2.2e-16, a row
+    # that np.unique tells apart from the identity
+    assert_identity_once(g, default_centers(g, QuadratureSpec(R_max=3.4, lattice_h=0.05), n_per_axis=11))
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4,), (2, 3, 2)])

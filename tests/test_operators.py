@@ -17,7 +17,7 @@ from morreylab import (
     three_zone_split,
 )
 from morreylab import operators, quadrature
-from morreylab.errors import DomainError, UnsupportedGroupError
+from morreylab.errors import DomainError, IntegrandError, UnsupportedGroupError
 from morreylab.operators import (
     frac_laplacian_values,
     frac_maximal_values,
@@ -365,6 +365,14 @@ class TestHedbergAndZones:
         u = custom(lambda p: (np.abs(p[..., 0]) <= 0.5).astype(float), decay_radius=0.5)
         z1, z2, z3 = three_zone_split(g1, 0.5, u, np.array([2.0]), spec)
         assert z1 > 0 and z2 == 0.0 and z3 == 0.0
+
+    def test_zones_raise_at_a_non_finite_node(self, g1):
+        # the inner and outer zones sum |u| over nodes directly
+        spec = QuadratureSpec(R_max=4.0, lattice_h=0.05)
+        for y0 in (0.125, 3.025):
+            u = custom(lambda p, y0=y0: np.where(np.abs(p[..., 0] - y0) < 1e-9, np.inf, 1.0), 10.0)
+            with pytest.raises(IntegrandError, match=rf"non-finite integrand at node \[{y0}"):
+                three_zone_split(g1, 0.5, u, np.array([1.0]), spec)
 
     def test_zones_sum_consistency(self, g1):
         spec = QuadratureSpec(R_max=14.0, lattice_h=0.03)

@@ -583,17 +583,16 @@ def test_on_lattice_centres_bin_no_pairs(monkeypatch, name, g, spec):
     assert sum(calls) == len(off)
 
 
-def test_non_finite_weights_bin_pairs(backends, g1):
-    # an infinite |u| at one node makes every ball that holds it infinite;
-    # prefix sums would turn the balls past it into inf - inf
+def test_non_finite_weights_raise_on_both_paths(backends, g1):
+    # the lattice cannot represent u with an infinite |u| at one node: the
+    # runs and the pair bins both raise and name the node
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     u = custom(lambda p: np.where(np.abs(p[..., 0] - 0.025) < 1e-9, np.inf,
                                   np.exp(-p[..., 0] ** 2)), 10.0)
     nodes = lattice_nodes(g1, spec)[0]
-    args = (operators.frac_maximal_values, g1, 0.0, u, nodes, radius_grid(spec, 1.0), spec)
-    fast = backends.run(True, *args)
-    assert np.isinf(fast).any() and not np.isnan(fast).any()
-    assert np.array_equal(fast, backends.run(False, *args))
+    for fast in (True, False):
+        with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.025\]"):
+            backends.run(fast, operators.frac_maximal_values, g1, 0.0, u, nodes, radius_grid(spec, 1.0), spec)
 
 
 def test_pair_blocks_do_not_move_bits(backends, h1, monkeypatch):

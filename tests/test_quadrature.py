@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from morreylab import custom, euclidean_group, gauge, gaussian, heisenberg_group, lattice_integrate, mul, shell_integrate_singular
+from morreylab import (custom, euclidean_group, gauge, gaussian, heisenberg_group, lattice_integrate, mul, power_truncated,
+                       shell_integrate_singular)
 from morreylab.errors import ContractError, DomainError, IntegrandError
-from morreylab.quadrature import QuadratureSpec, ball_bins, ball_sums, bin_runs, gauge_power_weights, geometric_radii, kernel_band_values, radius_grid
+from morreylab.quadrature import (QuadratureSpec, ball_bins, ball_masses, ball_sums, ball_totals, bin_runs, gauge_power_weights,
+                                  geometric_radii, kernel_band_values, lattice_key, lattice_nodes, radius_grid)
 
 
 def const(c):
@@ -63,9 +66,6 @@ def test_lattice_nonfinite_names_node(g1):
 
     with pytest.raises(IntegrandError, match="0.525"):
         lattice_integrate(g1, bad, spec)
-    # flagged singular point: the offending cell is dropped instead
-    res = lattice_integrate(g1, bad, spec, singular_point=[0.525])
-    assert np.isfinite(res.value)
 
 
 def test_lattice_refinement_monotone(g1):
@@ -125,20 +125,35 @@ def test_shell_domain_errors(g1, h1):
         shell_integrate_singular(h1, -4.0, const(1.0), np.zeros(3), spec)
 
 
-def test_shell_error_unknown_when_only_the_coarse_lattice_hits_a_singularity(g1):
+def test_shell_raises_when_only_the_coarse_lattice_hits_a_singularity(g1):
     # the products c + z of the coarse lattice reach c + 3h/2 and those of
-    # the finer one straddle it: the value stands, its error bar is inf
+    # the finer one straddle it: the coarse lattice cannot represent u, so
+    # the call raises like every other engine
     spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
     c = np.array([0.3])
-    y0 = c[0] + 1.5 * spec.effective_h
+    y0 = c[0] + 1.5 * spec.lattice_h
     clean = gaussian(g1, 1.0)
     u = custom(lambda p: np.where(np.abs(p[..., 0] - y0) < 1e-12, np.nan, clean(p)), 10.0)
-    res = shell_integrate_singular(g1, -0.5, u, c, spec)
-    assert res.error_estimate == math.inf
-    assert res.value == shell_integrate_singular(g1, -0.5, clean, c, spec).value
+    with pytest.raises(IntegrandError, match="non-finite integrand at node"):
+        shell_integrate_singular(g1, -0.5, u, c, spec)
     # one level coarser, the finer lattice is this one and raises
     with pytest.raises(IntegrandError, match="non-finite integrand at node"):
         shell_integrate_singular(g1, -0.5, u, c, QuadratureSpec(R_max=2.5, lattice_h=0.1))
+
+
+def test_band_raises_at_a_non_finite_centre_value_only_where_c0_counts(g1):
+    # c0 u(x) carries the kernel mass below the innermost shell edge: an
+    # infinite u(x) raises for the full ball and is dropped for a band that
+    # leaves that region out (c0 = 0)
+    spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
+    u = power_truncated(g1, 0.4, 1.0)
+    x = np.zeros((1, 1))
+    with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0\]"):
+        kernel_band_values(g1, -0.5, u, x, spec)
+    finite_at_x = custom(lambda p: np.where(gauge(g1, p) > 0, u(p), 7.0), u.decay_radius)
+    band = kernel_band_values(g1, -0.5, u, x, spec, r_lo=0.5)
+    assert np.all(np.isfinite(band))
+    assert np.array_equal(band, kernel_band_values(g1, -0.5, finite_at_x, x, spec, r_lo=0.5))
 
 
 def test_shell_vs_lattice_mild_singularity(g1):
@@ -149,9 +164,7 @@ def test_shell_vs_lattice_mild_singularity(g1):
     u = gaussian(g1, 1.0)
     a = -0.4
     shell = shell_integrate_singular(g1, a, u, np.array([0.0]), spec)
-    latt = lattice_integrate(
-        g1, lambda p: u(p) * np.abs(p[..., 0]) ** a, spec, singular_point=[0.0]
-    )
+    latt = lattice_integrate(g1, lambda p: u(p) * np.abs(p[..., 0]) ** a, spec)
     tol = shell.error_estimate + 3.0 * latt.error_estimate
     assert abs(shell.value - latt.value) <= tol
     # the shell engine nails the closed form Gamma(0.3)
@@ -252,21 +265,24 @@ def test_ball_sums_from_runs_match_pair_bincount(case, rng):
         assert np.all(np.abs(pair_bincount(bins, n, w) - exact) <= bound)
 
 
-@pytest.mark.parametrize("case", ["shuffled", "one_bin_row", "sorted"])
-def test_infinite_weight_reaches_only_the_balls_of_its_node(case, rng):
-    # prefix sums would turn every ball past an inf into inf - inf: with
-    # inf at the first and at the last node of a row each run is summed
-    # on its own, and the balls agree with the per-pair bincount
-    bins, n = run_table(case, rng)
-    runs = bin_runs(bins, n)
-    for at in (0, bins.shape[1] - 1, [0, bins.shape[1] - 1]):
-        w = rng.uniform(0.0, 1.0, bins.shape[1])
-        w[at] = np.inf
-        got, want = ball_sums(runs, w), pair_bincount(bins, n, w)
-        assert not np.isnan(got).any()
-        assert np.array_equal(np.isinf(got), np.isinf(want)) and np.isinf(got).any() and np.isfinite(got).any()
-        finite = np.isfinite(want)
-        assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=1e-13)
+@pytest.mark.parametrize("on_lattice", [True, False], ids=["lattice", "off_lattice"])
+def test_non_finite_weight_raises_naming_its_node(g1, on_lattice):
+    # a prefix sum past a non-finite weight would reach every later ball:
+    # the masses (memoised runs or bins) and the totals (lattice runs or
+    # pair bins) take finite weights only, and name the node of one that is not
+    spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
+    nodes = lattice_nodes(g1, spec)[0]
+    centers = nodes[::9] + (0.0 if on_lattice else 0.3 * spec.lattice_h)
+    radii = radius_grid(spec, 1.0)
+    at = len(nodes) // 3
+    node = re.escape(f"non-finite integrand at node {nodes[at].tolist()}")
+    for bad in (np.inf, -np.inf, np.nan):
+        w = np.ones(len(nodes))
+        w[at] = bad
+        with pytest.raises(IntegrandError, match=node):
+            ball_masses(g1, centers, nodes, radii, w, lattice_key(spec) if on_lattice else None)
+        with pytest.raises(IntegrandError, match=node):
+            ball_totals(g1, centers, nodes, radii, w, spec.lattice_h)
 
 
 def test_ball_sums_of_no_nodes_are_zero():
