@@ -11,24 +11,27 @@ closing the region below h in closed form.
 
 Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
-``product_lattice`` grid, sampled once into one buffer; the sums then run
-as a lattice correlation (one FFT) on Euclidean laws and, on H^1, as one
-short correlation (an FFT along the central axis) per pair of point and
-node columns, read in place, when every sample is finite.  Other points,
-and grids with a non-finite sample, take the direct point-by-node loop,
-which decides which non-finite samples are reached.  Every path sums
-every node.  Ball counts and masses (``ball_totals``) at on-lattice
-centres are read at the ends of the runs of grid samples inside each
-ball, which the gauge ball's closed-form section cuts from each grid
-line: masses as differences of prefix sums over node columns, counts in
-closed form from the kinks of each column's count prefix.  Other centres
-bin every centre-node pair once (``ball_bins``, one coordinate at a time)
-and keep the table as its runs of equal bin along each row (``bin_runs``,
-8 bytes a run).  The Morrey supremum sums its samples over the same runs
-(``ball_masses``), memoised per lattice key (g, R, h) of
-``_nodes_cached``, centres and radii, so each centre grid of a lattice is
-binned once; a call reads one prefix sum of the samples at every run's
-end and bincounts the differences into balls (``ball_sums``).
+``product_lattice`` grid, sampled once into one buffer at the products
+some pair reaches, with the samples within eps of the largest set to
+zero; the sums then run as a lattice correlation (one FFT) on Euclidean
+laws and, on H^1, as one short correlation (an FFT along the central
+axis) per pair of point and node columns whose products hold a nonzero
+sample, read in place, when every sample is finite.  Other points, and
+grids with a non-finite sample at a reached product, take the direct
+point-by-node loop, which decides which non-finite samples are reached.
+Every path sums every node.  Ball counts and masses (``ball_totals``) at
+on-lattice centres are read at the ends of the runs of grid samples
+inside each ball, which the gauge ball's closed-form section cuts from
+each grid line: masses as differences of prefix sums over node columns,
+counts in closed form from the kinks of each column's count prefix.
+Other centres bin every centre-node pair once (``ball_bins``, one
+coordinate at a time) and keep the table as its runs of equal bin along
+each row (``bin_runs``, 8 bytes a run).  The Morrey supremum sums its
+samples over the same runs (``ball_masses``), memoised per lattice key
+(g, R, h) of ``_nodes_cached``, centres and radii, so each centre grid
+of a lattice is binned once; a call reads one prefix sum of the samples
+at every run's end and bincounts the differences into balls
+(``ball_sums``).
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -219,13 +222,15 @@ def gauge_power_weights(g, a, R, h):
 
 
 # the one size of every blocked temporary, counted in items: pairs per
-# block of the pair bins and of the direct translate sums, grid samples per
-# block of ``ProductLattice.sample``, window samples per tile of the H^1
-# column correlations, and in the on-lattice ball totals the float prefix
-# values per gather, the int32 slot bounds of a block of point columns and
-# (over 16) the near-tie pairs per block.  A float64 array of 2^17 items is
-# 1 MB, whatever the lattice size; a block of near-tie pairs holds about
-# ten arrays of 64 KB at once
+# block of the pair bins and of the direct translate sums, column pairs per
+# block of ``ProductLattice.runs``, samples per span of runs and per block
+# of grid lines of ``ProductLattice.sample``, window samples per tile of
+# the H^1 column correlations and (over 16) the column pairs per block of
+# their search for pairs to read, and in the on-lattice ball totals the
+# float prefix values per gather, the int32 slot bounds of a block of point
+# columns and (over 16) the near-tie pairs per block.  A float64 array of
+# 2^17 items is 1 MB, whatever the lattice size; a block of near-tie pairs,
+# or of column pairs searched, holds about ten arrays of 64 KB at once
 _PAIR_BUDGET = 1 << 17
 
 
@@ -402,12 +407,14 @@ def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
 
     Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
     over ``nodes`` with one weight per node; a non-finite weight raises
-    IntegrandError naming its node.  Centres and nodes that
+    IntegrandError naming its node, and weights of |w| <= eps max |w| are
+    zero on both paths (``_zero_negligible``).  Centres and nodes that
     ``product_lattice`` accepts take ``_lattice_ball_totals``; the others
     bin every pair once (``ball_bins``) for both totals.  The counts of
     both paths are equal; the sums agree to rounding.
     """
-    weights = finite_samples(weights, nodes, True)
+    weights = finite_samples(np.array(weights, dtype=float), nodes, True)
+    weights = _zero_negligible(weights, np.max(np.abs(weights), initial=0.0))
     lat = product_lattice(g, -centers, nodes, h)
     if lat is not None:
         return _lattice_ball_totals(g, lat, centers, nodes, radii, weights)
@@ -422,6 +429,8 @@ def _spans(ends, size):
     ``size`` makes a run of its own.
     """
     size = max(1, size)
+    if len(ends) and ends[-1] <= size:
+        return [(0, len(ends))]
     cuts = np.searchsorted(ends, np.arange(size, ends[-1] if len(ends) else 0, size), side="right")
     bounds = np.unique(np.concatenate([[0], cuts, [len(ends)]]))
     return zip(bounds[:-1], bounds[1:])
@@ -487,9 +496,11 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
     Masses.  A partial row's mass is a difference of the node column's
     prefix sums of the weights over slots: two float windows of the
     padded prefix array, one value per point slot, gathered ``_PAIR_BUDGET``
-    values at a time and summed over node columns.  Its absolute error is
-    at most about Lc eps times the total of each node column it draws on,
-    Lc that column's slots.
+    values at a time and summed over node columns.  Node columns whose
+    weights are all zero (``ball_totals`` zeroes the negligible ones) are
+    left out of the gathers: their differences are exact zeros.  A mass's
+    absolute error is at most about Lc eps times the total of each node
+    column it draws on, Lc that column's slots.
 
     Counts.  A node column's count prefix n(y) over slots is piecewise
     linear: it has a kink at each slot k where its count per slot changes,
@@ -522,6 +533,8 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
     n_pre = np.zeros((C, M + L + 1))
     np.cumsum(n_slots, axis=1, out=n_pre[:, L + 1 :])
     totals = np.column_stack([pre[:, -1], n_pre[:, -1]])
+    # a partial row of a node column without weight adds no mass
+    heavy = np.any(w_slots != 0.0, axis=1)
     # the kinks of each column, padded with zero kinks: row i of kpos and
     # kval holds L plus the i-th slot of each column where its count per
     # slot changes, and by how much
@@ -551,7 +564,10 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
         b, a = B.ravel()[flat], A.ravel()[flat]
 
         # masses, gathered in runs of whole (point column, radius) rows
-        size = np.count_nonzero(part.reshape(-1, C), axis=1)
+        # from the node columns that carry weight
+        keep = heavy.take(c)
+        mc, mb, ma = c[keep], b[keep], a[keep]
+        size = np.bincount(row[keep], minlength=len(rows))
         used = np.flatnonzero(size)
         end = np.cumsum(size[used])
         blk = mass[pb].reshape(-1, L)
@@ -559,8 +575,8 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
         first = end - size[used]
         for i, j in _spans(end, _PAIR_BUDGET // L):
             sl = slice(first[i], end[j - 1])
-            diff = win[c[sl], b[sl]]
-            diff -= win[c[sl], a[sl]]
+            diff = win[mc[sl], mb[sl]]
+            diff -= win[mc[sl], ma[sl]]
             # reduceat costs about a row's length per group, so single rows skip it
             blk[used[i:j]] += diff if j - i == len(diff) else np.add.reduceat(diff, first[i:j] - first[i], axis=0)
 
@@ -647,6 +663,19 @@ def finite_samples(vals, pts, reached):
     return np.where(bad, 0.0, vals)
 
 
+def _zero_negligible(vals, top):
+    """``vals`` with every value of |v| <= eps top set to zero, in place; eps = ``np.finfo(float).eps``.
+
+    ``top`` is the largest |v| of the whole set ``vals`` belongs to.  A
+    zeroed value moves no weighted sum over the set by more than eps top
+    times the sum of |w| over its terms: the rounding class of those sums,
+    which are accurate relative to their largest terms.  The engines skip
+    the work that reads zeros alone.
+    """
+    vals[np.abs(vals) <= np.finfo(float).eps * top] = 0.0
+    return vals
+
+
 def _lattice_index(pts, spacing):
     """Integer i with pts == (i + 1/2) * spacing exactly, or None off the lattice.
 
@@ -663,8 +692,9 @@ class ProductLattice:
     """The grid on which the products x z of points and nodes land.
 
     ``axes`` holds the sample coordinates along each axis, so the grid
-    has shape S = ``shape``; ``lines`` makes its points, a block of lines
-    along the last axis at a time.  Points and nodes fall into columns:
+    has shape S = ``shape``; ``heads`` gives the coordinates of its lines
+    along the last axis, and ``runs`` the samples some product reaches.
+    Points and nodes fall into columns:
     the members of one column share every lattice index but the last.
     Node n sits at slot ``m[n]`` of node column ``col[n]``, and point p at
     slot ``s[p]`` of point column ``pcol[p]``; node column c spans
@@ -704,13 +734,6 @@ class ProductLattice:
             out[:, i] = self.axes[i][k]
         return out
 
-    def lines(self, rows=slice(None)):
-        """The samples of ``rows`` of the lines along the last axis, flat index order: (n, S[-1], N)."""
-        heads = self.heads(rows)
-        out = np.empty((len(heads), self.shape[-1], len(self.shape)))
-        out[:, :, :-1], out[:, :, -1] = heads[:, None], self.axes[-1]
-        return out
-
     def node_table(self, values):
         """``values``, one per node, summed at each (node column, slot): (columns, max Lc).
 
@@ -719,24 +742,73 @@ class ProductLattice:
         M = int(self.Lc.max())
         return np.bincount(self.col * M + self.m, values, len(self.Lc) * M).reshape(-1, M)
 
-    def sample(self, u):
-        """u at every grid sample in flat order, zero-padded for ``windows``; None if one is not finite.
+    def runs(self):
+        """The samples some pair of columns reaches, as runs ``step`` apart: first flat index and length of each.
 
-        Filled a block of lines at a time, so the grid's points are never
-        all held at once.  A subnormal sample is set to zero in the buffer:
-        it moves no sum by more than sum |w| * 2.2e-308, and each product
-        with one costs a transform a microcode assist.
+        The products of a pair of columns lie ``step`` apart on one grid
+        line from the pair's column start, so each (grid line, residue of
+        the last index mod ``step``) that a pair reaches holds one run,
+        from the least column start of its pairs to the greatest last
+        product.  A run can hold a sample no pair reaches between two that
+        some pairs do: on the h1_adams t = 1 lattice the runs hold 26.82%
+        of the box, the reached samples 26.79%.
         """
+        n, step = self.shape[-1], self.step
+        first = np.full(math.prod(self.shape[:-1]) * step, np.iinfo(np.intp).max)
+        end = np.full(len(first), -1)
+        for pb in _blocks(len(self.Lp), len(self.Lc)):
+            at = self.column_starts(pb)
+            key = at // n * step + at % n % step
+            np.minimum.at(first, key, at)
+            np.maximum.at(end, key, at + (self.Lp[pb, None] + self.Lc - 2) * step)
+        held = np.flatnonzero(end >= 0)
+        first = first[held]
+        return first, (end[held] - first) // step + 1
+
+    def _sample_runs(self, u, buf, first, count, heads):
+        """u into ``buf`` at the runs ``first``, ``count`` on lines with ``heads``: the largest |u|, or None if one is not finite.
+
+        One span of ``sample``; its arrays go before the next span's are made.
+        """
+        # sample v of run r sits at flat index first[r] + step v
+        at = np.arange(count.sum()) * self.step
+        at += np.repeat(first - self.step * (np.cumsum(count) - count), count)
+        pts = np.empty((len(at), len(self.shape)))
+        pts[:, :-1] = np.repeat(heads, count, axis=0)
+        pts[:, -1] = self.axes[-1].take(at % self.shape[-1])
+        vals = u(pts)
+        if not np.all(np.isfinite(vals)):
+            return None
+        buf[at] = vals
+        return float(np.max(np.abs(vals)))
+
+    def sample(self, u):
+        """u at the samples of ``runs``, in a zero buffer laid out for ``windows``; None if one is not finite.
+
+        The buffer holds the grid in flat order, then zeros.  u sees only
+        the samples some pair of columns reaches, in blocks of whole runs
+        of about ``_PAIR_BUDGET`` samples, so the grid's points are never
+        all held at once; the rest of the grid stays zero, and no kept
+        sum reads it.  Samples with |u| <= eps max |u| (``_zero_negligible``)
+        are then set to zero, a block of grid lines at a time: each moves
+        no sum by more than eps max |u| sum |w|, the rounding every sum of
+        the samples carries, and ``_column_correlations`` skips the pairs
+        whose products are all zero.
+        """
+        first, count = self.runs()
         size, n = math.prod(self.shape), self.shape[-1]
         width = _fft_length(int(self.Lc.max() + self.Lp.max()) - 1)
         buf = np.zeros(size + self.step * (width - 1))
+        heads = self.heads(first // n)
+        top = 0.0
+        for i, j in _spans(np.cumsum(count), _PAIR_BUDGET):
+            span_top = self._sample_runs(u, buf, first[i:j], count[i:j], heads[i:j])
+            if span_top is None:
+                return None
+            top = max(top, span_top)
         lines = buf[:size].reshape(-1, n)
         for sl in _blocks(len(lines), n):
-            block = lines[sl]
-            block[...] = u(self.lines(sl))
-            if not np.all(np.isfinite(block)):
-                return None
-            block[np.abs(block) < np.finfo(float).tiny] = 0.0
+            _zero_negligible(lines[sl], top)
         return buf
 
     def windows(self, buf):
@@ -749,9 +821,9 @@ class ProductLattice:
         reach = len(buf) - math.prod(self.shape) + 1
         return np.lib.stride_tricks.sliding_window_view(buf, reach)[:, :: self.step]
 
-    def column_starts(self):
-        """Flat grid index of slot 0 of every point column times slot 0 of every node column."""
-        return self.Pc[:, None] + self.Zc + self.Ac @ self.Bc.T
+    def column_starts(self, rows=slice(None)):
+        """Flat grid index of slot 0 of the point columns ``rows`` times slot 0 of every node column."""
+        return self.Pc[rows, None] + self.Zc + self.Ac[rows] @ self.Bc.T
 
 
 def _columns(idx, k, M):
@@ -842,11 +914,12 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
     """S(x) = sum_z w(z) u(x z) at every point x, over every node of one shared set.
 
     This is the one place that picks a backend.  When ``product_lattice``
-    accepts the points and nodes, u is sampled once into one buffer
-    (``ProductLattice.sample``), and if every sample is finite: on a
-    Euclidean law x z = x + z and S is a discrete correlation over the
-    whole grid (one FFT); on H^1 it is one short correlation per pair of
-    point and node columns, read from a strided view of the buffer
+    accepts the points and nodes, u is sampled once into one buffer at
+    the products some pair of columns reaches (``ProductLattice.sample``),
+    and if every sample is finite: on a Euclidean law x z = x + z and S is
+    a discrete correlation over the whole grid (one FFT); on H^1 it is one
+    short correlation per pair of point and node columns whose products
+    hold a nonzero sample, read from a strided view of the buffer
     (``_column_correlations``).  Otherwise the direct loop evaluates
     u(x z) in blocks of ``_PAIR_BUDGET`` pairs; a non-finite sample that a
     point reaches through a nonzero weight raises IntegrandError, and
@@ -888,30 +961,47 @@ def _column_correlations(lat: ProductLattice, windows, weights):
     The products of point column p with node column c are the row of
     ``lat.windows`` at their column start, where slot s of p meets slot m
     of c at position s + m: the sums over the pair are a correlation of
-    the row with the column's weights.  Each row is transformed (an FFT
-    long enough that nothing wraps), multiplied by the conjugate transform
-    of its node column's weights, summed over node columns in their order
-    and transformed back once per point column.  Rows go in tiles of 16
-    point columns by as many node columns as ``_PAIR_BUDGET`` samples
-    allow, node column-major: a row reads one sample in ``step`` of a grid
-    line, and neighbouring pairs share lines, so they find them in cache.
+    the row with the column's weights.  Only the rows of pairs whose
+    products hold a nonzero sample are read: the others add nothing, and
+    ``ProductLattice.sample`` zeroes the negligible samples, so most pairs
+    of a decaying u are skipped (u = 0 reads no row).  Each row read is
+    transformed (an FFT long enough that nothing wraps), multiplied by the
+    conjugate transform of its node column's weights and added to its
+    point column's running sum, which is transformed back once.  Rows go
+    in tiles of ``_PAIR_BUDGET`` samples, rank by rank: the first read
+    node column of every point column, then the second, and so on.  The
+    rows of one rank hold distinct point columns, so each point column
+    sums its node columns in their order, one addition at a time, however
+    the tiles cut them: the tiles move no bits.
     """
     # a row runs on past the pair's products to the transform length n;
     # what lies beyond meets the weights only at point slots past the last
-    n = windows.shape[1]
+    n, step, size = windows.shape[1], lat.step, len(windows)
     Wf = np.conj(np.fft.rfft(lat.node_table(weights), n))
-    at = lat.column_starts()
-    sums = np.empty((len(at), int(lat.Lp.max())))
-    for p in range(0, len(at), 16):
-        sub, acc = slice(p, p + 16), 0.0
-        for ch in _blocks(len(Wf), 16 * n):
-            freq = np.fft.rfft(windows[at[sub, ch].T])
-            freq *= Wf[ch, None]
-            # the running sum joins the tile's first node column, so node
-            # columns are summed in one order however the tiles cut them
-            freq[0] += acc
-            acc = freq.sum(axis=0)
-        sums[sub] = np.fft.irfft(acc, n)[:, : sums.shape[1]]
+    # the nonzero samples keyed by (flat index mod step, flat index): the
+    # products of a pair are the keys from its first product's to its last's
+    key = np.flatnonzero(windows[:, 0])
+    for sl in _blocks(len(key), 1):
+        key[sl] += key[sl] % step * size
+    key.sort()
+    acc = np.zeros((len(lat.Lp), n // 2 + 1), complex)
+    for pb in _blocks(len(lat.Lp), 16 * len(lat.Lc)):
+        at = lat.column_starts(pb)
+        first = at % step * size + at
+        last = (lat.Lp[pb, None] + lat.Lc - 2) * step + first
+        p, c = np.nonzero(np.searchsorted(key, last, side="right") > np.searchsorted(key, first))
+        # a pair's rank counts the read pairs of its point column before it
+        rank = np.arange(len(p)) - np.searchsorted(p, p)
+        order = np.argsort(rank, kind="stable")
+        p, c, rank = p[order], c[order], rank[order]
+        for sl in _blocks(len(p), n):
+            tp, tc = p[sl], c[sl]
+            freq = np.fft.rfft(windows[at[tp, tc]])
+            freq *= Wf[tc]
+            ranks = np.flatnonzero(np.diff(rank[sl], prepend=-1)).tolist() + [len(tp)]
+            for i, j in zip(ranks[:-1], ranks[1:]):
+                acc[pb.start + tp[i:j]] += freq[i:j]
+    sums = np.fft.irfft(acc, n)[:, : int(lat.Lp.max())]
     return sums[lat.pcol, lat.s]
 
 

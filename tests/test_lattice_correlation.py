@@ -176,7 +176,7 @@ def test_unreached_non_finite_sample_is_dropped(backends, translate_paths, g1):
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     u = power_truncated(g1, 0.4, 1.0)
     pts = lattice_nodes(g1, spec, R_eff=0.45)[0]
-    grid = product_lattice(g1, pts, lattice_nodes(g1, spec)[0], spec.effective_h).lines()
+    grid = product_lattice(g1, pts, lattice_nodes(g1, spec)[0], spec.effective_h).axes[0][:, None]
     assert not np.all(np.isfinite(u(grid)))
     backends.run(True, kernel_band_values, g1, -0.5, u, pts, spec, r_lo=0.5)
     assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]

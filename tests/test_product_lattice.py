@@ -64,6 +64,11 @@ def flat_index(lat):
     return lat.column_starts()[lat.pcol][:, lat.col] + lat.step * (lat.s[:, None] + lat.m)
 
 
+def grid_points(lat):
+    """Every sample of the product grid, in flat order: (S, N)."""
+    return np.stack(np.meshgrid(*lat.axes, indexing="ij"), axis=-1).reshape(-1, len(lat.axes))
+
+
 def gauge_ball_bump(h1, r):
     """A u that vanishes beyond gauge r, as the decay radius it declares says."""
     return custom(lambda p: np.maximum(1.0 - groups.gauge(h1, p) ** 2 / r ** 2, 0.0) ** 2, r)
@@ -82,7 +87,7 @@ def test_products_land_on_the_grid(sign):
         for R_eff in (None, 0.9):
             pts = sign * lattice_nodes(g, spec, R_eff=R_eff)[0]
             lat = product_lattice(g, pts, nodes, h)
-            grid = lat.lines().reshape(-1, g.dimension)
+            grid = grid_points(lat)
             at = flat_index(lat)
             assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
             prod = groups.mul(g, pts[:, None, :], nodes[None, :, :])
@@ -97,14 +102,17 @@ def test_products_land_on_the_grid(sign):
 @pytest.mark.parametrize("kind", ["read_only", "broadcast"])
 @pytest.mark.parametrize("law", ["R1", "H1"])
 def test_read_only_samples_take_the_fast_path(backends, translate_paths, law, kind):
-    # u's arrays are copied into the sample buffer, and subnormal samples
-    # are set to zero there: a read-only array with a subnormal tail, or
-    # a constant broadcast with stride 0, is never written to
+    # u's arrays are copied into the sample buffer, and samples within eps
+    # of the largest are set to zero there: a read-only array with a
+    # subnormal tail, or a constant broadcast with stride 0, is never
+    # written to
     _, g, spec = BIN_CASES[0 if law == "R1" else 2]
     h, tiny = spec.effective_h, np.finfo(float).tiny
     zs, dist, _ = lattice_nodes(g, spec)
-    # exp(-720) is subnormal: u reaches it at the grid's farthest sample
-    c = 720.0 / np.max(np.sum(product_lattice(g, zs, zs, h).lines() ** 2, axis=-1))
+    lat = product_lattice(g, zs, zs, h)
+    # exp(-720) is subnormal: u reaches it at the farthest product of a
+    # point and a node, which the sampler evaluates
+    c = 720.0 / np.max(np.sum(grid_points(lat)[np.unique(flat_index(lat))] ** 2, axis=-1))
     returned = []
 
     def fn(p):
@@ -123,9 +131,92 @@ def test_read_only_samples_take_the_fast_path(backends, translate_paths, law, ki
     assert (translate_paths["_column_correlations"] > 0) == (law == "H1")
     if kind == "read_only":
         assert any(np.any((v != 0) & (np.abs(v) < tiny)) for v in returned)
-        buf = product_lattice(g, zs, zs, h).sample(u)
-        assert not np.any((buf != 0) & (np.abs(buf) < tiny))
+        buf = lat.sample(u)
+        assert not np.any((buf != 0) & (np.abs(buf) <= np.finfo(float).eps * np.max(np.abs(buf))))
     backends.close(fast, backends.run(False, *args))
+
+
+def seen_samples(g, lat, u):
+    """Flat grid indices of the points u sees while ``lat.sample`` runs, and its buffer."""
+    seen = []
+
+    def spy(p):
+        seen.append(p.reshape(-1, g.dimension).copy())
+        return u(p)
+
+    buf = lat.sample(custom(spy, 10.0))
+    p = np.concatenate(seen)
+    index = [np.searchsorted(axis, p[:, i]) for i, axis in enumerate(lat.axes)]
+    for i, axis in enumerate(lat.axes):
+        assert np.array_equal(axis[np.minimum(index[i], len(axis) - 1)], p[:, i])
+    return np.ravel_multi_index(index, lat.shape), buf
+
+
+@pytest.mark.parametrize("points", ["nodes", "sub_ball"])
+@pytest.mark.parametrize("name,g,spec", BIN_CASES[1:], ids=BIN_IDS[1:])
+def test_sample_evaluates_every_product_once(name, g, spec, points):
+    # u sees every product of a point and a node, each grid sample at most
+    # once, and the buffer holds u there; the samples no pair reaches stay zero
+    h = spec.effective_h
+    nodes = lattice_nodes(g, spec)[0]
+    pts = nodes if points == "nodes" else lattice_nodes(g, spec, R_eff=0.9)[0]
+    lat = product_lattice(g, pts, nodes, h)
+    u = gaussian(g, 0.5)
+    seen, buf = seen_samples(g, lat, u)
+    assert len(np.unique(seen)) == len(seen) < math.prod(lat.shape)
+    at = np.unique(flat_index(lat))
+    assert np.all(np.isin(at, seen))
+    grid = buf[: math.prod(lat.shape)]
+    want = u(grid_points(lat)[at])
+    want[np.abs(want) <= np.finfo(float).eps * np.max(np.abs(want))] = 0.0
+    assert np.array_equal(grid[at], want)
+    assert not np.any(np.delete(grid, seen))
+
+
+def test_sample_sees_under_a_third_of_the_h1_adams_box(h1):
+    # the h1_adams t = 1 lattice, every node a point: the products fill
+    # 26.8% of the box, and u is evaluated on no more than 30% of it
+    spec = QuadratureSpec(R_max=6.529, lattice_h=0.75)
+    nodes = lattice_nodes(h1, spec)[0]
+    lat = product_lattice(h1, nodes, nodes, spec.effective_h)
+    seen, _ = seen_samples(h1, lat, gaussian(h1, 0.5))
+    assert len(seen) <= 0.3 * math.prod(lat.shape), len(seen) / math.prod(lat.shape)
+
+
+class CountedRows:
+    """A window view that counts the rows gathered from it by index arrays."""
+
+    def __init__(self, windows):
+        self.windows, self.shape, self.rows = windows, windows.shape, 0
+
+    def __len__(self):
+        return len(self.windows)
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            self.rows += key.size
+        return self.windows[key]
+
+
+def test_column_correlations_skip_pairs_without_a_nonzero_sample(backends, h1):
+    # u vanishes beyond gauge 0.35, so most column pairs read only zeros:
+    # they are not transformed, and the sums still agree with the direct
+    # loop; u = 0 transforms no row and gives exact zeros
+    h = 0.25
+    zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
+    w = dist ** -2.5
+    lat = product_lattice(h1, zs, zs, h)
+    pairs = len(lat.Lp) * len(lat.Lc)
+    bump = gauge_ball_bump(h1, 0.35)
+    windows = CountedRows(lat.windows(lat.sample(bump)))
+    sums = quadrature._column_correlations(lat, windows, w)
+    assert 0 < windows.rows < pairs
+    assert np.array_equal(sums, backends.agree(translate_sums, h1, bump, zs, zs, w, h))
+    zero = custom(lambda p: np.zeros(p.shape[:-1]), 1.0)
+    windows = CountedRows(lat.windows(lat.sample(zero)))
+    sums = quadrature._column_correlations(lat, windows, w)
+    assert windows.rows == 0
+    assert not np.any(sums) and not np.any(translate_sums(h1, zero, zs, zs, w, h))
 
 
 def test_translate_sums_hold_one_sample_grid(translate_paths, h1):
@@ -285,7 +376,7 @@ def test_h1_unreached_non_finite_sample_is_dropped(backends, translate_paths, h1
     # though the grid holds it: the direct loop runs and drops it
     u = power_truncated(h1, 1.0, 1.0)
     pts = lattice_nodes(h1, H1_SPEC, R_eff=0.9)[0]
-    grid = product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h).lines()
+    grid = grid_points(product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h))
     assert not np.all(np.isfinite(u(grid)))
     backends.run(True, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
     assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
@@ -360,14 +451,14 @@ def pair_totals(bins, n_radii, weights):
             np.stack([b @ weights for b in inside], axis=1))
 
 
-def check_ball_totals(backends, g, spec, centers, nodes, radii):
-    """Ball counts from the runs equal the direct bins' bit for bit, sums agree.
+def check_ball_totals(backends, g, spec, centers, nodes, radii, u=None):
+    """Ball counts from the runs equal the direct bins' bit for bit, sums of u agree.
 
-    Some pairs have a gauge within 1e-12 of a radius, so the per-pair rule
-    is tested.
+    u defaults to a Gaussian of width 0.3.  Some pairs have a gauge within
+    1e-12 of a radius, so the per-pair rule is tested.
     """
     h = spec.effective_h
-    w = gaussian(g, 0.3)(nodes)
+    w = (gaussian(g, 0.3) if u is None else u)(nodes)
     d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
     assert np.any(np.searchsorted(radii, d * (1 - 1e-12)) < np.searchsorted(radii, d * (1 + 1e-12)))
     cnt, tot = backends.run(True, ball_totals, g, centers, nodes, radii, w, h)
@@ -451,12 +542,12 @@ def test_pair_gauge_bins_equal_gauge_of_products(name, g, spec):
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_on_lattice_ball_totals_sample_no_grid(monkeypatch, name, g, spec):
     # the runs come from the closed-form sections of each grid line, so no
-    # grid point is built and no gauge is taken over the grid; nor may the
-    # totals fall back to binning every pair
+    # grid point is built or sampled and no gauge is taken over the grid;
+    # nor may the totals fall back to binning every pair
     def forbidden(*args, **kwargs):
-        raise AssertionError("on-lattice ball totals built grid lines or binned every pair")
+        raise AssertionError("on-lattice ball totals sampled the grid or binned every pair")
 
-    monkeypatch.setattr(quadrature.ProductLattice, "lines", forbidden)
+    monkeypatch.setattr(quadrature.ProductLattice, "sample", forbidden)
     monkeypatch.setattr(quadrature, "ball_bins", forbidden)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, 1.5)
@@ -478,7 +569,7 @@ def test_maximal_values_bit_identical(backends, name, g, spec):
         backends.agree(operators.frac_maximal_values, g, alpha, u, nodes, radii, spec)
 
 
-@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats", "holes"])
+@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats", "holes", "empty_columns"])
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
 def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
     # gaps: every fifth node as a centre leaves holes inside point columns;
@@ -487,10 +578,14 @@ def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
     # pairs); repeats: centres and nodes that occur twice count twice;
     # holes: every node as a centre, and the nodes without every seventh
     # one, so node columns have holes inside them and their count
-    # prefixes kinks between their ends
+    # prefixes kinks between their ends; empty_columns: every node as a
+    # centre, and u vanishes beyond 0.3 in every coordinate but the last,
+    # so on whole node columns (R^1 has one column, which keeps weight),
+    # which the mass gathers leave out
     if case == "one_column" and name == "H1":
         spec = QuadratureSpec(R_max=1.5, lattice_h=0.25)
     nodes = lattice_nodes(g, spec)[0]
+    u = gaussian(g, 0.3)
     if case == "gaps":
         centers = nodes[::5]
     elif case == "repeats":
@@ -503,12 +598,16 @@ def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
         lat = product_lattice(g, -centers, nodes, spec.effective_h)
         assert np.any(np.bincount(lat.col) < lat.Lc)
         monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: (nodes, None, 1.0))
+    elif case == "empty_columns":
+        centers = nodes
+        u = custom(lambda p: gaussian(g, 0.3)(p) * np.all(np.abs(p[..., :-1]) < 0.3, axis=-1), 10.0)
+        held = np.any(product_lattice(g, -centers, nodes, spec.effective_h).node_table(u(nodes)) != 0, axis=1)
+        assert np.any(held) and np.all(held) == (name == "R1")
     else:
         pcol = product_lattice(g, -nodes, nodes, spec.effective_h).pcol
         centers = nodes[pcol == np.argmax(np.bincount(pcol))]
         assert product_lattice(g, -centers, nodes, spec.effective_h).pcol.max() == 0
-    u = gaussian(g, 0.3)
-    check_ball_totals(backends, g, spec, centers, nodes, radius_grid(spec, 1.5))
+    check_ball_totals(backends, g, spec, centers, nodes, radius_grid(spec, 1.5), u)
     backends.agree(operators.frac_maximal_values, g, 0.3, u, centers,
                    radius_grid(spec, u.decay_radius), spec)
 
@@ -597,9 +696,9 @@ def test_non_finite_weights_raise_on_both_paths(backends, g1):
 
 def test_pair_blocks_do_not_move_bits(backends, h1, monkeypatch):
     # shipped budget, then one column window, run or tie pair a block,
-    # then tiles of two node columns (24-sample windows), then all of them
-    # in one: the Riesz sums keep their bits; the maximal values sum their
-    # prefix differences in another order, to rounding
+    # then tiles of 41 windows of 24 samples, then all of them in one: the
+    # Riesz sums keep their bits; the maximal values sum their prefix
+    # differences in another order, to rounding
     u = gaussian(h1, 0.3)
     nodes = lattice_nodes(h1, H1_SPEC)[0]
     radii = radius_grid(H1_SPEC, u.decay_radius)
