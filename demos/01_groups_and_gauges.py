@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Group arithmetic on Euclidean R^N and the Heisenberg group H^1:
-# dilations, gauges, quasi-triangle constants and ball volumes.
+# dilations, gauges and ball volumes.
 
 import numpy as np
 
@@ -24,11 +24,6 @@ print("gauge(0,0,1) =", ml.gauge(h1, [0.0, 0.0, 1.0]), "(the fourth root of 16)"
 for t in (0.5, 2.0, 7.0):
     print(f"  gauge(dilate_{t}) / (t * gauge) =",
           ml.gauge(h1, ml.dilate(h1, t, x)) / (t * ml.gauge(h1, x)))
-
-# both shipped gauges are genuine norms: the sampled triangle-inequality
-# ratio never exceeds 1
-print("quasi constant R^2:", ml.estimate_quasi_constant(e2, 2000, seed=0))
-print("quasi constant H^1:", ml.estimate_quasi_constant(h1, 2000, seed=0))
 
 # ball volumes obey |B(R)| = |B(1)| R^Q exactly; the lattice reproduces it
 h = 0.03125

@@ -13,7 +13,6 @@ from .groups import (
     mul,
     inv,
     gauge,
-    estimate_quasi_constant,
     ball_volume,
     sphere_measure,
     polar_integrate,

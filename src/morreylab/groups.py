@@ -136,33 +136,24 @@ def coord_bound(g: GroupDescriptor, i: int, R: float) -> float:
     return R ** g.weights[i]
 
 
-def quasi_ratio(g: GroupDescriptor, x, y) -> np.ndarray:
-    """gauge(xy) / (gauge(x) + gauge(y)), with the 0/0 case set to 0.5."""
-    gx = gauge(g, x)
-    gy = gauge(g, y)
-    denom = gx + gy
-    num = gauge(g, mul(g, x, y))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.5)
-    return ratio
+def d4_orbit_key(odd: np.ndarray) -> np.ndarray:
+    """One integer key per orbit of the automorphism group D4 of H^1.
 
-
-def estimate_quasi_constant(
-    g: GroupDescriptor, samples: int = 1000, seed: int = 0, scale: float = 1.0
-) -> float:
-    """Sampled estimate of the quasi-triangle constant of the gauge.
-
-    Draws ``samples`` pairs of normally distributed points (standard
-    deviation ``scale`` per coordinate) and returns the largest observed
-    ratio gauge(xy) / (gauge(x) + gauge(y)).  For gauges that are genuine
-    norms the result stays at or below 1 up to rounding.
+    D4 is generated by the quarter turn (x0, x1, t) -> (-x1, x0, t) and the
+    reflection (x0, x1, t) -> (x0, -x1, -t): the reflection flips t because
+    the cross term (x0 y1 - x1 y0) / 2 changes sign with orientation.  Both
+    preserve the Korányi gauge, Haar measure and every midpoint lattice.
+    ``odd`` is an (..., 3) integer array with odd entries, the
+    coordinates of midpoint nodes in units of half a cell.  Quarter turns
+    bring (x0, x1) into x0 > 0, x1 > 0; then (x0, x1, t) -> (x1, x0, -t)
+    where x1 > x0, or x1 == x0 and t < 0.  Two points share a key exactly
+    when they share an orbit.
     """
-    if samples < 100:
-        raise DomainError("need at least 100 sample pairs")
-    rng = np.random.default_rng(seed)
-    xs = scale * rng.standard_normal((samples, g.dimension))
-    ys = scale * rng.standard_normal((samples, g.dimension))
-    return float(np.max(quasi_ratio(g, xs, ys)))
+    a, b, c = odd[..., 0], odd[..., 1], odd[..., 2]
+    same = (a > 0) == (b > 0)
+    x, y = np.where(same, np.abs(a), np.abs(b)), np.where(same, np.abs(b), np.abs(a))
+    swap = (y > x) | ((y == x) & (c < 0))
+    return np.stack([np.where(swap, y, x), np.where(swap, x, y), np.where(swap, -c, c)], axis=-1)
 
 
 def column_half_width(g: GroupDescriptor, outer: np.ndarray, R) -> np.ndarray:

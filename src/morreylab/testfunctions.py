@@ -27,6 +27,14 @@ _DECAY_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A test function u and its metadata.
+
+    ``d4_invariant`` states a fact about u, not a choice: u(A x) = u(x)
+    for the automorphisms A of H^1 in ``groups.d4_orbit_key``, quarter
+    turns of (x0, x1) and (x0, x1, t) -> (x0, -x1, -t).  On H^1 the
+    harness then evaluates factor operators on one node per orbit.
+    """
+
     kind: str
     params: tuple
     fn: callable = field(repr=False)
@@ -35,6 +43,7 @@ class TestFunction:
     analytic_sub_laplacian: callable | None = field(default=None, repr=False)
     smooth: bool = True
     label: str = ""
+    d4_invariant: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.decay_radius):
@@ -122,6 +131,7 @@ def gaussian(g: groups.GroupDescriptor, width: float = 1.0) -> TestFunction:
         analytic_gradient=grad_fn,
         analytic_sub_laplacian=sublap_fn,
         label=f"gauss(w={width:g})",
+        d4_invariant=True,
     )
 
 
@@ -161,6 +171,7 @@ def bump(g: groups.GroupDescriptor, support_radius: float = 2.0) -> TestFunction
         decay_radius=decay,
         analytic_gradient=grad_fn,
         label=f"bump(r={support_radius:g})",
+        d4_invariant=True,
     )
 
 
@@ -186,6 +197,7 @@ def power_truncated(
         decay_radius=support_radius,
         smooth=False,
         label=f"power(a={exponent:g},r={support_radius:g})",
+        d4_invariant=True,
     )
 
 
@@ -214,6 +226,8 @@ def dilated(g: groups.GroupDescriptor, u: TestFunction, t: float) -> TestFunctio
 
     Horizontal gradients and sub-Laplacians transform with exact degrees
     1 and 2 under the dilation, so analytic forms are carried along.
+    Dilations commute with the automorphisms of H^1, so ``d4_invariant``
+    is carried too.
     """
     if not (0 < t < math.inf):
         raise DomainError(f"dilation parameter must be positive and finite, got {t}")
@@ -262,6 +276,7 @@ def dilated(g: groups.GroupDescriptor, u: TestFunction, t: float) -> TestFunctio
         analytic_sub_laplacian=sublap_fn,
         smooth=u.smooth,
         label=f"{u.label}*delta_{t:g}",
+        d4_invariant=u.d4_invariant,
     )
 
 

@@ -19,7 +19,10 @@ has the one-dimensional reference (-Delta)^s u = s / Gamma(1 - s) times the
 integral of (u - e^{t Delta} u) t^{-1-s} over t > 0 (Kwasnicki, Fract.
 Calc. Appl. Anal. 20, 2017).  And the mass of a Gaussian over a Koranyi
 ball centred at 0 is a one-dimensional integral with erf, which gives the
-H^1 Morrey norm exactly on a radius grid.
+H^1 Morrey norm exactly on a radius grid.  At the identity of H^1 the
+Riesz potential of a Gaussian is a smooth two-dimensional integral in
+Koranyi polar coordinates, which checks the order gamma = 1 of the
+headline.
 """
 
 import math
@@ -173,6 +176,41 @@ def test_frac_laplacian_of_a_gaussian_within_its_present_ceiling(g, width, R_max
     got = frac_laplacian_values(g, s, gaussian(g, width), pts, spec)
     err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
     assert err <= ceiling, err
+
+
+def h1_riesz_of_a_gaussian_at_0(gamma, width):
+    """The Riesz potential of order gamma of exp(-|y|_E^2 / width^2) at the identity of H^1.
+
+    In Koranyi polar coordinates (rho^2 = r^2 cos a, 4t = r^2 sin a, so
+    rho drho dt = r^3 / 4 dr da and the gauge is r) the integral of
+    r^{gamma - 4} u over H^1 is (pi / 2) times the integral over
+    r in [0, 8], a in [-pi/2, pi/2] of
+    r^{gamma - 1} exp(-(r^2 cos a + r^4 sin^2 a / 16) / width^2): a smooth
+    integrand, taken by 16 x 8 Gauss-Legendre panels of 64 nodes.
+    """
+    r, wr = gauss_legendre(0.0, 8.0, 16, 64)
+    a, wa = gauss_legendre(-0.5 * math.pi, 0.5 * math.pi, 8, 64)
+    r, a = r[:, None], a[None, :]
+    body = r ** (gamma - 1.0) * np.exp(-(r * r * np.cos(a) + r ** 4 * np.sin(a) ** 2 / 16.0) / width ** 2)
+    return 0.5 * math.pi * float(wr @ body @ wa)
+
+
+# h and the ceiling of |riesz / exact - 1| at the identity (R_max 6.529,
+# width 0.5, gamma 1: the headline's left factor); present errors
+# +51.0%, +13.7% and +13.6%
+RIESZ_H1_GAMMA_1 = [(0.75, 0.52), (0.5, 0.145), (0.35, 0.145)]
+
+
+@pytest.mark.parametrize("h,ceiling", RIESZ_H1_GAMMA_1, ids=[f"h{h}" for h, _ in RIESZ_H1_GAMMA_1])
+def test_h1_riesz_at_gamma_1_within_its_present_ceiling(h, ceiling):
+    # not a target: these ceilings pin today's near field, which a better
+    # one should lower.  The identity is not a node, so the point takes
+    # the direct loop.  scipy's dblquad of the same integrand gives the
+    # reference to the last digit
+    exact = h1_riesz_of_a_gaussian_at_0(1.0, 0.5)
+    assert exact == pytest.approx(2.98615502318075, rel=1e-13)
+    err = riesz_at(H1, 0.5, h, 1.0, [0.0, 0.0, 0.0], 6.529) / exact - 1.0
+    assert abs(err) <= ceiling, err
 
 
 def koranyi_ball_mass(c, r):
