@@ -422,21 +422,23 @@ def _op_values(g, op, cfg, u: TestFunction, spec, R_eff):
 # evaluations in euclid_consequences (16 entries lose 5 of its 150 hits)
 @lru_cache(maxsize=20)
 def _op_values_cached(g, op, fn, param, u, spec, R_eff):
-    """The values of ``_op_values``, computed on one node per D4 orbit where that is exact.
+    """The values of ``_op_values``, computed on one node per D4 orbit where that pays.
 
     On H^1, a ``u`` flagged ``d4_invariant`` gives values that every
     automorphism of ``groups.d4_orbit_key`` maps onto themselves: each
     factor operator commutes with them, T(u o A) = (T u) o A, and the
-    lattice is mapped onto itself.  So ``fn`` sees the orbit
-    representatives of ``lattice_orbits`` (about one node in eight) and
-    their values are copied to the rest of each orbit; every value is
-    then that of its representative, which differs from evaluating at
-    the node itself by rounding only.  Every other input is evaluated at
-    every node.
+    lattice is mapped onto itself.  So for the integral tags (``riesz``,
+    ``maximal``) ``fn`` sees the orbit representatives of
+    ``lattice_orbits`` (about one node in eight) and their values are
+    copied to the rest of each orbit; every value is then that of its
+    representative, which differs from evaluating at the node itself by
+    rounding only.  The pointwise tags (``id``, ``grad``, ``sublap``)
+    cost less per node than the orbit map does, so they, like every
+    other input, are evaluated at every node.
     """
     nodes = lattice_nodes(g, spec, R_eff)[0]
     inverse = None
-    if g.law == groups.HEISENBERG1 and getattr(u, "d4_invariant", False):
+    if g.law == groups.HEISENBERG1 and op in ("riesz", "maximal") and getattr(u, "d4_invariant", False):
         rep, inverse = lattice_orbits(g, spec, R_eff)
         nodes = nodes[rep]
     if op == "id":

@@ -197,3 +197,23 @@ def test_only_invariant_h1_inputs_are_reduced(monkeypatch):
         assert len(vals) == len(lattice_nodes(g, spec)[0])
     K = len(lattice_nodes(H1, SPEC)[0])
     assert seen == [K // 8, K, len(lattice_nodes(g3, spec3)[0])]
+
+
+@pytest.mark.parametrize("op", TAGS)
+def test_only_integral_tags_are_reduced(monkeypatch, op):
+    # a spy on the callable each tag evaluates: for an invariant u on H^1
+    # the integral tags see K / 8 nodes, the pointwise ones all K, which
+    # cost less per node than the orbit map does
+    seen = []
+    owner, name = (testfunctions.TestFunction, "__call__") if op == "id" else (operators, harness._OPERATORS[op])
+    real = getattr(owner, name)
+
+    def spy(*args):
+        seen.append(next(len(a) for a in args if isinstance(a, np.ndarray) and a.ndim == 2))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    vals = harness._op_values(H1, op, h1_adams_legs()[0], testfunctions.gaussian(H1, 0.5), SPEC, None)
+    K = len(lattice_nodes(H1, SPEC)[0])
+    assert len(vals) == K
+    assert seen == [K // 8 if op in ("riesz", "maximal") else K]
