@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .quadrature import (
     check_radii,
     finite_samples,
     kernel_band_values,
+    lattice_key,
     lattice_nodes,
     nodes_by_gauge,
     resolve_R,
@@ -93,7 +95,7 @@ def frac_maximal_values(
 
     src, _, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
-    cnt, m_r = ball_totals(g, pts, src, radii, uv, spec.lattice_h)
+    cnt, m_r = ball_totals(g, pts, src, radii, uv, spec.lattice_h, lattice_key(spec))
     m_r *= cell
     # balls that leave the domain scale their volume from the last ball
     # inside it (or from one cell at r_dom) by r^Q
@@ -126,6 +128,35 @@ def frac_normalization(N: int, s: float) -> float:
 
 def _euclidean_sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+
+
+# sized as the plans of ``quadrature._lattice_cached`` are: 4 other node
+# sets between two uses of one in euclid_consequences, and no other
+# kernel between two uses of one
+@lru_cache(maxsize=5)
+def _fraclap_nodes(g: groups.GroupDescriptor, R: float, h: float):
+    """The source of the fractional Laplacian: the nodes of ``nodes_by_gauge(g, R, h)`` at gauge >= h.
+
+    Returns read-only ``(Y, dY, cell)``: the nodes in increasing gauge
+    order, their gauges and the cell volume.
+    """
+    src, dist, cell = nodes_by_gauge(g, R, h)
+    live = dist >= h
+    Y, dY = src[live], dist[live]
+    Y.setflags(write=False)
+    dY.setflags(write=False)
+    return Y, dY, cell
+
+
+@lru_cache(maxsize=1)
+def _fraclap_kernel(g: groups.GroupDescriptor, s: float, R: float, h: float):
+    """Read-only ``(Y, kern, ksum)``: ``_fraclap_nodes``' nodes, the kernel |y|^(-N-2s) cell at each and its prefix sums."""
+    Y, dY, cell = _fraclap_nodes(g, R, h)
+    kern = dY ** (-g.dimension - 2.0 * s) * cell
+    ksum = np.concatenate([[0.0], np.cumsum(kern)])
+    kern.setflags(write=False)
+    ksum.setflags(write=False)
+    return Y, kern, ksum
 
 
 def frac_laplacian_values(
@@ -161,10 +192,9 @@ def frac_laplacian_values(
     A = frac_normalization(N, s)
     area = _euclidean_sphere_area(N)
     h = spec.lattice_h
-    src, dist, cell = nodes_by_gauge(g, resolve_R(spec), h)
-    live = dist >= h
-    Y, dY = src[live], dist[live]
-    kern = dY ** (-N - 2.0 * s) * cell
+    R = resolve_R(spec)
+    dY = _fraclap_nodes(g, R, h)[1]
+    Y, kern, ksum = _fraclap_kernel(g, float(s), R, h)
 
     u_x = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
     trH = sub_laplacian_values(g, u, pts)
@@ -184,8 +214,8 @@ def frac_laplacian_values(
             jmax[rows] = np.searchsorted(dY, cap, side="right")
             tail[rows] = 2.0 * u_x[rows] * area * cap ** (-2.0 * s) / (2.0 * s)
 
-    ksum = np.concatenate([[0.0], np.cumsum(kern)])
-    sums = translate_sums(g, u, pts, Y, kern, h)
+    source = (_fraclap_nodes, (g, R, h)), (_fraclap_kernel, (g, float(s), R, h))
+    sums = translate_sums(g, u, pts, Y, kern, h, source)
     vals = 0.5 * A * (2.0 * u_x * ksum[jmax] - 2.0 * sums + inner + tail)
     return vals[0] if single else vals
 

@@ -35,7 +35,13 @@ of a lattice is binned once; a call reads one prefix sum of the samples
 at every run's end and bincounts the differences into balls
 (``ball_sums``).  On H^1, ``lattice_orbits`` gives one node per orbit of
 the lattice under the automorphism group D4, for inputs that D4 leaves
-invariant.
+invariant.  What ``translate_sums`` and ``ball_totals`` read of the
+points, nodes, kernel or radii alone is a plan, built once per run: the
+product lattice (``_lattice_cached``), its sample runs and the kernel's
+conjugate transform (``_translate_plan_cached``), and the ball sections,
+exact counts and near-tie memberships (``_ball_plan_cached``), each
+keyed on the memo key that made the nodes and the bytes of the points
+and radii; a call then pays only for u.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -440,22 +446,34 @@ def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None, 
     return ball_sums(runs, weights)
 
 
-def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h):
+def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h, lattice=None):
     """Node counts and sums of ``weights`` over every ball: two (n_centers, n_radii) arrays.
 
     Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
     over ``nodes`` with one weight per node; a non-finite weight raises
     IntegrandError naming its node, and weights of |w| <= eps max |w| are
     zero on both paths (``_zero_negligible``).  Centres and nodes that
-    ``product_lattice`` accepts take ``_lattice_ball_totals``; the others
-    bin every pair once (``ball_bins``) for both totals.  The counts of
-    both paths are equal; the sums agree to rounding.
+    ``product_lattice`` accepts take the runs of the grid: a ``_ball_plan``
+    gives the counts, ``_lattice_ball_masses`` the sums.  ``lattice`` is
+    the ``lattice_key`` (R, h) of ``lattice_nodes``: when ``nodes`` is
+    that lattice's own node array, the plan comes from
+    ``_ball_plan_cached``, so each centre and radius grid of a lattice is
+    planned once for every set of weights.  Other node arrays are planned
+    on each call.
+    The other centres bin every pair once (``ball_bins``) for both totals.
+    The counts of both paths are equal; the sums agree to rounding.  The
+    counts may be the plan's own array: read-only.
     """
     weights = finite_samples(np.array(weights, dtype=float), nodes, True)
     weights = _zero_negligible(weights, np.max(np.abs(weights), initial=0.0))
-    lat = product_lattice(g, -centers, nodes, h)
-    if lat is not None:
-        return _lattice_ball_totals(g, lat, centers, nodes, radii, weights)
+    if lattice is not None and nodes is _nodes_cached(g, *lattice)[0]:
+        plan = _ball_plan_cached(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
+                                 np.asarray(radii, dtype=float).tobytes())
+    else:
+        lat = product_lattice(g, -centers, nodes, h)
+        plan = None if lat is None else _ball_plan(g, lat, centers, nodes, radii)
+    if plan is not None:
+        return plan.counts, _lattice_ball_masses(plan, weights)
     runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
     return ball_sums(runs), ball_sums(runs, weights)
 
@@ -517,28 +535,77 @@ def _ball_runs(g, lat: ProductLattice, radii, scale):
     return klo, khi, ties[order], j[order]
 
 
-def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights):
-    """``ball_totals`` at the on-lattice ``centers``, from runs of the grid.
+@dataclass(frozen=True, eq=False)
+class BallPlan:
+    """What ``ball_totals`` reads of on-lattice centres, nodes and radii alone (``_ball_plan``).
+
+    ``lat`` is ``product_lattice(g, -centers, nodes, h)`` and ``klo``,
+    ``khi`` the inner sections of ``_ball_runs``.  Ball j holds the slots
+    [A, B) of node column c at point column p (``_slot_bound``): none of
+    them below radius ``first_hit[p, c]``, the whole column at every
+    point slot from radius ``first_full[p, c]`` on, a partial row between.
+    ``col_nodes`` is the node count of each node column and ``counts`` the
+    exact node count of every ball, (centres, radii).  The near-tie pairs
+    that lie in their ball are kept as their flat cells of the (point
+    column, radius, reversed point slot) table of
+    ``_lattice_ball_masses``, ``tie_cell``, and their flat node slots of
+    ``lat.node_table``, ``tie_slot``, in the order ``_near_tie_pairs``
+    yields them.  Every array is read-only.
+    """
+
+    lat: ProductLattice
+    klo: np.ndarray
+    khi: np.ndarray
+    first_hit: np.ndarray
+    first_full: np.ndarray
+    col_nodes: np.ndarray
+    counts: np.ndarray
+    tie_cell: np.ndarray
+    tie_slot: np.ndarray
+
+
+# sized as ``_lattice_cached`` is: 2, in default_r1 (its four radius grids)
+@lru_cache(maxsize=3)
+def _ball_plan_cached(g, R: float, h: float, centers: bytes, radii: bytes):
+    """``_ball_plan`` at the centres and radii with these bytes, over the nodes of ``_nodes_cached(g, R, h)``.
+
+    Keyed as ``_lattice_bins`` is: the lattice by (g, R, h), the centres
+    and radii by their bytes.  Its ``ProductLattice`` comes from
+    ``_lattice_cached``.  None when ``product_lattice`` is.
+    """
+    centers = np.frombuffer(centers).reshape(-1, g.dimension)
+    lat = _lattice_cached(g, (_nodes_cached, (g, R, h)), (-centers).tobytes(), h)
+    return None if lat is None else _ball_plan(g, lat, centers, _nodes_cached(g, R, h)[0], np.frombuffer(radii))
+
+
+def _slot_bound(k0, cut, shift, top, out=None):
+    """The least slot sum of a column pair at or past last index ``cut``, clipped to [0, ``top``].
+
+    Slot s of a point column meets slot m of a node column at last index
+    k0 + step (s + m) on one line, ``k0`` the pair's column start and
+    step = 2^``shift``, so ball j holds the node slots m in [A - s, B - s),
+    A and B the bounds at ``klo`` and ``khi``; ``top`` is max Lp + max Lc -
+    1.  Elementwise over broadcast int arrays, in place in ``out`` when
+    given.
+    """
+    out = np.subtract(k0, cut, out=out)
+    out >>= shift
+    np.negative(out, out=out)
+    return np.clip(out, 0, top, out=out)
+
+
+def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
+    """The ``BallPlan`` of on-lattice ``centers``, from runs of the grid.
 
     ``lat`` is ``product_lattice(g, -centers, nodes, h)``.  The samples
     surely inside ball j form one run [klo, khi) of last indices per line
-    of the grid along its last axis (``_ball_runs``).  Slot s of a point
-    column meets slot m of a node column at last index k0 + step (s + m) on
-    one line, so ball j holds the node slots m in [A - s, B - s), A and B
-    the least slot sums at or past klo and khi.  A (node column, radius)
-    that holds the whole column at every slot of a point column adds the
-    column's totals there; one that holds none of it adds nothing; every
-    other one is a partial row.  Point columns go in blocks whose slot
-    bounds A and B hold ``_PAIR_BUDGET`` values.
-
-    Masses.  A partial row's mass is a difference of the node column's
-    prefix sums of the weights over slots: two float windows of the
-    padded prefix array, one value per point slot, gathered ``_PAIR_BUDGET``
-    values at a time and summed over node columns.  Node columns whose
-    weights are all zero (``ball_totals`` zeroes the negligible ones) are
-    left out of the gathers: their differences are exact zeros.  A mass's
-    absolute error is at most about Lc eps times the total of each node
-    column it draws on, Lc that column's slots.
+    of the grid along its last axis (``_ball_runs``).  Point columns go in
+    blocks whose int32 slot bounds A and B (``_slot_bound``) hold
+    ``_PAIR_BUDGET`` values.  A (node column, radius) that holds the whole
+    column at every slot of a point column adds the column's count there;
+    one that holds none of it adds nothing; every other one is a partial
+    row.  The runs grow with the radius, so each kind of row holds one
+    range of radii, whose ends the plan keeps.
 
     Counts.  A node column's count prefix n(y) over slots is piecewise
     linear: it has a kink at each slot k where its count per slot changes,
@@ -551,28 +618,22 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
 
     A pair at a near-tie sample of radius j joins ball j alone when its
     own gauge (``_pair_gauges``) is below r_j, as in ``ball_bins``: the runs
-    leave it out.
+    leave it out.  The plan keeps where those pairs add.
     """
-    n, step = len(radii), lat.step
+    n = len(radii)
     scale = max(np.max(groups.gauge(g, centers)), np.max(groups.gauge(g, nodes)))
     klo, khi, ties, tie_j = _ball_runs(g, lat, radii, scale)
+    klo, khi = klo.astype(np.int32), khi.astype(np.int32)
     starts = lat.column_starts()
     Lp, Lc = lat.Lp, lat.Lc
     P, C, L, M = len(Lp), len(Lc), int(Lp.max()), int(Lc.max())
-    w_slots, n_slots = lat.node_table(weights), lat.node_table(np.ones(len(nodes)))
-    # prefix sums over node slots, with zeros before them and the totals
-    # after, so that slot sums past either end of a column read its first
-    # or last prefix: pre[c, L - 1 + y] holds the weights and n_pre[c, L + y]
-    # the nodes of column c below slot y
-    pre = np.zeros((C, M + 2 * L - 1))
-    np.cumsum(w_slots, axis=1, out=pre[:, L : L + M])
-    pre[:, L + M :] = pre[:, L + M - 1, None]
-    win = np.lib.stride_tricks.sliding_window_view(pre, L, axis=1)
+    shift = int(lat.step).bit_length() - 1
+    n_slots = lat.node_table(np.ones(len(nodes)))
+    # node prefix sums over slots, with zeros before them and the totals
+    # after: n_pre[c, L + y] holds the nodes of column c below slot y
     n_pre = np.zeros((C, M + L + 1))
     np.cumsum(n_slots, axis=1, out=n_pre[:, L + 1 :])
-    totals = np.column_stack([pre[:, -1], n_pre[:, -1]])
-    # a partial row of a node column without weight adds no mass
-    heavy = np.any(w_slots != 0.0, axis=1)
+    col_nodes = n_pre[:, -1]
     # the kinks of each column, padded with zero kinks: row i of kpos and
     # kval holds L plus the i-th slot of each column where its count per
     # slot changes, and by how much
@@ -582,44 +643,23 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
     kpos, kval = np.zeros((rank.max() + 1, C), np.intp), np.zeros((rank.max() + 1, C))
     kpos[rank, kc], kval[rank, kc] = kk + L, per_slot[kc, kk]
 
-    # slot bounds in (point column, radius, node column) order, int32; step is a power of two
-    shift = int(step).bit_length() - 1
-    klo, khi = klo.astype(np.int32), khi.astype(np.int32)
-    mass, count = np.empty((P, n, L)), np.empty((P, n, L))
+    count = np.empty((P, n, L))
+    first_hit, first_full = np.empty((2, P, C), _bin_dtype(n))
     for pb in _blocks(P, 2 * n * C):
+        # slot bounds in (point column, radius, node column) order, int32
         line, k0 = np.divmod(starts[pb], lat.shape[-1])
         A, B = np.empty((2, len(line), n, C), np.int32)
         for bound, cut in ((A, klo), (B, khi)):
-            np.subtract(k0[:, None].astype(np.int32), cut[line].transpose(0, 2, 1), out=bound)
-            bound >>= shift
-            np.negative(bound, out=bound)
-            np.clip(bound, 0, M + L - 1, out=bound)
-        full = (A == 0) & (B >= Lp[pb, None, None] + Lc - 1)
-        rows = full.reshape(-1, C) @ totals
-        part = (B > A) & ~full
-        flat = np.flatnonzero(part)
+            _slot_bound(k0[:, None].astype(np.int32), cut[line].transpose(0, 2, 1), shift, M + L - 1, bound)
+        full = (A == 0) & (B >= (Lp[pb, None] + Lc - 1).astype(np.int32)[:, None])
+        hit = B > A
+        first_hit[pb], first_full[pb] = n - hit.sum(axis=1), n - full.sum(axis=1)
+        flat = np.flatnonzero(hit & ~full)
         row, c = np.divmod(flat, C)
         b, a = B.ravel()[flat], A.ravel()[flat]
-
-        # masses, gathered in runs of whole (point column, radius) rows
-        # from the node columns that carry weight
-        keep = heavy.take(c)
-        mc, mb, ma = c[keep], b[keep], a[keep]
-        size = np.bincount(row[keep], minlength=len(rows))
-        used = np.flatnonzero(size)
-        end = np.cumsum(size[used])
-        blk = mass[pb].reshape(-1, L)
-        blk[:] = rows[:, :1]
-        first = end - size[used]
-        for i, j in _spans(end, _PAIR_BUDGET // L):
-            sl = slice(first[i], end[j - 1])
-            diff = win[mc[sl], mb[sl]]
-            diff -= win[mc[sl], ma[sl]]
-            # reduceat costs about a row's length per group, so single rows skip it
-            blk[used[i:j]] += diff if j - i == len(diff) else np.add.reduceat(diff, first[i:j] - first[i], axis=0)
-
-        # counts: each ramp at bin L - y + k of the reversed slot order,
-        # clipped to [0, L]; bin L reaches no slot
+        rows = full.reshape(-1, C) @ col_nodes
+        # each ramp at bin L - y + k of the reversed slot order, clipped
+        # to [0, L]; bin L reaches no slot
         at = np.take(kpos, c, axis=1) - np.stack([b, a])[:, None]
         np.clip(at, 0, L, out=at)
         at += row * (L + 1)
@@ -630,7 +670,7 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
         np.cumsum(blk, axis=1, out=blk)
         base = c * (M + L + 1)
         edge = np.bincount(row, n_pre.take(base + b) - n_pre.take(base + a), len(rows))
-        blk += (rows[:, 1] + edge)[:, None]
+        blk += (rows + edge)[:, None]
 
     # near-tie pairs, from the coordinates at every point and node slot
     slot = lat.pcol * L + lat.s
@@ -638,15 +678,82 @@ def _lattice_ball_totals(g, lat: ProductLattice, centers, nodes, radii, weights)
     c_at[:, slot], z_at[:, lat.col * M + lat.m] = centers.T, nodes.T
     filled = np.zeros(P * L, bool)
     filled[slot] = True
+    cells, slots = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for ps, ns, tie in _near_tie_pairs(lat, starts, ties, filled, n_slots.ravel() > 0):
         j = tie_j[tie]
         keep = _pair_gauges(g, c_at.take(ps, axis=1), z_at.take(ns, axis=1)) < radii[j]
         pc, s = np.divmod(ps[keep], L)
-        cell = (pc * n + j[keep]) * L + L - 1 - s
-        ns = ns[keep]
-        np.add.at(mass.reshape(-1), cell, w_slots.take(ns))
-        np.add.at(count.reshape(-1), cell, n_slots.take(ns))
-    return count[lat.pcol, :, L - 1 - lat.s], mass[lat.pcol, :, L - 1 - lat.s]
+        cells.append((pc * n + j[keep]) * L + L - 1 - s)
+        slots.append(ns[keep])
+        np.add.at(count.reshape(-1), cells[-1], n_slots.take(slots[-1]))
+    plan = BallPlan(lat, klo, khi, first_hit, first_full, col_nodes, count[lat.pcol, :, L - 1 - lat.s],
+                    np.concatenate(cells), np.concatenate(slots))
+    for a in vars(plan).values():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return plan
+
+
+def _lattice_ball_masses(plan: BallPlan, weights):
+    """The sums of ``weights`` over every ball of a ``BallPlan``: (centres, radii).
+
+    A full row adds its node column's total (one real matrix product per
+    block of point columns), a partial row the difference of the node
+    column's prefix sums of the weights over slots: two float windows of
+    the padded prefix array, one value per point slot, gathered
+    ``_PAIR_BUDGET`` values at a time and summed over node columns.  Node
+    columns whose weights are all zero (``ball_totals`` zeroes the
+    negligible ones) are left out of the partial rows: their differences
+    are exact zeros.  Only the slot bounds of the partial rows read are
+    taken.  The near-tie pairs in their ball then add their weights at
+    their cells, in the plan's order.  A mass's absolute error is at most
+    about Lc eps times the total of each node column it draws on, Lc that
+    column's slots.
+    """
+    lat, klo, khi = plan.lat, plan.klo, plan.khi
+    n = klo.shape[1]
+    P, C, L, M = len(lat.Lp), len(lat.Lc), int(lat.Lp.max()), int(lat.Lc.max())
+    shift = int(lat.step).bit_length() - 1
+    w_slots = lat.node_table(weights)
+    # prefix sums over node slots, with zeros before them and the totals
+    # after, so that slot sums past either end of a column read its first
+    # or last prefix: pre[c, L - 1 + y] holds the weights of column c below
+    # slot y
+    pre = np.zeros((C, M + 2 * L - 1))
+    np.cumsum(w_slots, axis=1, out=pre[:, L : L + M])
+    pre[:, L + M :] = pre[:, L + M - 1, None]
+    win = np.lib.stride_tricks.sliding_window_view(pre, L, axis=1)
+    totals = np.column_stack([pre[:, -1], plan.col_nodes])
+    # a partial row of a node column without weight adds no mass
+    heavy = np.flatnonzero(np.any(w_slots != 0.0, axis=1))
+    starts = lat.column_starts()
+    # of the first radii's type: a comparison that casts costs 10 times more
+    radius = np.arange(n, dtype=plan.first_full.dtype)[:, None]
+    mass = np.empty((P, n, L))
+    for pb in _blocks(P, 2 * n * C):
+        full = radius >= plan.first_full[pb, None]
+        rows = full.reshape(-1, C) @ totals
+        hit, whole = plan.first_hit[pb][:, None, heavy], plan.first_full[pb][:, None, heavy]
+        row, c = np.divmod(np.flatnonzero((radius >= hit) & (radius < whole)), len(heavy))
+        c = heavy[c]
+        pc, r = np.divmod(row, n)
+        line, k0 = np.divmod(starts[pc + pb.start, c], lat.shape[-1])
+        b, a = (_slot_bound(k0, cut[line, r], shift, M + L - 1) for cut in (khi, klo))
+        # gathered in runs of whole (point column, radius) rows
+        size = np.bincount(row, minlength=len(rows))
+        used = np.flatnonzero(size)
+        end = np.cumsum(size[used])
+        blk = mass[pb].reshape(-1, L)
+        blk[:] = rows[:, :1]
+        first = end - size[used]
+        for i, j in _spans(end, _PAIR_BUDGET // L):
+            sl = slice(first[i], end[j - 1])
+            diff = win[c[sl], b[sl]]
+            diff -= win[c[sl], a[sl]]
+            # reduceat costs about a row's length per group, so single rows skip it
+            blk[used[i:j]] += diff if j - i == len(diff) else np.add.reduceat(diff, first[i:j] - first[i], axis=0)
+    np.add.at(mass.reshape(-1), plan.tie_cell, w_slots.take(plan.tie_slot))
+    return mass[lat.pcol, :, L - 1 - lat.s]
 
 
 def _near_tie_pairs(lat: ProductLattice, starts, ties, point_filled, node_filled):
@@ -780,14 +887,27 @@ class ProductLattice:
         M = int(self.Lc.max())
         return np.bincount(self.col * M + self.m, values, len(self.Lc) * M).reshape(-1, M)
 
+    @property
+    def padding(self):
+        """Zeros after the grid in ``sample``'s buffer.
+
+        On H^1 (step 4), enough that every row of ``windows`` runs the
+        ``_fft_length`` of the longest column pair's products; none on R^N
+        (step 1), whose correlation transforms the grid alone.
+        """
+        if self.step == 1:
+            return 0
+        return self.step * (_fft_length(int(self.Lc.max() + self.Lp.max()) - 1) - 1)
+
     def runs(self):
-        """The samples some pair of columns reaches, as runs ``step`` apart: first flat index and length of each.
+        """The samples some pair of columns reaches, as runs ``step`` apart: first flat index, length and line head of each.
 
         The products of a pair of columns lie ``step`` apart on one grid
         line from the pair's column start, so each (grid line, residue of
         the last index mod ``step``) that a pair reaches holds one run,
         from the least column start of its pairs to the greatest last
-        product.  A run can hold a sample no pair reaches between two that
+        product; ``heads`` gives every coordinate of its line but the
+        last.  A run can hold a sample no pair reaches between two that
         some pairs do: on the h1_adams t = 1 lattice the runs hold 26.82%
         of the box, the reached samples 26.79%.
         """
@@ -801,7 +921,7 @@ class ProductLattice:
             np.maximum.at(end, key, at + (self.Lp[pb, None] + self.Lc - 2) * step)
         held = np.flatnonzero(end >= 0)
         first = first[held]
-        return first, (end[held] - first) // step + 1
+        return first, (end[held] - first) // step + 1, self.heads(first // n)
 
     def _sample_runs(self, u, buf, first, count, heads):
         """u into ``buf`` at the runs ``first``, ``count`` on lines with ``heads``: the largest |u|, or None if one is not finite.
@@ -820,24 +940,23 @@ class ProductLattice:
         buf[at] = vals
         return float(np.max(np.abs(vals)))
 
-    def sample(self, u):
+    def sample(self, u, runs):
         """u at the samples of ``runs``, in a zero buffer laid out for ``windows``; None if one is not finite.
 
-        The buffer holds the grid in flat order, then zeros.  u sees only
-        the samples some pair of columns reaches, in blocks of whole runs
-        of about ``_PAIR_BUDGET`` samples, so the grid's points are never
-        all held at once; the rest of the grid stays zero, and no kept
-        sum reads it.  Samples with |u| <= eps max |u| (``_zero_negligible``)
-        are then set to zero, a block of grid lines at a time: each moves
-        no sum by more than eps max |u| sum |w|, the rounding every sum of
-        the samples carries, and ``_column_correlations`` skips the pairs
-        whose products are all zero.
+        ``runs`` is what ``runs()`` returns.  The buffer holds the grid in
+        flat order, then ``padding`` zeros.  u sees only the samples some
+        pair of columns reaches, in blocks of whole runs of about
+        ``_PAIR_BUDGET`` samples, so the grid's points are never all held
+        at once; the rest of the grid stays zero, and no kept sum reads
+        it.  Samples with |u| <= eps max |u| (``_zero_negligible``) are
+        then set to zero, a block of grid lines at a time: each moves no
+        sum by more than eps max |u| sum |w|, the rounding every sum of the
+        samples carries, and ``_column_correlations`` skips the pairs whose
+        products are all zero.
         """
-        first, count = self.runs()
+        first, count, heads = runs
         size, n = math.prod(self.shape), self.shape[-1]
-        width = _fft_length(int(self.Lc.max() + self.Lp.max()) - 1)
-        buf = np.zeros(size + self.step * (width - 1))
-        heads = self.heads(first // n)
+        buf = np.zeros(size + self.padding)
         top = 0.0
         for i, j in _spans(np.cumsum(count), _PAIR_BUDGET):
             span_top = self._sample_runs(u, buf, first[i:j], count[i:j], heads[i:j])
@@ -948,7 +1067,61 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
     )
 
 
-def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
+# each plan memo is sized from the longest reuse distance of the bench
+# passes (seeds 0 and 3): the distinct keys looked up between two uses of
+# one, plus one.  Product lattices: 4, in euclid_consequences
+@lru_cache(maxsize=5)
+def _lattice_cached(g, nodes_key, points: bytes, h: float):
+    """Read-only ``product_lattice`` of the points with these bytes and the nodes of ``nodes_key``.
+
+    ``nodes_key`` is the memo key ``(memo, args)`` whose ``memo(*args)[0]``
+    are the nodes, so a lookup hashes the points but no node array.
+    """
+    memo, args = nodes_key
+    lat = product_lattice(g, np.frombuffer(points).reshape(-1, g.dimension), memo(*args)[0], h)
+    for a in () if lat is None else vars(lat).values():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return lat
+
+
+# 3, in default_r1 at seed 3 (its four kernels)
+@lru_cache(maxsize=4)
+def _translate_plan_cached(g, nodes_key, weights_key, points: bytes, h: float):
+    """``_translate_plan`` of ``_lattice_cached(g, nodes_key, points, h)`` and the weights of ``weights_key``.
+
+    ``weights_key`` is the memo key ``(memo, args)`` whose
+    ``memo(*args)[1]`` are the node weights.
+    """
+    memo, args = weights_key
+    return _translate_plan(g, _lattice_cached(g, nodes_key, points, h), memo(*args)[1])
+
+
+def _translate_plan(g, lat, weights):
+    """What ``translate_sums`` reads of its points, nodes and weights alone; None without a lattice.
+
+    ``(lat, lat.runs(), the conjugate transform of the node weights)``:
+    on R^N the weights laid out on the grid (node n at flat index
+    Zc[col[n]] + m[n]; repeated nodes add), transformed with each axis
+    zero-padded to ``_fft_length``; on H^1 each node column's weights
+    over its slots (``node_table``), transformed at the length of a row of
+    ``windows``.  The arrays are read-only.
+    """
+    if lat is None:
+        return None
+    if g.law == groups.EUCLIDEAN:
+        shape = lat.shape
+        dense = np.bincount(lat.Zc[lat.col] + lat.m, weights, minlength=math.prod(shape)).reshape(shape)
+        wf = np.conj(np.fft.rfftn(dense, tuple(_fft_length(n) for n in shape), range(len(shape))))
+    else:
+        wf = np.conj(np.fft.rfft(lat.node_table(weights), lat.padding // lat.step + 1))
+    runs = lat.runs()
+    for a in runs + (wf,):
+        a.setflags(write=False)
+    return lat, runs, wf
+
+
+def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h, source=None):
     """S(x) = sum_z w(z) u(x z) at every point x, over every node of one shared set.
 
     This is the one place that picks a backend.  When ``product_lattice``
@@ -965,22 +1138,30 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h):
     u(x z) in blocks of ``_PAIR_BUDGET`` pairs; a non-finite sample that a
     point reaches through a nonzero weight raises IntegrandError, and
     unreached ones are dropped.
+
+    What depends on the points, nodes and weights alone is a
+    ``_translate_plan``.  ``source`` is ``(nodes_key, weights_key)`` when
+    ``nodes`` and ``weights`` are memoised values, each key ``(memo,
+    args)`` with ``memo(*args)[0]`` the nodes and ``[1]`` the weights: the
+    plan then comes from ``_translate_plan_cached``, so a call with the
+    points and source of an earlier one pays only for u.  Other arrays
+    (None) are planned on each call.
     """
-    lat = product_lattice(g, points, nodes, h)
-    buf = None if lat is None else lat.sample(u)
+    if source is None:
+        plan = _translate_plan(g, product_lattice(g, points, nodes, h), weights)
+    else:
+        plan = _translate_plan_cached(g, *source, np.asarray(points, dtype=float).tobytes(), h)
+    buf = None if plan is None else plan[0].sample(u, plan[1])
     if buf is not None:
+        lat, _, wf = plan
         if g.law == groups.EUCLIDEAN:
-            # node n sits at flat index Zc[col[n]] + m[n]; repeated nodes add
             shape = lat.shape
-            dense = np.bincount(lat.Zc[lat.col] + lat.m, weights, minlength=math.prod(shape)).reshape(shape)
-            # zero-padded to 5-smooth lengths: a point index plus a node
-            # offset stays inside ``shape`` on every axis, so nothing wraps
             fl, axes = tuple(_fft_length(n) for n in shape), range(len(shape))
-            freq = np.fft.rfftn(buf[: dense.size].reshape(shape), fl, axes)
-            freq *= np.conj(np.fft.rfftn(dense, fl, axes))
+            freq = np.fft.rfftn(buf.reshape(shape), fl, axes)
+            freq *= wf
             full = np.fft.irfftn(freq, fl, axes)[tuple(slice(n) for n in shape)]
             return full.ravel()[lat.Pc[lat.pcol] + lat.s]
-        return _column_correlations(lat, lat.windows(buf), weights)
+        return _column_correlations(lat, lat.windows(buf), wf)
     out = np.empty(points.shape[0])
     for sl in _blocks(len(out), len(nodes)):
         ys = groups.mul(g, points[sl, None, :], nodes[None, :, :])
@@ -1007,18 +1188,19 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _column_correlations(lat: ProductLattice, windows, weights):
+def _column_correlations(lat: ProductLattice, windows, wf):
     """``translate_sums`` over every node, by the columns of a ``ProductLattice``.
 
     The products of point column p with node column c are the row of
     ``lat.windows`` at their column start, where slot s of p meets slot m
     of c at position s + m: the sums over the pair are a correlation of
-    the row with the column's weights.  Only the rows of pairs whose
+    the row with the column's weights, whose conjugate transforms ``wf``
+    holds (``_translate_plan``).  Only the rows of pairs whose
     products hold a nonzero sample are read: the others add nothing, and
     ``ProductLattice.sample`` zeroes the negligible samples, so most pairs
     of a decaying u are skipped (u = 0 reads no row).  Each row read is
-    transformed (an FFT long enough that nothing wraps), multiplied by the
-    conjugate transform of its node column's weights and added to its
+    transformed (an FFT long enough that nothing wraps), multiplied by
+    its node column's row of ``wf`` and added to its
     point column's running sum, which is transformed back once.  Rows go
     in tiles of ``_PAIR_BUDGET`` samples, rank by rank: the first read
     node column of every point column, then the second, and so on.  The
@@ -1029,7 +1211,6 @@ def _column_correlations(lat: ProductLattice, windows, weights):
     # a row runs on past the pair's products to the transform length n;
     # what lies beyond meets the weights only at point slots past the last
     n, step, size = windows.shape[1], lat.step, len(windows)
-    Wf = np.conj(np.fft.rfft(lat.node_table(weights), n))
     # the nonzero samples keyed by (flat index mod step, flat index): the
     # products of a pair are the keys from its first product's to its last's
     key = np.flatnonzero(windows[:, 0])
@@ -1049,7 +1230,7 @@ def _column_correlations(lat: ProductLattice, windows, weights):
         for sl in _blocks(len(p), n):
             tp, tc = p[sl], c[sl]
             freq = np.fft.rfft(windows[at[tp, tc]])
-            freq *= Wf[tc]
+            freq *= wf[tc]
             ranks = np.flatnonzero(np.diff(rank[sl], prepend=-1)).tolist() + [len(tp)]
             for i, j in zip(ranks[:-1], ranks[1:]):
                 acc[pb.start + tp[i:j]] += freq[i:j]
@@ -1089,10 +1270,13 @@ def kernel_band_values(
     u_at = np.asarray(u(pts), dtype=float)
     if r_lo < r_hi:
         h = spec.lattice_h
-        zs, weights, c0 = _shell_weights_cached(g, float(a), resolve_R(spec), h, r_lo, r_hi)
+        R = resolve_R(spec)
+        key = (g, float(a), R, h, r_lo, r_hi)
+        zs, weights, c0 = _shell_weights_cached(*key)
         if not np.all(np.isfinite(u_at)):
             u_at = finite_samples(u_at, pts, c0 != 0.0)
-        out = translate_sums(g, u, pts, zs, weights, h) + u_at * c0
+        source = (_nodes_cached, (g, R, h)), (_shell_weights_cached, key)
+        out = translate_sums(g, u, pts, zs, weights, h, source) + u_at * c0
     return out[0] if single else out
 
 

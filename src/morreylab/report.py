@@ -16,6 +16,7 @@ import json
 import math
 import os
 import resource
+import sys
 import time
 from functools import lru_cache
 
@@ -367,9 +368,30 @@ def run_experiment(doc: dict) -> dict:
             workers=workers,
             # of this process; ru_maxrss is in KiB on Linux
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            caches=memo_stats(),
         ),
     )
     return report
+
+
+def memo_stats() -> dict:
+    """``{module.memo: {hits, misses, currsize}}`` of every memo in the package.
+
+    Read from each ``lru_cache``'s ``cache_info()`` in this process, since
+    its last clear: worker processes count their own, so with a pool the
+    parent's counts stay at the parse.
+    """
+    out = {}
+    for module, mod in list(sys.modules.items()):
+        if not module.startswith(f"{__package__}."):
+            continue
+        # a memo imported by another module is counted once, by its own name
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_info"):
+                info = obj.cache_info()
+                name = f"{obj.__module__.rsplit('.', 1)[-1]}.{obj.__qualname__}"
+                out[name] = dict(hits=info.hits, misses=info.misses, currsize=info.currsize)
+    return dict(sorted(out.items()))
 
 
 def dump_report(report: dict) -> str:

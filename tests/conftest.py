@@ -45,6 +45,12 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def clear_plans():
+    """Empty the memos that hold a ``ProductLattice``: the next call builds its own."""
+    for memo in (quadrature._lattice_cached, quadrature._translate_plan_cached, quadrature._ball_plan_cached):
+        memo.cache_clear()
+
+
 class Backends:
     """Runs operators with the product lattice on (asserting it was used) or off."""
 
@@ -62,7 +68,13 @@ class Backends:
 
         with self.monkeypatch.context() as m:
             m.setattr(quadrature, "product_lattice", spy)
-            out = fn(*args, **kwargs)
+            # the spy sees every lattice the call builds, and no plan of
+            # the forced path outlives it
+            clear_plans()
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                clear_plans()
         assert used and all(used) == fast
         return out
 

@@ -5,6 +5,7 @@ A run must leave no state behind in plain module-level containers, and
 """
 
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -33,6 +34,8 @@ CONFIG = {
         {"theorem": "stein_weiss_adams", "p": 1.6, "gamma": 0.45, "alpha": 0.15,
          "beta": 0.1, "lambda": 0.3},
         {"theorem": "maximal_bound", "p": 2.0, "lambda": 0.5},
+        {"theorem": "frac_hardy", "p": 1.5, "gamma": 0.5, "alpha": 0, "beta": 0.5,
+         "lambda": 0.12},
     ],
 }
 
@@ -70,6 +73,11 @@ def test_every_memo_is_an_lru_cache_and_clears():
         "quadrature._lattice_bins",
         "harness._op_values_cached",
         "harness._dilated",
+        "quadrature._lattice_cached",
+        "quadrature._translate_plan_cached",
+        "quadrature._ball_plan_cached",
+        "operators._fraclap_nodes",
+        "operators._fraclap_kernel",
     }
     assert used <= set(memos)
     assert all(memos[n].cache_info().currsize > 0 for n in used)
@@ -125,23 +133,28 @@ def test_pair_bin_memo_holds_a_pass(monkeypatch):
 
 def test_no_memo_key_holds_a_node_array(monkeypatch):
     # a key holding the bytes of a node array hashes every node on every
-    # lookup: the pair bins are keyed on their lattice (g, R, h) instead
+    # lookup: the node side of every key is its lattice (g, R, h) or the
+    # memo key that made the nodes.  The points (or centres) a plan is
+    # made for are the call's own input and are keyed by their bytes (2 µs
+    # for 934 points), though they may be a lattice's nodes
     worker.clear_caches()
     keys = []
     for name, memo in list(_module_globals()):
         if hasattr(memo, "cache_clear"):
             def spy(*args, real=memo, name=name):
-                keys.append((name, args))
+                keys.append((name, dict(zip(inspect.signature(real).parameters, args))))
                 return real(*args)
 
             mod, attr = name.split(".")
             monkeypatch.setattr(importlib.import_module(f"morreylab.{mod}"), attr, spy)
     workloads.build("euclid_consequences", 0).run()
-    lattices = {args for name, args in keys if name.endswith("._nodes_cached")}
+    lattices = {tuple(args.values()) for name, args in keys if name.endswith("._nodes_cached")}
     node_bytes = {quadrature._nodes_cached(*key)[0].nbytes for key in lattices}
     sizes = {len(a) if isinstance(a, bytes) else np.asarray(a).nbytes
-             for _, args in keys for a in args if isinstance(a, (bytes, np.ndarray))}
+             for _, args in keys for p, a in args.items()
+             if p not in ("points", "centers") and isinstance(a, (bytes, np.ndarray))}
     assert len(lattices) > 1 and sizes
+    assert any("points" in args for _, args in keys)
     assert not node_bytes & sizes
 
 

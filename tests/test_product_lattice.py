@@ -77,9 +77,10 @@ def gauge_ball_bump(h1, r):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_products_land_on_the_grid(sign):
     # the grid spans exactly the products' central range, so points from a
-    # smaller ball than the nodes' need their own extent; each pair of
-    # columns reads u at its products from one row of the read-only
-    # window view of the sample buffer
+    # smaller ball than the nodes' need their own extent; the sample
+    # buffer holds u at every product, and on H^1 each pair of columns
+    # reads them from one row of its read-only window view (R^N buffers
+    # hold the grid alone, with no window padding)
     for _, g, spec in BIN_CASES:
         h = spec.effective_h
         u = gaussian(g, 0.5)
@@ -92,9 +93,13 @@ def test_products_land_on_the_grid(sign):
             assert 0 <= at.min() and at.max() < len(grid) < len(pts) * len(nodes)
             prod = groups.mul(g, pts[:, None, :], nodes[None, :, :])
             assert np.max(np.abs(grid[at] - prod)) <= 1e-14
-            windows = lat.windows(lat.sample(u))
-            assert not windows.flags.writeable
-            got = windows[lat.column_starts()[lat.pcol][:, lat.col], lat.s[:, None] + lat.m]
+            buf = lat.sample(u, lat.runs())
+            got = buf[at]
+            if g.law == groups.HEISENBERG1:
+                windows = lat.windows(buf)
+                assert not windows.flags.writeable
+                rows = windows[lat.column_starts()[lat.pcol][:, lat.col], lat.s[:, None] + lat.m]
+                assert np.array_equal(rows, got)
             want = u(prod)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -131,7 +136,7 @@ def test_read_only_samples_take_the_fast_path(backends, translate_paths, law, ki
     assert (translate_paths["_column_correlations"] > 0) == (law == "H1")
     if kind == "read_only":
         assert any(np.any((v != 0) & (np.abs(v) < tiny)) for v in returned)
-        buf = lat.sample(u)
+        buf = lat.sample(u, lat.runs())
         assert not np.any((buf != 0) & (np.abs(buf) <= np.finfo(float).eps * np.max(np.abs(buf))))
     backends.close(fast, backends.run(False, *args))
 
@@ -144,7 +149,7 @@ def seen_samples(g, lat, u):
         seen.append(p.reshape(-1, g.dimension).copy())
         return u(p)
 
-    buf = lat.sample(custom(spy, 10.0))
+    buf = lat.sample(custom(spy, 10.0), lat.runs())
     p = np.concatenate(seen)
     index = [np.searchsorted(axis, p[:, i]) for i, axis in enumerate(lat.axes)]
     for i, axis in enumerate(lat.axes):
@@ -206,15 +211,16 @@ def test_column_correlations_skip_pairs_without_a_nonzero_sample(backends, h1):
     zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
     w = dist ** -2.5
     lat = product_lattice(h1, zs, zs, h)
+    wf = quadrature._translate_plan(h1, lat, w)[2]
     pairs = len(lat.Lp) * len(lat.Lc)
     bump = gauge_ball_bump(h1, 0.35)
-    windows = CountedRows(lat.windows(lat.sample(bump)))
-    sums = quadrature._column_correlations(lat, windows, w)
+    windows = CountedRows(lat.windows(lat.sample(bump, lat.runs())))
+    sums = quadrature._column_correlations(lat, windows, wf)
     assert 0 < windows.rows < pairs
     assert np.array_equal(sums, backends.agree(translate_sums, h1, bump, zs, zs, w, h))
     zero = custom(lambda p: np.zeros(p.shape[:-1]), 1.0)
-    windows = CountedRows(lat.windows(lat.sample(zero)))
-    sums = quadrature._column_correlations(lat, windows, w)
+    windows = CountedRows(lat.windows(lat.sample(zero, lat.runs())))
+    sums = quadrature._column_correlations(lat, windows, wf)
     assert windows.rows == 0
     assert not np.any(sums) and not np.any(translate_sums(h1, zero, zs, zs, w, h))
 
