@@ -9,6 +9,7 @@ pure function of an immutable :class:`GroupDescriptor`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -154,6 +155,33 @@ def d4_orbit_key(odd: np.ndarray) -> np.ndarray:
     x, y = np.where(same, np.abs(a), np.abs(b)), np.where(same, np.abs(b), np.abs(a))
     swap = (y > x) | ((y == x) & (c < 0))
     return np.stack([np.where(swap, y, x), np.where(swap, x, y), np.where(swap, -c, c)], axis=-1)
+
+
+def symmetries(g: GroupDescriptor) -> tuple:
+    """The exact symmetries of g's lattices: ``(perm, signs)`` pairs, the identity first.
+
+    Each is the signed permutation x -> signs * x[..., perm].  It maps
+    every midpoint lattice onto itself node for node and preserves the
+    gauge, Haar measure and ``quadrature._pair_gauges`` bit for bit:
+    negating a coordinate negates its differences exactly.  On R^N these
+    are the 2^N sign flips, and on R^2 the axis swap as well, since a
+    two-term sum is commutative; on R^3 a swap would reorder the
+    three-term sum (a + b) + c and is left out.  On H^1 they are the 8
+    elements of D4 (``d4_orbit_key``): the sign of t is the orientation of
+    the map on (x0, x1), so the quarter turn is ((1, 0, 2), (-1, 1, 1))
+    and the reflection ((0, 1, 2), (1, -1, -1)).
+    """
+    h1 = g.law == HEISENBERG1
+    ident = tuple(range(g.dimension))
+    perms = (ident, (1, 0) + ident[2:]) if h1 or g.dimension == 2 else (ident,)
+    out = []
+    for perm in perms:
+        for signs in itertools.product((1.0, -1.0), repeat=2 if h1 else g.dimension):
+            if h1:
+                # the orientation of the map on (x0, x1): a swap reverses it
+                signs += (signs[0] * signs[1] * (1.0 if perm == ident else -1.0),)
+            out.append((perm, signs))
+    return tuple(out)
 
 
 def column_half_width(g: GroupDescriptor, outer: np.ndarray, R) -> np.ndarray:

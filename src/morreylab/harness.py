@@ -458,7 +458,41 @@ def _op_values_cached(g, op, fn, param, u, spec, R_eff):
     return vals
 
 
+# one entry per centre grid: a pass of any bench workload uses at most four
+@lru_cache(maxsize=8)
+def _orbit_centers(g, centers: bytes) -> np.ndarray:
+    """The centres (the bytes of an (n, N) float array) without those that are exact images of earlier ones.
+
+    Centre i is dropped when A c_i, for some A of ``groups.symmetries(g)``,
+    equals a centre j < i byte for byte, both compared after + 0.0 so that
+    -0.0 matches 0.0.  The rest keep their values and order (read-only),
+    so the first of them attaining a maximum is the first centre that
+    does whenever the values of an orbit tie.  A grid that the maps do
+    not close up loses only the centres whose images it holds.
+    """
+    given = np.frombuffer(centers).reshape(-1, g.dimension)
+    c = given + 0.0
+    first = {}
+    for i, row in enumerate(c):
+        first.setdefault(row.tobytes(), i)
+    images = [c[:, list(perm)] * signs + 0.0 for perm, signs in groups.symmetries(g)]
+    keep = [i for i in range(len(c)) if all(first.get(a[i].tobytes(), i) >= i for a in images)]
+    out = given[keep]
+    out.setflags(write=False)
+    return out
+
+
 def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
+    """The Morrey estimate of one factor of the theorem on ``grids``.
+
+    For a ``u`` flagged ``d4_invariant`` the samples of every factor tag
+    are invariant under ``groups.symmetries(g)`` up to rounding: each
+    tag commutes with those maps, the gradient enters through its norm,
+    and ``gauge_power_weights`` depends on the gauge alone.  A centre and
+    its images then carry one Morrey value, so the supremum is taken over
+    one centre per orbit (``_orbit_centers``), and over every centre
+    otherwise.
+    """
     # integral-operator outputs have fat tails: keep the full lattice
     wide = factor["op"] in ("riesz", "fraclap", "maximal")
     decay = getattr(u, "decay_radius", math.inf)
@@ -471,8 +505,11 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
         # fold the gauge power into exact-mass node weights so singular
         # weights near the origin are integrated at full order
         cell = gauge_power_weights(g, theta * p_fac, R_eff, spec.lattice_h)
+    centers = grids.centers
+    if getattr(u, "d4_invariant", False):
+        centers = _orbit_centers(g, np.asarray(centers, dtype=float).tobytes())
     return morrey.morrey_sup_from_samples(
-        g, p_fac, float(cfg.lam), grids.centers, grids.radii, nodes, vals, cell,
+        g, p_fac, float(cfg.lam), centers, grids.radii, nodes, vals, cell,
         lattice_key(spec, R_eff),
     )
 

@@ -5,7 +5,11 @@ the max over a finite centre lattice and a geometric radius grid of
 ``(r^(-lam) * integral_{B(x,r)} |f|^p)^(1/p)``, a certified lower bound of
 the true norm.  Ball integrals reuse one lattice evaluation of |f|^p and
 one binning of the centre-node pairs by radius, so adding radii costs
-nothing.
+nothing.  The gauge and Haar measure are invariant under the lattice's
+exact symmetries (``groups.symmetries``), so for an input they leave
+invariant a centre and its images carry one value: the harness passes
+one centre per orbit, and the supremum over those is the supremum over
+every centre.
 """
 
 from __future__ import annotations

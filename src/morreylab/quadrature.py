@@ -196,11 +196,17 @@ def _shell_edges(R_max: float, h: float):
     return R_max * 0.5 ** np.arange(k_max + 1)
 
 
+# one entry per lattice, as ``_nodes_cached``: the shell weights of every
+# exponent on a lattice share its shell indices, held in the narrowest type
+@lru_cache(maxsize=32)
 def _shells(g, R, h):
-    """``_nodes_cached``, the ``_shell_edges``, each node's shell (the last below them) and sigma."""
+    """``_nodes_cached``, the ``_shell_edges``, each node's shell (the last below them) and sigma; read-only."""
     zs, dist, cell = _nodes_cached(g, R, h)
     edges = _shell_edges(R, h)
     idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, len(edges) - 2)
+    idx = idx.astype(_bin_dtype(len(edges)))
+    edges.setflags(write=False)
+    idx.setflags(write=False)
     sigma = groups.sphere_measure(g, h)
     return zs, dist, cell, edges, idx, sigma
 
@@ -285,7 +291,7 @@ def _blocks(n, per):
 
 
 def _bin_dtype(n_radii):
-    """The narrowest signed integer type of the pair bins: it holds the bin index ``n_radii``."""
+    """The narrowest signed integer type that holds ``n_radii``: that of the pair bins and of the shell indices."""
     return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max > n_radii)
 
 
@@ -401,7 +407,8 @@ def ball_sums(runs: BinRuns, weights=None) -> np.ndarray:
     per_run[first] = at_end[first]
     per_ball = np.bincount(runs.ball, per_run, minlength=runs.n_centers * (runs.n_radii + 1))
     per_ball = per_ball.reshape(runs.n_centers, runs.n_radii + 1)[:, : runs.n_radii]
-    return np.cumsum(per_ball.astype(np.intp) if weights is None else per_ball, axis=1)
+    # bincount gives floats for integer weights, and integers for no runs at all
+    return np.cumsum(per_ball.astype(np.intp if weights is None else float, copy=False), axis=1)
 
 
 @lru_cache(maxsize=32)
@@ -413,8 +420,9 @@ def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> BinRun
     array.  The ``ball_bins`` table is built and dropped here; its runs
     take 8 bytes each, and neighbouring nodes mostly share their bin, so
     a table of C centres and K nodes keeps 0.06-0.2 C K runs.  One pass
-    of a bench workload asks for at most 26 distinct tables, about 2.2 MB
-    in all on ``euclid_consequences``.
+    of a bench workload asks for at most 26 distinct tables, about 0.9 MB
+    in all on ``euclid_consequences`` at seed 0 (1.0 MB at seed 3), whose
+    centres the harness reduces to one per symmetry orbit.
     """
     nodes = _nodes_cached(g, R, h)[0]
     radii = np.frombuffer(radii)

@@ -30,9 +30,13 @@ class TestFunction:
     """A test function u and its metadata.
 
     ``d4_invariant`` states a fact about u, not a choice: u(A x) = u(x)
-    for the automorphisms A of H^1 in ``groups.d4_orbit_key``, quarter
-    turns of (x0, x1) and (x0, x1, t) -> (x0, -x1, -t).  On H^1 the
-    harness then evaluates factor operators on one node per orbit.
+    for every A in ``groups.symmetries(g)``.  On H^1 those are the
+    automorphisms of ``groups.d4_orbit_key``, quarter turns of (x0, x1)
+    and (x0, x1, t) -> (x0, -x1, -t); on R^N the coordinate sign flips,
+    and on R^2 the axis swap too.  Functions of ``squared_norm`` or of
+    the gauge qualify on every law.  The harness then takes each Morrey
+    supremum over one centre per orbit, and on H^1 evaluates the
+    integral factor operators on one node per orbit.
     """
 
     kind: str

@@ -68,10 +68,12 @@ def test_every_memo_is_an_lru_cache_and_clears():
     memos = {n: obj for n, obj in _module_globals() if hasattr(obj, "cache_clear")}
     used = {
         "quadrature._nodes_cached",
+        "quadrature._shells",
         "quadrature._shell_weights_cached",
         "quadrature.gauge_power_weights",
         "quadrature._lattice_bins",
         "harness._op_values_cached",
+        "harness._orbit_centers",
         "harness._dilated",
         "quadrature._lattice_cached",
         "quadrature._translate_plan_cached",
@@ -112,7 +114,8 @@ def test_pair_bin_memo_holds_a_pass(monkeypatch):
     # a seed-0 pass asks for 12 (default_r1) or 26 (euclid_consequences)
     # distinct pair-bin tables many times over: each must be filled once,
     # not refilled after eviction; the runs of a euclid_consequences pass
-    # hold less than its 2.6 MB of one-byte pair bins
+    # (0.9 MB) hold less than the 2.6 MB of one-byte pair bins that all of
+    # its centres would take
     real = quadrature._lattice_bins
     for name, tables in (("default_r1", 12), ("euclid_consequences", 26)):
         keys, calls, held = set(), [], {}

@@ -421,3 +421,20 @@ _SPEC = QuadratureSpec(R_max=4.0, lattice_h=0.1)
 def test_public_error_paths(call, match):
     with pytest.raises(DomainError, match=match):
         call()
+
+
+@pytest.mark.parametrize("law,op", [
+    ("R1", "riesz"), ("R1", "fraclap"), ("R1", "maximal"), ("H1", "riesz"), ("H1", "maximal"),
+])
+def test_zero_points_give_an_empty_float_array(law, op, g1, h1):
+    # the ball sums of no centres came back as integers, so the maximal
+    # operator's in-place scaling by the cell volume raised a casting error
+    g, spec = (g1, _SPEC) if law == "R1" else (h1, QuadratureSpec(R_max=3.0, lattice_h=0.5))
+    u, pts = gaussian(g, 0.5), np.zeros((0, g.dimension))
+    if op == "riesz":
+        out = riesz_values(g, 0.4 if law == "R1" else 1.0, u, pts, spec)
+    elif op == "fraclap":
+        out = frac_laplacian_values(g, 0.25, u, pts, spec)
+    else:
+        out = frac_maximal_values(g, 0.0, u, pts, quadrature.radius_grid(spec, u.decay_radius), spec)
+    assert out.dtype == np.float64 and out.shape == (0,)
