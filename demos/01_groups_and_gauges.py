@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # Group arithmetic on Euclidean R^N and the Heisenberg group H^1:
-# dilations, gauges and ball volumes.
+# dilations, gauges, ball volumes and the unit sphere measure.
 
 import numpy as np
 
@@ -33,6 +33,5 @@ for R in (0.5, 2.0, 4.0):
     print(f"  |B({R})| / |B(1)| / R^Q =", ml.ball_volume(h1, R, h) / v1 / R ** h1.Q)
 
 # the polar decomposition is calibrated so that integrating the unit-ball
-# indicator against r^(Q-1) dr reproduces the ball volume
-polar = ml.polar_integrate(h1, lambda r: (r < 1.0).astype(float), 6.0, h)
-print("polar unit-ball volume:", polar, " direct:", v1)
+# indicator against r^(Q-1) dr reproduces the ball volume: sigma = Q |B(1)|
+print("H^1 unit sphere measure:", ml.sphere_measure(h1, h), " (Q pi^2/8 = pi^2/2 =", np.pi ** 2 / 2, ")")

@@ -5,22 +5,16 @@
 import numpy as np
 
 import morreylab as ml
-from morreylab.quadrature import QuadratureSpec, lattice_integrate, shell_integrate_singular
+from morreylab.quadrature import QuadratureSpec
 
 g1 = ml.euclidean_group(1)
 
-# the midpoint lattice engine with its Richardson error bar
-spec = QuadratureSpec(R_max=8.0, lattice_h=0.05)
-res = lattice_integrate(g1, lambda p: np.exp(-p[..., 0] ** 2), spec)
-print("integral of exp(-x^2):", res.value, "+/-", res.error_estimate,
-      " (sqrt(pi) =", np.sqrt(np.pi), ")")
-
-# the shell engine integrates u(y) |y|^(a) with exact per-shell kernel mass;
-# closed form: integral_{-1}^{1} |y|^{-1/2} dy = 4
+# the shell weights integrate u(y) |y|^(gamma - Q) with exact per-shell kernel
+# mass; gamma = 1/2 on R^1 gives the closed form integral_{-1}^{1} |y|^{-1/2} dy = 4
 ind = ml.custom(lambda p: (np.abs(p[..., 0]) <= 1.0).astype(float), decay_radius=1.0)
-res = shell_integrate_singular(g1, -0.5, ind, np.array([0.0]),
-                               QuadratureSpec(R_max=2.5, lattice_h=0.05))
-print("singular integral of |y|^(-1/2) over [-1,1]:", res.value)
+spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
+print("singular integral of |y|^(-1/2) over [-1,1]:",
+      ml.riesz_values(g1, 0.5, ind, np.array([0.0]), spec.refined()))
 
 # Riesz potential and its covariance: I(u o dilate_t)(x) = t^(-gamma) I(u)(tx)
 u = ml.gaussian(g1, 1.0)

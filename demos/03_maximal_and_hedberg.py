@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-# Maximal operators and the two diagnostic decompositions of the Riesz
-# potential: the near/far split at a radius rho, and the three gauge zones.
+# Maximal operators and Hedberg's pointwise bound of the Riesz potential
+# by the fractional and plain maximal functions.
 
 import numpy as np
 
 import morreylab as ml
-from morreylab.quadrature import QuadratureSpec, radius_grid
+from morreylab.quadrature import QuadratureSpec
 
 g1 = ml.euclidean_group(1)
 spec = QuadratureSpec(R_max=6.0, lattice_h=0.02)
@@ -22,22 +22,11 @@ print("M_0 of the indicator at x=2:",
 print("M_{1/2} at x=0:", ml.frac_maximal_values(g1, 0.5, ind, np.array([0.0]), radii, spec),
       " (sqrt(2) =", np.sqrt(2.0), ")")
 
-# split the potential at rho: for rho covering the support the far part dies
-u = ml.gaussian(g1, 1.0)
-spec_w = QuadratureSpec(R_max=10.0, lattice_h=0.04)
-x = np.array([0.5])
-for rho in (0.2, 0.8, 20.0):
-    hs = ml.hedberg_split(g1, 0.5, u, x, rho, spec_w)
-    print(f"  rho={rho:5.1f}: near={hs.j1:.5f} far={hs.j2:.5f} sum={hs.j1 + hs.j2:.5f}")
-print("full potential:", ml.riesz_values(g1, 0.5, u, x, spec_w.refined()))
-
-# the balancing radius from the two maximal values
-m0 = ml.frac_maximal_values(g1, 0.0, u, x, radius_grid(spec_w, u.decay_radius), spec_w)
-mf = ml.frac_maximal_values(g1, (1.0 - 0.2) / (1.0 * 2.0), u, x,
-                            radius_grid(spec_w, u.decay_radius), spec_w)
-print("balancing rho:", ml.hedberg_optimal_rho(mf, m0, p=2.0, Q=1.0, lam=0.2))
-
-# three-zone decomposition: inner / comparable / outer gauge annuli
-z1, z2, z3 = ml.three_zone_split(g1, 0.5, u, np.array([1.0]),
-                                 QuadratureSpec(R_max=14.0, lattice_h=0.03))
-print("zones:", z1, z2, z3, " sum:", z1 + z2 + z3)
+# Hedberg: |I_gamma u(x)| <= C M_frac(x)^e M_0(x)^(1-e), e = p gamma / (Q - lam);
+# the largest ratio over the points stays put under refinement
+u = ml.gaussian(g1, 0.5)
+cfg = ml.admissible("adams_hls", Q=1, p=2.0, gamma=0.3, lam=0.2)
+pts = np.linspace(-2.5, 2.5, 100)[:, None]
+rep = ml.hedberg_pointwise_check(g1, cfg, u, pts, QuadratureSpec(R_max=12.0, lattice_h=0.04))
+print(f"Hedberg ratio: max {rep.max_ratio:.4f} over {rep.n_used} points, "
+      f"{rep.max_ratio_refined:.4f} at h/2 (change {rep.rel_change:.3%})")

@@ -9,8 +9,6 @@ from morreylab.morrey import (
     MorreyParams,
     default_centers,
     default_radii,
-    embedding_check,
-    local_morrey_norm,
     morrey_norm,
 )
 from morreylab.quadrature import QuadratureSpec
@@ -36,15 +34,18 @@ for lam in (0.0, 0.25, 0.5):
         print(f"  lam={lam}: ratio at t={t} -> {got / base:.5f} "
               f"(predicted {t ** ((lam - 1.0) / 2.0):.5f})")
 
-# local norms centre every ball at the identity and can only be smaller
-loc, glob, ok = embedding_check(g1, 2.0, 0.25, u, radii, spec)
-print("local:", loc, " global:", glob, " local<=global:", ok)
+# local norms centre every ball at the identity, the first default centre,
+# and can only be smaller
+identity = np.zeros((1, 1))
+loc = morrey_norm(g1, MorreyParams(p=2.0, lam=0.25, centers=identity, radii=radii), u, spec).value
+glob = morrey_norm(g1, MorreyParams(p=2.0, lam=0.25, centers=centers, radii=radii), u, spec).value
+print("local:", loc, " global:", glob)
 
 # a far off-centre profile shows the strict gap
 u_off = ml.custom(lambda p: np.exp(-np.sum((p - 3.0) ** 2, axis=-1)),
                   decay_radius=9.0, smooth=True)
 short = radii[radii <= 4.0]
-loc = local_morrey_norm(g1, 2.0, 0.0, u_off, short, spec).value
+loc = morrey_norm(g1, MorreyParams(p=2.0, lam=0.0, centers=identity, radii=short), u_off, spec).value
 glob = morrey_norm(g1, MorreyParams(p=2.0, lam=0.0, centers=centers, radii=short),
                    u_off, spec).value
 print("off-centre input: local", loc, "< global", glob)

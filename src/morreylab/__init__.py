@@ -15,33 +15,23 @@ from .groups import (
     gauge,
     ball_volume,
     sphere_measure,
-    polar_integrate,
 )
 from .quadrature import (
     QuadratureSpec,
-    IntegrationResult,
-    lattice_integrate,
-    shell_integrate_singular,
     radius_grid,
 )
 from .testfunctions import TestFunction, gaussian, bump, power_truncated, custom, dilated, default_battery
 from .operators import (
-    HedbergSplit,
     riesz_values,
     frac_maximal_values,
     frac_laplacian_values,
     horizontal_gradient_values,
     sub_laplacian_values,
-    hedberg_split,
-    hedberg_optimal_rho,
-    three_zone_split,
 )
 from .morrey import (
     MorreyParams,
     MorreyEstimate,
     morrey_norm,
-    local_morrey_norm,
-    embedding_check,
     default_centers,
 )
 from .harness import (

@@ -256,29 +256,3 @@ def sphere_measure(g: GroupDescriptor, h: float) -> float:
     """
     return g.Q * _unit_ball_volume_cached(g, min(h, 1.0 / 32.0))
 
-
-def polar_integrate(g: GroupDescriptor, f_radial, R: float, h: float) -> float:
-    """Integral of a gauge-radial function via the polar decomposition.
-
-    Returns sigma * integral_0^R f(r) r^(Q-1) dr with the radial integral
-    done by a fine midpoint rule and sigma = ``sphere_measure(g, h)``.
-    ``f_radial`` must accept a numpy array of radii.  Radial profiles
-    diverging at least as fast as r^(-Q) near zero are rejected.
-    """
-    if not (math.inf > R > 0):
-        raise DomainError(f"radius must be finite and positive, got {R}")
-    # probe the small-radius growth to reject non-integrable profiles
-    eps = 1e-6 * R
-    probe = np.asarray(f_radial(np.array([eps, 2.0 * eps])), dtype=float)
-    if np.all(probe > 0):
-        slope = math.log(probe[1] / probe[0]) / math.log(2.0)
-        if slope <= -g.Q + 1e-9:
-            raise DomainError(
-                f"radial integrand grows like r^{slope:.3f} near 0; "
-                f"needs exponent > -Q = {-g.Q}"
-            )
-    n = 1 << 15
-    r = (np.arange(n) + 0.5) * (R / n)
-    vals = np.asarray(f_radial(r), dtype=float) * r ** (g.Q - 1.0)
-    radial = float(np.sum(vals) * (R / n))
-    return sphere_measure(g, h) * radial

@@ -1,4 +1,4 @@
-"""Grid-sup estimators for global and local Morrey norms.
+"""Grid-sup estimators for global Morrey norms.
 
 The double supremum over centres and radii is discretised: the estimate is
 the max over a finite centre lattice and a geometric radius grid of
@@ -9,7 +9,8 @@ nothing.  The gauge and Haar measure are invariant under the lattice's
 exact symmetries (``groups.symmetries``), so for an input they leave
 invariant a centre and its images carry one value: the harness passes
 one centre per orbit, and the supremum over those is the supremum over
-every centre.
+every centre.  A norm over balls about the identity alone is
+``morrey_norm`` with that one centre.
 """
 
 from __future__ import annotations
@@ -147,24 +148,6 @@ def morrey_norm(
     if decay > spec.R_max and est.argmax_radius >= 0.95 * R_eff:
         est = replace(est, truncation_note=True)
     return est
-
-
-def local_morrey_norm(g, p, lam, u, radii, spec) -> MorreyEstimate:
-    """Morrey norm over balls centred at the identity only."""
-    params = MorreyParams(
-        p=p, lam=lam, centers=np.zeros((1, g.dimension)), radii=np.asarray(radii)
-    )
-    return morrey_norm(g, params, u, spec)
-
-
-def embedding_check(g, p, lam, u, radii, spec, centers=None, tol: float = 1e-12):
-    """local <= global on identical radius grids; a grid-bug tripwire."""
-    if centers is None:
-        centers = default_centers(g, spec)
-    loc = local_morrey_norm(g, p, lam, u, radii, spec).value
-    params = MorreyParams(p=p, lam=lam, centers=centers, radii=np.asarray(radii))
-    glob = morrey_norm(g, params, u, spec).value
-    return loc, glob, bool(loc <= glob + tol)
 
 
 def default_radii(g, u, spec: QuadratureSpec) -> np.ndarray:

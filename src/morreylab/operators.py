@@ -9,7 +9,6 @@ needs operator values on ~10^4 lattice nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -292,91 +291,3 @@ def sub_laplacian_values(g: groups.GroupDescriptor, u, points) -> np.ndarray:
         + x * _second_partial(u, pts, 1, 2)
         + 0.25 * (x * x + y * y) * _second_partial(u, pts, 2, 2)
     )
-
-
-# ---------------------------------------------------------------------------
-# Hedberg split and three-zone decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HedbergSplit:
-    j1: float
-    j2: float
-    rho: float
-
-
-def _abs_u(u):
-    def fn(pts):
-        return np.abs(np.asarray(u(pts), dtype=float))
-
-    fn.decay_radius = getattr(u, "decay_radius", math.inf)
-    return fn
-
-
-def hedberg_split(g, gamma, u, x, rho, spec) -> HedbergSplit:
-    """Kernel integral of |u| split at distance rho from x.
-
-    j1 covers {d <= rho}, j2 covers {rho < d <= R_max}; for u >= 0 the two
-    parts sum to the full potential up to quadrature error.
-    """
-    if not (0 < gamma < g.Q):
-        raise DomainError(f"gamma must lie in (0, Q), got {gamma}")
-    if not (rho > 0):
-        raise DomainError("rho must be positive")
-    a = gamma - g.Q
-    au = _abs_u(u)
-    x = np.asarray(x, dtype=float)
-    j1 = float(kernel_band_values(g, a, au, x, spec, r_lo=0.0, r_hi=rho))
-    j2 = float(kernel_band_values(g, a, au, x, spec, r_lo=rho, r_hi=spec.R_max))
-    return HedbergSplit(j1=j1, j2=j2, rho=float(rho))
-
-
-def hedberg_optimal_rho(m_frac: float, m_0: float, p: float, Q: float, lam: float) -> float:
-    """The split radius equalising the two Hedberg bounds."""
-    if not (m_frac > 0 and m_0 > 0):
-        raise DomainError("maximal values must be positive (u vanishes near x?)")
-    if not (0 < lam < Q):
-        raise DomainError("need 0 < lambda < Q")
-    if not (p > 1):
-        raise DomainError("need p > 1")
-    return (m_frac / m_0) ** (p / (Q - lam))
-
-
-def three_zone_split(g, gamma, u, x, spec):
-    """Kernel integrals of |u| over the three gauge-annuli around the origin.
-
-    Zones split the source by gauge(y): inside gauge(x)/2, the middle band,
-    and outside 2 gauge(x).  Only the middle zone sees the kernel
-    singularity.  The sum is an independent cross-check of the full
-    potential.  A non-finite |u| at a node of the outer two zones raises
-    IntegrandError, as does one the middle zone's band reaches.
-    """
-    if not (0 < gamma < g.Q):
-        raise DomainError(f"gamma must lie in (0, Q), got {gamma}")
-    x = np.asarray(np.atleast_1d(x), dtype=float)
-    gx = float(groups.gauge(g, x))
-    if gx == 0:
-        raise DomainError("zones degenerate at x = 0")
-    a = gamma - g.Q
-
-    src, sdist, cell = lattice_nodes(g, spec)
-    inner_mask = sdist < 0.5 * gx
-    outer_mask = sdist > 2.0 * gx
-    uv = finite_samples(np.abs(np.asarray(u(src), dtype=float)), src, inner_mask | outer_mask)
-    d = groups.gauge(g, groups.mul(g, -src, x))
-    with np.errstate(divide="ignore"):
-        kern = np.where(d > 0, d ** a, 0.0) * cell
-
-    z1 = float(np.sum(uv[inner_mask] * kern[inner_mask]))
-    z3 = float(np.sum(uv[outer_mask] * kern[outer_mask]))
-
-    lo, hi = 0.5 * gx, 2.0 * gx
-
-    def banded(pts):
-        sd = groups.gauge(g, pts)
-        vals = np.abs(np.asarray(u(pts), dtype=float))
-        return np.where((sd >= lo) & (sd <= hi), vals, 0.0)
-
-    banded.decay_radius = min(getattr(u, "decay_radius", math.inf), hi)
-    z2 = float(kernel_band_values(g, a, banded, x, spec))
-    return z1, z2, z3

@@ -1,13 +1,15 @@
-"""Discretisation engines shared by all operator evaluations.
+"""Discretisation engine shared by all operator evaluations.
 
-Two engines are provided.  ``lattice_integrate`` is a midpoint rule on an
-anisotropic lattice over the truncated ball {gauge <= R_max}: coordinate i
-uses spacing ``h**w_i`` so the lattice respects the group dilations.
-``shell_integrate_singular`` integrates a function against the singular
-radial kernel d^a (a in (-Q, 0)) by decomposing the ball into shells
-around the singular point whose radii halve from R_max down to the
-spacing h, matching the exact radial kernel mass on every shell and
-closing the region below h in closed form.
+Every integral runs over the midpoint nodes of one anisotropic lattice
+inside the truncated ball {gauge <= R_max} (``lattice_nodes``):
+coordinate i uses spacing ``h**w_i``, so the lattice respects the group
+dilations.  Singular radial weights come from the shells of
+``_shell_edges`` around the centre, whose radii halve from R_max down to
+the spacing h: each shell carries its exact radial mass, spread over its
+nodes in proportion to their midpoint weights (``_spread``).
+``kernel_band_values`` integrates u against the kernel d^a, a in (-Q, 0),
+this way and closes the region below h in closed form through u at the
+centre; ``gauge_power_weights`` gives the masses of gauge(y)^a dy.
 
 Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
@@ -82,13 +84,6 @@ class QuadratureSpec:
     def refined(self, levels: int = 1) -> "QuadratureSpec":
         """The spec with ``lattice_h`` halved ``levels`` times (exact in binary)."""
         return replace(self, lattice_h=self.lattice_h / 2.0 ** levels)
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    error_estimate: float
-    nodes_used: int
 
 
 @lru_cache(maxsize=32)
@@ -166,27 +161,6 @@ def lattice_orbits(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float
     return _orbits_cached(g, *lattice_key(spec, R_eff))
 
 
-def _midpoint_sum(g, f, spec):
-    pts, _, cell = lattice_nodes(g, spec)
-    vals = finite_samples(np.asarray(f(pts), dtype=float), pts, True)
-    return float(np.sum(vals) * cell), pts.shape[0]
-
-
-def lattice_integrate(g: groups.GroupDescriptor, f, spec: QuadratureSpec) -> IntegrationResult:
-    """Midpoint rule over the anisotropic lattice with a Richardson error bar.
-
-    The value is computed at the spec's spacing and at half of it; the
-    finer value is returned and the difference between the two is the
-    error estimate.  A non-finite sample on either lattice raises
-    IntegrandError.
-    """
-    coarse, n_c = _midpoint_sum(g, f, spec)
-    fine, n_f = _midpoint_sum(g, f, spec.refined())
-    return IntegrationResult(
-        value=fine, error_estimate=abs(fine - coarse), nodes_used=n_c + n_f
-    )
-
-
 def _shell_edges(R_max: float, h: float):
     """Shell edges halving from R_max down to the spacing h.
 
@@ -222,30 +196,25 @@ def _spread(kern, idx, exact):
 
 
 @lru_cache(maxsize=64)
-def _shell_weights_cached(g, a, R_max, h, r_lo, r_hi):
-    """Nodes and per-node quadrature weights for the kernel d^a on a banded ball.
+def _shell_weights_cached(g, a, R_max, h):
+    """Nodes and per-node quadrature weights for the kernel d^a on the truncated ball.
 
     Returns ``_nodes_cached``' nodes (in its order), their weights and the
     u(centre)-coefficient ``c0``.  Every shell around the centre carries
     its exact radial kernel mass, distributed over its nodes
     proportionally to the raw midpoint weights; the innermost region (and
-    any shell too thin to hold a node) contributes through ``c0``.
+    any shell too thin to hold a node) contributes through ``c0``, which
+    is therefore never zero.
     """
     zs, dist, cell, edges, idx, sigma = _shells(g, R_max, h)
     r_stop = float(edges[-1])
     aQ = a + g.Q
-    live = (dist >= r_stop) & (dist > r_lo) & (dist <= r_hi)
-    kern = np.where(live, np.where(live, dist, 1.0) ** a * cell, 0.0)
-    lo_clip, hi_clip = np.clip(edges[1:], r_lo, r_hi), np.clip(edges[:-1], r_lo, r_hi)
-    exact = sigma * np.maximum(hi_clip ** aQ - lo_clip ** aQ, 0.0) / aQ
+    kern = np.where(dist >= r_stop, dist ** a * cell, 0.0)
+    exact = sigma * (edges[:-1] ** aQ - edges[1:] ** aQ) / aQ
     weights, empty = _spread(kern, idx, exact)
     # shells with no nodes (below lattice resolution) and the innermost
     # region use u(centre) against the exact kernel mass
-    c0 = float(np.sum(exact[empty]))
-    lo_in = min(max(r_lo, 0.0), r_stop)
-    hi_in = min(r_hi, r_stop)
-    if hi_in > lo_in:
-        c0 += sigma * (hi_in ** aQ - lo_in ** aQ) / aQ
+    c0 = float(np.sum(exact[empty])) + sigma * r_stop ** aQ / aQ
     return zs, weights, c0
 
 
@@ -1252,70 +1221,31 @@ def kernel_band_values(
     u,
     points,
     spec: QuadratureSpec,
-    r_lo: float = 0.0,
-    r_hi: float | None = None,
 ) -> np.ndarray:
-    """integral of u(y) d(y,x)^a over {r_lo < d(y,x) <= r_hi} at points x.
+    """integral of u(y) d(y,x)^a over {d(y,x) <= R_max} at points x.
 
     d(y, x) = gauge(y^{-1} x), and the integration ball is centred at each
     evaluation point (truncation at R_max).  One shared node/weight set
     serves every point through left translation, which preserves both the
     Haar measure and cell midpoints: the value is ``translate_sums`` plus
     the closed-form innermost term c0 u(x).  A non-finite sample of u at
-    a weighted node, or a non-finite u(x) when c0 is not zero, raises
-    IntegrandError.
+    a weighted node, or a non-finite u(x), raises IntegrandError.
     """
     if a <= -g.Q:
         raise DomainError(f"kernel exponent {a} <= -Q diverges")
     if a >= 0:
         raise DomainError("kernel_band_values needs a singular kernel (a < 0)")
-    r_hi = spec.R_max if r_hi is None else min(float(r_hi), spec.R_max)
-    r_lo = float(r_lo)
     pts = groups.as_points(g, points)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    out = np.zeros(pts.shape[0])
-    u_at = np.asarray(u(pts), dtype=float)
-    if r_lo < r_hi:
-        h = spec.lattice_h
-        R = resolve_R(spec)
-        key = (g, float(a), R, h, r_lo, r_hi)
-        zs, weights, c0 = _shell_weights_cached(*key)
-        if not np.all(np.isfinite(u_at)):
-            u_at = finite_samples(u_at, pts, c0 != 0.0)
-        source = (_nodes_cached, (g, R, h)), (_shell_weights_cached, key)
-        out = translate_sums(g, u, pts, zs, weights, h, source) + u_at * c0
+    u_at = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
+    h = spec.lattice_h
+    R = resolve_R(spec)
+    key = (g, float(a), R, h)
+    zs, weights, c0 = _shell_weights_cached(*key)
+    source = (_nodes_cached, (g, R, h)), (_shell_weights_cached, key)
+    out = translate_sums(g, u, pts, zs, weights, h, source) + u_at * c0
     return out[0] if single else out
-
-
-def shell_integrate_singular(
-    g: groups.GroupDescriptor,
-    kernel_exponent: float,
-    u,
-    center,
-    spec: QuadratureSpec,
-) -> IntegrationResult:
-    """Integral of u(y) * gauge(inverse(y) center)^a over the truncated ball.
-
-    Requires a locally integrable kernel, a in (-Q, 0).  Shells around the
-    centre, halving from R_max down to h, carry their exact radial kernel
-    mass; lattice samples of u supply the shell averages, and the region
-    below h uses u(center) with the kernel integrated in closed form.  The error
-    estimate is the difference against the lattice of twice the spacing.  A
-    non-finite sample of u that either lattice reaches raises IntegrandError.
-    """
-    a = float(kernel_exponent)
-    if a <= -g.Q:
-        raise DomainError(f"kernel exponent {a} <= -Q diverges")
-    if a >= 0:
-        raise ContractError("non-singular kernel: use lattice_integrate")
-    center = np.asarray(center, dtype=float)
-    fine = float(kernel_band_values(g, a, u, center, spec.refined()))
-    coarse = float(kernel_band_values(g, a, u, center, spec))
-    n = lattice_nodes(g, spec)[0].shape[0] + lattice_nodes(g, spec.refined())[0].shape[0]
-    return IntegrationResult(
-        value=fine, error_estimate=abs(fine - coarse), nodes_used=n
-    )
 
 
 def check_radii(radii) -> np.ndarray:

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from morreylab import (
     ball_volume,
+    custom,
     dilate,
     euclidean_group,
     gauge,
     heisenberg_group,
     inv,
     mul,
-    polar_integrate,
     sphere_measure,
 )
 from morreylab.errors import AccuracyError, DomainError, ShapeError
 from morreylab.groups import GroupDescriptor
+from morreylab.quadrature import QuadratureSpec, gauge_power_weights, kernel_band_values
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -68,11 +69,8 @@ def test_descriptor_invariants():
     (lambda: GroupDescriptor("heisenberg1", 2), DomainError, "^dimension "),
     (lambda: ball_volume(euclidean_group(2), 0.0, 0.1), DomainError, "radius"),
     (lambda: ball_volume(euclidean_group(2), 1.0, 0.0), DomainError, "spacing"),
-    (lambda: polar_integrate(euclidean_group(1), np.ones_like, -2.0, 0.05), DomainError, "radius"),
-    (lambda: polar_integrate(euclidean_group(1), np.ones_like, 2.0, -0.05), DomainError, "spacing"),
 ], ids=["euclidean_dimension_0", "euclidean_dimension_float", "unknown_law", "h1_dimension_2",
-        "ball_volume_radius_0", "ball_volume_spacing_0", "polar_integrate_radius_negative",
-        "polar_integrate_spacing_negative"])
+        "ball_volume_radius_0", "ball_volume_spacing_0"])
 def test_public_error_paths(call, exc, match):
     with pytest.raises(exc, match=match):
         call()
@@ -185,23 +183,44 @@ def test_ball_volume_budget_error(g3):
     assert abs(exc.value.estimate - want) / want < 0.05
 
 
+def unit_ball_indicator(g):
+    return custom(lambda p: (gauge(g, p) < 1.0).astype(float), decay_radius=1.0)
+
+
+def origin(g):
+    return np.zeros((1, g.dimension))
+
+
 def test_polar_integrate_examples(g1, h1):
-    assert polar_integrate(g1, lambda r: np.zeros_like(r), 2.0, 0.05) == 0.0
-    two = polar_integrate(g1, lambda r: (r < 1.0).astype(float), 2.0, 0.05)
-    assert two == pytest.approx(2.0, rel=1e-3)
-    got = polar_integrate(h1, lambda r: np.where(r < 1.0, r ** -2.0, 0.0), 2.0, 0.0625)
-    sigma = sphere_measure(h1, 0.0625)
-    assert got == pytest.approx(sigma / 2.0, rel=1e-3)
+    # the polar formula integral_B1 f(|y|) dy = sigma integral_0^1 f(r) r^(Q-1) dr,
+    # which the shell weights of kernel_band_values carry
+    spec = QuadratureSpec(R_max=2.0, lattice_h=0.0625)
+    zero = custom(lambda p: np.zeros(p.shape[:-1]), decay_radius=1.0)
+    assert kernel_band_values(h1, -2.0, zero, origin(h1), spec)[0] == 0.0
+    assert ball_volume(g1, 1.0, 0.05) == pytest.approx(2.0, rel=1e-3)
+    got = kernel_band_values(h1, -2.0, unit_ball_indicator(h1), origin(h1), spec)[0]
+    assert got == pytest.approx(sphere_measure(h1, 0.0625) / 2.0, rel=1e-3)
 
 
 def test_polar_divergence_rejected(h1):
+    # r^-Q is not integrable at the origin of H^1 (Q = 4)
     with pytest.raises(DomainError):
-        polar_integrate(h1, lambda r: r ** -4.0, 2.0, 0.0625)
+        gauge_power_weights(h1, -4.0, 2.0, 0.0625)
+    with pytest.raises(DomainError):
+        kernel_band_values(h1, -4.0, unit_ball_indicator(h1), origin(h1), QuadratureSpec(2.0, 0.0625))
 
 
 def test_polar_vs_ball_volume_consistency(all_groups):
+    # the polar side: integral_B1 |y|^(-1/2) dy = sigma / (Q - 1/2) = Q |B_1| / (Q - 1/2)
     for g in all_groups:
         h = 0.03125 if g.law == "heisenberg1" else 0.05
-        via_polar = polar_integrate(g, lambda r: (r < 1.0).astype(float), 2.0, h)
+        polar = kernel_band_values(g, -0.5, unit_ball_indicator(g), origin(g), QuadratureSpec(2.0, h))[0]
         direct = ball_volume(g, 1.0, h)
-        assert abs(via_polar - direct) / direct <= 0.01
+        assert abs(polar * (g.Q - 0.5) / g.Q - direct) / direct <= 0.01
+
+
+def test_sphere_measure_closed_forms(all_groups):
+    # sigma = Q |B_1|: the unit sphere of R^1-R^3, and Q = 4 times the
+    # Koranyi unit ball of H^1, pi^2 / 8
+    for g, want in zip(all_groups, (2.0, 2.0 * math.pi, 4.0 * math.pi, math.pi ** 2 / 2.0)):
+        assert sphere_measure(g, 1.0 / 32.0) == pytest.approx(want, rel=1e-3)

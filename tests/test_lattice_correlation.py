@@ -22,6 +22,7 @@ from morreylab.quadrature import (
     kernel_band_values,
     lattice_nodes,
     product_lattice,
+    translate_sums,
 )
 from morreylab.report import run_experiment
 from morreylab.testfunctions import dilated, gaussian, power_truncated
@@ -50,9 +51,7 @@ def test_riesz_band_matches_direct(backends, dim, spec, width):
     g = groups.euclidean_group(dim)
     u = gaussian(g, width)
     nodes = lattice_nodes(g, spec)[0]
-    for r_lo, r_hi in [(0.0, 0.5), (0.3, 1.2), (0.6, None)]:
-        backends.agree(kernel_band_values, g, 0.4 - g.Q, u, nodes, spec,
-                       r_lo=r_lo, r_hi=r_hi)
+    backends.agree(kernel_band_values, g, 0.4 - g.Q, u, nodes, spec)
 
 
 @pytest.mark.parametrize("dim,spec,width", LATTICES, ids=IDS)
@@ -171,16 +170,18 @@ def test_non_finite_value_at_the_point_raises(g1):
 
 
 def test_unreached_non_finite_sample_is_dropped(backends, translate_paths, g1):
-    # the band (0.5, R_max] never reaches y = 0 from nodes with |x| < 0.5,
-    # though the grid holds it: the direct loop runs and drops it
+    # weights that vanish on |z| <= 0.5 never reach y = 0 from nodes with
+    # |x| < 0.5, though the grid holds it: the direct loop runs and drops it
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     u = power_truncated(g1, 0.4, 1.0)
     pts = lattice_nodes(g1, spec, R_eff=0.45)[0]
-    grid = product_lattice(g1, pts, lattice_nodes(g1, spec)[0], spec.effective_h).axes[0][:, None]
+    zs, dist, _ = lattice_nodes(g1, spec)
+    grid = product_lattice(g1, pts, zs, spec.effective_h).axes[0][:, None]
     assert not np.all(np.isfinite(u(grid)))
-    backends.run(True, kernel_band_values, g1, -0.5, u, pts, spec, r_lo=0.5)
+    args = (translate_sums, g1, u, pts, zs, np.where(dist > 0.5, dist ** -0.5, 0.0), spec.effective_h)
+    backends.run(True, *args)
     assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
-    backends.agree(kernel_band_values, g1, -0.5, u, pts, spec, r_lo=0.5)
+    backends.agree(*args)
 
 
 def test_power_truncated_riesz_record_is_an_error():

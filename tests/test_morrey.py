@@ -10,14 +10,14 @@ from morreylab.morrey import (
     MorreyParams,
     default_centers,
     default_radii,
-    embedding_check,
-    local_morrey_norm,
     morrey_norm,
     morrey_sup_from_samples,
 )
 from morreylab.quadrature import QuadratureSpec, lattice_key, lattice_nodes
 
 SPEC = QuadratureSpec(R_max=12.0, lattice_h=0.04)
+# the one centre of a norm over balls about the identity alone
+IDENTITY = np.zeros((1, 1))
 
 
 def norm_of(g, u, p, lam, centers=None, radii=None, spec=SPEC):
@@ -151,9 +151,11 @@ def test_scaling_instance(g1):
 
 
 def test_local_le_global_exact(g1):
+    # local <= global by construction: the default centres start at the
+    # identity (test_default_centres_hold_the_identity_once_as_row_0)
     u = gaussian(g1, 1.0)
     radii = default_radii(g1, u, SPEC)
-    loc = local_morrey_norm(g1, 2.0, 0.25, u, radii, SPEC)
+    loc = norm_of(g1, u, p=2.0, lam=0.25, centers=IDENTITY, radii=radii)
     glob = norm_of(g1, u, p=2.0, lam=0.25, radii=radii)
     assert loc.value <= glob.value + 1e-12
 
@@ -167,19 +169,21 @@ def test_offcenter_gap(g1):
     )
     radii = default_radii(g1, u_off, SPEC)
     radii = radii[radii <= 4.0]
-    loc = local_morrey_norm(g1, 2.0, 0.0, u_off, radii, SPEC).value
+    loc = norm_of(g1, u_off, p=2.0, lam=0.0, centers=IDENTITY, radii=radii).value
     glob = norm_of(g1, u_off, p=2.0, lam=0.0, radii=radii).value
     assert (glob - loc) / glob >= 0.05
 
 
 def test_embedding_check(g1):
+    # the local norm (identity centre alone) against the global one, on a
+    # Gaussian and on the zero function
     u = gaussian(g1, 1.0)
     radii = default_radii(g1, u, SPEC)
-    loc, glob, ok = embedding_check(g1, 2.0, 0.25, u, radii, SPEC)
-    assert ok and loc <= glob + 1e-12
+    loc = norm_of(g1, u, p=2.0, lam=0.25, centers=IDENTITY, radii=radii).value
+    assert 0.0 < loc <= norm_of(g1, u, p=2.0, lam=0.25, radii=radii).value + 1e-12
     z = custom(lambda p: np.zeros(p.shape[:-1]), decay_radius=1.0)
-    loc, glob, ok = embedding_check(g1, 2.0, 0.25, z, radii, SPEC)
-    assert (loc, glob, ok) == (0.0, 0.0, True)
+    assert norm_of(g1, z, p=2.0, lam=0.25, centers=IDENTITY, radii=radii).value == 0.0
+    assert norm_of(g1, z, p=2.0, lam=0.25, radii=radii).value == 0.0
 
 
 def test_grid_monotonicity(g1):

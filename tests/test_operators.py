@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from morreylab import (
+    admissible,
     bump,
     custom,
     dilate,
     dilated,
-    euclidean_group,
     gauge,
     gaussian,
-    hedberg_optimal_rho,
-    hedberg_split,
+    hedberg_pointwise_check,
     mul,
-    three_zone_split,
 )
 from morreylab import operators, quadrature
 from morreylab.errors import DomainError, IntegrandError, UnsupportedGroupError
@@ -25,7 +23,7 @@ from morreylab.operators import (
     riesz_values,
     sub_laplacian_values,
 )
-from morreylab.quadrature import QuadratureSpec, lattice_nodes
+from morreylab.quadrature import QuadratureSpec, lattice_nodes, resolve_R, translate_sums
 from morreylab.testfunctions import power_truncated
 
 
@@ -319,70 +317,76 @@ class TestHorizontal:
             )
 
 
+def kernel_zones(g, a, spec, edges):
+    """The shell weights of ``kernel_band_values`` cut into gauge zones [edges[i], edges[i+1]), and c0."""
+    zs, weights, c0 = quadrature._shell_weights_cached(g, float(a), resolve_R(spec), spec.lattice_h)
+    dist = lattice_nodes(g, spec)[1]
+    return zs, [np.where((dist >= lo) & (dist < hi), weights, 0.0) for lo, hi in zip(edges, edges[1:])], c0
+
+
 class TestHedbergAndZones:
+    """Hedberg's split of I_gamma u(x) into the kernel near x and far from it."""
+
     def test_split_support_inside(self, g1):
-        hs = hedberg_split(g1, 0.5, indicator1d(), np.array([0.0]), 1.0, SPEC25)
-        assert abs(hs.j1 - 4.0) / 4.0 <= 0.01
-        assert hs.j2 <= 0.02
+        # u is supported inside rho = 1: the potential at 0 is the inner
+        # part, 4, and the nodes beyond rho add at most 0.02
+        x = np.zeros((1, 1))
+        assert abs(riesz_values(g1, 0.5, indicator1d(), x, SPEC25)[0] - 4.0) / 4.0 <= 0.01
+        zs, (_, outer), _ = kernel_zones(g1, -0.5, SPEC25, (0.0, 1.0, np.inf))
+        assert translate_sums(g1, indicator1d(), x, zs, outer, SPEC25.lattice_h)[0] <= 0.02
 
     def test_split_outer_empty(self, g1):
-        hs = hedberg_split(g1, 0.5, indicator1d(), np.array([0.0]),
-                           SPEC25.R_max + 2.0, SPEC25)
-        assert hs.j2 == 0.0
-        assert abs(hs.j1 - 4.0) / 4.0 <= 0.01
-
-    def test_split_rho_to_zero(self, g1):
-        rho = 1e-6
-        hs = hedberg_split(g1, 0.5, indicator1d(), np.array([0.0]), rho, SPEC25)
-        # inner closed form: sigma * rho^(a+Q)/(a+Q) = 4 sqrt(rho)
-        assert hs.j1 == pytest.approx(4.0 * math.sqrt(rho), rel=1e-6)
+        # no node lies beyond rho = R_max + 2: the far part is zero and the
+        # near part, with c0 u(x), is the whole potential 4
+        x = np.zeros((1, 1))
+        zs, (inner, outer), c0 = kernel_zones(g1, -0.5, SPEC25, (0.0, SPEC25.R_max + 2.0, np.inf))
+        assert not np.any(outer)
+        assert translate_sums(g1, indicator1d(), x, zs, outer, SPEC25.lattice_h)[0] == 0.0
+        j1 = translate_sums(g1, indicator1d(), x, zs, inner, SPEC25.lattice_h)[0] + c0
+        assert abs(j1 - 4.0) / 4.0 <= 0.01
 
     def test_split_sums_to_potential(self, g1):
-        # the shell straddling rho renormalises per band, so the halves
-        # recombine within quadrature error, not bit-exactly
+        # the near part (with c0 u(x)) and the far part recombine to the
+        # potential to rounding, which agrees with its refinement
         u = gaussian(g1, 1.0)
         spec = QuadratureSpec(R_max=10.0, lattice_h=0.04)
-        x = np.array([0.5])
-        hs = hedberg_split(g1, 0.5, u, x, 0.8, spec)
-        ref = riesz_values(g1, 0.5, u, x, spec.refined())
-        assert hs.j1 + hs.j2 == pytest.approx(ref, rel=5e-3)
-        assert hs.j1 + hs.j2 >= abs(ref) * 0.98
-
-    def test_optimal_rho(self):
-        assert hedberg_optimal_rho(1.0, 1.0, 2.0, 4.0, 2.0) == 1.0
-        assert hedberg_optimal_rho(4.0, 1.0, 2.0, 4.0, 2.0) == pytest.approx(4.0)
-        assert hedberg_optimal_rho(8.0, 1.0, 3.0, 4.0, 1.0) == pytest.approx(8.0)
-        with pytest.raises(DomainError):
-            hedberg_optimal_rho(0.0, 1.0, 2.0, 4.0, 2.0)
+        x = np.array([[0.5]])
+        zs, (inner, outer), c0 = kernel_zones(g1, -0.5, spec, (0.0, 0.8, np.inf))
+        j1 = translate_sums(g1, u, x, zs, inner, spec.lattice_h)[0] + c0 * u(x)[0]
+        j2 = translate_sums(g1, u, x, zs, outer, spec.lattice_h)[0]
+        assert j1 + j2 == pytest.approx(riesz_values(g1, 0.5, u, x, spec)[0], rel=1e-12)
+        ref = riesz_values(g1, 0.5, u, x, spec.refined())[0]
+        assert j1 + j2 == pytest.approx(ref, rel=5e-3)
+        assert j1 + j2 >= abs(ref) * 0.98
 
     def test_zones_zero_and_degenerate(self, g1):
-        assert three_zone_split(g1, 0.5, zero_fn(), np.array([1.0]), SPEC25) == (0, 0, 0)
-        with pytest.raises(DomainError):
-            three_zone_split(g1, 0.5, zero_fn(), np.array([0.0]), SPEC25)
-
-    def test_zones_support_inside_first(self, g1):
-        spec = QuadratureSpec(R_max=10.0, lattice_h=0.04)
-        u = custom(lambda p: (np.abs(p[..., 0]) <= 0.5).astype(float), decay_radius=0.5)
-        z1, z2, z3 = three_zone_split(g1, 0.5, u, np.array([2.0]), spec)
-        assert z1 > 0 and z2 == 0.0 and z3 == 0.0
+        # a zero u has a zero potential, and Hedberg's ratio skips every
+        # point where a maximal value vanishes
+        assert riesz_values(g1, 0.5, zero_fn(), np.array([1.0]), SPEC25) == 0.0
+        cfg = admissible("adams_hls", Q=1, p=2.0, gamma=0.3, lam=0.2)
+        rep = hedberg_pointwise_check(g1, cfg, zero_fn(), np.array([[0.0], [1.0]]), SPEC25)
+        assert (rep.max_ratio, rep.n_used, rep.n_skipped) == (0.0, 0, 2)
 
     def test_zones_raise_at_a_non_finite_node(self, g1):
-        # the inner and outer zones sum |u| over nodes directly
+        # an infinite sample near x and one far from it both name their node
         spec = QuadratureSpec(R_max=4.0, lattice_h=0.05)
         for y0 in (0.125, 3.025):
             u = custom(lambda p, y0=y0: np.where(np.abs(p[..., 0] - y0) < 1e-9, np.inf, 1.0), 10.0)
             with pytest.raises(IntegrandError, match=rf"non-finite integrand at node \[{y0}"):
-                three_zone_split(g1, 0.5, u, np.array([1.0]), spec)
+                riesz_values(g1, 0.5, u, np.array([1.0]), spec)
 
     def test_zones_sum_consistency(self, g1):
+        # the zones |z| < |x|/2, |x|/2 <= |z| < 2|x| and beyond recombine to
+        # the potential, which agrees with its refinement
         spec = QuadratureSpec(R_max=14.0, lattice_h=0.03)
         u = gaussian(g1, 1.0)
-        x = np.array([1.0])
-        z1, z2, z3 = three_zone_split(g1, 0.5, u, x, spec)
-        from morreylab.quadrature import shell_integrate_singular
-        ref = shell_integrate_singular(g1, -0.5, u, x, spec)
-        tol = 2.0 * (ref.error_estimate + 0.01 * ref.value)
-        assert abs(z1 + z2 + z3 - ref.value) <= tol
+        x = np.array([[1.0]])
+        zs, zones, c0 = kernel_zones(g1, -0.5, spec, (0.0, 0.5, 2.0, np.inf))
+        total = sum(translate_sums(g1, u, x, zs, w, spec.lattice_h)[0] for w in zones) + c0 * u(x)[0]
+        coarse = riesz_values(g1, 0.5, u, x, spec)[0]
+        assert total == pytest.approx(coarse, rel=1e-12)
+        fine = riesz_values(g1, 0.5, u, x, spec.refined())[0]
+        assert abs(total - fine) <= 2.0 * (abs(fine - coarse) + 0.01 * fine)
 
 
 def test_power_truncated_exponent_guard(g1):
@@ -406,21 +410,7 @@ def test_riesz_covariance_full_battery(g1):
                 assert abs(lhs - rhs) / abs(rhs) <= 0.01, (u.label, t, x)
 
 
-_G1 = euclidean_group(1)
 _SPEC = QuadratureSpec(R_max=4.0, lattice_h=0.1)
-
-
-@pytest.mark.parametrize("call,match", [
-    (lambda: hedberg_split(_G1, _G1.Q, gaussian(_G1, 1.0), np.zeros(1), 0.5, _SPEC), "gamma"),
-    (lambda: hedberg_split(_G1, 0.5, gaussian(_G1, 1.0), np.zeros(1), 0.0, _SPEC), "rho"),
-    (lambda: hedberg_optimal_rho(1.0, 1.0, p=2.0, Q=1.0, lam=1.0), "lambda"),
-    (lambda: hedberg_optimal_rho(1.0, 1.0, p=1.0, Q=1.0, lam=0.5), "p > 1"),
-    (lambda: three_zone_split(_G1, 0.0, gaussian(_G1, 1.0), np.ones(1), _SPEC), "gamma"),
-], ids=["hedberg_gamma_Q", "hedberg_rho_0", "optimal_rho_lambda_Q", "optimal_rho_p_1",
-        "three_zone_gamma_0"])
-def test_public_error_paths(call, match):
-    with pytest.raises(DomainError, match=match):
-        call()
 
 
 @pytest.mark.parametrize("law,op", [

@@ -275,11 +275,19 @@ def test_h1_riesz_matches_direct(backends, h1, t):
     backends.agree(operators.riesz_values, h1, 1.5, u, nodes, H1_SPEC)
 
 
+def test_h1_full_ball_matches_direct(backends, h1):
+    nodes = lattice_nodes(h1, H1_SPEC)[0]
+    backends.agree(kernel_band_values, h1, 1.0 - h1.Q, gaussian(h1, 0.3), nodes, H1_SPEC)
+
+
 @pytest.mark.parametrize("r_lo,r_hi", [(0.0, 0.6), (0.6, None)])
 def test_h1_band_matches_direct(backends, h1, r_lo, r_hi):
-    nodes = lattice_nodes(h1, H1_SPEC)[0]
-    backends.agree(kernel_band_values, h1, 1.0 - h1.Q, gaussian(h1, 0.3), nodes,
-                   H1_SPEC, r_lo=r_lo, r_hi=r_hi)
+    # the kernel weights of kernel_band_values on the gauge band [r_lo, r_hi)
+    nodes, dist, _ = lattice_nodes(h1, H1_SPEC)
+    zs, weights, _ = quadrature._shell_weights_cached(h1, 1.0 - h1.Q, quadrature.resolve_R(H1_SPEC), H1_SPEC.lattice_h)
+    band = np.where((dist >= r_lo) & (dist < (np.inf if r_hi is None else r_hi)), weights, 0.0)
+    assert 0 < np.count_nonzero(band) < np.count_nonzero(weights)
+    backends.agree(translate_sums, h1, gaussian(h1, 0.3), nodes, zs, band, H1_SPEC.effective_h)
 
 
 def test_h1_riesz_matches_direct_where_caps_drop_nodes(backends, h1):
@@ -378,15 +386,18 @@ def test_h1_non_finite_sample_raises(backends, translate_paths, h1, fast):
 
 
 def test_h1_unreached_non_finite_sample_is_dropped(backends, translate_paths, h1):
-    # the band (1.0, R_max] never reaches y = 0 from points with |x| < 0.9,
-    # though the grid holds it: the direct loop runs and drops it
+    # weights that vanish on gauge(z) <= 1.0 never reach y = 0 (z = x^{-1})
+    # from points with |x| < 0.9, though the grid holds it: the direct loop
+    # runs and drops it
     u = power_truncated(h1, 1.0, 1.0)
     pts = lattice_nodes(h1, H1_SPEC, R_eff=0.9)[0]
-    grid = grid_points(product_lattice(h1, pts, lattice_nodes(h1, H1_SPEC)[0], H1_SPEC.effective_h))
+    zs, dist, _ = lattice_nodes(h1, H1_SPEC)
+    grid = grid_points(product_lattice(h1, pts, zs, H1_SPEC.effective_h))
     assert not np.all(np.isfinite(u(grid)))
-    backends.run(True, kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
+    args = (translate_sums, h1, u, pts, zs, np.where(dist > 1.0, dist ** -2.0, 0.0), H1_SPEC.effective_h)
+    backends.run(True, *args)
     assert translate_paths["_column_correlations"] == 0 < translate_paths["finite_samples"]
-    backends.agree(kernel_band_values, h1, -2.0, u, pts, H1_SPEC, r_lo=1.0)
+    backends.agree(*args)
 
 
 def test_h1_non_finite_sample_reached_as_in_direct(backends, h1):

@@ -5,9 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from morreylab import (custom, euclidean_group, gauge, gaussian, heisenberg_group, lattice_integrate, mul, power_truncated,
-                       shell_integrate_singular)
-from morreylab.errors import ContractError, DomainError, IntegrandError
+from morreylab import custom, euclidean_group, gauge, gaussian, heisenberg_group, mul, power_truncated
+from morreylab.errors import DomainError, IntegrandError
 from morreylab.quadrature import (QuadratureSpec, ball_bins, ball_masses, ball_sums, ball_totals, bin_runs, gauge_power_weights,
                                   geometric_radii, kernel_band_values, lattice_key, lattice_nodes, radius_grid)
 
@@ -36,24 +35,26 @@ def test_spec_rejects_what_the_config_parser_rejects(kw):
         QuadratureSpec(**{"R_max": 1.0, "lattice_h": 0.1, **kw})
 
 
+def midpoint(g, f, spec):
+    """The midpoint rule over the nodes of ``lattice_nodes``: sum f(z) cell."""
+    pts, _, cell = lattice_nodes(g, spec)
+    return float(np.sum(f(pts)) * cell)
+
+
 def test_lattice_constant(g1):
-    spec = QuadratureSpec(R_max=1.0, lattice_h=0.05)
-    res = lattice_integrate(g1, const(1.0), spec)
-    assert res.value == pytest.approx(2.0, abs=1e-12)
-    assert res.error_estimate <= 1e-10
-    assert res.nodes_used > 0
+    # the cells of the nodes tile the ball [-1, 1]
+    assert midpoint(g1, const(1.0), QuadratureSpec(R_max=1.0, lattice_h=0.05)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lattice_gaussian(g1):
     spec = QuadratureSpec(R_max=8.0, lattice_h=0.05)
-    res = lattice_integrate(g1, lambda p: np.exp(-p[..., 0] ** 2), spec)
-    assert abs(res.value - math.sqrt(math.pi)) <= 1e-6
+    assert abs(midpoint(g1, lambda p: np.exp(-p[..., 0] ** 2), spec) - math.sqrt(math.pi)) <= 1e-6
 
 
 def test_lattice_zero(g1):
+    # exactly zero at the spec and at its refinement (a zero Richardson difference)
     spec = QuadratureSpec(R_max=1.0, lattice_h=0.05)
-    res = lattice_integrate(g1, const(0.0), spec)
-    assert res.value == 0.0 and res.error_estimate == 0.0
+    assert midpoint(g1, const(0.0), spec) == 0.0 == midpoint(g1, const(0.0), spec.refined())
 
 
 def test_lattice_nonfinite_names_node(g1):
@@ -65,28 +66,22 @@ def test_lattice_nonfinite_names_node(g1):
         return vals
 
     with pytest.raises(IntegrandError, match="0.525"):
-        lattice_integrate(g1, bad, spec)
+        kernel_band_values(g1, -0.5, bad, np.zeros(1), spec)
 
 
 def test_lattice_refinement_monotone(g1):
     # x^2 has exact midpoint error h^2/6 * (f' boundary jump): strictly
     # decreasing under refinement
     base = QuadratureSpec(R_max=1.0, lattice_h=0.1)
-    diffs = []
-    for lev in range(3):
-        res = lattice_integrate(g1, lambda p: p[..., 0] ** 2, base.refined(lev))
-        diffs.append(res.error_estimate)
-    assert diffs[0] > diffs[1] > diffs[2] > 0
+    errs = [abs(midpoint(g1, lambda p: p[..., 0] ** 2, base.refined(lev)) - 2.0 / 3.0) for lev in range(3)]
+    assert errs[0] > errs[1] > errs[2] > 0
 
 
 def test_lattice_translation_covariance(g1):
     spec = QuadratureSpec(R_max=10.0, lattice_h=0.05)
     u = gaussian(g1, 1.0)
-    base = lattice_integrate(g1, u, spec)
     z = np.array([0.7])
-    shifted = lattice_integrate(g1, lambda p: u(mul(g1, z, p)), spec)
-    tol = 2.0 * (base.error_estimate + shifted.error_estimate) + 1e-10
-    assert abs(base.value - shifted.value) <= tol
+    assert midpoint(g1, lambda p: u(mul(g1, z, p)), spec) == pytest.approx(midpoint(g1, u, spec), abs=1e-10)
 
 
 def indicator1d(radius=1.0):
@@ -94,81 +89,79 @@ def indicator1d(radius=1.0):
                   decay_radius=radius)
 
 
+def refinement_step(g, a, u, x, spec):
+    """The value at ``spec.refined()`` and its change from the value at ``spec``."""
+    fine = float(kernel_band_values(g, a, u, x, spec.refined()))
+    return fine, abs(fine - float(kernel_band_values(g, a, u, x, spec)))
+
+
 def test_shell_indicator_value(g1):
     # integral_{-1}^{1} |y|^{-1/2} dy = 4
     spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
-    res = shell_integrate_singular(g1, -0.5, indicator1d(), np.array([0.0]), spec)
-    assert abs(res.value - 4.0) / 4.0 <= 0.01
+    value = kernel_band_values(g1, -0.5, indicator1d(), np.array([0.0]), spec.refined())
+    assert abs(value - 4.0) / 4.0 <= 0.01
 
 
 def test_shell_zero(g1):
     spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
-    res = shell_integrate_singular(g1, -0.5, const(0.0), np.array([0.0]), spec)
-    assert res.value == 0.0
+    assert kernel_band_values(g1, -0.5, const(0.0), np.array([0.0]), spec) == 0.0
 
 
 def test_shell_refinement_gain(g1):
     spec = QuadratureSpec(R_max=8.0, lattice_h=0.1)
     u = gaussian(g1, 1.0)
-    e0 = shell_integrate_singular(g1, -0.5, u, np.array([0.3]), spec).error_estimate
-    e1 = shell_integrate_singular(g1, -0.5, u, np.array([0.3]), spec.refined()).error_estimate
+    e0 = refinement_step(g1, -0.5, u, np.array([0.3]), spec)[1]
+    e1 = refinement_step(g1, -0.5, u, np.array([0.3]), spec.refined())[1]
     assert e0 / e1 >= 1.5
 
 
 def test_shell_domain_errors(g1, h1):
     spec = QuadratureSpec(R_max=2.0, lattice_h=0.05)
-    with pytest.raises(DomainError):
-        shell_integrate_singular(g1, -1.5, const(1.0), np.array([0.0]), spec)
-    with pytest.raises(ContractError):
-        shell_integrate_singular(g1, 0.5, const(1.0), np.array([0.0]), spec)
-    with pytest.raises(DomainError):
-        shell_integrate_singular(h1, -4.0, const(1.0), np.zeros(3), spec)
+    for g, a, x in ((g1, -1.5, np.zeros(1)), (g1, 0.5, np.zeros(1)), (h1, -4.0, np.zeros(3))):
+        with pytest.raises(DomainError):
+            kernel_band_values(g, a, const(1.0), x, spec)
 
 
 def test_shell_raises_when_only_the_coarse_lattice_hits_a_singularity(g1):
     # the products c + z of the coarse lattice reach c + 3h/2 and those of
     # the finer one straddle it: the coarse lattice cannot represent u, so
-    # the call raises like every other engine
+    # the call raises there like every other engine, and not on the finer one
     spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
     c = np.array([0.3])
     y0 = c[0] + 1.5 * spec.lattice_h
     clean = gaussian(g1, 1.0)
     u = custom(lambda p: np.where(np.abs(p[..., 0] - y0) < 1e-12, np.nan, clean(p)), 10.0)
     with pytest.raises(IntegrandError, match="non-finite integrand at node"):
-        shell_integrate_singular(g1, -0.5, u, c, spec)
-    # one level coarser, the finer lattice is this one and raises
-    with pytest.raises(IntegrandError, match="non-finite integrand at node"):
-        shell_integrate_singular(g1, -0.5, u, c, QuadratureSpec(R_max=2.5, lattice_h=0.1))
+        kernel_band_values(g1, -0.5, u, c, spec)
+    assert np.isfinite(kernel_band_values(g1, -0.5, u, c, spec.refined()))
 
 
 def test_band_raises_at_a_non_finite_centre_value_only_where_c0_counts(g1):
-    # c0 u(x) carries the kernel mass below the innermost shell edge: an
-    # infinite u(x) raises for the full ball and is dropped for a band that
-    # leaves that region out (c0 = 0)
+    # c0 u(x) carries the kernel mass below the innermost shell edge, which
+    # is never zero: an infinite u(x) raises
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     u = power_truncated(g1, 0.4, 1.0)
     x = np.zeros((1, 1))
     with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0\]"):
         kernel_band_values(g1, -0.5, u, x, spec)
-    finite_at_x = custom(lambda p: np.where(gauge(g1, p) > 0, u(p), 7.0), u.decay_radius)
-    band = kernel_band_values(g1, -0.5, u, x, spec, r_lo=0.5)
-    assert np.all(np.isfinite(band))
-    assert np.array_equal(band, kernel_band_values(g1, -0.5, finite_at_x, x, spec, r_lo=0.5))
 
 
 def test_shell_vs_lattice_mild_singularity(g1):
-    # a in (-Q/2, 0): both engines integrate u(y)|y|^a and must agree.
+    # a in (-Q/2, 0): both rules integrate u(y)|y|^a and must agree.
     # The raw midpoint side converges at order a+1 < 1, so its Richardson
     # difference understates the error by 1/(2^(a+1)-1); inflate by 3.
     spec = QuadratureSpec(R_max=8.0, lattice_h=0.05)
     u = gaussian(g1, 1.0)
     a = -0.4
-    shell = shell_integrate_singular(g1, a, u, np.array([0.0]), spec)
-    latt = lattice_integrate(g1, lambda p: u(p) * np.abs(p[..., 0]) ** a, spec)
-    tol = shell.error_estimate + 3.0 * latt.error_estimate
-    assert abs(shell.value - latt.value) <= tol
-    # the shell engine nails the closed form Gamma(0.3)
-    assert shell.value == pytest.approx(math.gamma(0.3), rel=2e-3)
+    shell, shell_err = refinement_step(g1, a, u, np.array([0.0]), spec)
+    def f(p):
+        return u(p) * np.abs(p[..., 0]) ** a
+
+    latt = midpoint(g1, f, spec.refined())
+    latt_err = abs(latt - midpoint(g1, f, spec))
+    assert abs(shell - latt) <= shell_err + 3.0 * latt_err
+    # the shell weights nail the closed form Gamma(0.3)
+    assert shell == pytest.approx(math.gamma(0.3), rel=2e-3)
 
 
 def test_radius_grid_endpoints():
