@@ -137,26 +137,6 @@ def coord_bound(g: GroupDescriptor, i: int, R: float) -> float:
     return R ** g.weights[i]
 
 
-def d4_orbit_key(odd: np.ndarray) -> np.ndarray:
-    """One integer key per orbit of the automorphism group D4 of H^1.
-
-    D4 is generated by the quarter turn (x0, x1, t) -> (-x1, x0, t) and the
-    reflection (x0, x1, t) -> (x0, -x1, -t): the reflection flips t because
-    the cross term (x0 y1 - x1 y0) / 2 changes sign with orientation.  Both
-    preserve the Korányi gauge, Haar measure and every midpoint lattice.
-    ``odd`` is an (..., 3) integer array with odd entries, the
-    coordinates of midpoint nodes in units of half a cell.  Quarter turns
-    bring (x0, x1) into x0 > 0, x1 > 0; then (x0, x1, t) -> (x1, x0, -t)
-    where x1 > x0, or x1 == x0 and t < 0.  Two points share a key exactly
-    when they share an orbit.
-    """
-    a, b, c = odd[..., 0], odd[..., 1], odd[..., 2]
-    same = (a > 0) == (b > 0)
-    x, y = np.where(same, np.abs(a), np.abs(b)), np.where(same, np.abs(b), np.abs(a))
-    swap = (y > x) | ((y == x) & (c < 0))
-    return np.stack([np.where(swap, y, x), np.where(swap, x, y), np.where(swap, -c, c)], axis=-1)
-
-
 def symmetries(g: GroupDescriptor) -> tuple:
     """The exact symmetries of g's lattices: ``(perm, signs)`` pairs, the identity first.
 
@@ -167,9 +147,11 @@ def symmetries(g: GroupDescriptor) -> tuple:
     are the 2^N sign flips, and on R^2 the axis swap as well, since a
     two-term sum is commutative; on R^3 a swap would reorder the
     three-term sum (a + b) + c and is left out.  On H^1 they are the 8
-    elements of D4 (``d4_orbit_key``): the sign of t is the orientation of
-    the map on (x0, x1), so the quarter turn is ((1, 0, 2), (-1, 1, 1))
-    and the reflection ((0, 1, 2), (1, -1, -1)).
+    elements of the dihedral group D4, generated by the quarter turn
+    (x0, x1, t) -> (-x1, x0, t), ((1, 0, 2), (-1, 1, 1)), and the
+    reflection (x0, x1, t) -> (x0, -x1, -t), ((0, 1, 2), (1, -1, -1)):
+    the sign of t is the orientation of the map on (x0, x1), because the
+    cross term (x0 y1 - x1 y0) / 2 changes sign with it.
     """
     h1 = g.law == HEISENBERG1
     ident = tuple(range(g.dimension))
@@ -182,6 +164,38 @@ def symmetries(g: GroupDescriptor) -> tuple:
                 signs += (signs[0] * signs[1] * (1.0 if perm == ident else -1.0),)
             out.append((perm, signs))
     return tuple(out)
+
+
+def orbit_classes(g: GroupDescriptor, rows: np.ndarray):
+    """The orbits of ``rows`` under ``symmetries(g)``: ``(rep, inverse)``.
+
+    ``rows`` is an (n, N) integer array that codes points exactly, so that
+    negating a code negates its point: a map of the table sends row r to
+    ``signs * r[perm]``.  ``rep`` holds the index of the first row of each
+    orbit, in row order, and ``inverse`` each row's orbit, so that
+    ``rep[inverse]`` maps every row to its orbit's first.  Each map's image
+    of every row is coded as one integer by a single integer matrix
+    product, and a row's orbit is keyed by the least code of its images.
+    """
+    N = rows.shape[1]
+    top = int(np.abs(rows).max(initial=0))
+    base = 2 * top + 1
+    if base ** N > np.iinfo(np.int64).max:
+        raise DomainError(f"orbit codes of {N} coordinates up to {top} overflow int64")
+    # row k of ``code`` codes the image under map k: coordinate i of the
+    # image, signs[i] * r[perm[i]], enters with the place value base^i
+    code = np.zeros((len(symmetries(g)), N), np.int64)
+    for k, (perm, signs) in enumerate(symmetries(g)):
+        for i, (j, sign) in enumerate(zip(perm, signs)):
+            code[k, j] = int(sign) * base ** i
+    # (maps, rows): the least over the short leading axis is the fast one
+    key = (code @ rows.T).min(axis=0)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    # orbits renumbered in the order of their first rows
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 def column_half_width(g: GroupDescriptor, outer: np.ndarray, R) -> np.ndarray:

@@ -422,23 +422,25 @@ def _op_values(g, op, cfg, u: TestFunction, spec, R_eff):
 # evaluations in euclid_consequences (16 entries lose 5 of its 150 hits)
 @lru_cache(maxsize=20)
 def _op_values_cached(g, op, fn, param, u, spec, R_eff):
-    """The values of ``_op_values``, computed on one node per D4 orbit where that pays.
+    """The values of ``_op_values``, computed on one node per symmetry orbit where that pays.
 
-    On H^1, a ``u`` flagged ``d4_invariant`` gives values that every
-    automorphism of ``groups.d4_orbit_key`` maps onto themselves: each
+    A ``u`` flagged ``d4_invariant`` gives values that every map of
+    ``groups.symmetries(g)`` maps onto themselves, on every law: each
     factor operator commutes with them, T(u o A) = (T u) o A, and the
-    lattice is mapped onto itself.  So for the integral tags (``riesz``,
-    ``maximal``) ``fn`` sees the orbit representatives of
-    ``lattice_orbits`` (about one node in eight) and their values are
-    copied to the rest of each orbit; every value is then that of its
-    representative, which differs from evaluating at the node itself by
-    rounding only.  The pointwise tags (``id``, ``grad``, ``sublap``)
-    cost less per node than the orbit map does, so they, like every
-    other input, are evaluated at every node.
+    lattice is mapped onto itself.  So for the Riesz and maximal tags
+    ``fn`` sees the orbit representatives of ``lattice_orbits`` (about
+    one node in eight on H^1, R^2 and R^3, one in two on R^1) and their
+    values are copied to the rest of each orbit; every value is then that
+    of its representative, which differs from evaluating at the node
+    itself by rounding only.  The pointwise tags (``id``, ``grad``,
+    ``sublap``) cost less per node than the orbit map does, so they, like
+    every other input, are evaluated at every node.  So is ``fraclap``:
+    its value at a point depends on the other points of the call, by more
+    than rounding (the blocks of its source caps).
     """
     nodes = lattice_nodes(g, spec, R_eff)[0]
     inverse = None
-    if g.law == groups.HEISENBERG1 and op in ("riesz", "maximal") and getattr(u, "d4_invariant", False):
+    if op in ("riesz", "maximal") and getattr(u, "d4_invariant", False):
         rep, inverse = lattice_orbits(g, spec, R_eff)
         nodes = nodes[rep]
     if op == "id":
@@ -464,20 +466,17 @@ def _orbit_centers(g, centers: bytes) -> np.ndarray:
     """The centres (the bytes of an (n, N) float array) without those that are exact images of earlier ones.
 
     Centre i is dropped when A c_i, for some A of ``groups.symmetries(g)``,
-    equals a centre j < i byte for byte, both compared after + 0.0 so that
-    -0.0 matches 0.0.  The rest keep their values and order (read-only),
-    so the first of them attaining a maximum is the first centre that
-    does whenever the values of an orbit tie.  A grid that the maps do
-    not close up loses only the centres whose images it holds.
+    equals a centre j < i: ``groups.orbit_classes`` keeps the first
+    centre of each orbit, each value coded by the signed rank of its
+    absolute value, so that -0.0 and 0.0 share code 0.  The rest keep
+    their values and order (read-only), so the first of them attaining a
+    maximum is the first centre that does whenever the values of an orbit
+    tie.  A grid that the maps do not close up loses only the centres
+    whose images it holds.
     """
     given = np.frombuffer(centers).reshape(-1, g.dimension)
-    c = given + 0.0
-    first = {}
-    for i, row in enumerate(c):
-        first.setdefault(row.tobytes(), i)
-    images = [c[:, list(perm)] * signs + 0.0 for perm, signs in groups.symmetries(g)]
-    keep = [i for i in range(len(c)) if all(first.get(a[i].tobytes(), i) >= i for a in images)]
-    out = given[keep]
+    rank = np.unique(np.append(np.abs(given), 0.0), return_inverse=True)[1][:-1].reshape(given.shape)
+    out = given[groups.orbit_classes(g, np.where(given < 0, -rank, rank))[0]]
     out.setflags(write=False)
     return out
 

@@ -17,13 +17,13 @@ from . import groups
 from .errors import DomainError, UnsupportedGroupError
 from .quadrature import (
     QuadratureSpec,
+    _nodes_cached,
     ball_totals,
     check_radii,
     finite_samples,
     kernel_band_values,
     lattice_key,
     lattice_nodes,
-    nodes_by_gauge,
     resolve_R,
     translate_sums,
 )
@@ -129,33 +129,26 @@ def _euclidean_sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-# sized as the plans of ``quadrature._lattice_cached`` are: 4 other node
-# sets between two uses of one in euclid_consequences, and no other
-# kernel between two uses of one
-@lru_cache(maxsize=5)
-def _fraclap_nodes(g: groups.GroupDescriptor, R: float, h: float):
-    """The source of the fractional Laplacian: the nodes of ``nodes_by_gauge(g, R, h)`` at gauge >= h.
-
-    Returns read-only ``(Y, dY, cell)``: the nodes in increasing gauge
-    order, their gauges and the cell volume.
-    """
-    src, dist, cell = nodes_by_gauge(g, R, h)
-    live = dist >= h
-    Y, dY = src[live], dist[live]
-    Y.setflags(write=False)
-    dY.setflags(write=False)
-    return Y, dY, cell
-
-
+# no other kernel is used between two uses of one in the bench passes
 @lru_cache(maxsize=1)
 def _fraclap_kernel(g: groups.GroupDescriptor, s: float, R: float, h: float):
-    """Read-only ``(Y, kern, ksum)``: ``_fraclap_nodes``' nodes, the kernel |y|^(-N-2s) cell at each and its prefix sums."""
-    Y, dY, cell = _fraclap_nodes(g, R, h)
-    kern = dY ** (-g.dimension - 2.0 * s) * cell
-    ksum = np.concatenate([[0.0], np.cumsum(kern)])
-    kern.setflags(write=False)
-    ksum.setflags(write=False)
-    return Y, kern, ksum
+    """Read-only ``(dY, weights, ksum)`` of the fractional Laplacian on the nodes of ``_nodes_cached(g, R, h)``.
+
+    ``weights`` is the kernel |y|^(-N-2s) cell at each node of gauge >= h,
+    in ``_nodes_cached`` order, and zero below; ``dY`` holds the gauges
+    >= h in increasing order, and ``ksum`` the prefix sums of the kernel
+    along them.  The kernel depends on the gauge alone, so the order of
+    equal gauges moves no prefix sum.
+    """
+    dist, cell = _nodes_cached(g, R, h)[1:]
+    live = dist >= h
+    a = -g.dimension - 2.0 * s
+    weights = np.where(live, dist ** a * cell, 0.0)
+    dY = np.sort(dist[live])
+    ksum = np.concatenate([[0.0], np.cumsum(dY ** a * cell)])
+    for arr in (dY, weights, ksum):
+        arr.setflags(write=False)
+    return dY, weights, ksum
 
 
 def frac_laplacian_values(
@@ -192,8 +185,8 @@ def frac_laplacian_values(
     area = _euclidean_sphere_area(N)
     h = spec.lattice_h
     R = resolve_R(spec)
-    dY = _fraclap_nodes(g, R, h)[1]
-    Y, kern, ksum = _fraclap_kernel(g, float(s), R, h)
+    key = (g, float(s), R, h)
+    dY, weights, ksum = _fraclap_kernel(*key)
 
     u_x = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
     trH = sub_laplacian_values(g, u, pts)
@@ -213,8 +206,8 @@ def frac_laplacian_values(
             jmax[rows] = np.searchsorted(dY, cap, side="right")
             tail[rows] = 2.0 * u_x[rows] * area * cap ** (-2.0 * s) / (2.0 * s)
 
-    source = (_fraclap_nodes, (g, R, h)), (_fraclap_kernel, (g, float(s), R, h))
-    sums = translate_sums(g, u, pts, Y, kern, h, source)
+    source = (R, h), (_fraclap_kernel, key)
+    sums = translate_sums(g, u, pts, lattice_nodes(g, spec)[0], weights, h, source)
     vals = 0.5 * A * (2.0 * u_x * ksum[jmax] - 2.0 * sums + inner + tail)
     return vals[0] if single else vals
 

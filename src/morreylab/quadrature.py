@@ -35,15 +35,16 @@ samples over the same runs (``ball_masses``), memoised per lattice key
 (g, R, h) of ``_nodes_cached``, centres and radii, so each centre grid
 of a lattice is binned once; a call reads one prefix sum of the samples
 at every run's end and bincounts the differences into balls
-(``ball_sums``).  On H^1, ``lattice_orbits`` gives one node per orbit of
-the lattice under the automorphism group D4, for inputs that D4 leaves
-invariant.  What ``translate_sums`` and ``ball_totals`` read of the
-points, nodes, kernel or radii alone is a plan, built once per run: the
-product lattice (``_lattice_cached``), its sample runs and the kernel's
-conjugate transform (``_translate_plan_cached``), and the ball sections,
-exact counts and near-tie memberships (``_ball_plan_cached``), each
-keyed on the memo key that made the nodes and the bytes of the points
-and radii; a call then pays only for u.
+(``ball_sums``).  ``lattice_orbits`` gives one node per orbit of the
+lattice under ``groups.symmetries``, on every law, for inputs that the
+maps leave invariant.  What ``translate_sums`` and ``ball_totals`` read
+of the points, nodes, kernel or radii alone is a plan, built once per
+run: the product lattice (``_lattice_cached``), its sample runs and the
+kernel's conjugate transform (``_translate_plan_cached``), and the ball
+sections, exact counts and near-tie memberships (``_ball_plan_cached``),
+each keyed on the lattice (g, R, h) of the nodes and the bytes of the
+points and radii, so every kernel on a lattice shares its product
+lattice; a call then pays only for u.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -58,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import groups
-from .errors import ContractError, DomainError, IntegrandError, UnsupportedGroupError
+from .errors import ContractError, DomainError, IntegrandError
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,6 @@ def _nodes_cached(g: groups.GroupDescriptor, R: float, h: float):
     return pts, dist, cell
 
 
-def nodes_by_gauge(g: groups.GroupDescriptor, R: float, h: float):
-    """``_nodes_cached``' nodes, gauges and cell, in increasing gauge order."""
-    zs, dist, cell = _nodes_cached(g, R, h)
-    order = np.argsort(dist, kind="stable")
-    return zs[order], dist[order], cell
-
-
 def resolve_R(spec: QuadratureSpec, R_eff: float | None = None) -> float:
     R = spec.R_max if R_eff is None else min(R_eff, spec.R_max)
     return round(float(R), 12)
@@ -129,35 +123,30 @@ def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float 
 
 @lru_cache(maxsize=32)
 def _orbits_cached(g: groups.GroupDescriptor, R: float, h: float):
-    """One node per D4 orbit of ``_nodes_cached(g, R, h)`` on H^1, and each node's orbit.
+    """The orbits of ``_nodes_cached(g, R, h)`` under ``groups.symmetries(g)``, on every law.
 
-    Returns read-only ``(rep, inverse)``: ``rep`` holds the first node of
-    each orbit, in key order, and ``nodes[rep][inverse]`` maps every node
-    to its orbit's representative.  Nodes sit at odd multiples of h/2 and
-    h^2/2, whose integers ``groups.d4_orbit_key`` reads.
+    Returns read-only ``(rep, inverse)`` of ``groups.orbit_classes``:
+    ``rep`` holds the first node of each orbit, in node order, and
+    ``nodes[rep][inverse]`` maps every node to its orbit's first.  Node
+    coordinate i sits at an odd multiple of h^w_i / 2, whose integer
+    ``rint(2 z_i / h^w_i)`` codes it exactly.
     """
     zs = _nodes_cached(g, R, h)[0]
-    odd = np.rint(zs * (2.0 / np.array([h, h, h ** 2]))).astype(np.int64)
-    key = groups.d4_orbit_key(odd)
-    # one int64 per key: np.unique over rows is about 8 times slower
-    lo = key.min(axis=0, initial=0)
-    flat = np.ravel_multi_index(tuple((key - lo).T), tuple(key.max(axis=0, initial=0) - lo + 1))
-    _, rep, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    spacing = np.array([h ** w for w in g.weights])
+    rep, inverse = groups.orbit_classes(g, np.rint(zs * (2.0 / spacing)).astype(np.int64))
     rep.setflags(write=False)
     inverse.setflags(write=False)
     return rep, inverse
 
 
 def lattice_orbits(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float | None = None):
-    """``_orbits_cached`` for the nodes of ``lattice_nodes(g, spec, R_eff)``; H^1 only.
+    """``_orbits_cached`` for the nodes of ``lattice_nodes(g, spec, R_eff)``.
 
-    The quarter turn and the reflection of ``groups.d4_orbit_key`` map the
-    truncated midpoint lattice onto itself node for node, so an operator
-    that commutes with them, applied to a D4-invariant input, takes one
-    value per orbit.
+    Every map of ``groups.symmetries(g)`` maps the truncated midpoint
+    lattice onto itself node for node, so an operator that commutes with
+    them, applied to an input they leave invariant, takes one value per
+    orbit.
     """
-    if g.law != groups.HEISENBERG1:
-        raise UnsupportedGroupError(f"D4 orbits are defined on {groups.HEISENBERG1}, got {g.law}")
     return _orbits_cached(g, *lattice_key(spec, R_eff))
 
 
@@ -521,10 +510,9 @@ class BallPlan:
     [A, B) of node column c at point column p (``_slot_bound``): none of
     them below radius ``first_hit[p, c]``, the whole column at every
     point slot from radius ``first_full[p, c]`` on, a partial row between.
-    ``col_nodes`` is the node count of each node column and ``counts`` the
-    exact node count of every ball, (centres, radii).  The near-tie pairs
-    that lie in their ball are kept as their flat cells of the (point
-    column, radius, reversed point slot) table of
+    ``counts`` is the exact node count of every ball, (centres, radii).
+    The near-tie pairs that lie in their ball are kept as their flat
+    cells of the (point column, radius, reversed point slot) table of
     ``_lattice_ball_masses``, ``tie_cell``, and their flat node slots of
     ``lat.node_table``, ``tie_slot``, in the order ``_near_tie_pairs``
     yields them.  Every array is read-only.
@@ -535,7 +523,6 @@ class BallPlan:
     khi: np.ndarray
     first_hit: np.ndarray
     first_full: np.ndarray
-    col_nodes: np.ndarray
     counts: np.ndarray
     tie_cell: np.ndarray
     tie_slot: np.ndarray
@@ -551,7 +538,7 @@ def _ball_plan_cached(g, R: float, h: float, centers: bytes, radii: bytes):
     ``_lattice_cached``.  None when ``product_lattice`` is.
     """
     centers = np.frombuffer(centers).reshape(-1, g.dimension)
-    lat = _lattice_cached(g, (_nodes_cached, (g, R, h)), (-centers).tobytes(), h)
+    lat = _lattice_cached(g, R, h, (-centers).tobytes())
     return None if lat is None else _ball_plan(g, lat, centers, _nodes_cached(g, R, h)[0], np.frombuffer(radii))
 
 
@@ -610,7 +597,6 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
     # after: n_pre[c, L + y] holds the nodes of column c below slot y
     n_pre = np.zeros((C, M + L + 1))
     np.cumsum(n_slots, axis=1, out=n_pre[:, L + 1 :])
-    col_nodes = n_pre[:, -1]
     # the kinks of each column, padded with zero kinks: row i of kpos and
     # kval holds L plus the i-th slot of each column where its count per
     # slot changes, and by how much
@@ -634,7 +620,7 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
         flat = np.flatnonzero(hit & ~full)
         row, c = np.divmod(flat, C)
         b, a = B.ravel()[flat], A.ravel()[flat]
-        rows = full.reshape(-1, C) @ col_nodes
+        rows = full.reshape(-1, C) @ n_pre[:, -1]
         # each ramp at bin L - y + k of the reversed slot order, clipped
         # to [0, L]; bin L reaches no slot
         at = np.take(kpos, c, axis=1) - np.stack([b, a])[:, None]
@@ -663,7 +649,7 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
         cells.append((pc * n + j[keep]) * L + L - 1 - s)
         slots.append(ns[keep])
         np.add.at(count.reshape(-1), cells[-1], n_slots.take(slots[-1]))
-    plan = BallPlan(lat, klo, khi, first_hit, first_full, col_nodes, count[lat.pcol, :, L - 1 - lat.s],
+    plan = BallPlan(lat, klo, khi, first_hit, first_full, count[lat.pcol, :, L - 1 - lat.s],
                     np.concatenate(cells), np.concatenate(slots))
     for a in vars(plan).values():
         if isinstance(a, np.ndarray):
@@ -700,7 +686,6 @@ def _lattice_ball_masses(plan: BallPlan, weights):
     np.cumsum(w_slots, axis=1, out=pre[:, L : L + M])
     pre[:, L + M :] = pre[:, L + M - 1, None]
     win = np.lib.stride_tricks.sliding_window_view(pre, L, axis=1)
-    totals = np.column_stack([pre[:, -1], plan.col_nodes])
     # a partial row of a node column without weight adds no mass
     heavy = np.flatnonzero(np.any(w_slots != 0.0, axis=1))
     starts = lat.column_starts()
@@ -709,7 +694,7 @@ def _lattice_ball_masses(plan: BallPlan, weights):
     mass = np.empty((P, n, L))
     for pb in _blocks(P, 2 * n * C):
         full = radius >= plan.first_full[pb, None]
-        rows = full.reshape(-1, C) @ totals
+        rows = full.reshape(-1, C) @ pre[:, -1]
         hit, whole = plan.first_hit[pb][:, None, heavy], plan.first_full[pb][:, None, heavy]
         row, c = np.divmod(np.flatnonzero((radius >= hit) & (radius < whole)), len(heavy))
         c = heavy[c]
@@ -721,7 +706,7 @@ def _lattice_ball_masses(plan: BallPlan, weights):
         used = np.flatnonzero(size)
         end = np.cumsum(size[used])
         blk = mass[pb].reshape(-1, L)
-        blk[:] = rows[:, :1]
+        blk[:] = rows[:, None]
         first = end - size[used]
         for i, j in _spans(end, _PAIR_BUDGET // L):
             sl = slice(first[i], end[j - 1])
@@ -1048,14 +1033,13 @@ def product_lattice(g: groups.GroupDescriptor, points, nodes, h):
 # passes (seeds 0 and 3): the distinct keys looked up between two uses of
 # one, plus one.  Product lattices: 4, in euclid_consequences
 @lru_cache(maxsize=5)
-def _lattice_cached(g, nodes_key, points: bytes, h: float):
-    """Read-only ``product_lattice`` of the points with these bytes and the nodes of ``nodes_key``.
+def _lattice_cached(g, R: float, h: float, points: bytes):
+    """Read-only ``product_lattice`` of the points with these bytes and the nodes of ``_nodes_cached(g, R, h)``.
 
-    ``nodes_key`` is the memo key ``(memo, args)`` whose ``memo(*args)[0]``
-    are the nodes, so a lookup hashes the points but no node array.
+    Keyed as ``_lattice_bins`` is: a lookup hashes the points but no node
+    array.
     """
-    memo, args = nodes_key
-    lat = product_lattice(g, np.frombuffer(points).reshape(-1, g.dimension), memo(*args)[0], h)
+    lat = product_lattice(g, np.frombuffer(points).reshape(-1, g.dimension), _nodes_cached(g, R, h)[0], h)
     for a in () if lat is None else vars(lat).values():
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -1064,14 +1048,15 @@ def _lattice_cached(g, nodes_key, points: bytes, h: float):
 
 # 3, in default_r1 at seed 3 (its four kernels)
 @lru_cache(maxsize=4)
-def _translate_plan_cached(g, nodes_key, weights_key, points: bytes, h: float):
-    """``_translate_plan`` of ``_lattice_cached(g, nodes_key, points, h)`` and the weights of ``weights_key``.
+def _translate_plan_cached(g, R: float, h: float, weights_key, points: bytes):
+    """``_translate_plan`` of ``_lattice_cached(g, R, h, points)`` and the weights of ``weights_key``.
 
     ``weights_key`` is the memo key ``(memo, args)`` whose
-    ``memo(*args)[1]`` are the node weights.
+    ``memo(*args)[1]`` are the weights of the nodes of
+    ``_nodes_cached(g, R, h)``.
     """
     memo, args = weights_key
-    return _translate_plan(g, _lattice_cached(g, nodes_key, points, h), memo(*args)[1])
+    return _translate_plan(g, _lattice_cached(g, R, h, points), memo(*args)[1])
 
 
 def _translate_plan(g, lat, weights):
@@ -1117,17 +1102,19 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h, sour
     unreached ones are dropped.
 
     What depends on the points, nodes and weights alone is a
-    ``_translate_plan``.  ``source`` is ``(nodes_key, weights_key)`` when
-    ``nodes`` and ``weights`` are memoised values, each key ``(memo,
-    args)`` with ``memo(*args)[0]`` the nodes and ``[1]`` the weights: the
-    plan then comes from ``_translate_plan_cached``, so a call with the
-    points and source of an earlier one pays only for u.  Other arrays
-    (None) are planned on each call.
+    ``_translate_plan``.  ``source`` is ``((R, h), weights_key)`` when
+    ``nodes`` are those of ``_nodes_cached(g, R, h)`` and ``weights`` a
+    memoised value, ``weights_key`` a memo key ``(memo, args)`` with
+    ``memo(*args)[1]`` the weights: the plan then comes from
+    ``_translate_plan_cached``, so a call with the points and source of an
+    earlier one pays only for u, and every kernel on one lattice shares
+    its product lattice.  Other arrays (None) are planned on each call.
     """
     if source is None:
         plan = _translate_plan(g, product_lattice(g, points, nodes, h), weights)
     else:
-        plan = _translate_plan_cached(g, *source, np.asarray(points, dtype=float).tobytes(), h)
+        lattice, weights_key = source
+        plan = _translate_plan_cached(g, *lattice, weights_key, np.asarray(points, dtype=float).tobytes())
     buf = None if plan is None else plan[0].sample(u, plan[1])
     if buf is not None:
         lat, _, wf = plan
@@ -1243,7 +1230,7 @@ def kernel_band_values(
     R = resolve_R(spec)
     key = (g, float(a), R, h)
     zs, weights, c0 = _shell_weights_cached(*key)
-    source = (_nodes_cached, (g, R, h)), (_shell_weights_cached, key)
+    source = (R, h), (_shell_weights_cached, key)
     out = translate_sums(g, u, pts, zs, weights, h, source) + u_at * c0
     return out[0] if single else out
 

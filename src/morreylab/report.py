@@ -11,7 +11,6 @@ one worker the report is byte-identical across runs (telemetry aside).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -431,21 +430,3 @@ def emit_plotdata(report: dict, out) -> int:
             n += 1
     return n
 
-
-def parse_plotdata(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != PLOT_COLUMNS:
-        raise ConfigError("plot data: unexpected header")
-    out = []
-    for r in rows[1:]:
-        out.append(
-            dict(
-                theorem=r[0],
-                function=r[1],
-                t=float(r[2]),
-                ratio=float(r[3]),
-                predicted_mismatch=float(r[4]),
-                fitted_slope=float(r[5]),
-            )
-        )
-    return out

@@ -78,7 +78,6 @@ def test_every_memo_is_an_lru_cache_and_clears():
         "quadrature._lattice_cached",
         "quadrature._translate_plan_cached",
         "quadrature._ball_plan_cached",
-        "operators._fraclap_nodes",
         "operators._fraclap_kernel",
     }
     assert used <= set(memos)
@@ -136,10 +135,10 @@ def test_pair_bin_memo_holds_a_pass(monkeypatch):
 
 def test_no_memo_key_holds_a_node_array(monkeypatch):
     # a key holding the bytes of a node array hashes every node on every
-    # lookup: the node side of every key is its lattice (g, R, h) or the
-    # memo key that made the nodes.  The points (or centres) a plan is
-    # made for are the call's own input and are keyed by their bytes (2 µs
-    # for 934 points), though they may be a lattice's nodes
+    # lookup: the node side of every key is its lattice (g, R, h).  The
+    # points (or centres) a plan is made for are the call's own input and
+    # are keyed by their bytes (2 µs for 934 points), though they may be a
+    # lattice's nodes
     worker.clear_caches()
     keys = []
     for name, memo in list(_module_globals()):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from pathlib import Path
@@ -11,7 +12,6 @@ from morreylab.report import (
     dump_report,
     emit_plotdata,
     parse_config,
-    parse_plotdata,
     run_experiment,
     strip_telemetry,
 )
@@ -128,15 +128,12 @@ def test_plotdata_roundtrip(tmp_path):
     buf = io.StringIO()
     n = emit_plotdata(rep, buf)
     assert n == sum(len(r["t_values"]) for r in rep["records"])
-    rows = parse_plotdata(buf.getvalue())
-    i = 0
-    for rec in rep["records"]:
-        for t, ratio in zip(rec["t_values"], rec["ratios"]):
-            assert rows[i]["t"] == t
-            assert rows[i]["ratio"] == ratio
-            assert rows[i]["predicted_mismatch"] == rec["predicted_mismatch"]
-            assert rows[i]["fitted_slope"] == rec["fitted_slope"]
-            i += 1
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    assert tuple(header) == report.PLOT_COLUMNS
+    want = [[rec["theorem"], rec["function"], t, ratio, rec["predicted_mismatch"], rec["fitted_slope"]]
+            for rec in rep["records"] for t, ratio in zip(rec["t_values"], rec["ratios"])]
+    # floats come back bit-exactly
+    assert [r[:2] + [float(v) for v in r[2:]] for r in rows] == want
 
 
 def test_small_perturbation_is_recorded_only():

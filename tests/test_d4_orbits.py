@@ -1,13 +1,17 @@
-"""Factor values on one node per D4 orbit of the H^1 lattice.
+"""Factor values on one node per orbit of the exact lattice symmetries.
 
-The quarter turn (x0, x1, t) -> (-x1, x0, t) and the reflection
-(x0, x1, t) -> (x0, -x1, -t) generate the automorphism group D4 of H^1.
-Both preserve the Koranyi gauge, Haar measure and the midpoint lattice,
-so every factor operator T commutes with them: T(u o A) = (T u) o A.
-``harness._op_values_cached`` evaluates a D4-invariant u at one node per
-orbit and copies the values to the rest; these tests check the
-commutation itself on a non-invariant input, the copied values against
-the values at every node, and which inputs are reduced.
+``groups.symmetries(g)`` lists them on every law.  On H^1 the quarter
+turn (x0, x1, t) -> (-x1, x0, t) and the reflection (x0, x1, t) ->
+(x0, -x1, -t) generate them, the automorphism group D4; on R^N the sign
+flips do, with the axis swap on R^2.  They preserve the gauge, Haar
+measure and the midpoint lattice, so every factor operator T commutes
+with them: T(u o A) = (T u) o A.  ``groups.orbit_classes`` gives the
+orbits of the lattice nodes and of the Morrey centres, and
+``harness._op_values_cached`` evaluates an invariant u at one node per
+orbit and copies the values to the rest; these tests check the orbits
+against those the generators build, the commutation itself on a
+non-invariant input, the copied values against the values at every
+node, and which inputs are reduced.
 """
 
 import dataclasses
@@ -18,7 +22,7 @@ import numpy as np
 import pytest
 
 from morreylab import groups, harness, operators, quadrature, testfunctions
-from morreylab.errors import IntegrandError, UnsupportedGroupError
+from morreylab.errors import DomainError, IntegrandError
 from morreylab.quadrature import QuadratureSpec, lattice_nodes, lattice_orbits, radius_grid
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -47,6 +51,87 @@ def node_image(nodes, A):
     return np.array([where[tuple(z)] for z in A(nodes).tolist()])
 
 
+def flip(i):
+    def A(p):
+        q = p.copy()
+        q[..., i] = -q[..., i]
+        return q
+
+    return A
+
+
+# the generators of each law's symmetries, and a lattice of each
+GENERATORS = {
+    "R1": (groups.euclidean_group(1), [flip(0)], QuadratureSpec(3.0, 0.25)),
+    "R2": (groups.euclidean_group(2), [flip(0), lambda p: p[..., ::-1]], QuadratureSpec(2.0, 0.25)),
+    "R3": (groups.euclidean_group(3), [flip(0), flip(1), flip(2)], QuadratureSpec(1.5, 0.3)),
+    "H1": (H1, [quarter_turn, reflection], SPEC),
+}
+
+
+def generated_orbits(rows, generators):
+    """The least index of each row's orbit under the generators, by closure.
+
+    Rows are compared by value after + 0.0, so -0.0 matches 0.0; a repeated
+    row joins the orbit of its first copy.  Each generator must map the
+    rows onto themselves.
+    """
+    where = {}
+    for i, r in enumerate((rows + 0.0).tolist()):
+        where.setdefault(tuple(r), i)
+    label = np.array([where[tuple(r)] for r in (rows + 0.0).tolist()])
+    images = [np.array([where[tuple(r)] for r in (A(rows) + 0.0).tolist()]) for A in generators]
+    # each row takes the least label of its images until none changes: a
+    # generator's inverse is one of its powers, so every row of an orbit
+    # is reached
+    while True:
+        new = label
+        for image in images:
+            new = np.minimum(new, new[image])
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def centre_grid(g):
+    """A centre grid on multiples of 1/2 that the symmetries close up.
+
+    Some of its zeros are -0.0, and its first three rows are repeated.
+    """
+    axis = np.linspace(-1.0, 1.0, 5)
+    c = np.stack([a.ravel() for a in np.meshgrid(*[axis] * g.dimension, indexing="ij")], axis=-1)
+    c = np.concatenate([c, c[:3]])
+    rng = np.random.default_rng(1)
+    return np.where((c == 0.0) & (rng.random(c.shape) < 0.5), -0.0, c)
+
+
+@pytest.mark.parametrize("law", GENERATORS)
+def test_orbit_classes_are_the_generated_orbits(law):
+    # on the nodes: rep[inverse] is the first node of each node's orbit,
+    # the least index that the generators reach from it
+    g, generators, spec = GENERATORS[law]
+    nodes = lattice_nodes(g, spec)[0]
+    rep, inverse = lattice_orbits(g, spec)
+    assert np.array_equal(rep[inverse], generated_orbits(nodes, generators))
+    # on the centres: the harness codes each value by the signed rank of
+    # its modulus; here 2c codes the multiples of 1/2 independently
+    c = centre_grid(g)
+    rep, inverse = groups.orbit_classes(g, np.rint(2.0 * c).astype(np.int64))
+    assert np.array_equal(rep[inverse], generated_orbits(c, generators))
+    kept = harness._orbit_centers(g, c.tobytes())
+    assert kept.tobytes() == c[rep].tobytes() and len(rep) < len(c)
+
+
+def test_orbit_codes_past_int64_are_refused():
+    # three coordinates of modulus up to 2^21 need place values past 2^63;
+    # up to 2^19 they fit
+    g3 = groups.euclidean_group(3)
+    with pytest.raises(DomainError):
+        groups.orbit_classes(g3, np.array([[1 << 21, 1, 1]]))
+    rep, inverse = groups.orbit_classes(g3, np.array([[1 << 19, 1, 1], [-(1 << 19), 1, -1]]))
+    assert rep.tolist() == [0] and inverse.tolist() == [0, 0]
+
+
 def shifted_gaussian(A=None):
     """exp(-|x - c|^2 / 0.25) composed with A: invariant under no element of D4 but 1."""
     c = np.array([0.6, -0.3, 0.4])
@@ -73,8 +158,6 @@ def test_orbit_keys_are_the_orbits():
     orbit = np.stack(orbit)
     assert np.all(inverse[orbit] == inverse[None, :])
     assert np.all(np.sort(orbit, axis=0)[1:] != np.sort(orbit, axis=0)[:-1])
-    with pytest.raises(UnsupportedGroupError):
-        lattice_orbits(groups.euclidean_group(3), SPEC)
 
 
 def test_an_empty_lattice_has_no_orbits():
@@ -107,10 +190,10 @@ def test_operators_commute_with_each_generator(A, op):
     assert np.max(np.abs(turned - plain)) >= 0.1 * np.max(np.abs(plain))
 
 
-def reduced_error(u, spec, op, cfg):
+def reduced_error(u, spec, op, cfg, g=H1):
     """max |reduced - all-node| / max |all-node| of one factor's ``_op_values``."""
-    reduced = harness._op_values(H1, op, cfg, u, spec, None)
-    every = harness._op_values(H1, op, cfg, dataclasses.replace(u, d4_invariant=False), spec, None)
+    reduced = harness._op_values(g, op, cfg, u, spec, None)
+    every = harness._op_values(g, op, cfg, dataclasses.replace(u, d4_invariant=False), spec, None)
     return np.max(np.abs(reduced - every)) / np.max(np.abs(every))
 
 
@@ -139,27 +222,47 @@ def test_reduced_values_match_every_node():
             harness._op_values(H1, "riesz", cfg, u, SPEC, None)
 
 
-def test_an_orbit_key_that_keeps_t_on_the_swap_fails(monkeypatch):
-    # (x0, x1, t) -> (x1, x0, t) is an anti-automorphism, not an element
-    # of D4: keyed with it, the copied values are wrong
-    def key_without_flip(odd):
-        a, b, c = odd[..., 0], odd[..., 1], odd[..., 2]
-        same = (a > 0) == (b > 0)
-        x, y = np.where(same, np.abs(a), np.abs(b)), np.where(same, np.abs(b), np.abs(a))
-        swap = y > x
-        return np.stack([np.where(swap, y, x), np.where(swap, x, y), c], axis=-1)
+@pytest.mark.parametrize("law", ["R1", "R2", "R3"])
+def test_reduced_values_match_every_node_on_rn(law):
+    # the Riesz and maximal factors of a Gaussian and a bump; the Riesz
+    # correlation of the representatives runs on a smaller product grid,
+    # so its values move by rounding
+    g, _, spec = GENERATORS[law]
+    cfg = harness.admissible("adams_hls", Q=g.Q, p=1.5, gamma=0.4, lam=0.2)
+    for u in (testfunctions.gaussian(g, 0.5), testfunctions.bump(g, 1.0)):
+        for op in ("riesz", "maximal"):
+            assert reduced_error(u, spec, op, cfg, g) <= 1e-15, (u.label, op)
 
+
+def test_a_table_that_keeps_t_on_the_swap_fails(monkeypatch):
+    # (x0, x1, t) -> (x1, x0, t) is an anti-automorphism, not an element
+    # of D4: with a table that keeps the sign of t on the swap, the orbits
+    # are not those of the generators, and the copied values are wrong
+    real = groups.symmetries
+
+    def table_without_flip(g):
+        if g.law != groups.HEISENBERG1:
+            return real(g)
+        return tuple((perm, signs[:2] + (signs[0] * signs[1],)) for perm, signs in real(g))
+
+    memos = (quadrature._orbits_cached, harness._orbit_centers, harness._op_values_cached)
     cfg, legs = h1_adams_legs()
     u, spec = legs[-1]
-    monkeypatch.setattr(groups, "d4_orbit_key", key_without_flip)
-    quadrature._orbits_cached.cache_clear()
-    harness._op_values_cached.cache_clear()
+    monkeypatch.setattr(groups, "symmetries", table_without_flip)
+    for memo in memos:
+        memo.cache_clear()
     try:
+        generators = GENERATORS["H1"][1]
+        rep, inverse = lattice_orbits(H1, SPEC)
+        assert not np.array_equal(rep[inverse], generated_orbits(lattice_nodes(H1, SPEC)[0], generators))
+        c = centre_grid(H1)
+        rep, inverse = groups.orbit_classes(H1, np.rint(2.0 * c).astype(np.int64))
+        assert not np.array_equal(rep[inverse], generated_orbits(c, generators))
         assert reduced_error(u, spec, "riesz", cfg) > 1e-4
         assert reduced_error(u, spec, "maximal", cfg) > 1e-3
     finally:
-        quadrature._orbits_cached.cache_clear()
-        harness._op_values_cached.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_the_flag_is_a_fact_about_the_input():
@@ -175,9 +278,9 @@ def test_the_flag_is_a_fact_about_the_input():
         testfunctions.custom(u.fn, decay_radius=3.0, d4_invariant=True)
 
 
-def test_only_invariant_h1_inputs_are_reduced(monkeypatch):
-    # a spy on the operator's point count: an invariant u on H^1 is
-    # evaluated at K / 8 nodes; a custom u, and any u on R^N, at all K
+def test_only_invariant_inputs_are_reduced(monkeypatch):
+    # a spy on the operator's point count: an invariant u is evaluated at
+    # one node per orbit, K / 8 on H^1 and R^3; a custom u at all K
     seen = []
     real = operators.riesz_values
 
@@ -196,7 +299,7 @@ def test_only_invariant_h1_inputs_are_reduced(monkeypatch):
         vals = harness._op_values(g, "riesz", cfg, u, spec, None)
         assert len(vals) == len(lattice_nodes(g, spec)[0])
     K = len(lattice_nodes(H1, SPEC)[0])
-    assert seen == [K // 8, K, len(lattice_nodes(g3, spec3)[0])]
+    assert seen == [K // 8, K, len(lattice_nodes(g3, spec3)[0]) // 8]
 
 
 @pytest.mark.parametrize("op", TAGS)

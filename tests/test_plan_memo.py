@@ -2,9 +2,10 @@
 
 ``translate_sums`` and ``ball_totals`` split into a plan, which depends on
 the lattice, the points and the kernel or radii alone, and a per-call
-step that samples u.  Plans are ``lru_cache`` values keyed on the memo key
-of the nodes and the bytes of the points: a memoised call must equal a
-cold one bit for bit, and no call may be served another input's plan.
+step that samples u.  Plans are ``lru_cache`` values keyed on the lattice
+(g, R, h) of the nodes and the bytes of the points: a memoised call must
+equal a cold one bit for bit, and no call may be served another input's
+plan.
 """
 
 import json
@@ -58,10 +59,7 @@ def misses():
 
 def point_sets(g, spec):
     nodes = lattice_nodes(g, spec)[0]
-    sets = [("all", nodes)]
-    if g.law == groups.HEISENBERG1:
-        sets.append(("orbits", nodes[lattice_orbits(g, spec)[0]]))
-    return sets
+    return [("all", nodes), ("orbits", nodes[lattice_orbits(g, spec)[0]])]
 
 
 @pytest.mark.parametrize("name,g,spec", CASES, ids=IDS)
@@ -111,7 +109,8 @@ def test_no_call_is_served_another_inputs_plan(name, g, spec):
 
 @pytest.mark.parametrize("name,g,spec", CASES, ids=IDS)
 def test_another_kernel_reuses_the_lattice(name, g, spec):
-    # another gamma, or s, changes the kernel's transform but not the
+    # another gamma, or s, or the fractional Laplacian's kernel in place of
+    # the Riesz potential's, changes the kernel's transform but not the
     # product lattice, which is built once
     pts = lattice_nodes(g, spec)[0]
     u = gaussian(g, 0.4)
@@ -121,14 +120,29 @@ def test_another_kernel_reuses_the_lattice(name, g, spec):
     clear_plans()
     for call in calls:
         call()
-    info = quadrature._lattice_cached.cache_info()
-    assert info.misses == (2 if g.law == groups.EUCLIDEAN else 1)
+    assert quadrature._lattice_cached.cache_info().misses == 1
     assert quadrature._translate_plan_cached.cache_info().misses == len(calls)
 
 
+@pytest.mark.parametrize("name,g,spec", CASES[:3], ids=IDS[:3])
+def test_the_fractional_laplacian_on_the_shared_lattice_equals_a_cold_call(name, g, spec):
+    # a Riesz call builds the product lattice that the fractional Laplacian
+    # then reads from the memo: its values equal a cold call's bit for bit
+    u = gaussian(g, 0.4)
+    for _, pts in point_sets(g, spec):
+        clear_plans()
+        riesz_values(g, 0.6 * g.Q, u, pts, spec)
+        before = quadrature._lattice_cached.cache_info().misses
+        shared = frac_laplacian_values(g, 0.4, u, pts, spec)
+        assert quadrature._lattice_cached.cache_info().misses == before
+        clear_plans()
+        assert np.array_equal(shared, frac_laplacian_values(g, 0.4, u, pts, spec))
+
+
 def test_a_default_pass_builds_three_product_lattices(monkeypatch):
-    # 40 operator calls on one R^1 lattice: the Riesz potential's lattice,
-    # the fractional Laplacian's and the maximal operator's, once each
+    # 40 operator calls on one R^1 lattice: the Riesz potential's lattice
+    # and the maximal operator's at one node per orbit, and the fractional
+    # Laplacian's at every node, once each
     built = []
     real = quadrature.product_lattice
 
@@ -157,8 +171,7 @@ def test_sample_buffer_pads_h1_only(backends, name, g, spec):
         assert lat.padding > 0 and len(buf) == size + lat.padding
     # the memoised fast path, the planned-per-call one and the direct loop
     w = 1.0 / (1.0 + groups.gauge(g, nodes))
-    keyed = (quadrature._nodes_cached, (g, spec.R_max, spec.lattice_h))
-    source = keyed, (lambda *a: (nodes, w), ())
+    source = (spec.R_max, spec.lattice_h), (lambda *a: (nodes, w), ())
     clear_plans()
     memo = quadrature.translate_sums(g, u, nodes, nodes, w, spec.lattice_h, source)
     fast = backends.agree(quadrature.translate_sums, g, u, nodes, nodes, w, spec.lattice_h)

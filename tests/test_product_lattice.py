@@ -31,7 +31,6 @@ from morreylab.quadrature import (
     geometric_radii,
     kernel_band_values,
     lattice_nodes,
-    nodes_by_gauge,
     product_lattice,
     radius_grid,
     translate_sums,
@@ -208,7 +207,7 @@ def test_column_correlations_skip_pairs_without_a_nonzero_sample(backends, h1):
     # they are not transformed, and the sums still agree with the direct
     # loop; u = 0 transforms no row and gives exact zeros
     h = 0.25
-    zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
+    zs, dist, _ = lattice_nodes(h1, QuadratureSpec(1.5, h))
     w = dist ** -2.5
     lat = product_lattice(h1, zs, zs, h)
     wf = quadrature._translate_plan(h1, lat, w)[2]
@@ -303,7 +302,7 @@ def test_h1_gather_matches_direct_under_caps_shorter_than_a_column(backends, h1)
     # nodes on the four central columns and u supported in the gauge ball
     # of radius 0.5: for the points nearest the identity u vanishes at most
     # slots of the longest node column
-    zs, dist, _ = nodes_by_gauge(h1, 4.0, 0.3)
+    zs, dist, _ = lattice_nodes(h1, QuadratureSpec(4.0, 0.3))
     thin = np.max(np.abs(zs[:, :2]), axis=1) < 0.3
     zs, dist = zs[thin], dist[thin]
     pts = lattice_nodes(h1, QuadratureSpec(R_max=3.0, lattice_h=0.3), R_eff=1.2)[0]
@@ -318,7 +317,7 @@ def test_h1_column_correlations_match_direct(backends, h1, case):
     # point column; capped: u vanishes beyond gauge 0.35, so most samples
     # are zero
     h = 0.25
-    zs, dist, _ = nodes_by_gauge(h1, 1.5, h)
+    zs, dist, _ = lattice_nodes(h1, QuadratureSpec(1.5, h))
     w, pts = dist ** -2.5, zs
     u = custom(lambda p: np.exp(-np.sum(p * p, axis=-1)), 10.0)
     lat = product_lattice(h1, zs, zs, h)
@@ -406,7 +405,7 @@ def test_h1_non_finite_sample_reached_as_in_direct(backends, h1):
     # half of the weights decide whether any point reaches it through a
     # nonzero weight; both paths must raise on the same draws and give the
     # same sums on the others
-    zs, dist, _ = nodes_by_gauge(h1, 2.0, 0.4)
+    zs, dist, _ = lattice_nodes(h1, QuadratureSpec(2.0, 0.4))
     far = zs[np.argsort(zs[:, 0])[-30:]]
     outcomes = set()
     for seed in range(8):

@@ -1,10 +1,10 @@
-"""Every name the package exports has a caller.
+"""Every top-level definition in ``src/`` has a caller.
 
-A name that ``morreylab/__init__.py`` exports must be read somewhere in
-``src/`` outside its own definition, in an acceptance criterion
-(``tests/test_acceptance.py``), or in a ``tests/conftest.py`` fixture
-that a criterion takes.  A public function that only its own tests and
-the demos call is surface without a purpose.
+A name that a module of ``src/morreylab`` binds at top level, exported or
+not, must be read somewhere in ``src/`` outside its own definition, in
+an acceptance criterion (``tests/test_acceptance.py``), or in a
+``tests/conftest.py`` fixture that a criterion takes.  A function that
+only its own tests and the demos call is code without a purpose.
 """
 
 import ast
@@ -19,9 +19,10 @@ def parse(path):
     return ast.parse(path.read_text())
 
 
-def exported():
-    return sorted(a.asname or a.name for n in parse(SRC / "__init__.py").body
-                  if isinstance(n, ast.ImportFrom) for a in n.names)
+def defined():
+    """``module.name`` of every name a top-level statement of ``src/`` binds."""
+    return sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
+                  for stmt in parse(path).body for name in defines(stmt))
 
 
 def reads(node):
@@ -74,9 +75,10 @@ def read_by_criteria():
     return out
 
 
-def test_every_exported_name_has_a_caller():
+def test_every_top_level_definition_has_a_caller():
+    # the exported names are defined in the modules, so they are among these
     callers = read_in_src() | read_by_criteria()
-    assert [name for name in exported() if name not in callers] == []
+    assert [name for name in defined() if name.split(".")[1] not in callers] == []
 
 
 def test_the_guard_sees_a_name_read_only_by_its_own_definition():
