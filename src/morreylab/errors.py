@@ -27,9 +27,5 @@ class AccuracyError(RuntimeError):
         self.estimate = estimate
 
 
-class ContractError(ValueError):
-    """The operation was called where a different engine is required."""
-
-
 class DegenerateInputError(ValueError):
     """The input makes the requested check meaningless (e.g. u == 0)."""

@@ -59,18 +59,22 @@ class MorreyEstimate:
 def default_centers(
     g: groups.GroupDescriptor, spec: QuadratureSpec, n_per_axis: int | None = None
 ) -> np.ndarray:
-    """The identity, then a coarse anisotropic centre lattice in {0 < gauge <= R_max/2}."""
+    """The identity, then a coarse anisotropic centre lattice in {0 < gauge <= R_max/2}.
+
+    Each axis is its non-negative half, mirrored: the centres are closed
+    under every map of ``groups.symmetries`` bit for bit.
+    """
     if n_per_axis is None:
         n_per_axis = max(3, min(11, int(math.floor(125 ** (1.0 / g.dimension)))))
     R = spec.R_max / 2.0
-    axes = [
-        np.linspace(-groups.coord_bound(g, i, R), groups.coord_bound(g, i, R), n_per_axis)
-        for i in range(g.dimension)
-    ]
-    if n_per_axis > 1 and n_per_axis % 2:
-        for ax in axes:
+    axes = []
+    for i in range(g.dimension):
+        bound = groups.coord_bound(g, i, R)
+        half = np.linspace(-bound, bound, n_per_axis)[n_per_axis // 2 :]
+        if n_per_axis > 1 and n_per_axis % 2:
             # linspace's middle point can miss 0 by an ulp of the bound
-            ax[n_per_axis // 2] = 0.0
+            half[0] = 0.0
+        axes.append(np.concatenate([-half[::-1][: n_per_axis // 2], half]))
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([gr.ravel() for gr in grids], axis=-1)
     d = groups.gauge(g, pts)
@@ -87,19 +91,19 @@ def morrey_sup_from_samples(
     nodes: np.ndarray,
     values: np.ndarray,
     cellvol,
-    lattice=None,
+    lattice,
 ) -> MorreyEstimate:
-    """Grid supremum from precomputed |f| samples on lattice nodes.
+    """Grid supremum from precomputed |f| samples on the nodes of a lattice.
 
-    ``centers`` holds points of the group (ShapeError otherwise).
-    ``values`` holds one sample per node, and ``cellvol`` is either the
-    scalar cell volume or an array of per-node quadrature masses (used
-    when a singular gauge-power weight is folded into the measure instead
-    of the samples); ShapeError when either does not match ``nodes`` in
-    length, IntegrandError naming the node when a sample or mass is not
-    finite.  ``lattice`` is the ``lattice_key`` of ``nodes`` when they
-    come from ``lattice_nodes``: the centre-node bins are then memoised
-    on it (``ball_masses``); other nodes are binned on each call.
+    ``nodes`` are those of ``lattice_nodes`` and ``lattice`` their
+    ``lattice_key``, on which the centre-node bins are memoised
+    (``ball_masses``).  ``centers`` holds points of the group (ShapeError
+    otherwise).  ``values`` holds one sample per node, and ``cellvol`` is
+    either the scalar cell volume or an array of per-node quadrature
+    masses (used when a singular gauge-power weight is folded into the
+    measure instead of the samples); ShapeError when either does not
+    match ``nodes`` in length, or ``nodes`` the lattice, IntegrandError
+    naming the node when a sample or mass is not finite.
     """
     if not (0 <= lam <= g.Q):
         raise DomainError(f"lambda must lie in [0, Q], got {lam}")
@@ -110,7 +114,7 @@ def morrey_sup_from_samples(
     if values.shape != nodes.shape[:1] or cellvol.shape not in ((), values.shape):
         raise ShapeError(f"need one sample per node and a scalar or per-node cellvol: {len(nodes)} "
                          f"nodes, values of shape {values.shape}, cellvol of shape {cellvol.shape}")
-    vals = radii ** (-lam) * ball_masses(g, centers, nodes, radii, np.abs(values) ** p * cellvol, lattice)
+    vals = radii ** (-lam) * ball_masses(g, centers, radii, np.abs(values) ** p * cellvol, lattice)
     # first centre, then first radius, attaining the maximum
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best_r = float(radii[k])

@@ -18,10 +18,10 @@ from .errors import DomainError, UnsupportedGroupError
 from .quadrature import (
     QuadratureSpec,
     _nodes_cached,
+    _shell_weights_cached,
     ball_totals,
     check_radii,
     finite_samples,
-    kernel_band_values,
     lattice_key,
     lattice_nodes,
     resolve_R,
@@ -48,15 +48,32 @@ def riesz_values(
     points,
     spec: QuadratureSpec,
 ) -> np.ndarray:
-    """Convolution of u with gauge^(gamma - Q) at the points.
+    """Convolution of u with gauge^(gamma - Q) at the points x.
 
-    Exact change of variables gives the covariance
+    The integral of u(y) d(y, x)^(gamma - Q) over {d(y, x) <= R_max}, with
+    d(y, x) = gauge(y^{-1} x): one shared node and weight set
+    (``_shell_weights_cached``) serves every point through left
+    translation, which preserves both the Haar measure and cell
+    midpoints, so the value is ``translate_sums`` plus the closed-form
+    innermost term c0 u(x).  A non-finite sample of u at a weighted node,
+    or a non-finite u(x), raises IntegrandError.  Exact change of
+    variables gives the covariance
     ``riesz(u o dilate_t)(x) = t^(-gamma) riesz(u)(dilate_t x)``, which the
     test suite uses as its oracle.
     """
     if not (0 < gamma < g.Q):
         raise DomainError(f"gamma must lie in (0, Q), got {gamma}")
-    return kernel_band_values(g, gamma - g.Q, u, points, spec)
+    pts = groups.as_points(g, points)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    u_at = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
+    h = spec.lattice_h
+    R = resolve_R(spec)
+    key = (g, float(gamma - g.Q), R, h)
+    weights, c0 = _shell_weights_cached(*key)
+    source = (R, h), (_shell_weights_cached, key)
+    out = translate_sums(g, u, pts, _nodes_cached(g, R, h)[0], weights, h, source) + u_at * c0
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +111,7 @@ def frac_maximal_values(
 
     src, _, cell = lattice_nodes(g, spec)
     uv = np.abs(np.asarray(u(src), dtype=float))
-    cnt, m_r = ball_totals(g, pts, src, radii, uv, spec.lattice_h, lattice_key(spec))
+    cnt, m_r = ball_totals(g, pts, radii, uv, lattice_key(spec))
     m_r *= cell
     # balls that leave the domain scale their volume from the last ball
     # inside it (or from one cell at r_dom) by r^Q
@@ -132,7 +149,7 @@ def _euclidean_sphere_area(N: int) -> float:
 # no other kernel is used between two uses of one in the bench passes
 @lru_cache(maxsize=1)
 def _fraclap_kernel(g: groups.GroupDescriptor, s: float, R: float, h: float):
-    """Read-only ``(dY, weights, ksum)`` of the fractional Laplacian on the nodes of ``_nodes_cached(g, R, h)``.
+    """Read-only ``(weights, dY, ksum)`` of the fractional Laplacian on the nodes of ``_nodes_cached(g, R, h)``.
 
     ``weights`` is the kernel |y|^(-N-2s) cell at each node of gauge >= h,
     in ``_nodes_cached`` order, and zero below; ``dY`` holds the gauges
@@ -146,9 +163,9 @@ def _fraclap_kernel(g: groups.GroupDescriptor, s: float, R: float, h: float):
     weights = np.where(live, dist ** a * cell, 0.0)
     dY = np.sort(dist[live])
     ksum = np.concatenate([[0.0], np.cumsum(dY ** a * cell)])
-    for arr in (dY, weights, ksum):
+    for arr in (weights, dY, ksum):
         arr.setflags(write=False)
-    return dY, weights, ksum
+    return weights, dY, ksum
 
 
 def frac_laplacian_values(
@@ -186,7 +203,7 @@ def frac_laplacian_values(
     h = spec.lattice_h
     R = resolve_R(spec)
     key = (g, float(s), R, h)
-    dY, weights, ksum = _fraclap_kernel(*key)
+    weights, dY, ksum = _fraclap_kernel(*key)
 
     u_x = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
     trH = sub_laplacian_values(g, u, pts)

@@ -7,9 +7,10 @@ dilations.  Singular radial weights come from the shells of
 ``_shell_edges`` around the centre, whose radii halve from R_max down to
 the spacing h: each shell carries its exact radial mass, spread over its
 nodes in proportion to their midpoint weights (``_spread``).
-``kernel_band_values`` integrates u against the kernel d^a, a in (-Q, 0),
-this way and closes the region below h in closed form through u at the
-centre; ``gauge_power_weights`` gives the masses of gauge(y)^a dy.
+``_shell_weights_cached`` weighs the kernel d^a, a in (-Q, 0), this way
+and closes the region below h in closed form through u at the centre
+(the Riesz potential's kernel); ``gauge_power_weights`` gives the masses
+of gauge(y)^a dy.
 
 Batch sums over one shared node set go through ``translate_sums``.  When
 the points lie on the node lattice, every product x z lands on one
@@ -23,28 +24,31 @@ every sample is finite.  Both take their transform lengths from
 ``_fft_length``.  Other points, and grids with a non-finite sample at a
 reached product, take the direct point-by-node loop, which decides
 which non-finite samples are reached.
-Every path sums every node.  Ball counts and masses (``ball_totals``) at
-on-lattice centres are read at the ends of the runs of grid samples
-inside each ball, which the gauge ball's closed-form section cuts from
-each grid line: masses as differences of prefix sums over node columns,
-counts in closed form from the kinks of each column's count prefix.
-Other centres bin every centre-node pair once (``ball_bins``, one
-coordinate at a time) and keep the table as its runs of equal bin along
-each row (``bin_runs``, 8 bytes a run).  The Morrey supremum sums its
-samples over the same runs (``ball_masses``), memoised per lattice key
-(g, R, h) of ``_nodes_cached``, centres and radii, so each centre grid
-of a lattice is binned once; a call reads one prefix sum of the samples
-at every run's end and bincounts the differences into balls
-(``ball_sums``).  ``lattice_orbits`` gives one node per orbit of the
-lattice under ``groups.symmetries``, on every law, for inputs that the
-maps leave invariant.  What ``translate_sums`` and ``ball_totals`` read
-of the points, nodes, kernel or radii alone is a plan, built once per
-run: the product lattice (``_lattice_cached``), its sample runs and the
-kernel's conjugate transform (``_translate_plan_cached``), and the ball
-sections, exact counts and near-tie memberships (``_ball_plan_cached``),
-each keyed on the lattice (g, R, h) of the nodes and the bytes of the
-points and radii, so every kernel on a lattice shares its product
-lattice; a call then pays only for u.
+Every path sums every node.  The ball engines, ``ball_totals`` (the
+maximal operator) and ``ball_masses`` (the Morrey supremum), sum over
+the nodes of one lattice, which its key (g, R, h) alone names.  Ball
+counts and masses (``ball_totals``) at on-lattice centres are read at
+the ends of the runs of grid samples inside each ball, which the gauge
+ball's closed-form section cuts from each grid line: masses as
+differences of prefix sums over node columns, counts in closed form from
+each column's count prefix clip(y, 0, Lc).  Other centres bin every
+centre-node pair once (``ball_bins``, one coordinate at a time) and keep
+the table as its runs of equal bin along each row (``bin_runs``, 8 bytes
+a run), memoised per lattice key, centres and radii (``_lattice_bins``),
+so each centre grid of a lattice is binned once.  The Morrey supremum
+sums its samples over the same runs (``ball_masses``): a call reads one
+prefix sum of the samples at every run's end and bincounts the
+differences into balls (``ball_sums``).  ``lattice_orbits`` gives one
+node per orbit of the lattice under ``groups.symmetries``, on every law,
+for inputs that the maps leave invariant.  What ``translate_sums`` and
+``ball_totals`` read of the points, nodes, kernel or radii alone is a
+plan, built once per run: the product lattice (``_lattice_cached``), its
+sample runs and the kernel's conjugate transform
+(``_translate_plan_cached``), and the ball sections, exact counts and
+near-tie memberships (``_ball_plan_cached``), each keyed on the lattice
+(g, R, h) of the nodes and the bytes of the points and radii, so every
+kernel on a lattice shares its product lattice; a call then pays only
+for u.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -59,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import groups
-from .errors import ContractError, DomainError, IntegrandError
+from .errors import DomainError, IntegrandError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -163,15 +167,15 @@ def _shell_edges(R_max: float, h: float):
 # exponent on a lattice share its shell indices, held in the narrowest type
 @lru_cache(maxsize=32)
 def _shells(g, R, h):
-    """``_nodes_cached``, the ``_shell_edges``, each node's shell (the last below them) and sigma; read-only."""
-    zs, dist, cell = _nodes_cached(g, R, h)
+    """``_nodes_cached``' gauges and cell, the ``_shell_edges``, each node's shell (the last below them) and sigma."""
+    _, dist, cell = _nodes_cached(g, R, h)
     edges = _shell_edges(R, h)
     idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, len(edges) - 2)
     idx = idx.astype(_bin_dtype(len(edges)))
     edges.setflags(write=False)
     idx.setflags(write=False)
     sigma = groups.sphere_measure(g, h)
-    return zs, dist, cell, edges, idx, sigma
+    return dist, cell, edges, idx, sigma
 
 
 def _spread(kern, idx, exact):
@@ -186,16 +190,16 @@ def _spread(kern, idx, exact):
 
 @lru_cache(maxsize=64)
 def _shell_weights_cached(g, a, R_max, h):
-    """Nodes and per-node quadrature weights for the kernel d^a on the truncated ball.
+    """Per-node quadrature weights for the kernel d^a on the truncated ball.
 
-    Returns ``_nodes_cached``' nodes (in its order), their weights and the
+    Returns the weights of ``_nodes_cached``' nodes (in its order) and the
     u(centre)-coefficient ``c0``.  Every shell around the centre carries
     its exact radial kernel mass, distributed over its nodes
     proportionally to the raw midpoint weights; the innermost region (and
     any shell too thin to hold a node) contributes through ``c0``, which
     is therefore never zero.
     """
-    zs, dist, cell, edges, idx, sigma = _shells(g, R_max, h)
+    dist, cell, edges, idx, sigma = _shells(g, R_max, h)
     r_stop = float(edges[-1])
     aQ = a + g.Q
     kern = np.where(dist >= r_stop, dist ** a * cell, 0.0)
@@ -204,7 +208,7 @@ def _shell_weights_cached(g, a, R_max, h):
     # shells with no nodes (below lattice resolution) and the innermost
     # region use u(centre) against the exact kernel mass
     c0 = float(np.sum(exact[empty])) + sigma * r_stop ** aQ / aQ
-    return zs, weights, c0
+    return weights, c0
 
 
 @lru_cache(maxsize=64)
@@ -219,7 +223,7 @@ def gauge_power_weights(g, a, R, h):
     """
     if a <= -g.Q:
         raise DomainError(f"weight exponent {a} <= -Q is not integrable")
-    _, dist, cell, edges, idx, sigma = _shells(g, R, h)
+    dist, cell, edges, idx, sigma = _shells(g, R, h)
     aQ = a + g.Q
     exact = sigma * (edges[:-1] ** aQ - edges[1:] ** aQ) / aQ
     # the deepest shell with a node (each has kern > 0) takes all below it, incl. the disc
@@ -258,7 +262,7 @@ def _pair_gauges(g: groups.GroupDescriptor, c, z) -> np.ndarray:
 
     ``c`` and ``z`` hold the centres' and the nodes' coordinates as N
     planes each, and plane i of ``c`` broadcasts against plane i of ``z``:
-    (n_centers, 1) against (n_nodes,) rows for a table of every pair,
+    (centres, 1) against (nodes,) rows for a table of every pair,
     equal shapes for gathered pairs.  The gauges are built one coordinate
     at a time, in place in planes of the broadcast shape, with the
     operations of ``groups.gauge(groups.mul(g, -c, z))`` in their order, so
@@ -291,7 +295,7 @@ def _pair_gauges(g: groups.GroupDescriptor, c, z) -> np.ndarray:
 
 
 def ball_bins(g: groups.GroupDescriptor, nodes, centers, radii) -> np.ndarray:
-    """Bin of every (centre, node) pair: an (n_centers, n_nodes) table.
+    """Bin of every (centre, node) pair: a (centres, nodes) table.
 
     Row i holds, for each node z, the index j of the first radius r_j
     such that z lies in the left-translated ball {z : gauge(c_i^{-1} z) <
@@ -324,13 +328,12 @@ class BinRuns:
     first: np.ndarray
     n_centers: int
     n_radii: int
-    n_nodes: int
 
 
 def bin_runs(bins: np.ndarray, n_radii: int) -> BinRuns:
     """``BinRuns`` of a ``ball_bins`` table over ``n_radii`` radii."""
-    n_centers, n_nodes = bins.shape
-    width = max(n_nodes, 1)  # a table without nodes has no runs
+    n_centers, width = bins.shape
+    width = max(width, 1)  # a table without nodes has no runs
     flat = bins.ravel()
     # the last pair of each run: its bin differs from the next one's, or it ends a row
     last = np.empty(flat.size, bool)
@@ -340,8 +343,8 @@ def bin_runs(bins: np.ndarray, n_radii: int) -> BinRuns:
     row, end = np.divmod(at, width)
     ball = row * (n_radii + 1) + flat[at]
     first = np.flatnonzero(np.diff(row, prepend=-1))
-    dtype = np.int32 if max(n_nodes, n_centers * (n_radii + 1)) <= np.iinfo(np.int32).max else np.intp
-    return BinRuns((end + 1).astype(dtype), ball.astype(dtype), first, n_centers, n_radii, n_nodes)
+    dtype = np.int32 if max(width, n_centers * (n_radii + 1)) <= np.iinfo(np.int32).max else np.intp
+    return BinRuns((end + 1).astype(dtype), ball.astype(dtype), first, n_centers, n_radii)
 
 
 def ball_sums(runs: BinRuns, weights=None) -> np.ndarray:
@@ -377,10 +380,12 @@ def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> BinRun
     bytes of the centres and radii, so a lookup hashes no node-sized
     array.  The ``ball_bins`` table is built and dropped here; its runs
     take 8 bytes each, and neighbouring nodes mostly share their bin, so
-    a table of C centres and K nodes keeps 0.06-0.2 C K runs.  One pass
-    of a bench workload asks for at most 26 distinct tables, about 0.9 MB
-    in all on ``euclid_consequences`` at seed 0 (1.0 MB at seed 3), whose
-    centres the harness reduces to one per symmetry orbit.
+    a table of C centres and K nodes keeps 0.06-0.2 C K runs.  The Morrey
+    supremum (``ball_masses``) and the maximal operator at centres off
+    the lattice (``ball_totals``) read it.  One pass of a bench workload
+    asks for at most 26 distinct tables, about 0.9 MB in all on
+    ``euclid_consequences`` at seeds 0 and 3, whose centres the harness
+    reduces to one per symmetry orbit.
     """
     nodes = _nodes_cached(g, R, h)[0]
     radii = np.frombuffer(radii)
@@ -390,57 +395,55 @@ def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> BinRun
     return runs
 
 
-def ball_masses(g: groups.GroupDescriptor, centers, nodes, radii, weights=None, lattice=None):
-    """``ball_sums`` over the ``bin_runs`` of every (centre, node) pair.
+def _node_weights(g, weights, lattice):
+    """``weights`` as a new float array, one per node of the ``lattice_key`` ``lattice``.
 
-    ``lattice`` is the ``lattice_key`` (R, h) when ``nodes`` are those of
-    ``lattice_nodes``: the runs then come from ``_lattice_bins``, so the
-    Morrey supremum bins each centre grid of a lattice once for every set
-    of samples, and each call costs one prefix sum and one ``bincount``
-    over the runs.  Other node arrays (None) are binned on each call.
-    A non-finite weight raises IntegrandError naming its node.
+    ShapeError naming the lattice when the count differs from its node
+    count; IntegrandError naming the node of a non-finite weight.
     """
-    if weights is not None:
-        weights = finite_samples(weights, nodes, True)
-    if lattice is None:
-        runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
-    else:
-        runs = _lattice_bins(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
-                             np.asarray(radii, dtype=float).tobytes())
-        if runs.n_nodes != len(nodes):
-            raise ContractError(f"{len(nodes)} nodes, but the lattice {lattice} holds {runs.n_nodes}")
-    return ball_sums(runs, weights)
+    nodes = _nodes_cached(g, *lattice)[0]
+    weights = np.array(weights, dtype=float)
+    if weights.shape != nodes.shape[:1]:
+        raise ShapeError(f"{weights.shape} weights, but the lattice {lattice} holds {len(nodes)} nodes")
+    return finite_samples(weights, nodes, True)
 
 
-def ball_totals(g: groups.GroupDescriptor, centers, nodes, radii, weights, h, lattice=None):
-    """Node counts and sums of ``weights`` over every ball: two (n_centers, n_radii) arrays.
+def ball_masses(g: groups.GroupDescriptor, centers, radii, weights, lattice):
+    """Sums of ``weights`` over every ball of the nodes of a lattice: (n_centers, n_radii).
+
+    ``lattice`` is the ``lattice_key`` (R, h) of the nodes, and ``weights``
+    holds one value per node (``_node_weights``).  The ``bin_runs`` come
+    from ``_lattice_bins``, so the Morrey supremum bins each centre grid
+    of a lattice once for every set of samples, and each call costs one
+    prefix sum and one ``bincount`` over the runs (``ball_sums``).
+    """
+    runs = _lattice_bins(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
+                         np.asarray(radii, dtype=float).tobytes())
+    return ball_sums(runs, _node_weights(g, weights, lattice))
+
+
+def ball_totals(g: groups.GroupDescriptor, centers, radii, weights, lattice):
+    """Node counts and sums of ``weights`` over every ball of a lattice: two (n_centers, n_radii) arrays.
 
     Ball j of centre c is {z : gauge(c^{-1} z) < r_j}, as in ``ball_bins``,
-    over ``nodes`` with one weight per node; a non-finite weight raises
-    IntegrandError naming its node, and weights of |w| <= eps max |w| are
-    zero on both paths (``_zero_negligible``).  Centres and nodes that
-    ``product_lattice`` accepts take the runs of the grid: a ``_ball_plan``
-    gives the counts, ``_lattice_ball_masses`` the sums.  ``lattice`` is
-    the ``lattice_key`` (R, h) of ``lattice_nodes``: when ``nodes`` is
-    that lattice's own node array, the plan comes from
-    ``_ball_plan_cached``, so each centre and radius grid of a lattice is
-    planned once for every set of weights.  Other node arrays are planned
-    on each call.
-    The other centres bin every pair once (``ball_bins``) for both totals.
+    over the nodes of the ``lattice_key`` ``lattice`` with one weight per
+    node (``_node_weights``); weights of |w| <= eps max |w| are zero on
+    both paths (``_zero_negligible``).  Centres that ``product_lattice``
+    accepts take the runs of the grid: the ``_ball_plan_cached`` of the
+    centres and radii gives the counts, ``_lattice_ball_masses`` the
+    sums, so each centre and radius grid of a lattice is planned once for
+    every set of weights.  The other centres read the pair bins of
+    ``_lattice_bins``, the memo of the Morrey supremum, for both totals.
     The counts of both paths are equal; the sums agree to rounding.  The
     counts may be the plan's own array: read-only.
     """
-    weights = finite_samples(np.array(weights, dtype=float), nodes, True)
+    weights = _node_weights(g, weights, lattice)
     weights = _zero_negligible(weights, np.max(np.abs(weights), initial=0.0))
-    if lattice is not None and nodes is _nodes_cached(g, *lattice)[0]:
-        plan = _ball_plan_cached(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
-                                 np.asarray(radii, dtype=float).tobytes())
-    else:
-        lat = product_lattice(g, -centers, nodes, h)
-        plan = None if lat is None else _ball_plan(g, lat, centers, nodes, radii)
+    key = np.asarray(centers, dtype=float).tobytes(), np.asarray(radii, dtype=float).tobytes()
+    plan = _ball_plan_cached(g, *lattice, *key)
     if plan is not None:
         return plan.counts, _lattice_ball_masses(plan, weights)
-    runs = bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
+    runs = _lattice_bins(g, *lattice, *key)
     return ball_sums(runs), ball_sums(runs, weights)
 
 
@@ -571,14 +574,14 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
     row.  The runs grow with the radius, so each kind of row holds one
     range of radii, whose ends the plan keeps.
 
-    Counts.  A node column's count prefix n(y) over slots is piecewise
-    linear: it has a kink at each slot k where its count per slot changes,
-    by dk (+1 at slot 0 and -1 at Lc on a column without holes or repeats).
-    So over the point slots s < L a partial row adds n(B - L) - n(A - L)
-    and the ramps dk min(max(y - k - s, 0), L - s) for y = B (and minus
-    those for y = A): each ramp is one coefficient in a histogram of L + 1
-    bins per (point column, radius), and two running sums over its bins
-    give the count at every slot.  The counts are exact.
+    Counts.  A node column of a lattice fills its slots [0, Lc), so its
+    count prefix over slots is n(y) = clip(y, 0, Lc), with two kinks: dk
+    = +1 at slot k = 0 and -1 at k = Lc.  So over the point slots s < L a
+    partial row adds n(B - L) - n(A - L) and the ramps dk min(max(y - k -
+    s, 0), L - s) for y = B (and minus those for y = A): each ramp is one
+    coefficient in a histogram of L + 1 bins per (point column, radius),
+    and two running sums over its bins give the count at every slot.  The
+    counts are exact.
 
     A pair at a near-tie sample of radius j joins ball j alone when its
     own gauge (``_pair_gauges``) is below r_j, as in ``ball_bins``: the runs
@@ -592,19 +595,8 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
     Lp, Lc = lat.Lp, lat.Lc
     P, C, L, M = len(Lp), len(Lc), int(Lp.max()), int(Lc.max())
     shift = int(lat.step).bit_length() - 1
-    n_slots = lat.node_table(np.ones(len(nodes)))
-    # node prefix sums over slots, with zeros before them and the totals
-    # after: n_pre[c, L + y] holds the nodes of column c below slot y
-    n_pre = np.zeros((C, M + L + 1))
-    np.cumsum(n_slots, axis=1, out=n_pre[:, L + 1 :])
-    # the kinks of each column, padded with zero kinks: row i of kpos and
-    # kval holds L plus the i-th slot of each column where its count per
-    # slot changes, and by how much
-    per_slot = np.diff(n_slots, axis=1, prepend=0.0, append=0.0)
-    kc, kk = np.nonzero(per_slot)
-    rank = np.arange(len(kc)) - np.searchsorted(kc, kc)
-    kpos, kval = np.zeros((rank.max() + 1, C), np.intp), np.zeros((rank.max() + 1, C))
-    kpos[rank, kc], kval[rank, kc] = kk + L, per_slot[kc, kk]
+    # the two kinks of each column, at L + k: +1 at slot 0, -1 at slot Lc
+    kpos, dk = np.stack([np.full(C, L), L + Lc]), np.array([[1.0], [-1.0]])
 
     count = np.empty((P, n, L))
     first_hit, first_full = np.empty((2, P, C), _bin_dtype(n))
@@ -620,19 +612,18 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
         flat = np.flatnonzero(hit & ~full)
         row, c = np.divmod(flat, C)
         b, a = B.ravel()[flat], A.ravel()[flat]
-        rows = full.reshape(-1, C) @ n_pre[:, -1]
+        rows = full.reshape(-1, C) @ Lc.astype(float)
         # each ramp at bin L - y + k of the reversed slot order, clipped
         # to [0, L]; bin L reaches no slot
         at = np.take(kpos, c, axis=1) - np.stack([b, a])[:, None]
         np.clip(at, 0, L, out=at)
         at += row * (L + 1)
-        dk = np.take(kval, c, axis=1)
-        hist = np.bincount(at.ravel(), np.stack([dk, -dk]).ravel(), len(rows) * (L + 1))
+        ramp = np.broadcast_to(np.stack([dk, -dk]), at.shape)
+        hist = np.bincount(at.ravel(), ramp.ravel(), len(rows) * (L + 1))
         blk = count[pb].reshape(-1, L)
         np.cumsum(hist.reshape(-1, L + 1)[:, :L], axis=1, out=blk)
         np.cumsum(blk, axis=1, out=blk)
-        base = c * (M + L + 1)
-        edge = np.bincount(row, n_pre.take(base + b) - n_pre.take(base + a), len(rows))
+        edge = np.bincount(row, np.clip(b - L, 0, Lc[c]) - np.clip(a - L, 0, Lc[c]), len(rows))
         blk += (rows + edge)[:, None]
 
     # near-tie pairs, from the coordinates at every point and node slot
@@ -642,13 +633,13 @@ def _ball_plan(g, lat: ProductLattice, centers, nodes, radii) -> BallPlan:
     filled = np.zeros(P * L, bool)
     filled[slot] = True
     cells, slots = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for ps, ns, tie in _near_tie_pairs(lat, starts, ties, filled, n_slots.ravel() > 0):
+    for ps, ns, tie in _near_tie_pairs(lat, starts, ties, filled, (np.arange(M) < Lc[:, None]).ravel()):
         j = tie_j[tie]
         keep = _pair_gauges(g, c_at.take(ps, axis=1), z_at.take(ns, axis=1)) < radii[j]
         pc, s = np.divmod(ps[keep], L)
         cells.append((pc * n + j[keep]) * L + L - 1 - s)
         slots.append(ns[keep])
-        np.add.at(count.reshape(-1), cells[-1], n_slots.take(slots[-1]))
+        np.add.at(count.reshape(-1), cells[-1], 1.0)
     plan = BallPlan(lat, klo, khi, first_hit, first_full, count[lat.pcol, :, L - 1 - lat.s],
                     np.concatenate(cells), np.concatenate(slots))
     for a in vars(plan).values():
@@ -1052,11 +1043,11 @@ def _translate_plan_cached(g, R: float, h: float, weights_key, points: bytes):
     """``_translate_plan`` of ``_lattice_cached(g, R, h, points)`` and the weights of ``weights_key``.
 
     ``weights_key`` is the memo key ``(memo, args)`` whose
-    ``memo(*args)[1]`` are the weights of the nodes of
+    ``memo(*args)[0]`` are the weights of the nodes of
     ``_nodes_cached(g, R, h)``.
     """
     memo, args = weights_key
-    return _translate_plan(g, _lattice_cached(g, R, h, points), memo(*args)[1])
+    return _translate_plan(g, _lattice_cached(g, R, h, points), memo(*args)[0])
 
 
 def _translate_plan(g, lat, weights):
@@ -1105,7 +1096,7 @@ def translate_sums(g: groups.GroupDescriptor, u, points, nodes, weights, h, sour
     ``_translate_plan``.  ``source`` is ``((R, h), weights_key)`` when
     ``nodes`` are those of ``_nodes_cached(g, R, h)`` and ``weights`` a
     memoised value, ``weights_key`` a memo key ``(memo, args)`` with
-    ``memo(*args)[1]`` the weights: the plan then comes from
+    ``memo(*args)[0]`` the weights: the plan then comes from
     ``_translate_plan_cached``, so a call with the points and source of an
     earlier one pays only for u, and every kernel on one lattice shares
     its product lattice.  Other arrays (None) are planned on each call.
@@ -1200,39 +1191,6 @@ def _column_correlations(lat: ProductLattice, windows, wf):
                 acc[pb.start + tp[i:j]] += freq[i:j]
     sums = np.fft.irfft(acc, n)[:, : int(lat.Lp.max())]
     return sums[lat.pcol, lat.s]
-
-
-def kernel_band_values(
-    g: groups.GroupDescriptor,
-    a: float,
-    u,
-    points,
-    spec: QuadratureSpec,
-) -> np.ndarray:
-    """integral of u(y) d(y,x)^a over {d(y,x) <= R_max} at points x.
-
-    d(y, x) = gauge(y^{-1} x), and the integration ball is centred at each
-    evaluation point (truncation at R_max).  One shared node/weight set
-    serves every point through left translation, which preserves both the
-    Haar measure and cell midpoints: the value is ``translate_sums`` plus
-    the closed-form innermost term c0 u(x).  A non-finite sample of u at
-    a weighted node, or a non-finite u(x), raises IntegrandError.
-    """
-    if a <= -g.Q:
-        raise DomainError(f"kernel exponent {a} <= -Q diverges")
-    if a >= 0:
-        raise DomainError("kernel_band_values needs a singular kernel (a < 0)")
-    pts = groups.as_points(g, points)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    u_at = finite_samples(np.asarray(u(pts), dtype=float), pts, True)
-    h = spec.lattice_h
-    R = resolve_R(spec)
-    key = (g, float(a), R, h)
-    zs, weights, c0 = _shell_weights_cached(*key)
-    source = (R, h), (_shell_weights_cached, key)
-    out = translate_sums(g, u, pts, zs, weights, h, source) + u_at * c0
-    return out[0] if single else out
 
 
 def check_radii(radii) -> np.ndarray:

@@ -19,7 +19,8 @@ from morreylab import (
 )
 from morreylab.errors import AccuracyError, DomainError, ShapeError
 from morreylab.groups import GroupDescriptor
-from morreylab.quadrature import QuadratureSpec, gauge_power_weights, kernel_band_values
+from morreylab.operators import riesz_values
+from morreylab.quadrature import QuadratureSpec, gauge_power_weights
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -193,21 +194,22 @@ def origin(g):
 
 def test_polar_integrate_examples(g1, h1):
     # the polar formula integral_B1 f(|y|) dy = sigma integral_0^1 f(r) r^(Q-1) dr,
-    # which the shell weights of kernel_band_values carry
+    # which the shell weights of the Riesz kernel carry (gamma 2: f(r) = r^-2)
     spec = QuadratureSpec(R_max=2.0, lattice_h=0.0625)
     zero = custom(lambda p: np.zeros(p.shape[:-1]), decay_radius=1.0)
-    assert kernel_band_values(h1, -2.0, zero, origin(h1), spec)[0] == 0.0
+    assert riesz_values(h1, 2.0, zero, origin(h1), spec)[0] == 0.0
     assert ball_volume(g1, 1.0, 0.05) == pytest.approx(2.0, rel=1e-3)
-    got = kernel_band_values(h1, -2.0, unit_ball_indicator(h1), origin(h1), spec)[0]
+    got = riesz_values(h1, 2.0, unit_ball_indicator(h1), origin(h1), spec)[0]
     assert got == pytest.approx(sphere_measure(h1, 0.0625) / 2.0, rel=1e-3)
 
 
 def test_polar_divergence_rejected(h1):
-    # r^-Q is not integrable at the origin of H^1 (Q = 4)
+    # r^-Q is not integrable at the origin of H^1 (Q = 4): the weight
+    # exponent -Q and the Riesz kernel of gamma 0
     with pytest.raises(DomainError):
         gauge_power_weights(h1, -4.0, 2.0, 0.0625)
     with pytest.raises(DomainError):
-        kernel_band_values(h1, -4.0, unit_ball_indicator(h1), origin(h1), QuadratureSpec(2.0, 0.0625))
+        riesz_values(h1, 0.0, unit_ball_indicator(h1), origin(h1), QuadratureSpec(2.0, 0.0625))
 
 
 def test_polar_vs_ball_volume_consistency(all_groups):
@@ -216,7 +218,7 @@ def test_polar_vs_ball_volume_consistency(all_groups):
     # so the check does not compare a quantity with itself
     for g in all_groups:
         h = 0.0625 if g.law == "heisenberg1" else 0.05
-        polar = kernel_band_values(g, -0.5, unit_ball_indicator(g), origin(g), QuadratureSpec(2.0, h))[0]
+        polar = riesz_values(g, g.Q - 0.5, unit_ball_indicator(g), origin(g), QuadratureSpec(2.0, h))[0]
         direct = ball_volume(g, 1.0, h)
         assert abs(polar * (g.Q - 0.5) / g.Q - direct) / direct <= 0.01
 

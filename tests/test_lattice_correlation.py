@@ -1,6 +1,6 @@
 """The FFT lattice correlation on R^N against the direct loop.
 
-``quadrature.translate_sums`` serves ``kernel_band_values`` and
+``quadrature.translate_sums`` serves ``riesz_values`` and
 ``frac_laplacian_values``: on-lattice points of a Euclidean law take one
 FFT over the ``product_lattice`` grid when every sample there is finite;
 other points, and grids with a non-finite sample, take the direct
@@ -19,7 +19,6 @@ from morreylab import groups, operators
 from morreylab.errors import IntegrandError
 from morreylab.quadrature import (
     QuadratureSpec,
-    kernel_band_values,
     lattice_nodes,
     product_lattice,
     translate_sums,
@@ -51,7 +50,7 @@ def test_riesz_band_matches_direct(backends, dim, spec, width):
     g = groups.euclidean_group(dim)
     u = gaussian(g, width)
     nodes = lattice_nodes(g, spec)[0]
-    backends.agree(kernel_band_values, g, 0.4 - g.Q, u, nodes, spec)
+    backends.agree(operators.riesz_values, g, 0.4, u, nodes, spec)
 
 
 @pytest.mark.parametrize("dim,spec,width", LATTICES, ids=IDS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morreylab import custom, dilated, euclidean_group, gauge, gaussian, heisenberg_group
-from morreylab.errors import ContractError, DomainError, IntegrandError, ShapeError
+from morreylab.errors import DomainError, IntegrandError, ShapeError
 from morreylab.morrey import (
     MorreyEstimate,
     MorreyParams,
@@ -13,9 +13,11 @@ from morreylab.morrey import (
     morrey_norm,
     morrey_sup_from_samples,
 )
-from morreylab.quadrature import QuadratureSpec, lattice_key, lattice_nodes
+from morreylab.quadrature import QuadratureSpec, ball_bins, ball_masses, ball_sums, bin_runs, lattice_key, lattice_nodes
 
 SPEC = QuadratureSpec(R_max=12.0, lattice_h=0.04)
+# four nodes, at -0.75, -0.25, 0.25 and 0.75
+SPEC4 = QuadratureSpec(R_max=1.0, lattice_h=0.5)
 # the one centre of a norm over balls about the identity alone
 IDENTITY = np.zeros((1, 1))
 
@@ -67,51 +69,58 @@ def test_default_centres_hold_no_row_within_rounding_of_the_identity(g):
 @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4,), (2, 3, 2)])
 def test_centres_of_the_wrong_dimension_raise(g3, shape):
     # (3, 2) holds as many numbers as two 3-vectors, (2, 2) fits no whole one
-    nodes = np.zeros((5, 3))
+    spec = QuadratureSpec(R_max=0.8, lattice_h=0.4)
+    nodes, _, cell = lattice_nodes(g3, spec)
     with pytest.raises(ShapeError, match="expected points of dimension 3"):
         morrey_sup_from_samples(g3, 2.0, 0.5, np.zeros(shape), np.array([1.0]), nodes,
-                                np.ones(5), 1.0)
+                                np.ones(len(nodes)), cell, lattice_key(spec))
 
 
-@pytest.mark.parametrize("values,cellvol", [([1.0, np.nan], 0.1), ([1.0, np.inf], 0.1),
-                                            ([1.0, 2.0], [0.1, np.nan]), ([1.0, 2.0], np.inf)])
+@pytest.mark.parametrize("values,cellvol", [([1.0, 1.0, 1.0, np.nan], 0.1), ([1.0, 1.0, np.inf, 1.0], 0.1),
+                                            ([1.0, 1.0, 1.0, 2.0], [0.1, 0.1, 0.1, np.nan]),
+                                            ([1.0, 1.0, 1.0, 2.0], np.inf)])
 def test_non_finite_samples_and_masses_raise(g1, values, cellvol):
-    # one NaN sample of two returned MorreyEstimate(value=nan) without an error
-    nodes = np.array([[0.25], [0.75]])
-    with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.\d5\]"):
-        morrey_sup_from_samples(g1, 2.0, 0.5, np.zeros((1, 1)), [0.5, 1.0], nodes, values, cellvol)
+    # one NaN sample of four returned MorreyEstimate(value=nan) without an error
+    nodes = lattice_nodes(g1, SPEC4)[0]
+    with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[-?0\.\d5\]"):
+        morrey_sup_from_samples(g1, 2.0, 0.5, np.zeros((1, 1)), [0.5, 1.0], nodes, values, cellvol,
+                                lattice_key(SPEC4))
 
 
-@pytest.mark.parametrize("values,cellvol", [(np.ones(3), 0.1), (np.ones((2, 1)), 0.1),
-                                            (np.ones(2), np.ones(3)), (np.ones(2), np.ones((2, 1)))])
+@pytest.mark.parametrize("values,cellvol", [(np.ones(5), 0.1), (np.ones((4, 1)), 0.1),
+                                            (np.ones(4), np.ones(5)), (np.ones(4), np.ones((4, 1)))])
 def test_samples_and_masses_must_match_the_nodes(g1, values, cellvol):
-    nodes = np.array([[0.25], [0.75]])
+    nodes = lattice_nodes(g1, SPEC4)[0]
     with pytest.raises(ShapeError, match="one sample per node"):
-        morrey_sup_from_samples(g1, 2.0, 0.5, np.zeros((1, 1)), [0.5, 1.0], nodes, values, cellvol)
+        morrey_sup_from_samples(g1, 2.0, 0.5, np.zeros((1, 1)), [0.5, 1.0], nodes, values, cellvol,
+                                lattice_key(SPEC4))
 
 
 def test_lattice_key_bins_equal_fresh_bins(g1):
-    # bins memoised on the lattice key equal the bins of the nodes passed
-    # in; nodes that do not match the key in number are refused
+    # the masses over bins memoised on the lattice key equal those over a
+    # fresh binning of its nodes bit for bit; samples of another count
+    # than the lattice's nodes are refused, naming the lattice
     spec = QuadratureSpec(R_max=4.0, lattice_h=0.05)
     nodes, _, cell = lattice_nodes(g1, spec)
-    args = (g1, 2.0, 0.5, np.array([[0.0], [0.4]]), np.geomspace(0.1, 4.0, 9))
-    values = np.exp(-nodes[:, 0] ** 2)
-    keyed = morrey_sup_from_samples(*args, nodes, values, cell, lattice_key(spec))
-    assert keyed == morrey_sup_from_samples(*args, nodes.copy(), values, cell)
-    with pytest.raises(ContractError):
-        morrey_sup_from_samples(*args, nodes[1:], values[1:], cell, lattice_key(spec))
+    centers, radii = np.array([[0.0], [0.4]]), np.geomspace(0.1, 4.0, 9)
+    w = np.exp(-nodes[:, 0] ** 2)
+    fresh = ball_sums(bin_runs(ball_bins(g1, nodes, centers, radii), len(radii)), w)
+    assert np.array_equal(ball_masses(g1, centers, radii, w, lattice_key(spec)), fresh)
+    with pytest.raises(ShapeError, match=r"lattice \(4\.0, 0\.05\) holds"):
+        morrey_sup_from_samples(g1, 2.0, 0.5, centers, radii, nodes[1:], w[1:], cell, lattice_key(spec))
 
 
 def test_one_centre_or_a_grid_of_centres(g3):
-    nodes = np.arange(15.0).reshape(5, 3) / 10.0
-    radii, values = np.array([0.5, 1.0]), np.ones(5)
+    spec = QuadratureSpec(R_max=0.8, lattice_h=0.4)
+    nodes, _, cell = lattice_nodes(g3, spec)
+    args = (nodes, np.ones(len(nodes)), cell, lattice_key(spec))
+    radii = np.array([0.5, 1.0])
     centers = np.arange(12.0).reshape(2, 2, 3) / 10.0
-    grid = morrey_sup_from_samples(g3, 2.0, 0.5, centers, radii, nodes, values, 1.0)
-    flat = morrey_sup_from_samples(g3, 2.0, 0.5, centers.reshape(4, 3), radii, nodes, values, 1.0)
+    grid = morrey_sup_from_samples(g3, 2.0, 0.5, centers, radii, *args)
+    flat = morrey_sup_from_samples(g3, 2.0, 0.5, centers.reshape(4, 3), radii, *args)
     assert (grid.value, grid.argmax_radius) == (flat.value, flat.argmax_radius)
     assert np.array_equal(grid.argmax_center, flat.argmax_center)
-    one = morrey_sup_from_samples(g3, 2.0, 0.5, centers[0, 0], radii, nodes, values, 1.0)
+    one = morrey_sup_from_samples(g3, 2.0, 0.5, centers[0, 0], radii, *args)
     assert one.argmax_center.shape == (3,)
 
 
@@ -233,13 +242,13 @@ def test_estimate_fields(g1):
     assert np.allclose(est.argmax_center, 0.0, atol=0.6)
 
 
-def _sup_on_new_nodes(g, h, centers, radii):
-    # the node array lives only inside this call, so successive calls may
-    # receive arrays at the same address
-    nodes = np.empty((200, 1))
-    nodes[:, 0] = (np.arange(200) - 99.5) * h
+def _sup_on_lattice(g, h, centers, radii):
+    # 200 nodes at every spacing h
+    spec = QuadratureSpec(R_max=100.0 * h, lattice_h=h)
+    nodes = lattice_nodes(g, spec)[0]
+    assert len(nodes) == 200
     values = np.exp(-nodes[:, 0] ** 2)
-    return morrey_sup_from_samples(g, 2.0, 0.5, centers, radii, nodes, values, h).value
+    return morrey_sup_from_samples(g, 2.0, 0.5, centers, radii, nodes, values, h, lattice_key(spec)).value
 
 
 def _direct_sup(h, centers, radii):
@@ -254,21 +263,13 @@ def _direct_sup(h, centers, radii):
 
 
 def test_sup_follows_node_contents(g1):
-    # node arrays of one shape but different contents must never share
-    # cached ball geometry
+    # lattices of one size but different nodes must never share cached
+    # ball geometry
     centers = np.array([[0.0], [0.5]])
     radii = np.geomspace(0.02, 4.0, 25)
     spacings = (0.1, 0.01, 0.1)
-    got = [_sup_on_new_nodes(g1, h, centers, radii) for h in spacings]
+    got = [_sup_on_lattice(g1, h, centers, radii) for h in spacings]
     for h, val in zip(spacings, got):
-        assert val == pytest.approx(_direct_sup(h, centers, radii), rel=1e-12)
-    # the same array object refilled in place
-    nodes = ((np.arange(200) - 99.5) * 0.1)[:, None]
-    for h in spacings:
-        nodes[:, 0] = (np.arange(200) - 99.5) * h
-        val = morrey_sup_from_samples(
-            g1, 2.0, 0.5, centers, radii, nodes, np.exp(-nodes[:, 0] ** 2), h
-        ).value
         assert val == pytest.approx(_direct_sup(h, centers, radii), rel=1e-12)
 
 

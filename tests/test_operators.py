@@ -336,9 +336,9 @@ class TestHorizontal:
 
 
 def kernel_zones(g, a, spec, edges):
-    """The shell weights of ``kernel_band_values`` cut into gauge zones [edges[i], edges[i+1]), and c0."""
-    zs, weights, c0 = quadrature._shell_weights_cached(g, float(a), resolve_R(spec), spec.lattice_h)
-    dist = lattice_nodes(g, spec)[1]
+    """The shell weights of the Riesz kernel cut into gauge zones [edges[i], edges[i+1]), and c0."""
+    weights, c0 = quadrature._shell_weights_cached(g, float(a), resolve_R(spec), spec.lattice_h)
+    zs, dist, _ = lattice_nodes(g, spec)
     return zs, [np.where((dist >= lo) & (dist < hi), weights, 0.0) for lo, hi in zip(edges, edges[1:])], c0
 
 

@@ -171,7 +171,7 @@ def test_sample_buffer_pads_h1_only(backends, name, g, spec):
         assert lat.padding > 0 and len(buf) == size + lat.padding
     # the memoised fast path, the planned-per-call one and the direct loop
     w = 1.0 / (1.0 + groups.gauge(g, nodes))
-    source = (spec.R_max, spec.lattice_h), (lambda *a: (nodes, w), ())
+    source = (spec.R_max, spec.lattice_h), (lambda *a: (w,), ())
     clear_plans()
     memo = quadrature.translate_sums(g, u, nodes, nodes, w, spec.lattice_h, source)
     fast = backends.agree(quadrature.translate_sums, g, u, nodes, nodes, w, spec.lattice_h)

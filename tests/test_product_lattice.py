@@ -20,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import clear_plans
 
 from morreylab import groups, harness, operators, quadrature
 from morreylab.errors import IntegrandError
@@ -29,7 +30,7 @@ from morreylab.quadrature import (
     ball_bins,
     ball_totals,
     geometric_radii,
-    kernel_band_values,
+    lattice_key,
     lattice_nodes,
     product_lattice,
     radius_grid,
@@ -256,11 +257,12 @@ def test_all_node_ball_totals_memory_ceiling(h1):
     nodes = lattice_nodes(h1, spec)[0]
     radii, w = radius_grid(spec, u.decay_radius), u(nodes)
     assert len(nodes) == 7120
+    clear_plans()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        ball_totals(h1, nodes, nodes, radii, w, spec.effective_h)
+        ball_totals(h1, nodes, radii, w, lattice_key(spec))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -276,17 +278,17 @@ def test_h1_riesz_matches_direct(backends, h1, t):
 
 def test_h1_full_ball_matches_direct(backends, h1):
     nodes = lattice_nodes(h1, H1_SPEC)[0]
-    backends.agree(kernel_band_values, h1, 1.0 - h1.Q, gaussian(h1, 0.3), nodes, H1_SPEC)
+    backends.agree(operators.riesz_values, h1, 1.0, gaussian(h1, 0.3), nodes, H1_SPEC)
 
 
 @pytest.mark.parametrize("r_lo,r_hi", [(0.0, 0.6), (0.6, None)])
 def test_h1_band_matches_direct(backends, h1, r_lo, r_hi):
-    # the kernel weights of kernel_band_values on the gauge band [r_lo, r_hi)
+    # the Riesz kernel's weights at gamma 1 on the gauge band [r_lo, r_hi)
     nodes, dist, _ = lattice_nodes(h1, H1_SPEC)
-    zs, weights, _ = quadrature._shell_weights_cached(h1, 1.0 - h1.Q, quadrature.resolve_R(H1_SPEC), H1_SPEC.lattice_h)
+    weights, _ = quadrature._shell_weights_cached(h1, 1.0 - h1.Q, quadrature.resolve_R(H1_SPEC), H1_SPEC.lattice_h)
     band = np.where((dist >= r_lo) & (dist < (np.inf if r_hi is None else r_hi)), weights, 0.0)
     assert 0 < np.count_nonzero(band) < np.count_nonzero(weights)
-    backends.agree(translate_sums, h1, gaussian(h1, 0.3), nodes, zs, band, H1_SPEC.effective_h)
+    backends.agree(translate_sums, h1, gaussian(h1, 0.3), nodes, nodes, band, H1_SPEC.effective_h)
 
 
 def test_h1_riesz_matches_direct_where_caps_drop_nodes(backends, h1):
@@ -467,17 +469,17 @@ def pair_totals(bins, n_radii, weights):
             np.stack([b @ weights for b in inside], axis=1))
 
 
-def check_ball_totals(backends, g, spec, centers, nodes, radii, u=None):
-    """Ball counts from the runs equal the direct bins' bit for bit, sums of u agree.
+def check_ball_totals(backends, g, spec, centers, radii, u=None):
+    """Ball counts over the nodes of ``spec`` from the runs equal the direct bins' bit for bit, sums of u agree.
 
     u defaults to a Gaussian of width 0.3.  Some pairs have a gauge within
     1e-12 of a radius, so the per-pair rule is tested.
     """
-    h = spec.effective_h
+    nodes = lattice_nodes(g, spec)[0]
     w = (gaussian(g, 0.3) if u is None else u)(nodes)
     d = groups.gauge(g, groups.mul(g, -centers[:, None, :], nodes[None, :, :]))
     assert np.any(np.searchsorted(radii, d * (1 - 1e-12)) < np.searchsorted(radii, d * (1 + 1e-12)))
-    cnt, tot = backends.run(True, ball_totals, g, centers, nodes, radii, w, h)
+    cnt, tot = backends.run(True, ball_totals, g, centers, radii, w, lattice_key(spec))
     want_cnt, want_tot = pair_totals(ball_bins(g, nodes, centers, radii), len(radii), w)
     assert np.array_equal(cnt, want_cnt)
     backends.close(tot, want_tot)
@@ -511,7 +513,7 @@ def test_ball_runs_bound_direct_bins(backends, name, g, spec):
             assert np.all(bins[inside] <= j) and np.all(bins[~inside & ~near] > j)
             tied += np.count_nonzero(near)
         assert tied > 0
-        check_ball_totals(backends, g, spec, nodes, nodes, radii)
+        check_ball_totals(backends, g, spec, nodes, radii)
 
 
 @pytest.mark.parametrize("name,g,spec", BIN_CASES + [
@@ -563,12 +565,13 @@ def test_on_lattice_ball_totals_sample_no_grid(monkeypatch, name, g, spec):
     def forbidden(*args, **kwargs):
         raise AssertionError("on-lattice ball totals sampled the grid or binned every pair")
 
-    monkeypatch.setattr(quadrature.ProductLattice, "sample", forbidden)
-    monkeypatch.setattr(quadrature, "ball_bins", forbidden)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, 1.5)
     w = gaussian(g, 0.3)(nodes)
-    cnt, _ = ball_totals(g, nodes, nodes, radii, w, spec.effective_h)
+    clear_plans()
+    monkeypatch.setattr(quadrature.ProductLattice, "sample", forbidden)
+    monkeypatch.setattr(quadrature, "ball_bins", forbidden)
+    cnt, _ = ball_totals(g, nodes, radii, w, lattice_key(spec))
     monkeypatch.undo()
     assert np.array_equal(cnt, pair_totals(ball_bins(g, nodes, nodes, radii), len(radii), w)[0])
 
@@ -580,40 +583,32 @@ def test_maximal_values_bit_identical(backends, name, g, spec):
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)
-    check_ball_totals(backends, g, spec, nodes, nodes, radii)
+    check_ball_totals(backends, g, spec, nodes, radii)
     for alpha in (0.0, 0.3):
         backends.agree(operators.frac_maximal_values, g, alpha, u, nodes, radii, spec)
 
 
-@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats", "holes", "empty_columns"])
+@pytest.mark.parametrize("case", ["gaps", "one_column", "repeats", "empty_columns"])
 @pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
-def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
+def test_ball_counts_equal_direct(backends, name, g, spec, case):
     # gaps: every fifth node as a centre leaves holes inside point columns;
     # one_column: the centres of the longest point column (on H^1 of a
     # finer lattice, whose grid holds fewer samples than the column has
-    # pairs); repeats: centres and nodes that occur twice count twice;
-    # holes: every node as a centre, and the nodes without every seventh
-    # one, so node columns have holes inside them and their count
-    # prefixes kinks between their ends; empty_columns: every node as a
-    # centre, and u vanishes beyond 0.3 in every coordinate but the last,
-    # so on whole node columns (R^1 has one column, which keeps weight),
-    # which the mass gathers leave out
+    # pairs); repeats: centres that occur twice count twice;
+    # empty_columns: every node as a centre, and u vanishes beyond 0.3 in
+    # every coordinate but the last, so on whole node columns (R^1 has one
+    # column, which keeps weight), which the mass gathers leave out.  A
+    # lattice's node column fills its slots, with no hole or repeat
     if case == "one_column" and name == "H1":
         spec = QuadratureSpec(R_max=1.5, lattice_h=0.25)
     nodes = lattice_nodes(g, spec)[0]
     u = gaussian(g, 0.3)
+    lat = product_lattice(g, -nodes, nodes, spec.effective_h)
+    assert np.array_equal(lat.node_table(np.ones(len(nodes))), np.arange(lat.Lc.max()) < lat.Lc[:, None])
     if case == "gaps":
         centers = nodes[::5]
     elif case == "repeats":
         centers = np.concatenate([nodes[::5], nodes[::10]])
-        nodes = np.concatenate([nodes, nodes[::3]])
-        monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: (nodes, None, 1.0))
-    elif case == "holes":
-        centers, nodes = nodes, np.delete(nodes, np.s_[::7], axis=0)
-        # a column spans its first to its last node: fewer nodes than slots leave a hole inside
-        lat = product_lattice(g, -centers, nodes, spec.effective_h)
-        assert np.any(np.bincount(lat.col) < lat.Lc)
-        monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: (nodes, None, 1.0))
     elif case == "empty_columns":
         centers = nodes
         u = custom(lambda p: gaussian(g, 0.3)(p) * np.all(np.abs(p[..., :-1]) < 0.3, axis=-1), 10.0)
@@ -623,22 +618,7 @@ def test_ball_counts_equal_direct(backends, monkeypatch, name, g, spec, case):
         pcol = product_lattice(g, -nodes, nodes, spec.effective_h).pcol
         centers = nodes[pcol == np.argmax(np.bincount(pcol))]
         assert product_lattice(g, -centers, nodes, spec.effective_h).pcol.max() == 0
-    check_ball_totals(backends, g, spec, centers, nodes, radius_grid(spec, 1.5), u)
-    backends.agree(operators.frac_maximal_values, g, 0.3, u, centers,
-                   radius_grid(spec, u.decay_radius), spec)
-
-
-@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
-def test_shuffled_nodes_keep_bins_and_maximal_values(backends, monkeypatch, name, g, spec):
-    # the runs read node columns through their slots, so node order is
-    # free: counts follow it exactly and masses to rounding
-    nodes = lattice_nodes(g, spec)
-    order = np.random.default_rng(7).permutation(len(nodes[0]))
-    shuffled = (nodes[0][order], nodes[1][order], nodes[2])
-    centers = shuffled[0][::5]
-    check_ball_totals(backends, g, spec, centers, shuffled[0], radius_grid(spec, 1.5))
-    monkeypatch.setattr(operators, "lattice_nodes", lambda *a, **k: shuffled)
-    u = gaussian(g, 0.3)
+    check_ball_totals(backends, g, spec, centers, radius_grid(spec, 1.5), u)
     backends.agree(operators.frac_maximal_values, g, 0.3, u, centers,
                    radius_grid(spec, u.decay_radius), spec)
 
@@ -649,18 +629,20 @@ def test_shuffled_nodes_keep_bins_and_maximal_values(backends, monkeypatch, name
 def test_morrey_ball_runs_equal_pair_bins(name, g, spec, order):
     # the Morrey balls of a lattice's centre grid: the memoised runs cover
     # each row with bins equal to the pair bins, so the counts are the
-    # per-pair counts exactly; the masses and the pair sums each lie within
-    # (nodes + runs + j) eps sum |w| of the exact ones; shuffled nodes, the
-    # most runs, keep both
+    # per-pair counts exactly; the masses (``ball_masses``) and the pair
+    # sums each lie within (nodes + runs + j) eps sum |w| of the exact
+    # ones; the runs of shuffled nodes, the most runs, keep both
     nodes = lattice_nodes(g, spec)[0]
     centers, radii = nodes[::9], radius_grid(spec, 1.5)
     w = gaussian(g, 0.4)(nodes)
     if order == "lattice":
-        runs = quadrature._lattice_bins(g, *quadrature.lattice_key(spec), centers.tobytes(), radii.tobytes())
+        runs = quadrature._lattice_bins(g, *lattice_key(spec), centers.tobytes(), radii.tobytes())
+        got = quadrature.ball_masses(g, centers, radii, w, lattice_key(spec))
     else:
         perm = np.random.default_rng(4).permutation(len(nodes))
         nodes, w = nodes[perm], w[perm]
         runs = quadrature.bin_runs(ball_bins(g, nodes, centers, radii), len(radii))
+        got = quadrature.ball_sums(runs, w)
     bins = ball_bins(g, nodes, centers, radii)
     n = len(radii)
     start = np.concatenate([[0], runs.end[:-1]])
@@ -669,9 +651,7 @@ def test_morrey_ball_runs_equal_pair_bins(name, g, spec, order):
     assert np.all(runs.end > start)
     assert np.array_equal(np.repeat(runs.ball, runs.end - start), balls.ravel())
     want_cnt, want_tot = pair_totals(bins, n, w)
-    lattice = quadrature.lattice_key(spec) if order == "lattice" else None
-    assert np.array_equal(quadrature.ball_masses(g, centers, nodes, radii, None, lattice), want_cnt)
-    got = quadrature.ball_masses(g, centers, nodes, radii, w, lattice)
+    assert np.array_equal(quadrature.ball_sums(runs), want_cnt)
     per_ball = np.bincount(runs.ball, minlength=len(centers) * (n + 1)).reshape(len(centers), n + 1)
     bound = (want_cnt + np.cumsum(per_ball[:, :n], axis=1) + np.arange(1, n + 1)) * np.finfo(float).eps * w.sum()
     assert np.all(np.abs(got - want_tot) <= 2.0 * bound)
@@ -691,11 +671,38 @@ def test_on_lattice_centres_bin_no_pairs(monkeypatch, name, g, spec):
     u = gaussian(g, 0.3)
     nodes = lattice_nodes(g, spec)[0]
     radii = radius_grid(spec, u.decay_radius)
+    clear_plans()
+    quadrature._lattice_bins.cache_clear()
     operators.frac_maximal_values(g, 0.0, u, nodes, radii, spec)
     assert calls == []
     off = nodes[::7] + 0.3 * spec.effective_h
     operators.frac_maximal_values(g, 0.0, u, off, radii, spec)
     assert sum(calls) == len(off)
+
+
+@pytest.mark.parametrize("name,g,spec", BIN_CASES, ids=BIN_IDS)
+def test_off_lattice_centres_are_binned_once(monkeypatch, name, g, spec):
+    # off-lattice centres read the pair bins memoised on the lattice key:
+    # a second call at the same centres bins no pair, gives the same
+    # values, and its ball counts are the per-pair counts
+    u = gaussian(g, 0.3)
+    nodes = lattice_nodes(g, spec)[0]
+    radii = radius_grid(spec, u.decay_radius)
+    off = nodes[::7] + 0.3 * spec.effective_h
+    quadrature._lattice_bins.cache_clear()
+    first = operators.frac_maximal_values(g, 0.0, u, off, radii, spec)
+    calls = []
+
+    def counted(*args, real=quadrature.ball_bins):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "ball_bins", counted)
+    assert np.array_equal(operators.frac_maximal_values(g, 0.0, u, off, radii, spec), first)
+    cnt, _ = ball_totals(g, off, radii, u(nodes), lattice_key(spec))
+    assert calls == []
+    monkeypatch.undo()
+    assert np.array_equal(cnt, pair_totals(ball_bins(g, nodes, off, radii), len(radii), u(nodes))[0])
 
 
 def test_non_finite_weights_raise_on_both_paths(backends, g1):

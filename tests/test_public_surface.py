@@ -8,11 +8,20 @@ only its own tests and the demos call is code without a purpose.
 """
 
 import ast
+import inspect
+import sys
 from pathlib import Path
+
+from morreylab import morrey, operators
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "morreylab"
 TESTS = ROOT / "tests"
+BENCH = ROOT / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import tracer  # noqa: E402
 
 
 def parse(path):
@@ -86,3 +95,20 @@ def test_the_guard_sees_a_name_read_only_by_its_own_definition():
     # string that is exactly its name is (a getattr dispatch table)
     stmt = ast.parse('def f(n):\n    """Calls f and g."""\n    return f(n - 1) + TABLE["h"]\n').body[0]
     assert reads(stmt) - defines(stmt) == {"n", "TABLE", "h"}
+
+
+def bound_names(method):
+    """The argument names a ``tracer.Tracer`` method reads from its ``bound`` arguments: ``bound["name"]``."""
+    fn = next(f for f in ast.walk(parse(BENCH / "tracer.py")) if isinstance(f, ast.FunctionDef) and f.name == method)
+    return {n.slice.value for n in ast.walk(fn) if isinstance(n, ast.Subscript)
+            and isinstance(n.value, ast.Name) and n.value.id == "bound"}
+
+
+def test_every_argument_the_tracer_binds_exists():
+    # the bench's tracer binds each traced call's arguments by name: a
+    # renamed or dropped argument would fail inside every traced call
+    assert bound_names("_operator_counter") == {"g", "points", "spec"}
+    for op in tracer.BATCH_OPERATORS:
+        assert bound_names("_operator_counter") <= set(inspect.signature(getattr(operators, op)).parameters), op
+    assert bound_names("_morrey_counter") == {"centers", "nodes"}
+    assert bound_names("_morrey_counter") <= set(inspect.signature(morrey.morrey_sup_from_samples).parameters)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from morreylab import custom, euclidean_group, gauge, gaussian, heisenberg_group, mul, power_truncated
-from morreylab.errors import DomainError, IntegrandError
+from morreylab.errors import DomainError, IntegrandError, ShapeError
+from morreylab.operators import riesz_values
 from morreylab.quadrature import (QuadratureSpec, ball_bins, ball_masses, ball_sums, ball_totals, bin_runs, gauge_power_weights,
-                                  geometric_radii, kernel_band_values, lattice_key, lattice_nodes, radius_grid)
+                                  geometric_radii, lattice_key, lattice_nodes, radius_grid)
 
 
 def const(c):
@@ -66,7 +67,7 @@ def test_lattice_nonfinite_names_node(g1):
         return vals
 
     with pytest.raises(IntegrandError, match="0.525"):
-        kernel_band_values(g1, -0.5, bad, np.zeros(1), spec)
+        riesz_values(g1, 0.5, bad, np.zeros(1), spec)
 
 
 def test_lattice_refinement_monotone(g1):
@@ -89,37 +90,38 @@ def indicator1d(radius=1.0):
                   decay_radius=radius)
 
 
-def refinement_step(g, a, u, x, spec):
-    """The value at ``spec.refined()`` and its change from the value at ``spec``."""
-    fine = float(kernel_band_values(g, a, u, x, spec.refined()))
-    return fine, abs(fine - float(kernel_band_values(g, a, u, x, spec)))
+def refinement_step(g, gamma, u, x, spec):
+    """The Riesz potential at ``spec.refined()`` and its change from the value at ``spec``."""
+    fine = float(riesz_values(g, gamma, u, x, spec.refined()))
+    return fine, abs(fine - float(riesz_values(g, gamma, u, x, spec)))
 
 
 def test_shell_indicator_value(g1):
     # integral_{-1}^{1} |y|^{-1/2} dy = 4
     spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
-    value = kernel_band_values(g1, -0.5, indicator1d(), np.array([0.0]), spec.refined())
+    value = riesz_values(g1, 0.5, indicator1d(), np.array([0.0]), spec.refined())
     assert abs(value - 4.0) / 4.0 <= 0.01
 
 
 def test_shell_zero(g1):
     spec = QuadratureSpec(R_max=2.5, lattice_h=0.05)
-    assert kernel_band_values(g1, -0.5, const(0.0), np.array([0.0]), spec) == 0.0
+    assert riesz_values(g1, 0.5, const(0.0), np.array([0.0]), spec) == 0.0
 
 
 def test_shell_refinement_gain(g1):
     spec = QuadratureSpec(R_max=8.0, lattice_h=0.1)
     u = gaussian(g1, 1.0)
-    e0 = refinement_step(g1, -0.5, u, np.array([0.3]), spec)[1]
-    e1 = refinement_step(g1, -0.5, u, np.array([0.3]), spec.refined())[1]
+    e0 = refinement_step(g1, 0.5, u, np.array([0.3]), spec)[1]
+    e1 = refinement_step(g1, 0.5, u, np.array([0.3]), spec.refined())[1]
     assert e0 / e1 >= 1.5
 
 
 def test_shell_domain_errors(g1, h1):
     spec = QuadratureSpec(R_max=2.0, lattice_h=0.05)
-    for g, a, x in ((g1, -1.5, np.zeros(1)), (g1, 0.5, np.zeros(1)), (h1, -4.0, np.zeros(3))):
+    # kernel exponents gamma - Q of -1.5 and 0.5 on R^1, -4 = -Q on H^1
+    for g, gamma, x in ((g1, -0.5, np.zeros(1)), (g1, 1.5, np.zeros(1)), (h1, 0.0, np.zeros(3))):
         with pytest.raises(DomainError):
-            kernel_band_values(g, a, const(1.0), x, spec)
+            riesz_values(g, gamma, const(1.0), x, spec)
 
 
 def test_shell_raises_when_only_the_coarse_lattice_hits_a_singularity(g1):
@@ -132,8 +134,8 @@ def test_shell_raises_when_only_the_coarse_lattice_hits_a_singularity(g1):
     clean = gaussian(g1, 1.0)
     u = custom(lambda p: np.where(np.abs(p[..., 0] - y0) < 1e-12, np.nan, clean(p)), 10.0)
     with pytest.raises(IntegrandError, match="non-finite integrand at node"):
-        kernel_band_values(g1, -0.5, u, c, spec)
-    assert np.isfinite(kernel_band_values(g1, -0.5, u, c, spec.refined()))
+        riesz_values(g1, 0.5, u, c, spec)
+    assert np.isfinite(riesz_values(g1, 0.5, u, c, spec.refined()))
 
 
 def test_band_raises_at_a_non_finite_centre_value_only_where_c0_counts(g1):
@@ -143,7 +145,7 @@ def test_band_raises_at_a_non_finite_centre_value_only_where_c0_counts(g1):
     u = power_truncated(g1, 0.4, 1.0)
     x = np.zeros((1, 1))
     with pytest.raises(IntegrandError, match=r"non-finite integrand at node \[0\.0\]"):
-        kernel_band_values(g1, -0.5, u, x, spec)
+        riesz_values(g1, 0.5, u, x, spec)
 
 
 def test_shell_vs_lattice_mild_singularity(g1):
@@ -153,7 +155,7 @@ def test_shell_vs_lattice_mild_singularity(g1):
     spec = QuadratureSpec(R_max=8.0, lattice_h=0.05)
     u = gaussian(g1, 1.0)
     a = -0.4
-    shell, shell_err = refinement_step(g1, a, u, np.array([0.0]), spec)
+    shell, shell_err = refinement_step(g1, a + g1.Q, u, np.array([0.0]), spec)
     def f(p):
         return u(p) * np.abs(p[..., 0]) ** a
 
@@ -261,8 +263,9 @@ def test_ball_sums_from_runs_match_pair_bincount(case, rng):
 @pytest.mark.parametrize("on_lattice", [True, False], ids=["lattice", "off_lattice"])
 def test_non_finite_weight_raises_naming_its_node(g1, on_lattice):
     # a prefix sum past a non-finite weight would reach every later ball:
-    # the masses (memoised runs or bins) and the totals (lattice runs or
-    # pair bins) take finite weights only, and name the node of one that is not
+    # the masses (memoised runs) and the totals (lattice runs or memoised
+    # pair bins) take finite weights only, and name the node of one that
+    # is not; a weight count other than the lattice's is refused
     spec = QuadratureSpec(R_max=3.0, lattice_h=0.05)
     nodes = lattice_nodes(g1, spec)[0]
     centers = nodes[::9] + (0.0 if on_lattice else 0.3 * spec.lattice_h)
@@ -273,9 +276,12 @@ def test_non_finite_weight_raises_naming_its_node(g1, on_lattice):
         w = np.ones(len(nodes))
         w[at] = bad
         with pytest.raises(IntegrandError, match=node):
-            ball_masses(g1, centers, nodes, radii, w, lattice_key(spec) if on_lattice else None)
+            ball_masses(g1, centers, radii, w, lattice_key(spec))
         with pytest.raises(IntegrandError, match=node):
-            ball_totals(g1, centers, nodes, radii, w, spec.lattice_h)
+            ball_totals(g1, centers, radii, w, lattice_key(spec))
+    for engine in (ball_masses, ball_totals):
+        with pytest.raises(ShapeError, match=re.escape(f"lattice {lattice_key(spec)} holds {len(nodes)} nodes")):
+            engine(g1, centers, radii, np.ones(len(nodes) - 1), lattice_key(spec))
 
 
 def test_ball_sums_of_no_nodes_are_zero():
@@ -291,10 +297,11 @@ _SPEC = QuadratureSpec(R_max=4.0, lattice_h=0.1)
 
 @pytest.mark.parametrize("call,match", [
     (lambda: gauge_power_weights(_H1, -_H1.Q, 4.0, 0.5), "not integrable"),
-    (lambda: kernel_band_values(_G1, -_G1.Q, gaussian(_G1, 1.0), np.zeros((1, 1)), _SPEC),
-     "diverges"),
-    (lambda: kernel_band_values(_G1, 0.0, gaussian(_G1, 1.0), np.zeros((1, 1)), _SPEC),
-     "singular kernel"),
+    # the Riesz kernel gauge^(gamma - Q) at gamma 0 and Q
+    (lambda: riesz_values(_G1, 0.0, gaussian(_G1, 1.0), np.zeros((1, 1)), _SPEC),
+     "gamma must lie in"),
+    (lambda: riesz_values(_G1, _G1.Q, gaussian(_G1, 1.0), np.zeros((1, 1)), _SPEC),
+     "gamma must lie in"),
 ], ids=["weight_exponent_minus_Q", "kernel_exponent_minus_Q", "kernel_exponent_0"])
 def test_public_error_paths(call, match):
     with pytest.raises(DomainError, match=match):
