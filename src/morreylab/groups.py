@@ -151,7 +151,10 @@ def symmetries(g: GroupDescriptor) -> tuple:
     (x0, x1, t) -> (-x1, x0, t), ((1, 0, 2), (-1, 1, 1)), and the
     reflection (x0, x1, t) -> (x0, -x1, -t), ((0, 1, 2), (1, -1, -1)):
     the sign of t is the orientation of the map on (x0, x1), because the
-    cross term (x0 y1 - x1 y0) / 2 changes sign with it.
+    cross term (x0 y1 - x1 y0) / 2 changes sign with it.  The table has 2^n
+    maps, and map k is the product of the maps at the powers of two in k,
+    the greater applied first: a single sign flip at each power below the
+    permutations, then the swap.
     """
     h1 = g.law == HEISENBERG1
     ident = tuple(range(g.dimension))

@@ -24,15 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import groups, morrey, operators
+from . import groups, morrey, operators, quadrature
 from .errors import DegenerateInputError, DomainError
 from .quadrature import (
     QuadratureSpec,
-    gauge_power_weights,
     geometric_radii,
     lattice_key,
     lattice_nodes,
-    lattice_orbits,
+    orbit_nodes,
     resolve_R,
 )
 from .testfunctions import TestFunction, dilated
@@ -418,31 +417,35 @@ def _op_values(g, op, cfg, u: TestFunction, spec, R_eff):
     return _op_values_cached(g, op, fn, param, u, spec, R_eff)
 
 
+def _on_orbits(op, u) -> bool:
+    """Whether the factor ``op`` of ``u`` runs on one node per symmetry orbit.
+
+    A ``u`` flagged ``d4_invariant`` gives values that every map of
+    ``groups.symmetries(g)`` maps onto themselves, on every law: each
+    factor operator commutes with them, T(u o A) = (T u) o A, the gradient
+    enters through its norm, and the lattice is mapped onto itself.  Every
+    tag but ``fraclap`` then runs on the first node of each orbit
+    (``orbit_nodes``); the fractional Laplacian's value at a point depends
+    on the other points of the call, by more than rounding (the blocks of
+    its source caps), so it runs on every node, as every other input does.
+    """
+    return op != "fraclap" and getattr(u, "d4_invariant", False)
+
+
 # sized from the longest reuse distance of the benchmark sweeps: 20 factor
 # evaluations in euclid_consequences (16 entries lose 5 of its 150 hits)
 @lru_cache(maxsize=20)
 def _op_values_cached(g, op, fn, param, u, spec, R_eff):
-    """The values of ``_op_values``, computed on one node per symmetry orbit where that pays.
+    """The values of ``_op_values`` at the nodes of ``orbit_nodes(g, lattice, _on_orbits(op, u))``.
 
-    A ``u`` flagged ``d4_invariant`` gives values that every map of
-    ``groups.symmetries(g)`` maps onto themselves, on every law: each
-    factor operator commutes with them, T(u o A) = (T u) o A, and the
-    lattice is mapped onto itself.  So for the Riesz and maximal tags
-    ``fn`` sees the orbit representatives of ``lattice_orbits`` (about
-    one node in eight on H^1, R^2 and R^3, one in two on R^1) and their
-    values are copied to the rest of each orbit; every value is then that
-    of its representative, which differs from evaluating at the node
-    itself by rounding only.  The pointwise tags (``id``, ``grad``,
-    ``sublap``) cost less per node than the orbit map does, so they, like
-    every other input, are evaluated at every node.  So is ``fraclap``:
-    its value at a point depends on the other points of the call, by more
-    than rounding (the blocks of its source caps).
+    For an invariant ``u`` every tag but ``fraclap`` is evaluated and
+    returned at the first node of each orbit (about one node in eight on
+    H^1, R^2 and R^3, one in two on R^1), with no copy to the other nodes:
+    each value stands for its whole orbit, and differs from the value at
+    any other node of the orbit by rounding only.  Otherwise the values
+    are those of every node.
     """
-    nodes = lattice_nodes(g, spec, R_eff)[0]
-    inverse = None
-    if op in ("riesz", "maximal") and getattr(u, "d4_invariant", False):
-        rep, inverse = lattice_orbits(g, spec, R_eff)
-        nodes = nodes[rep]
+    nodes = orbit_nodes(g, lattice_key(spec, R_eff), _on_orbits(op, u))[0]
     if op == "id":
         vals = np.abs(np.asarray(fn(u, nodes), dtype=float))
     elif op in ("riesz", "fraclap"):
@@ -454,8 +457,6 @@ def _op_values_cached(g, op, fn, param, u, spec, R_eff):
         vals = np.abs(fn(g, u, nodes))
     else:  # maximal
         vals = fn(g, 0.0, u, nodes, morrey.default_radii(g, u, spec), spec)
-    if inverse is not None:
-        vals = vals[inverse]
     vals.setflags(write=False)
     return vals
 
@@ -485,31 +486,33 @@ def _factor_norm(g, factor, cfg, u, grids: MorreyGrids, spec):
     """The Morrey estimate of one factor of the theorem on ``grids``.
 
     For a ``u`` flagged ``d4_invariant`` the samples of every factor tag
-    are invariant under ``groups.symmetries(g)`` up to rounding: each
-    tag commutes with those maps, the gradient enters through its norm,
-    and ``gauge_power_weights`` depends on the gauge alone.  A centre and
-    its images then carry one Morrey value, so the supremum is taken over
-    one centre per orbit (``_orbit_centers``), and over every centre
-    otherwise.
+    are invariant under ``groups.symmetries(g)`` up to rounding, and
+    ``gauge_power_weights`` depends on the gauge alone.  A centre and its
+    images then carry one Morrey value, so the supremum is taken over one
+    centre per orbit (``_orbit_centers``), and over every centre
+    otherwise.  Where ``_on_orbits`` holds, the samples, weights and ball
+    sums stay on the first node of each orbit from start to finish.
     """
     # integral-operator outputs have fat tails: keep the full lattice
     wide = factor["op"] in ("riesz", "fraclap", "maximal")
     decay = getattr(u, "decay_radius", math.inf)
     R_eff = resolve_R(spec, None if wide or not math.isfinite(decay) else decay)
-    nodes, _, cell = lattice_nodes(g, spec, R_eff)
+    cell = lattice_nodes(g, spec, R_eff)[2]
+    lattice, orbits = lattice_key(spec, R_eff), _on_orbits(factor["op"], u)
     vals = _op_values(g, factor["op"], cfg, u, spec, R_eff)
     theta = float(factor["theta"])
     p_fac = float(factor["exp"])
     if theta != 0.0:
         # fold the gauge power into exact-mass node weights so singular
-        # weights near the origin are integrated at full order
-        cell = gauge_power_weights(g, theta * p_fac, R_eff, spec.lattice_h)
+        # weights near the origin are integrated at full order; looked up
+        # on the module, where the bench's tracer wraps it
+        cell = quadrature.gauge_power_weights(g, theta * p_fac, *lattice, orbits)
     centers = grids.centers
     if getattr(u, "d4_invariant", False):
         centers = _orbit_centers(g, np.asarray(centers, dtype=float).tobytes())
+    nodes = orbit_nodes(g, lattice, orbits)[0]
     return morrey.morrey_sup_from_samples(
-        g, p_fac, float(cfg.lam), centers, grids.radii, nodes, vals, cell,
-        lattice_key(spec, R_eff),
+        g, p_fac, float(cfg.lam), centers, grids.radii, nodes, vals, cell, lattice, orbits,
     )
 
 
@@ -547,15 +550,15 @@ def adapted_spec_factory(
 ):
     """Per-dilation quadrature specs for sweeps that outgrow one lattice.
 
-    On groups of large homogeneous dimension a single lattice cannot
-    resolve both ends of a decade sweep within the node budget.  The
-    truncation radius follows the dilated decay radius; the spacing
-    shrinks for contracted copies (t > 1).  With ``fix_wide`` the widened
-    copies keep the base spacing, so the t <= 1 leg of the sweep runs on a
-    genuinely fixed discretisation scale; without it the spacing scales
-    like 1/t throughout (needed when the wide copies exhaust the node
-    budget), and the sweep should then be anchored by a refinement check
-    at t = 1.  Centre and radius grids stay fixed either way.
+    On groups of large homogeneous dimension a single lattice that
+    resolves both ends of a decade sweep holds too many nodes to be
+    practical.  The truncation radius follows the dilated decay radius;
+    the spacing shrinks for contracted copies (t > 1).  With ``fix_wide``
+    the widened copies keep the base spacing, so the t <= 1 leg of the
+    sweep runs on a genuinely fixed discretisation scale; without it the
+    spacing scales like 1/t throughout (which keeps the wide copies'
+    lattices small), and the sweep should then be anchored by a refinement
+    check at t = 1.  Centre and radius grids stay fixed either way.
     """
     pad = 2.0 * base.lattice_h
 

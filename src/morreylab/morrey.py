@@ -9,8 +9,11 @@ nothing.  The gauge and Haar measure are invariant under the lattice's
 exact symmetries (``groups.symmetries``), so for an input they leave
 invariant a centre and its images carry one value: the harness passes
 one centre per orbit, and the supremum over those is the supremum over
-every centre.  A norm over balls about the identity alone is
-``morrey_norm`` with that one centre.
+every centre.  Its samples and masses then come at the first node of
+each orbit of the lattice alone (``orbits``), and each ball sum runs
+over the centre's images and those nodes, weighted by their orbits'
+sizes.  A norm over balls about the identity alone is ``morrey_norm``
+with that one centre, over every node.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def default_centers(
     """The identity, then a coarse anisotropic centre lattice in {0 < gauge <= R_max/2}.
 
     Each axis is its non-negative half, mirrored: the centres are closed
-    under every map of ``groups.symmetries`` bit for bit.
+    under every map of ``groups.symmetries`` bit for bit.  One point per
+    axis is the identity alone.
     """
     if n_per_axis is None:
         n_per_axis = max(3, min(11, int(math.floor(125 ** (1.0 / g.dimension)))))
@@ -71,8 +75,9 @@ def default_centers(
     for i in range(g.dimension):
         bound = groups.coord_bound(g, i, R)
         half = np.linspace(-bound, bound, n_per_axis)[n_per_axis // 2 :]
-        if n_per_axis > 1 and n_per_axis % 2:
-            # linspace's middle point can miss 0 by an ulp of the bound
+        if n_per_axis % 2:
+            # linspace's middle point can miss 0 by an ulp of the bound,
+            # and with one point it is the lower bound
             half[0] = 0.0
         axes.append(np.concatenate([-half[::-1][: n_per_axis // 2], half]))
     grids = np.meshgrid(*axes, indexing="ij")
@@ -92,18 +97,23 @@ def morrey_sup_from_samples(
     values: np.ndarray,
     cellvol,
     lattice,
+    orbits: bool = False,
 ) -> MorreyEstimate:
     """Grid supremum from precomputed |f| samples on the nodes of a lattice.
 
-    ``nodes`` are those of ``lattice_nodes`` and ``lattice`` their
-    ``lattice_key``, on which the centre-node bins are memoised
-    (``ball_masses``).  ``centers`` holds points of the group (ShapeError
-    otherwise).  ``values`` holds one sample per node, and ``cellvol`` is
-    either the scalar cell volume or an array of per-node quadrature
-    masses (used when a singular gauge-power weight is folded into the
-    measure instead of the samples); ShapeError when either does not
-    match ``nodes`` in length, or ``nodes`` the lattice, IntegrandError
-    naming the node when a sample or mass is not finite.
+    ``lattice`` is the ``lattice_key`` of a lattice, on which the
+    centre-node bins are memoised, and ``nodes`` are those of
+    ``quadrature.orbit_nodes(g, lattice, orbits)``: every node, or with
+    ``orbits`` the first node of each orbit of the lattice under
+    ``groups.symmetries``, for samples and masses that the maps leave
+    invariant, whose ball masses ``ball_masses`` sums over each centre's
+    images.  ``centers`` holds points of the group (ShapeError
+    otherwise).  ``values`` holds one sample per node, and
+    ``cellvol`` is either the scalar cell volume or an array of per-node
+    quadrature masses (used when a singular gauge-power weight is folded
+    into the measure instead of the samples); ShapeError when either does
+    not match ``nodes`` in length, or ``nodes`` the lattice,
+    IntegrandError naming the node when a sample or mass is not finite.
     """
     if not (0 <= lam <= g.Q):
         raise DomainError(f"lambda must lie in [0, Q], got {lam}")
@@ -114,7 +124,7 @@ def morrey_sup_from_samples(
     if values.shape != nodes.shape[:1] or cellvol.shape not in ((), values.shape):
         raise ShapeError(f"need one sample per node and a scalar or per-node cellvol: {len(nodes)} "
                          f"nodes, values of shape {values.shape}, cellvol of shape {cellvol.shape}")
-    vals = radii ** (-lam) * ball_masses(g, centers, radii, np.abs(values) ** p * cellvol, lattice)
+    vals = radii ** (-lam) * ball_masses(g, centers, radii, np.abs(values) ** p * cellvol, lattice, orbits)
     # first centre, then first radius, attaining the maximum
     i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best_r = float(radii[k])

@@ -157,7 +157,7 @@ def _fraclap_kernel(g: groups.GroupDescriptor, s: float, R: float, h: float):
     along them.  The kernel depends on the gauge alone, so the order of
     equal gauges moves no prefix sum.
     """
-    dist, cell = _nodes_cached(g, R, h)[1:]
+    dist, cell = _nodes_cached(g, R, h)[1:3]
     live = dist >= h
     a = -g.dimension - 2.0 * s
     weights = np.where(live, dist ** a * cell, 0.0)

@@ -34,21 +34,26 @@ differences of prefix sums over node columns, counts in closed form from
 each column's count prefix clip(y, 0, Lc).  Other centres bin every
 centre-node pair once (``ball_bins``, one coordinate at a time) and keep
 the table as its runs of equal bin along each row (``bin_runs``, 8 bytes
-a run), memoised per lattice key, centres and radii (``_lattice_bins``),
-so each centre grid of a lattice is binned once.  The Morrey supremum
-sums its samples over the same runs (``ball_masses``): a call reads one
-prefix sum of the samples at every run's end and bincounts the
-differences into balls (``ball_sums``).  ``lattice_orbits`` gives one
-node per orbit of the lattice under ``groups.symmetries``, on every law,
-for inputs that the maps leave invariant.  What ``translate_sums`` and
-``ball_totals`` read of the points, nodes, kernel or radii alone is a
-plan, built once per run: the product lattice (``_lattice_cached``), its
-sample runs and the kernel's conjugate transform
-(``_translate_plan_cached``), and the ball sections, exact counts and
-near-tie memberships (``_ball_plan_cached``), each keyed on the lattice
-(g, R, h) of the nodes and the bytes of the points and radii, so every
-kernel on a lattice shares its product lattice; a call then pays only
-for u.
+a run), memoised per lattice key, centres, radii and node set
+(``_lattice_bins``), so each centre grid of a lattice is binned once.
+The Morrey supremum sums its samples over the same runs
+(``ball_masses``): a call reads one prefix sum of the samples at every
+run's end and bincounts the differences into balls (``ball_sums``).
+``orbit_nodes`` gives the first node of each orbit of the lattice under
+``groups.symmetries`` and its orbit's size, on every law, for inputs
+that the maps leave invariant: ``gauge_power_weights`` and
+``ball_masses`` then run on those nodes alone, each weighted by its
+orbit's size, with the rows of each centre's images
+(``_centre_images``) summed into its balls, and the all-node case is
+the same code with each node and centre its own orbit.  What
+``translate_sums`` and ``ball_totals`` read of the points, nodes, kernel
+or radii alone is a plan, built once per run: the product lattice
+(``_lattice_cached``), its sample runs and the kernel's conjugate
+transform (``_translate_plan_cached``), and the ball sections, exact
+counts and near-tie memberships (``_ball_plan_cached``), each keyed on
+the lattice (g, R, h) of the nodes and the bytes of the points and
+radii, so every kernel on a lattice shares its product lattice; a call
+then pays only for u.
 
 Integrands are vectorised: they receive an ``(..., N)`` array of points and
 return an ``(...)`` array of values.
@@ -93,7 +98,12 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=32)
 def _nodes_cached(g: groups.GroupDescriptor, R: float, h: float):
-    """Midpoint nodes of the anisotropic lattice inside {gauge <= R}."""
+    """Midpoint nodes of the anisotropic lattice inside {gauge <= R}: nodes, gauges, cell and box.
+
+    The nodes are the cells of the box of every axis' midpoints that lie
+    in the ball, in the box's row-major order; ``box`` is the box-shaped
+    mask of those cells (one byte a cell), which ``_node_orbits`` reads.
+    """
     axes = [
         groups._midpoint_axis(groups.coord_bound(g, i, R), h ** w)
         for i, w in enumerate(g.weights)
@@ -105,9 +115,10 @@ def _nodes_cached(g: groups.GroupDescriptor, R: float, h: float):
     pts = pts[keep]
     dist = dist[keep]
     cell = math.prod(h ** w for w in g.weights)
-    pts.setflags(write=False)
-    dist.setflags(write=False)
-    return pts, dist, cell
+    box = keep.reshape(grids[0].shape)
+    for a in (pts, dist, box):
+        a.setflags(write=False)
+    return pts, dist, cell, box
 
 
 def resolve_R(spec: QuadratureSpec, R_eff: float | None = None) -> float:
@@ -122,36 +133,70 @@ def lattice_key(spec: QuadratureSpec, R_eff: float | None = None):
 
 def lattice_nodes(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float | None = None):
     """Nodes, gauge distances from 0 and cell volume for the truncated ball."""
-    return _nodes_cached(g, *lattice_key(spec, R_eff))
+    return _nodes_cached(g, *lattice_key(spec, R_eff))[:3]
+
+
+def _node_orbits(g: groups.GroupDescriptor, R: float, h: float):
+    """The orbits of ``_nodes_cached(g, R, h)`` under ``groups.symmetries(g)``: ``(rep, inverse)``.
+
+    ``rep`` holds the first node of each orbit, in node order, and
+    ``inverse`` each node's orbit, so that ``rep[inverse]`` maps every node
+    to its orbit's first: those of ``groups.orbit_classes``.  Each axis of
+    the node box is symmetric about 0, so a map sends box cell i to the
+    cell whose index along axis j is i[perm[j]], reversed where signs[j] <
+    0: a flipped and transposed view of the box of node numbers.  Every map
+    is a product of the maps at the powers of two of the table, each taken
+    at most once (``groups.symmetries``), so the least number over an orbit
+    is the least over the view of each of those in turn: each node's
+    orbit's first, without a sort.
+    """
+    nodes, _, _, box = _nodes_cached(g, R, h)
+    K = len(nodes)
+    # cells outside the ball carry K, past every node: the maps keep them outside
+    first = np.full(box.shape, K, np.int32 if K < 2 ** 31 - 1 else np.intp)
+    first[box] = np.arange(K)
+    maps = groups.symmetries(g)
+    for perm, signs in (maps[1 << k] for k in range(len(maps).bit_length() - 1)):
+        view = first[tuple(slice(None, None, -1) if s < 0 else slice(None) for s in signs)]
+        first = np.minimum(first, view.transpose(np.argsort(perm)))
+    first = first[box]
+    rep = np.flatnonzero(first == np.arange(K, dtype=first.dtype))
+    orbit = np.empty(K, np.intp)
+    orbit[rep] = np.arange(len(rep))
+    return rep, orbit[first]
 
 
 @lru_cache(maxsize=32)
 def _orbits_cached(g: groups.GroupDescriptor, R: float, h: float):
-    """The orbits of ``_nodes_cached(g, R, h)`` under ``groups.symmetries(g)``, on every law.
+    """Read-only ``(rep, size, nodes)`` of the ``_node_orbits`` of a lattice.
 
-    Returns read-only ``(rep, inverse)`` of ``groups.orbit_classes``:
-    ``rep`` holds the first node of each orbit, in node order, and
-    ``nodes[rep][inverse]`` maps every node to its orbit's first.  Node
-    coordinate i sits at an odd multiple of h^w_i / 2, whose integer
-    ``rint(2 z_i / h^w_i)`` codes it exactly.
+    ``size`` holds the node count of each orbit, as floats, and ``nodes``
+    the nodes ``rep``; no engine reads each node's orbit, so it is not kept.
     """
-    zs = _nodes_cached(g, R, h)[0]
-    spacing = np.array([h ** w for w in g.weights])
-    rep, inverse = groups.orbit_classes(g, np.rint(zs * (2.0 / spacing)).astype(np.int64))
-    rep.setflags(write=False)
-    inverse.setflags(write=False)
-    return rep, inverse
+    rep, inverse = _node_orbits(g, R, h)
+    size = np.bincount(inverse, minlength=len(rep)).astype(float)
+    nodes = _nodes_cached(g, R, h)[0][rep]
+    for a in (rep, size, nodes):
+        a.setflags(write=False)
+    return rep, size, nodes
 
 
-def lattice_orbits(g: groups.GroupDescriptor, spec: QuadratureSpec, R_eff: float | None = None):
-    """``_orbits_cached`` for the nodes of ``lattice_nodes(g, spec, R_eff)``.
+def orbit_nodes(g: groups.GroupDescriptor, lattice, orbits: bool):
+    """The nodes an engine runs over on the ``lattice_key`` ``lattice``, and each one's orbit size.
 
     Every map of ``groups.symmetries(g)`` maps the truncated midpoint
     lattice onto itself node for node, so an operator that commutes with
     them, applied to an input they leave invariant, takes one value per
-    orbit.
+    orbit.  With ``orbits``, the first node of each orbit of
+    ``_node_orbits`` and its orbit's node count (read-only); otherwise
+    every node, each its own orbit: size 1.  A sum over the lattice of a
+    function that the maps leave invariant is the sum over the first
+    array weighted by the second.
     """
-    return _orbits_cached(g, *lattice_key(spec, R_eff))
+    if orbits:
+        _, size, nodes = _orbits_cached(g, *lattice)
+        return nodes, size
+    return _nodes_cached(g, *lattice)[0], 1.0
 
 
 def _shell_edges(R_max: float, h: float):
@@ -168,7 +213,7 @@ def _shell_edges(R_max: float, h: float):
 @lru_cache(maxsize=32)
 def _shells(g, R, h):
     """``_nodes_cached``' gauges and cell, the ``_shell_edges``, each node's shell (the last below them) and sigma."""
-    _, dist, cell = _nodes_cached(g, R, h)
+    dist, cell = _nodes_cached(g, R, h)[1:3]
     edges = _shell_edges(R, h)
     idx = np.clip(np.searchsorted(-edges, -dist, side="right") - 1, 0, len(edges) - 2)
     idx = idx.astype(_bin_dtype(len(edges)))
@@ -178,9 +223,12 @@ def _shells(g, R, h):
     return dist, cell, edges, idx, sigma
 
 
-def _spread(kern, idx, exact):
-    """``kern`` scaled so that each shell's nodes carry its ``exact`` mass (read-only); shells without kern."""
-    denom = np.bincount(idx, weights=kern, minlength=len(exact))
+def _spread(kern, idx, exact, size=1.0):
+    """``kern`` scaled so that each shell's nodes carry its ``exact`` mass (read-only); shells without kern.
+
+    Each node stands for ``size`` nodes of equal kern (``orbit_nodes``).
+    """
+    denom = np.bincount(idx, weights=kern * size, minlength=len(exact))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(denom > 0, exact / np.where(denom > 0, denom, 1.0), 0.0)
     w = kern * scale[idx]
@@ -212,25 +260,33 @@ def _shell_weights_cached(g, a, R_max, h):
 
 
 @lru_cache(maxsize=64)
-def gauge_power_weights(g, a, R, h):
+def gauge_power_weights(g, a, R, h, orbits=False):
     """Per-node masses for the measure gauge(y)^a dy on the truncated ball.
 
     Valid for any a > -Q, including singular negative powers: the shells
     of ``_shell_edges`` around the origin carry their exact radial mass
     (the deepest populated shell absorbs everything below it), distributed
     over their nodes proportionally to midpoint weights (``_spread``).
-    Node order matches ``lattice_nodes``.
+    The masses are those of the nodes of ``orbit_nodes(g, (R, h),
+    orbits)``, in its order: every node of ``lattice_nodes``, or the first
+    node of each orbit, whose mass each node of its orbit carries (the
+    gauge is invariant), each shell's sum over its nodes then being taken
+    over the orbits weighted by their sizes.
     """
     if a <= -g.Q:
         raise DomainError(f"weight exponent {a} <= -Q is not integrable")
     dist, cell, edges, idx, sigma = _shells(g, R, h)
+    size = 1.0
+    if orbits:
+        rep, size, _ = _orbits_cached(g, R, h)
+        dist, idx = dist[rep], idx[rep]
     aQ = a + g.Q
     exact = sigma * (edges[:-1] ** aQ - edges[1:] ** aQ) / aQ
     # the deepest shell with a node (each has kern > 0) takes all below it, incl. the disc
     deepest = idx.max(initial=0)
     exact[deepest] = sigma * edges[deepest] ** aQ / aQ
     exact[deepest + 1 :] = 0.0
-    return _spread(dist ** a * cell, idx, exact)[0]
+    return _spread(dist ** a * cell, idx, exact, size)[0]
 
 
 # the one size of every blocked temporary, counted in items: pairs per
@@ -319,8 +375,11 @@ class BinRuns:
     Rows follow each other, and the runs ``first`` are the first of each
     row (none when there are no nodes): they start at node 0, every other
     run at the end of the one before, and ``end`` holds the node past each
-    run's last.  ``ball`` is row * (n_radii + 1) + the run's bin.  Both
-    are ``int32`` up to 2**31 nodes and balls, so a run takes 8 bytes.
+    run's last.  Each row belongs to one of ``n_centers`` centres, and
+    ``ball`` is that centre * (n_radii + 1) + the run's bin, so the rows of
+    one centre add into its balls; ``rows`` counts each centre's rows (as
+    floats).  ``end`` and ``ball`` are ``int32`` up to 2**31 nodes and
+    balls, so a run takes 8 bytes.
     """
 
     end: np.ndarray
@@ -328,11 +387,18 @@ class BinRuns:
     first: np.ndarray
     n_centers: int
     n_radii: int
+    rows: np.ndarray
 
 
-def bin_runs(bins: np.ndarray, n_radii: int) -> BinRuns:
-    """``BinRuns`` of a ``ball_bins`` table over ``n_radii`` radii."""
-    n_centers, width = bins.shape
+def bin_runs(bins: np.ndarray, n_radii: int, owner=None) -> BinRuns:
+    """``BinRuns`` of a ``ball_bins`` table over ``n_radii`` radii.
+
+    ``owner`` gives the centre of each row, a non-decreasing integer array
+    that reaches every centre; by default each row is its own centre.
+    """
+    n_rows, width = bins.shape
+    owner = np.arange(n_rows) if owner is None else np.asarray(owner)
+    rows = np.bincount(owner).astype(float)
     width = max(width, 1)  # a table without nodes has no runs
     flat = bins.ravel()
     # the last pair of each run: its bin differs from the next one's, or it ends a row
@@ -341,10 +407,10 @@ def bin_runs(bins: np.ndarray, n_radii: int) -> BinRuns:
     last[width - 1 :: width] = True
     at = np.flatnonzero(last)
     row, end = np.divmod(at, width)
-    ball = row * (n_radii + 1) + flat[at]
+    ball = owner[row] * (n_radii + 1) + flat[at]
     first = np.flatnonzero(np.diff(row, prepend=-1))
-    dtype = np.int32 if max(width, n_centers * (n_radii + 1)) <= np.iinfo(np.int32).max else np.intp
-    return BinRuns((end + 1).astype(dtype), ball.astype(dtype), first, n_centers, n_radii)
+    dtype = np.int32 if max(width, len(rows) * (n_radii + 1)) <= np.iinfo(np.int32).max else np.intp
+    return BinRuns((end + 1).astype(dtype), ball.astype(dtype), first, len(rows), n_radii, rows)
 
 
 def ball_sums(runs: BinRuns, weights=None) -> np.ndarray:
@@ -372,54 +438,97 @@ def ball_sums(runs: BinRuns, weights=None) -> np.ndarray:
     return np.cumsum(per_ball.astype(np.intp if weights is None else float, copy=False), axis=1)
 
 
-@lru_cache(maxsize=32)
-def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes) -> BinRuns:
-    """Read-only ``bin_runs`` of the nodes of ``_nodes_cached(g, R, h)``.
+@lru_cache(maxsize=8)
+def _centre_images(g, centers: bytes):
+    """The distinct images of each centre (the bytes of an (n, N) float array) under ``groups.symmetries(g)``.
 
-    Keyed on the lattice, not on its nodes: the key is (g, R, h) and the
-    bytes of the centres and radii, so a lookup hashes no node-sized
-    array.  The ``ball_bins`` table is built and dropped here; its runs
-    take 8 bytes each, and neighbouring nodes mostly share their bin, so
-    a table of C centres and K nodes keeps 0.06-0.2 C K runs.  The Morrey
-    supremum (``ball_masses``) and the maximal operator at centres off
-    the lattice (``ball_totals``) read it.  One pass of a bench workload
-    asks for at most 26 distinct tables, about 0.9 MB in all on
-    ``euclid_consequences`` at seeds 0 and 3, whose centres the harness
-    reduces to one per symmetry orbit.
+    Returns read-only ``(images, owner)``: the images centre by centre,
+    each centre's in the order of the maps (itself first, its zeros +0.0),
+    and the centre of each.  Images are told apart by value, so a centre
+    that a map fixes keeps one copy; no centre grid need be closed under
+    the maps.
     """
-    nodes = _nodes_cached(g, R, h)[0]
+    c = np.frombuffer(centers).reshape(-1, g.dimension)
+    maps = groups.symmetries(g)
+    img = np.stack([c[:, list(perm)] * signs for perm, signs in maps]) + 0.0
+    # image k of a centre is new unless an image l < k of it is equal
+    same = np.all(img[:, None] == img[None, :], axis=-1)
+    new = ~np.any(same & np.tri(len(maps), k=-1, dtype=bool)[:, :, None], axis=1)
+    owner, k = np.nonzero(new.T)
+    images = img[k, owner]
+    images.setflags(write=False)
+    owner.setflags(write=False)
+    return images, owner
+
+
+@lru_cache(maxsize=32)
+def _lattice_bins(g, R: float, h: float, centers: bytes, radii: bytes, orbits: bool = False) -> BinRuns:
+    """Read-only ``bin_runs`` of the nodes of ``orbit_nodes(g, (R, h), orbits)``.
+
+    Keyed on the lattice, not on its nodes: the key is (g, R, h), the
+    bytes of the centres and radii, and ``orbits``, so a lookup hashes no
+    node-sized array.  Without ``orbits`` each centre is one row over
+    every node; with it each centre's rows are its ``_centre_images``, over
+    the first node of each orbit.  The ``ball_bins`` table is built and
+    dropped here; its runs take 8 bytes each, and neighbouring nodes
+    mostly share their bin, so a table of C rows and K nodes keeps
+    0.06-0.2 C K runs.  The Morrey supremum (``ball_masses``) and the
+    maximal operator at centres off the lattice (``ball_totals``) read it.
+    One pass of a bench workload asks for at most 26 distinct tables,
+    about 0.32 MB in all on ``euclid_consequences`` at seeds 0 and 3, whose
+    centres the harness reduces to one per symmetry orbit and whose nodes
+    to one per orbit outside the fractional Laplacian's factors.
+    """
+    nodes = orbit_nodes(g, (R, h), orbits)[0]
     radii = np.frombuffer(radii)
-    runs = bin_runs(ball_bins(g, nodes, np.frombuffer(centers).reshape(-1, g.dimension), radii), len(radii))
-    for a in (runs.end, runs.ball, runs.first):
+    images = np.frombuffer(centers).reshape(-1, g.dimension)
+    owner = None
+    if orbits:
+        images, owner = _centre_images(g, centers)
+    runs = bin_runs(ball_bins(g, nodes, images, radii), len(radii), owner)
+    for a in (runs.end, runs.ball, runs.first, runs.rows):
         a.setflags(write=False)
     return runs
 
 
-def _node_weights(g, weights, lattice):
-    """``weights`` as a new float array, one per node of the ``lattice_key`` ``lattice``.
+def _node_weights(g, weights, lattice, orbits=False):
+    """``weights``, one per node of ``orbit_nodes(g, lattice, orbits)``, times its orbit's size: a new float array.
 
     ShapeError naming the lattice when the count differs from its node
-    count; IntegrandError naming the node of a non-finite weight.
+    (or orbit) count; IntegrandError naming the node of a non-finite
+    weight.
     """
-    nodes = _nodes_cached(g, *lattice)[0]
+    nodes, size = orbit_nodes(g, lattice, orbits)
     weights = np.array(weights, dtype=float)
     if weights.shape != nodes.shape[:1]:
-        raise ShapeError(f"{weights.shape} weights, but the lattice {lattice} holds {len(nodes)} nodes")
-    return finite_samples(weights, nodes, True)
+        held = f"{len(nodes)} {'orbits' if orbits else 'nodes'}"
+        raise ShapeError(f"{weights.shape} weights, but the lattice {lattice} holds {held}")
+    weights = finite_samples(weights, nodes, True)
+    weights *= size
+    return weights
 
 
-def ball_masses(g: groups.GroupDescriptor, centers, radii, weights, lattice):
+def ball_masses(g: groups.GroupDescriptor, centers, radii, weights, lattice, orbits=False):
     """Sums of ``weights`` over every ball of the nodes of a lattice: (n_centers, n_radii).
 
     ``lattice`` is the ``lattice_key`` (R, h) of the nodes, and ``weights``
-    holds one value per node (``_node_weights``).  The ``bin_runs`` come
-    from ``_lattice_bins``, so the Morrey supremum bins each centre grid
-    of a lattice once for every set of samples, and each call costs one
-    prefix sum and one ``bincount`` over the runs (``ball_sums``).
+    holds one value per node of ``orbit_nodes(g, lattice, orbits)``
+    (``_node_weights``).  With ``orbits`` the weights are those of a
+    function that ``groups.symmetries(g)`` leave invariant, given at the
+    first node of each orbit: the pair gauges are invariant under the maps
+    bit for bit, so the mass of a ball of centre c is the mean over the
+    images x of c of sum_rho |orbit rho| w(rho) [gauge(x^-1 rho) < r], the
+    sum over the first nodes rho.  That is the mass over every node up to
+    rounding, which ``ball_sums`` bounds; the centres need not be closed
+    under the maps.  The ``bin_runs`` come from ``_lattice_bins``, so each
+    centre grid of a lattice is binned once for every set of samples, and
+    each call costs one prefix sum and one ``bincount`` over the runs.
     """
     runs = _lattice_bins(g, *lattice, np.asarray(centers, dtype=float).tobytes(),
-                         np.asarray(radii, dtype=float).tobytes())
-    return ball_sums(runs, _node_weights(g, weights, lattice))
+                         np.asarray(radii, dtype=float).tobytes(), orbits)
+    masses = ball_sums(runs, _node_weights(g, weights, lattice, orbits))
+    masses /= runs.rows[:, None]
+    return masses
 
 
 def ball_totals(g: groups.GroupDescriptor, centers, radii, weights, lattice):
@@ -1196,8 +1305,9 @@ def _column_correlations(lat: ProductLattice, windows, wf):
 def check_radii(radii) -> np.ndarray:
     """``radii`` as a float array; DomainError unless 1-D, non-empty, finite, positive, increasing."""
     radii = np.asarray(radii, dtype=float)
-    ok = radii.ndim == 1 and radii.size > 0 and np.all(np.isfinite(radii)) and radii[0] > 0
-    if not (ok and np.all(np.diff(radii) > 0)):
+    # the array methods: ``np.all`` and ``np.diff`` cost several times more on a short grid
+    ok = radii.ndim == 1 and radii.size > 0 and np.isfinite(radii).all() and radii[0] > 0
+    if not (ok and (radii[1:] > radii[:-1]).all()):
         raise DomainError("radius grid must be a non-empty 1-D array of finite, positive, increasing radii")
     return radii
 

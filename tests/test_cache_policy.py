@@ -72,6 +72,8 @@ def test_every_memo_is_an_lru_cache_and_clears():
         "quadrature._shell_weights_cached",
         "quadrature.gauge_power_weights",
         "quadrature._lattice_bins",
+        "quadrature._centre_images",
+        "quadrature._orbits_cached",
         "harness._op_values_cached",
         "harness._orbit_centers",
         "harness._dilated",
@@ -110,13 +112,15 @@ def test_one_lattice_per_key():
 
 
 def test_pair_bin_memo_holds_a_pass(monkeypatch):
-    # a seed-0 pass asks for 12 (default_r1) or 26 (euclid_consequences)
+    # a seed-0 pass asks for 14 (default_r1) or 26 (euclid_consequences)
     # distinct pair-bin tables many times over: each must be filled once,
-    # not refilled after eviction; the runs of a euclid_consequences pass
-    # (0.9 MB) hold less than the 2.6 MB of one-byte pair bins that all of
-    # its centres would take
+    # not refilled after eviction.  On default_r1 the fractional
+    # Laplacian's factors bin every node and the other wide factors one
+    # node per orbit, two tables where one served both.  The runs of a
+    # euclid_consequences pass (0.32 MB) hold less than the 2.6 MB of
+    # one-byte pair bins that all of its centres over every node would take
     real = quadrature._lattice_bins
-    for name, tables in (("default_r1", 12), ("euclid_consequences", 26)):
+    for name, tables in (("default_r1", 14), ("euclid_consequences", 26)):
         keys, calls, held = set(), [], {}
 
         def spy(*key):

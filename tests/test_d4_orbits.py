@@ -5,13 +5,14 @@ turn (x0, x1, t) -> (-x1, x0, t) and the reflection (x0, x1, t) ->
 (x0, -x1, -t) generate them, the automorphism group D4; on R^N the sign
 flips do, with the axis swap on R^2.  They preserve the gauge, Haar
 measure and the midpoint lattice, so every factor operator T commutes
-with them: T(u o A) = (T u) o A.  ``groups.orbit_classes`` gives the
-orbits of the lattice nodes and of the Morrey centres, and
-``harness._op_values_cached`` evaluates an invariant u at one node per
-orbit and copies the values to the rest; these tests check the orbits
-against those the generators build, the commutation itself on a
-non-invariant input, the copied values against the values at every
-node, and which inputs are reduced.
+with them: T(u o A) = (T u) o A.  ``quadrature._node_orbits`` gives
+the orbits of the lattice nodes, ``groups.orbit_classes`` those of the
+Morrey centres, and ``harness._op_values_cached`` evaluates an invariant
+u at one node per orbit and returns the values there; these tests check
+the orbits against those the generators build and against
+``groups.orbit_classes``, the commutation itself on a non-invariant
+input, the values of each orbit against the values at every node, and
+which inputs and tags are reduced.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ import pytest
 
 from morreylab import groups, harness, operators, quadrature, testfunctions
 from morreylab.errors import DomainError, IntegrandError
-from morreylab.quadrature import QuadratureSpec, lattice_nodes, lattice_orbits, radius_grid
+from morreylab.quadrature import QuadratureSpec, lattice_key, lattice_nodes, radius_grid
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH_DIR) not in sys.path:
@@ -35,6 +36,11 @@ H1 = groups.heisenberg_group()
 # the t = 1 lattice of the seed-0 h1_adams sweeps: K = 7,120
 SPEC = QuadratureSpec(R_max=6.529141902923584, lattice_h=0.75)
 TAGS = ("id", "grad", "sublap", "riesz", "maximal")
+
+
+def lattice_orbits(g, spec, R_eff=None):
+    """``(rep, inverse)`` of the orbits of ``lattice_nodes(g, spec, R_eff)``."""
+    return quadrature._node_orbits(g, *lattice_key(spec, R_eff))
 
 
 def quarter_turn(p):
@@ -122,6 +128,22 @@ def test_orbit_classes_are_the_generated_orbits(law):
     assert kept.tobytes() == c[rep].tobytes() and len(rep) < len(c)
 
 
+@pytest.mark.parametrize("law", GENERATORS)
+def test_lattice_orbits_are_those_of_orbit_classes(law):
+    # the box views give the rep and inverse that coding every node's
+    # images and sorting them does, bit for bit, on the empty lattice too
+    g, _, spec = GENERATORS[law]
+    h = spec.lattice_h
+    spacing = np.array([h ** w for w in g.weights])
+    for R_eff in (None, 1.0, 0.25 * h):
+        nodes = lattice_nodes(g, spec, R_eff)[0]
+        rep, inverse = lattice_orbits(g, spec, R_eff)
+        want = groups.orbit_classes(g, np.rint(nodes * (2.0 / spacing)).astype(np.int64))
+        assert rep.dtype == want[0].dtype and inverse.dtype == want[1].dtype
+        assert rep.tobytes() == want[0].tobytes() and inverse.tobytes() == want[1].tobytes()
+        assert len(nodes) > 0 if R_eff is None else R_eff > 0.25 * h or len(nodes) == 0
+
+
 def test_orbit_codes_past_int64_are_refused():
     # three coordinates of modulus up to 2^21 need place values past 2^63;
     # up to 2^19 they fit
@@ -191,10 +213,14 @@ def test_operators_commute_with_each_generator(A, op):
 
 
 def reduced_error(u, spec, op, cfg, g=H1):
-    """max |reduced - all-node| / max |all-node| of one factor's ``_op_values``."""
+    """max |reduced - all-node| / max |all-node| of one factor's ``_op_values``.
+
+    The reduced values are those of the first node of each orbit, copied
+    here to every node of the orbit.
+    """
     reduced = harness._op_values(g, op, cfg, u, spec, None)
     every = harness._op_values(g, op, cfg, dataclasses.replace(u, d4_invariant=False), spec, None)
-    return np.max(np.abs(reduced - every)) / np.max(np.abs(every))
+    return np.max(np.abs(reduced[lattice_orbits(g, spec)[1]] - every)) / np.max(np.abs(every))
 
 
 def h1_adams_legs():
@@ -245,7 +271,8 @@ def test_a_table_that_keeps_t_on_the_swap_fails(monkeypatch):
             return real(g)
         return tuple((perm, signs[:2] + (signs[0] * signs[1],)) for perm, signs in real(g))
 
-    memos = (quadrature._orbits_cached, harness._orbit_centers, harness._op_values_cached)
+    memos = (quadrature._orbits_cached, quadrature._centre_images, quadrature._lattice_bins,
+             harness._orbit_centers, harness._op_values_cached)
     cfg, legs = h1_adams_legs()
     u, spec = legs[-1]
     monkeypatch.setattr(groups, "symmetries", table_without_flip)
@@ -260,6 +287,16 @@ def test_a_table_that_keeps_t_on_the_swap_fails(monkeypatch):
         assert not np.array_equal(rep[inverse], generated_orbits(c, generators))
         assert reduced_error(u, spec, "riesz", cfg) > 1e-4
         assert reduced_error(u, spec, "maximal", cfg) > 1e-3
+        # the orbit-space Morrey masses about centres off the axes and
+        # diagonals, which no swap maps to a reflection of themselves, miss
+        # those over every node (the default centres, all on them, do not
+        # show it)
+        nodes, lattice = lattice_nodes(H1, spec)[0], lattice_key(spec)
+        w = u(nodes) ** 2
+        c, radii = np.array([[1.0, 0.5, 0.7], [-0.75, 1.5, -0.3]]), radius_grid(spec, 2.0)
+        every = quadrature.ball_masses(H1, c, radii, w, lattice)
+        orbits = quadrature.ball_masses(H1, c, radii, w[lattice_orbits(H1, spec)[0]], lattice, True)
+        assert np.max(np.abs(orbits - every)) > 1e-2 * np.max(every)
     finally:
         for memo in memos:
             memo.cache_clear()
@@ -280,7 +317,8 @@ def test_the_flag_is_a_fact_about_the_input():
 
 def test_only_invariant_inputs_are_reduced(monkeypatch):
     # a spy on the operator's point count: an invariant u is evaluated at
-    # one node per orbit, K / 8 on H^1 and R^3; a custom u at all K
+    # one node per orbit, K / 8 on H^1 and R^3, and its values are those
+    # of the orbits; a custom u at all K
     seen = []
     real = operators.riesz_values
 
@@ -294,19 +332,19 @@ def test_only_invariant_inputs_are_reduced(monkeypatch):
     same = testfunctions.custom(gauss.fn, gauss.decay_radius)
     g3 = groups.euclidean_group(3)
     spec3 = QuadratureSpec(R_max=3.0, lattice_h=0.5)
+    lengths = []
     for u, g, spec in ((gauss, H1, SPEC), (same, H1, SPEC),
                        (testfunctions.gaussian(g3, 0.5), g3, spec3)):
-        vals = harness._op_values(g, "riesz", cfg, u, spec, None)
-        assert len(vals) == len(lattice_nodes(g, spec)[0])
-    K = len(lattice_nodes(H1, SPEC)[0])
-    assert seen == [K // 8, K, len(lattice_nodes(g3, spec3)[0]) // 8]
+        lengths.append(len(harness._op_values(g, "riesz", cfg, u, spec, None)))
+    K, K3 = len(lattice_nodes(H1, SPEC)[0]), len(lattice_nodes(g3, spec3)[0])
+    assert seen == lengths == [K // 8, K, K3 // 8]
 
 
-@pytest.mark.parametrize("op", TAGS)
-def test_only_integral_tags_are_reduced(monkeypatch, op):
-    # a spy on the callable each tag evaluates: for an invariant u on H^1
-    # the integral tags see K / 8 nodes, the pointwise ones all K, which
-    # cost less per node than the orbit map does
+@pytest.mark.parametrize("op", TAGS + ("fraclap",))
+def test_every_tag_but_fraclap_is_reduced(monkeypatch, op):
+    # a spy on the callable each tag evaluates: for an invariant u every
+    # tag but the fractional Laplacian sees and returns one node per orbit,
+    # K / 8 on H^1 and R^2; the fractional Laplacian (R^N only) sees all K
     seen = []
     owner, name = (testfunctions.TestFunction, "__call__") if op == "id" else (operators, harness._OPERATORS[op])
     real = getattr(owner, name)
@@ -316,7 +354,10 @@ def test_only_integral_tags_are_reduced(monkeypatch, op):
         return real(*args)
 
     monkeypatch.setattr(owner, name, spy)
-    vals = harness._op_values(H1, op, h1_adams_legs()[0], testfunctions.gaussian(H1, 0.5), SPEC, None)
-    K = len(lattice_nodes(H1, SPEC)[0])
-    assert len(vals) == K
-    assert seen == [K // 8 if op in ("riesz", "maximal") else K]
+    g, cfg, spec = H1, h1_adams_legs()[0], SPEC
+    if op == "fraclap":
+        g, spec = groups.euclidean_group(2), QuadratureSpec(R_max=3.0, lattice_h=0.25)
+        cfg = harness.admissible("frac_hardy", Q=g.Q, p=1.5, gamma=0.5, alpha=0, beta=0.5, lam=0.12)
+    vals = harness._op_values(g, op, cfg, testfunctions.gaussian(g, 0.5), spec, None)
+    K = len(lattice_nodes(g, spec)[0])
+    assert seen == [len(vals)] == [K if op == "fraclap" else K // 8]

@@ -19,7 +19,7 @@ import pytest
 from conftest import clear_plans
 from morreylab import groups, quadrature
 from morreylab.operators import frac_laplacian_values, frac_maximal_values, riesz_values
-from morreylab.quadrature import QuadratureSpec, lattice_nodes, lattice_orbits, product_lattice, radius_grid
+from morreylab.quadrature import QuadratureSpec, lattice_key, lattice_nodes, orbit_nodes, product_lattice, radius_grid
 from morreylab.report import dump_report, memo_stats, run_experiment, strip_telemetry
 from morreylab.testfunctions import gaussian
 
@@ -59,7 +59,7 @@ def misses():
 
 def point_sets(g, spec):
     nodes = lattice_nodes(g, spec)[0]
-    return [("all", nodes), ("orbits", nodes[lattice_orbits(g, spec)[0]])]
+    return [("all", nodes), ("orbits", orbit_nodes(g, lattice_key(spec), True)[0])]
 
 
 @pytest.mark.parametrize("name,g,spec", CASES, ids=IDS)

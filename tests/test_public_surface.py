@@ -112,3 +112,23 @@ def test_every_argument_the_tracer_binds_exists():
         assert bound_names("_operator_counter") <= set(inspect.signature(getattr(operators, op)).parameters), op
     assert bound_names("_morrey_counter") == {"centers", "nodes"}
     assert bound_names("_morrey_counter") <= set(inspect.signature(morrey.morrey_sup_from_samples).parameters)
+
+
+def test_the_tracer_sees_the_harness_gauge_power_weights():
+    # the harness looks ``gauge_power_weights`` up on ``quadrature``, where
+    # the tracer wraps it: a name bound at import would bypass the wrapper
+    # and its span would read 0 s
+    from morreylab import groups, harness, quadrature, testfunctions
+
+    g, spec = groups.euclidean_group(2), quadrature.QuadratureSpec(3.0, 0.25)
+    cfg = harness.admissible("hardy", Q=g.Q, p=1.5, alpha=0.5, beta=0.5, lam=0.6)
+    u = testfunctions.gaussian(g, 0.5)
+    grids = harness.sweep_grids(g, spec, u, 1.0, 1.0, n_per_axis=3)
+    quadrature.gauge_power_weights.cache_clear()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        harness.inequality_sides(g, cfg, u, grids, spec)
+    finally:
+        tr.uninstall()
+    assert tr.counts["quadrature.gauge_power_weights.calls"] == 2
